@@ -14,7 +14,7 @@ from .measures import (FractalMeasure, WeightFunction, make_cantor_measure,
                        frostman_ratio, energy, weighted_energy, truncated_riesz,
                        build_weight, frostman_weight_sweep, decade_sweep,
                        standard_test_functions)
-from .frequency import (BumpPair, BandKernel, make_bump_pair, eta_beta,
+from .frequency import (BumpPair, BandKernel, eta_beta,
                         band_project, fourier_energy_identity, gamma_factor,
                         fourier_transform, rho_cutoff, smooth_step)
 from .geometry import (GroupElement, Geodesic, Tube, act, dist_hyp, iwasawa_A,
@@ -33,11 +33,11 @@ from .hecke import (QuatAlgebra, QuatElement, Amplifier, MAXIMAL_ORDER_2_3,
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,
                         amplified_rhs, beta_scaling_experiment,
                         rapid_decay_experiment, modulated_gaussian)
-from .modes import (ModeSpec, SphereMode, TorusMode, SphereGeodesic,
-                    TorusGeodesic, KNReport, make_mode, restriction_norm,
-                    restriction_norm_quadrature, kn_norm, theorem3_check,
-                    theorem_ratio_table, dyadic_kernel_check, exponent_table,
-                    fit_exponent, gamma_exponent, delta_exponent,
-                    marshall_exponent, lp_bump, lp_partition_sum)
+from .modes import (ModeSpec, SphereMode, TorusMode, SphereGeodesic, KNReport,
+                    make_mode, restriction_norm, restriction_norm_quadrature,
+                    kn_norm, theorem_ratio_table, dyadic_kernel_check,
+                    exponent_table, fit_exponent, gamma_exponent,
+                    delta_exponent, marshall_exponent, lp_bump,
+                    lp_partition_sum)
 
 __version__ = "0.1.0"

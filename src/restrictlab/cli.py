@@ -34,15 +34,10 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     out: str = "results"
     seed: int = 0
-    threads: int = 1
 
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "params": self.params,
-                "out": self.out, "seed": self.seed, "threads": self.threads}
-
-
-# per-experiment parameter schema: name -> (type, default or REQUIRED, validator)
-_REQ = object()
+                "out": self.out, "seed": self.seed}
 
 
 def _positive(v):
@@ -53,22 +48,49 @@ def _in_unit(v):
     return 0 < v <= 1
 
 
+def _rational(v) -> str:
+    """A rational number as a normalised string such as '1/2'."""
+    return str(Fraction(str(v)))
+
+
+def _coerce(typ, v):
+    """v converted to typ, element by element for a list type such as [int];
+    raises ValueError for a bool, or a non-integral float where an int is due."""
+    if isinstance(typ, list):
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(v)
+        return [_coerce(typ[0], x) for x in v]
+    if isinstance(v, bool) or (typ is int and isinstance(v, float) and not v.is_integer()):
+        raise ValueError(v)
+    return typ(v)
+
+
+def _type_name(typ) -> str:
+    if isinstance(typ, list):
+        return f"list of {_type_name(typ[0])}"
+    return typ.__name__.lstrip("_")
+
+
+# per-experiment parameter schema: name -> (type, default, validator); a type
+# in brackets, such as [int], types a list element by element
 _SCHEMAS = {
     "measure": {"alpha": (float, 0.6309297535714574, _in_unit),
                 "depth": (int, 6, lambda v: v >= 0),
                 "r_min": (float, 1e-3, _positive), "r_max": (float, 1.0, _in_unit),
                 "n_r": (int, 32, _positive)},
     "energy": {"alpha": (float, 0.6309297535714574, _in_unit),
-               "depths": (list, [6, 8], None),
-               "s_values": (list, [0.3, 0.55, 0.8], None)},
+               "depths": ([int], [6, 8], None),
+               "s_values": ([float], [0.3, 0.55, 0.8], None)},
     "kernel": {"lambda": (float, 100.0, lambda v: v >= 10),
                "h_width": (float, 0.05, lambda v: 0 < v <= 0.05),
                "x_max": (float, 4.0, _positive)},
     "hecke-returns": {"a": (int, 2, _positive), "b": (int, 3, None),
                       "q": (int, 6, _positive),
-                      "order_basis": (list, None, None),
+                      "order_basis": ([[_rational]], None,
+                                      lambda v: len(v) == 4 and all(len(r) == 4 for r in v)),
                       "n_max": (int, 8, _positive),
-                      "kappas": (list, [1.0, 0.5, 0.25, 0.125], None)},
+                      "kappas": ([float], [1.0, 0.5, 0.25, 0.125],
+                                 lambda v: all(map(_in_unit, v)))},
     "amplifier": {"N": (int, 400, _positive), "q": (int, 1, _positive),
                   "draws": (int, 1000, _positive)},
     "integrals": {"lambda": (float, 100.0, lambda v: v >= 10),
@@ -79,35 +101,37 @@ _SCHEMAS = {
     "beta-scaling": {"lambda": (float, 100.0, lambda v: v >= 10),
                      "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
                      "depth": (int, 8, lambda v: v >= 0),
-                     "beta_exponents": (list, [0.3, 0.4, 0.5, 0.6], None),
+                     "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6],
+                                        lambda v: len(set(v)) >= 2),
                      "resolution_per_wavelength": (int, 8, lambda v: v >= 8)},
     "rapid-decay": {"lambda": (float, 100.0, lambda v: v >= 10),
                     "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
                     "depth": (int, 8, lambda v: v >= 0),
                     "beta_exponent": (float, 0.5, lambda v: 0 < v < 1),
                     "epsilon0": (float, 0.1, _positive),
-                    "t_factors": (list, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0], None),
+                    "t_factors": ([float], [0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
+                                  lambda v: 0 in v and min(v) >= 0),
                     "resolution_per_wavelength": (int, 8, lambda v: v >= 8)},
     "restrict": {"kind": (str, "highest_weight",
                           lambda v: v in ("zonal", "highest_weight")),
-                 "degrees": (list, [64, 128, 256, 512], None),
+                 "degrees": ([int], [64, 128, 256, 512], None),
                  "alpha": (float, 0.7, _in_unit),
                  "depth": (int, 8, lambda v: v >= 0)},
     "kn": {"kind": (str, "highest_weight",
                     lambda v: v in ("zonal", "highest_weight")),
            "degree": (int, 64, lambda v: 1 <= v <= 1000)},
     "theorem3": {"alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
-                 "degrees": (list, [64, 128, 256], None),
+                 "degrees": ([int], [64, 128, 256], lambda v: len(v) >= 1),
                  "depth": (int, 8, lambda v: v >= 0)},
     "exponents": {"n_alpha": (int, 100, lambda v: v >= 2)},
     "dyadic": {"lambda": (float, 128.0, lambda v: v >= 10),
                "alpha": (float, 0.7, _in_unit),
-               "k_indices": (list, [-2, -1], None)},
+               "k_indices": ([int], [-2, -1], None)},
 }
 
 
 def load_config(path: str = None, experiment: str = None, overrides: dict = None,
-                out: str = "results", seed: int = 0, threads: int = 1) -> ExperimentConfig:
+                out: str = "results", seed: int = 0) -> ExperimentConfig:
     """Build and validate a config from a JSON file and/or inline values.
 
     Inline overrides win over the file; defaults fill the rest and the full
@@ -133,25 +157,19 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
         raise DomainError(f"unknown parameter(s) {sorted(unknown)} for {name}")
     filled = {}
     for key, (typ, default, check) in schema.items():
-        if key in params:
-            if params[key] is None:
-                val = None
-            else:
-                try:
-                    val = typ(params[key]) if typ is not list else list(params[key])
-                except (TypeError, ValueError):
-                    raise DomainError(f"parameter {key!r} must have type {typ.__name__}")
-        elif default is _REQ:
-            raise DomainError(f"missing required parameter {key!r}")
-        else:
-            val = default
-        if check is not None and not check(val):
-            raise DomainError(f"parameter {key!r} = {val} violates its precondition")
+        val = params.get(key, default)
+        if val is not None or default is not None:   # None only where it is the default
+            try:
+                val = _coerce(typ, val)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise DomainError(f"parameter {key!r} = {val!r} must have type "
+                                  f"{_type_name(typ)}")
+            if check is not None and not check(val):
+                raise DomainError(f"parameter {key!r} = {val} violates its precondition")
         filled[key] = val
     return ExperimentConfig(name, filled,
                             out=str(data.get("out", out)),
-                            seed=int(data.get("seed", seed)),
-                            threads=int(data.get("threads", threads)))
+                            seed=int(data.get("seed", seed)))
 
 
 def _fmt(v) -> str:
@@ -177,15 +195,9 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
     tmp.replace(path)
 
 
-def _measures_for(alpha: float, depth: int):
-    from .measures import make_cantor_measure
-    return make_cantor_measure(alpha, depth)
-
-
-def _weight_for(alpha: float, depth: int, lam: float, spw: int = 8):
-    from .frequency import BumpPair
+def _weight_for(alpha: float, depth: int, lam: float, bump, spw: int = 8):
     from .measures import build_weight, make_cantor_measure
-    return build_weight(make_cantor_measure(alpha, depth), lam, BumpPair(),
+    return build_weight(make_cantor_measure(alpha, depth), lam, bump,
                         samples_per_wavelength=spw)
 
 
@@ -230,26 +242,17 @@ def _run_kernel(cfg, out_dir):
 
 
 def _run_hecke_returns(cfg, out_dir):
-    from fractions import Fraction
-
     from .geometry import GroupElement
-    from .hecke import QuatAlgebra, hecke_returns
+    from .hecke import QuatAlgebra, return_count_ratio
     p = cfg.params
     basis = p["order_basis"]
     if basis is not None:
-        basis = [[Fraction(str(v)) for v in row] for row in basis]
+        basis = [[Fraction(v) for v in row] for row in basis]
     alg = QuatAlgebra(p["a"], p["b"], basis=basis, q=p["q"])
-    g0 = GroupElement.identity()
-    rows = []
-    sup = 0.0
-    for n in range(1, p["n_max"] + 1):
-        for kappa in p["kappas"]:
-            M = hecke_returns(alg, g0, n, float(kappa))
-            shape = (n / kappa) ** 0.1 * (n * np.sqrt(kappa) + 1.0)
-            rows.append({"n": n, "kappa": kappa, "M": M, "shape_ratio": M / shape})
-            sup = max(sup, M / shape)
+    sup, rows = return_count_ratio(alg, [GroupElement.identity()], p["n_max"],
+                                   p["kappas"], eps=0.1)
     _write_csv(out_dir / "hecke_returns.csv", cfg,
-               ["n", "kappa", "M", "shape_ratio"], rows)
+               ["n", "kappa", "M", "shape_ratio"], [row[1:] for row in rows])
     return {"max_shape_ratio": sup}
 
 
@@ -278,19 +281,15 @@ def _run_amplifier(cfg, out_dir):
 def _run_integrals(cfg, out_dir):
     from .frequency import BumpPair
     from .geometry import GroupElement
-    from .integrals import TestWindow, eval_I, modulated_gaussian
-    from .sampling import SampledFunction
+    from .integrals import (TestWindow, _phi_w_on_window_grid, eval_I,
+                            modulated_gaussian)
     from .spherical import make_kernel
     p = cfg.params
     lam = p["lambda"]
-    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    w = _weight_for(p["alpha"], p["depth"], lam, BumpPair(),
+                    p["resolution_per_wavelength"])
     kern = make_kernel(lam, x_max=1.0)
-    h = w.grid_step
-    n3 = int(round(6.0 / h))
-    grid3 = -3.0 + h * np.arange(n3 + 1)
-    wext = SampledFunction(w.grid_min, h, w.values).embed(-3.0, 3.0)
-    phi = modulated_gaussian(grid3, lam)
-    f = SampledFunction(-3.0, h, phi * wext.values.real)
+    _, _, f, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
     g = GroupElement.lower_shear(p["shear_t"])
     rep = eval_I(kern, TestWindow(), f, g, g_desc=f"shear({p['shear_t']})")
     _write_csv(out_dir / "integrals.csv", cfg,
@@ -307,7 +306,7 @@ def _run_beta_scaling(cfg, out_dir):
     p = cfg.params
     lam = p["lambda"]
     bump = BumpPair()
-    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    w = _weight_for(p["alpha"], p["depth"], lam, bump, p["resolution_per_wavelength"])
     kern = make_kernel(lam, x_max=1.0)
     betas = [lam ** e for e in p["beta_exponents"]]
     rows, slope, norm_sq = beta_scaling_experiment(kern, TestWindow(), w, bump, betas)
@@ -325,7 +324,7 @@ def _run_rapid_decay(cfg, out_dir):
     p = cfg.params
     lam = p["lambda"]
     bump = BumpPair()
-    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    w = _weight_for(p["alpha"], p["depth"], lam, bump, p["resolution_per_wavelength"])
     kern = make_kernel(lam, x_max=1.0)
     beta = lam ** p["beta_exponent"]
     rows, contrast, t_star = rapid_decay_experiment(
@@ -393,10 +392,11 @@ def _run_exponents(cfg, out_dir):
 
 
 def _run_dyadic(cfg, out_dir):
+    from .frequency import BumpPair
     from .modes import dyadic_kernel_check
     p = cfg.params
     lam = p["lambda"]
-    w = _weight_for(p["alpha"], 6, lam)
+    w = _weight_for(p["alpha"], 6, lam, BumpPair())
     rows = []
     summaries = {}
     for k in p["k_indices"]:
@@ -412,28 +412,6 @@ def _run_dyadic(cfg, out_dir):
                 "ratio", "flagged"], rows)
     return {"per_k": summaries}
 
-
-# module operations each experiment invokes, echoed as provenance
-_PROVENANCE = {
-    "measure": ["measures.make_cantor_measure", "measures.frostman_ratio"],
-    "energy": ["measures.make_cantor_measure", "measures.energy"],
-    "kernel": ["spherical.make_kernel", "spherical.kernel_decay_constant"],
-    "hecke-returns": ["hecke.enumerate_norm_n", "hecke.hecke_returns",
-                      "geometry.dist_to_diag"],
-    "amplifier": ["hecke.build_amplifier", "hecke.random_hecke_eigenvalues"],
-    "integrals": ["measures.build_weight", "frequency.band_project",
-                  "spherical.make_kernel", "integrals.eval_I"],
-    "beta-scaling": ["measures.build_weight", "frequency.band_project",
-                     "spherical.make_kernel", "integrals.beta_scaling_experiment"],
-    "rapid-decay": ["measures.build_weight", "frequency.band_project",
-                    "spherical.make_kernel", "integrals.rapid_decay_experiment"],
-    "restrict": ["modes.make_mode", "modes.restriction_norm", "modes.fit_exponent"],
-    "kn": ["modes.make_mode", "modes.kn_norm"],
-    "theorem3": ["modes.make_mode", "modes.kn_norm", "modes.restriction_norm",
-                 "modes.theorem3_check"],
-    "exponents": ["modes.exponent_table"],
-    "dyadic": ["measures.build_weight", "modes.dyadic_kernel_check"],
-}
 
 _RUNNERS = {
     "measure": _run_measure, "energy": _run_energy, "kernel": _run_kernel,
@@ -453,8 +431,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = _RUNNERS[cfg.experiment](cfg, out_dir)
-    return {"experiment": cfg.experiment, "config": cfg.to_dict(),
-            "ops": _PROVENANCE[cfg.experiment], "summary": summary}
+    return {"experiment": cfg.experiment, "config": cfg.to_dict(), "summary": summary}
 
 
 def main(argv=None) -> int:
@@ -465,7 +442,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--param", "-p", action="append", default=[],
                         metavar="KEY=JSON", help="inline parameter override")
     args = parser.parse_args(argv)
@@ -481,7 +457,7 @@ def main(argv=None) -> int:
             overrides[key] = raw
     try:
         cfg = load_config(args.config, args.experiment, overrides,
-                          out=args.out, seed=args.seed, threads=args.threads)
+                          out=args.out, seed=args.seed)
         result = run_experiment(cfg)
     except DomainError as e:
         print(f"validation error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma as _gamma
+from scipy.special import gamma as _gamma, roots_legendre
 
 from .errors import DomainError
 from .measures import WeightFunction, weighted_energy
@@ -54,7 +54,7 @@ class BumpPair:
             raise DomainError("transition_sharpness must be positive")
         self.sharpness = float(transition_sharpness)
         self.table_max = float(table_max)
-        xg, wg = np.polynomial.legendre.leggauss(quad_nodes)
+        xg, wg = roots_legendre(quad_nodes)
         self._xi_q = 0.5 + 0.25 * (xg + 1.0)      # nodes on [1/2, 1]
         self._w_q = 0.25 * wg * self.eta_hat(self._xi_q)
         u_head = np.arange(0.0, 64.0, 1.0 / 128.0)
@@ -87,10 +87,6 @@ class BumpPair:
 
     def __call__(self, x):
         return self.eta(x)
-
-
-def make_bump_pair(transition_sharpness: float = 1.0, **kw) -> BumpPair:
-    return BumpPair(transition_sharpness, **kw)
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ class QuatAlgebra:
             raise DomainError("discriminant of a non-integral lattice")
         return abs(int(d))
 
-    def isotropy_screen(self, side: int = 50, chunk: int = 1 << 20) -> bool:
+    def isotropy_screen(self, side: int = 50) -> bool:
         """True when the norm form has no nonzero integer root with
         |coordinates| <= side (a necessary condition for division)."""
         rng = np.arange(-side, side + 1, dtype=np.int64)
@@ -291,6 +291,28 @@ def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> Gr
     return GroupElement(g0.inv().m @ (m / np.sqrt(float(n))) @ g0.m)
 
 
+def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
+    """Sorted sign-canonical order coordinates v with |v_i| <= box[i] and
+    nrd(v) = n, swept exactly with the integer norm form one slice of the
+    first coordinate at a time.
+
+    A tuple is canonical when it is lexicographically >= its negative, so
+    slices with v_0 < 0 only repeat the negatives of v_0 > 0 and are skipped.
+    """
+    target = n * alg._den ** 2
+    C = alg._C
+    g1, g2, g3 = (g.ravel() for g in np.meshgrid(
+        *(np.arange(-b, b + 1, dtype=np.int64) for b in box[1:]), indexing="ij"))
+    out = set()
+    for v0 in range(int(box[0]) + 1):
+        xs = [C[i, 0] * v0 + C[i, 1] * g1 + C[i, 2] * g2 + C[i, 3] * g3
+              for i in range(4)]
+        for i in np.nonzero(alg.nrd_std_scaled(xs) == target)[0]:
+            v = (v0, int(g1[i]), int(g2[i]), int(g3[i]))
+            out.add(max(v, tuple(-c for c in v)))
+    return sorted(out)
+
+
 def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
                      radius: float = 1.0, coeff_budget: int = COEFF_BUDGET):
     """All order elements of reduced norm n whose conjugated projection lies
@@ -313,31 +335,8 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
     if volume > coeff_budget:
         raise ResourceError(f"coefficient box {2 * bounds + 1} has volume "
                             f"{volume} > budget {coeff_budget}")
-    target = n * alg._den ** 2
-    C = alg._C
-    r1 = np.arange(-bounds[1], bounds[1] + 1, dtype=np.int64)
-    r2 = np.arange(-bounds[2], bounds[2] + 1, dtype=np.int64)
-    r3 = np.arange(-bounds[3], bounds[3] + 1, dtype=np.int64)
-    g1, g2, g3 = np.meshgrid(r1, r2, r3, indexing="ij")
-    g1, g2, g3 = g1.ravel(), g2.ravel(), g3.ravel()
-    hits = []
-    for v0 in range(-int(bounds[0]), int(bounds[0]) + 1):
-        xs = [C[i, 0] * v0 + C[i, 1] * g1 + C[i, 2] * g2 + C[i, 3] * g3
-              for i in range(4)]
-        q = (xs[0] * xs[0] - alg.a * xs[1] * xs[1] - alg.b * xs[2] * xs[2]
-             + alg.a * alg.b * xs[3] * xs[3])
-        idx = np.nonzero(q == target)[0]
-        for i in idx:
-            hits.append((v0, int(g1[i]), int(g2[i]), int(g3[i])))
-    out = set()
-    for v in hits:
-        neg = tuple(-c for c in v)
-        canon = v if v >= neg else neg
-        if canon in out:
-            continue
-        if dist_to_identity(conjugated_element(alg, canon, n, g0)) <= radius:
-            out.add(canon)
-    return sorted(out)
+    return [v for v in _scan_norm_form(alg, bounds, n)
+            if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
 
 
 def serialize_elements(alg: QuatAlgebra, elems, n: int) -> list[dict]:
@@ -347,19 +346,7 @@ def serialize_elements(alg: QuatAlgebra, elems, n: int) -> list[dict]:
 
 def find_units(alg: QuatAlgebra, coeff_radius: int = 5) -> list[tuple]:
     """Norm-1 elements with order coordinates in a fixed ball, up to sign."""
-    rng = np.arange(-coeff_radius, coeff_radius + 1, dtype=np.int64)
-    g0, g1, g2, g3 = (g.ravel() for g in np.meshgrid(rng, rng, rng, rng, indexing="ij"))
-    C = alg._C
-    xs = [C[i, 0] * g0 + C[i, 1] * g1 + C[i, 2] * g2 + C[i, 3] * g3 for i in range(4)]
-    q = (xs[0] * xs[0] - alg.a * xs[1] * xs[1] - alg.b * xs[2] * xs[2]
-         + alg.a * alg.b * xs[3] * xs[3])
-    idx = np.nonzero(q == alg._den ** 2)[0]
-    out = set()
-    for i in idx:
-        v = (int(g0[i]), int(g1[i]), int(g2[i]), int(g3[i]))
-        neg = tuple(-c for c in v)
-        out.add(v if v >= neg else neg)
-    return sorted(out)
+    return _scan_norm_form(alg, [coeff_radius] * 4, 1)
 
 
 def left_equivalent(alg: QuatAlgebra, x: tuple, y: tuple, n: int) -> bool:
@@ -388,20 +375,8 @@ def coset_reps(alg: QuatAlgebra, n: int, coeff_box: int = 12,
     certificate, not a proof of completeness).
     """
     def classes(box: int):
-        rng = np.arange(-box, box + 1, dtype=np.int64)
-        g0, g1, g2, g3 = (g.ravel() for g in np.meshgrid(rng, rng, rng, rng, indexing="ij"))
-        C = alg._C
-        xs = [C[i, 0] * g0 + C[i, 1] * g1 + C[i, 2] * g2 + C[i, 3] * g3 for i in range(4)]
-        q = (xs[0] * xs[0] - alg.a * xs[1] * xs[1] - alg.b * xs[2] * xs[2]
-             + alg.a * alg.b * xs[3] * xs[3])
-        idx = np.nonzero(q == n * alg._den ** 2)[0]
-        elems = set()
-        for i in idx:
-            v = (int(g0[i]), int(g1[i]), int(g2[i]), int(g3[i]))
-            neg = tuple(-c for c in v)
-            elems.add(v if v >= neg else neg)
         reps = []
-        for e in sorted(elems):
+        for e in _scan_norm_form(alg, [box] * 4, n):
             if not any(left_equivalent(alg, r, e, n) for r in reps):
                 reps.append(e)
         return reps

@@ -260,21 +260,6 @@ class SphereGeodesic:
         return circ @ self.rotation.T
 
 
-@dataclass(frozen=True)
-class TorusGeodesic:
-    """Unit-speed rational-direction line on [0, 2pi)^2."""
-
-    direction: tuple = (1, 0)
-    offset: tuple = (0.0, 0.0)
-    length: float = 1.0
-
-    def points(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        d = np.asarray(self.direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        return np.stack([self.offset[0] + s * d[0], self.offset[1] + s * d[1]], axis=-1)
-
-
 def restriction_norm(mode, ell, mu: FractalMeasure) -> float:
     """||e||_{L^2(mu)} with mu's atoms pushed to the geodesic by arclength."""
     pts = ell.points(mu.atoms)
@@ -406,10 +391,6 @@ def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float,
     ratios = [r["ratio"] for r in rows]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
     return rows, spread
-
-
-# alias matching the operation map
-theorem3_check = theorem_ratio_table
 
 
 # ---------------------------------------------------------------------------

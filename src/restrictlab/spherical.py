@@ -105,6 +105,11 @@ def hc_inverse(H_eval, x: float, truncation: float = None,
     return float(np.trapezoid(Hs * phis * dens, s))
 
 
+def _h_profile(h_width: float, u) -> np.ndarray:
+    """The sinc^4 Paley-Wiener profile, transform supported in [-2 h_width, 2 h_width]."""
+    return np.sinc(h_width * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
+
+
 @dataclass(frozen=True)
 class SphericalKernel:
     """Radial table of the band kernel k at spectral center lam.
@@ -127,7 +132,7 @@ class SphericalKernel:
         return 4.0 * self.h_width
 
     def h_profile(self, u) -> np.ndarray:
-        return np.sinc(self.h_width * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
+        return _h_profile(self.h_width, u)
 
     def h0(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -191,11 +196,7 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0,
     s_max = lam + T
     M = int(np.ceil(s_max / ds)) + 1
     s = np.arange(M) * ds
-
-    def h_profile(u):
-        return np.sinc(h_width * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
-
-    H = (h_profile(s - lam) + h_profile(-s - lam)) ** 2
+    H = (_h_profile(h_width, s - lam) + _h_profile(h_width, -s - lam)) ** 2
     coef = H * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
     coef[0] *= 0.5
     coef[-1] *= 0.5

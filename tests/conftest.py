@@ -13,7 +13,7 @@ ALPHA_CANTOR = np.log(2.0) / np.log(3.0)
 
 @lru_cache(maxsize=None)
 def cached_bump() -> rl.BumpPair:
-    return rl.make_bump_pair()
+    return rl.BumpPair()
 
 
 @lru_cache(maxsize=None)

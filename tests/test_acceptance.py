@@ -229,7 +229,7 @@ def test_criterion_10_tube_norm_ratio():
         spreads = {}
         for alpha in (0.7, 0.9):
             mu = rl.make_cantor_measure(alpha, 8)
-            rows, spread = rl.theorem3_check(modes, mu, alpha)
+            rows, spread = rl.theorem_ratio_table(modes, mu, alpha)
             spreads[alpha] = spread
     ok = all(s <= 4.0 for s in spreads.values()) and t.elapsed < limit
     _report(10, ok, f"ratio spreads {spreads} (tol <= 4)", t.elapsed, limit)

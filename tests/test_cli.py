@@ -4,6 +4,9 @@ import pytest
 
 import restrictlab.cli as cli
 from restrictlab.errors import DomainError
+from restrictlab.frequency import BumpPair
+from restrictlab.geometry import GroupElement
+from restrictlab.hecke import MAXIMAL_ORDER_2_3, QuatAlgebra, hecke_returns
 
 
 def test_load_config_defaults_echoed(tmp_path):
@@ -133,3 +136,54 @@ def test_measure_experiment_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["atoms"] == 32
     assert summary["sup_ratio_overall"] > 0
+
+
+@pytest.mark.parametrize("experiment, param", [
+    ("restrict", 'degrees=["a"]'),
+    ("hecke-returns", "kappas=[0]"),
+    ("hecke-returns", "order_basis=[[1]]"),
+    ("measure", "depth=true"),
+    ("beta-scaling", "beta_exponents=[]"),
+    ("rapid-decay", "t_factors=[1.0]"),
+    ("theorem3", "degrees=[]"),
+])
+def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
+    assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("basis, n_max", [(None, 8), (MAXIMAL_ORDER_2_3, 4)],
+                         ids=["default", "maximal"])
+def test_hecke_returns_rows_match_hecke_returns(tmp_path, basis, n_max):
+    params = {"n_max": n_max}
+    if basis is not None:
+        params["order_basis"] = [[str(v) for v in row] for row in basis]
+    cli.run_experiment(cli.load_config(experiment="hecke-returns", overrides=params,
+                                       out=str(tmp_path)))
+    lines = (tmp_path / "hecke_returns.csv").read_text().splitlines()
+    assert lines[1] == "n,kappa,M,shape_ratio"
+    alg = QuatAlgebra(basis=basis)
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 4 * n_max
+    for n, kappa, M, _ in rows:
+        assert int(M) == hecke_returns(alg, GroupElement.identity(), int(n), float(kappa))
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("rapid-decay", ["lambda=10", "t_factors=[0,4]"]),
+    ("beta-scaling", ["lambda=10", "beta_exponents=[0.3,0.6]"]),
+], ids=["rapid-decay", "beta-scaling"])
+def test_integral_runs_build_one_bump(tmp_path, monkeypatch, experiment, params):
+    builds = []
+    init = BumpPair.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BumpPair, "__init__", counted)
+    argv = [experiment, "--out", str(tmp_path)]
+    for p in params:
+        argv += ["-p", p]
+    assert cli.main(argv) == 0
+    assert len(builds) == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 import restrictlab as rl
 from restrictlab.errors import DomainError, ResourceError
 from restrictlab.geometry import dist_to_diag, dist_to_identity
-from restrictlab.hecke import conjugated_element, left_equivalent
+from restrictlab.hecke import (_entry_bound, _order_box, conjugated_element,
+                               left_equivalent)
 
 from conftest import cached_algebra
 
@@ -145,6 +147,45 @@ def brute_force_norm_n(alg, n, g0, radius, side=40):
         if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius:
             found.append(v)
     return sorted(found)
+
+
+def product_scan(alg, box, n):
+    """Plain itertools.product sweep of |v_i| <= box[i] for reduced norm n,
+    one canonical sign per pair, sorted."""
+    C = alg._C.tolist()
+    target = n * alg._den ** 2
+    found = set()
+    for v in itertools.product(*(range(-int(b), int(b) + 1) for b in box)):
+        xs = [sum(c * x for c, x in zip(row, v)) for row in C]
+        if alg.nrd_std_scaled(xs) == target:
+            found.add(max(v, tuple(-c for c in v)))
+    return sorted(found)
+
+
+# (n, rotation angle of g0, radius): each case keeps at least one element
+@pytest.mark.parametrize("maximal, cases", [
+    (False, ((1, 0.0, 1.0), (4, 0.4, 0.7), (12, 0.0, 0.7))),
+    (True, ((1, 0.0, 1.0), (3, 0.4, 0.7), (4, 0.0, 0.7)))], ids=["default", "maximal"])
+def test_scans_match_product_scan(maximal, cases):
+    alg = cached_algebra(maximal)
+    assert rl.find_units(alg, coeff_radius=3) == product_scan(alg, [3] * 4, 1)
+    for n, theta, radius in cases:
+        g0 = rl.GroupElement.rotation(theta)
+        box = _order_box(alg, _entry_bound(n, g0, radius))
+        expected = [v for v in product_scan(alg, box, n)
+                    if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
+        assert expected
+        assert rl.enumerate_norm_n(alg, n, g0, radius=radius) == expected, n
+    for n in (2, 5):
+        classes = []
+        for box in (3, 4):
+            reps = []
+            for e in product_scan(alg, [box] * 4, n):
+                if not any(left_equivalent(alg, r, e, n) for r in reps):
+                    reps.append(e)
+            classes.append(reps)
+        assert rl.coset_reps(alg, n, coeff_box=3, stability_margin=1) == \
+            (classes[0], len(classes[0]), len(classes[0]) == len(classes[1]))
 
 
 def test_enumerate_contains_identity(algebra):

@@ -217,7 +217,7 @@ def test_theorem_ratio_spread_small_family():
     mu = rl.make_cantor_measure(0.7, 8)
     modes = [rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
              for l in (64, 128, 256)]
-    rows, spread = rl.theorem3_check(modes, mu, 0.7)
+    rows, spread = rl.theorem_ratio_table(modes, mu, 0.7)
     assert spread <= 4.0
     assert all(np.isfinite(r["ratio"]) for r in rows)
 
@@ -225,7 +225,7 @@ def test_theorem_ratio_spread_small_family():
 def test_theorem_ratio_zonal_meridian_reported():
     mu = rl.make_cantor_measure(0.7, 8)
     modes = [rl.make_mode(rl.ModeSpec("sphere", "zonal", l)) for l in (32, 64)]
-    rows, spread = rl.theorem3_check(
+    rows, spread = rl.theorem_ratio_table(
         modes, mu, 0.7, geodesic_for=lambda m: rl.SphereGeodesic.meridian())
     assert np.isfinite(spread)
 
@@ -234,7 +234,7 @@ def test_theorem_ratio_log_loss_at_alpha_one():
     mu = rl.make_cantor_measure(1.0, 8)
     modes = [rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
              for l in (64, 128)]
-    rows, spread = rl.theorem3_check(modes, mu, 1.0)
+    rows, spread = rl.theorem_ratio_table(modes, mu, 1.0)
     for r in rows:
         assert r["bound"] == pytest.approx(
             r["lambda"] ** 0.25 * r["skn"] ** 0.5 * np.log(r["lambda"]), rel=1e-12)
@@ -243,7 +243,7 @@ def test_theorem_ratio_log_loss_at_alpha_one():
 def test_theorem_check_alpha_domain():
     mu = rl.make_cantor_measure(0.7, 4)
     with pytest.raises(DomainError):
-        rl.theorem3_check([], mu, 0.4)
+        rl.theorem_ratio_table([], mu, 0.4)
 
 
 # ---------------------------------------------------------------- dyadic
