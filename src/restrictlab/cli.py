@@ -149,7 +149,16 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
     name = experiment or data.get("experiment")
     if name not in EXPERIMENTS:
         raise DomainError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    params = dict(data.get("params", {}))
+    file_params = data.get("params", {})
+    seed = data.get("seed", seed)
+    out = data.get("out", out)
+    if not isinstance(file_params, dict):
+        raise DomainError(f"'params' = {file_params!r} must be an object")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"'seed' = {seed!r} must be an integer")
+    if not isinstance(out, str):
+        raise DomainError(f"'out' = {out!r} must be a string")
+    params = dict(file_params)
     params.update(overrides or {})
     schema = _SCHEMAS[name]
     unknown = set(params) - set(schema)
@@ -167,9 +176,7 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
             if check is not None and not check(val):
                 raise DomainError(f"parameter {key!r} = {val} violates its precondition")
         filled[key] = val
-    return ExperimentConfig(name, filled,
-                            out=str(data.get("out", out)),
-                            seed=int(data.get("seed", seed)))
+    return ExperimentConfig(name, filled, out=out, seed=seed)
 
 
 def _fmt(v) -> str:
@@ -180,6 +187,17 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     return str(v)
+
+
+def _finite(v):
+    """v with every non-finite float replaced by None, so stdout is strict JSON."""
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
@@ -468,7 +486,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as e:
         print(f"non-convergence: {e}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    print(json.dumps(result, sort_keys=True, default=_fmt))
+    print(json.dumps(_finite(result), sort_keys=True, default=_fmt, allow_nan=False))
     return EXIT_OK
 
 

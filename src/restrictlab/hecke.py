@@ -99,6 +99,9 @@ class QuatAlgebra:
             raise DomainError("a must be a positive squarefree integer")
         if not is_squarefree(b):
             raise DomainError("b must be a squarefree integer")
+        if a == 1 or b == 1:
+            raise DomainError("a square a or b (here 1) makes (a,b / Q) the split"
+                              " algebra M_2(Q), not a division algebra")
         self.a, self.b, self.q = int(a), int(b), int(q)
         self.basis = _fraction_matrix(basis if basis is not None
                                       else np.eye(4, dtype=int).tolist())

@@ -63,14 +63,68 @@ def _window_values(window: TestWindow, f: SampledFunction) -> np.ndarray:
     return window.b(f.grid()) * f.values
 
 
+ROW_CHUNK = 256   # rows whose in-band pairs are evaluated together
+
+
+def _pair_dist(e1: np.ndarray, r2: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """d(e1 i, r2 + i i2), elementwise."""
+    di = i2 - e1
+    return 2.0 * np.arcsinh(np.sqrt(r2 * r2 + di * di) / (2.0 * np.sqrt(e1 * i2)))
+
+
+def _row_bands(ex: np.ndarray, r2: np.ndarray, i2: np.ndarray, supp: float):
+    """Per row i, the column interval [lo, hi] where d(ex_i i, z2_j) <= supp
+    (hi < lo when the row has none).
+
+    j -> d is convex (the columns sample a unit-speed geodesic), so a
+    vectorised ternary search finds each row's minimum and two bisections
+    against the same test find the interval's ends.
+    """
+    n = r2.size
+
+    def dist(j):
+        return _pair_dist(ex, r2[j], i2[j])
+
+    lo = np.zeros(ex.size, dtype=np.intp)
+    hi = np.full(ex.size, n - 1, dtype=np.intp)
+    while (wide := hi - lo > 2).any():
+        third = (hi - lo) // 3
+        m1, m2 = lo + third, hi - third
+        d1, d2 = dist(m1), dist(m2)
+        less, more = d1 < d2, d1 > d2
+        # convexity: the minimum is left of m2 if d1 < d2, right of m1 if
+        # d1 > d2, and in [m1, m2] otherwise (which also guarantees progress)
+        lo = np.where(wide & ~less, np.where(more, m1 + 1, m1), lo)
+        hi = np.where(wide & ~more, np.where(less, m2 - 1, m2), hi)
+    best = lo
+    for step in (1, 2):
+        cand = np.minimum(lo + step, hi)
+        best = np.where(dist(cand) < dist(best), cand, best)
+    inside = dist(best) <= supp
+
+    # leftmost in-band column of [0, best] and rightmost of [best, n-1]
+    left_lo, left_hi = np.zeros_like(best), best.copy()
+    right_lo, right_hi = best.copy(), np.full_like(best, n - 1)
+    while (left_lo < left_hi).any() or (right_lo < right_hi).any():
+        mid = (left_lo + left_hi) // 2
+        ok = dist(mid) <= supp
+        left_hi = np.where(ok, mid, left_hi)
+        left_lo = np.where(ok, left_lo, np.minimum(mid + 1, left_hi))
+        mid = (right_lo + right_hi + 1) // 2
+        ok = dist(mid) <= supp
+        right_lo = np.where(ok, mid, right_lo)
+        right_hi = np.where(ok, right_hi, np.maximum(mid - 1, right_lo))
+    return left_hi, np.where(inside, right_lo, left_hi - 1)
+
+
 def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
-                  x: np.ndarray, h: float, g: GroupElement,
-                  row_chunk: int = 256) -> complex:
+                  x: np.ndarray, h: float, g: GroupElement) -> complex:
     """h^2 sum over the grid of conj(u1(x1)) u2(x2) k(d(g a(x2) i, a(x1) i)).
 
-    Row-chunked with a fixed ascending reduction order so results are
-    reproducible; the kernel vanishes beyond its support radius, which prunes
-    most of each row.
+    Only the kernel band is visited: each row's pairs within the support
+    radius form one column interval (`_row_bands`), and the spline runs on
+    those pairs alone.  Rows are taken ROW_CHUNK at a time and each chunk's
+    pairs are summed in a fixed order, so results are reproducible.
     """
     a, b, c, d = g.m.ravel()
     ex = np.exp(x)
@@ -78,15 +132,21 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     z2 = (a * 1j * ex + b) / den
     r2, i2 = z2.real, z2.imag
     supp = kernel.support_radius + 2 * kernel.x_step
+    lo, hi = _row_bands(ex, r2, i2, supp)
+    counts = np.maximum(hi - lo + 1, 0)
     total = 0.0 + 0.0j
-    for i0 in range(0, x.size, row_chunk):
-        e1 = ex[i0:i0 + row_chunk][:, None]
-        dr = r2[None, :]
-        di = i2[None, :] - e1
-        dist = 2.0 * np.arcsinh(np.sqrt(dr * dr + di * di)
-                                / (2.0 * np.sqrt(e1 * i2[None, :])))
+    for i0 in range(0, x.size, ROW_CHUNK):
+        cnt = counts[i0:i0 + ROW_CHUNK]
+        filled = cnt > 0
+        if not filled.any():
+            continue
+        rows = np.repeat(np.arange(i0, i0 + cnt.size), cnt)
+        starts = np.cumsum(cnt) - cnt
+        cols = lo[rows] + np.arange(rows.size) - np.repeat(starts, cnt)
+        dist = _pair_dist(ex[rows], r2[cols], i2[cols])
         K = np.where(dist <= supp, kernel.radial(dist), 0.0)
-        total += np.conj(u1[i0:i0 + row_chunk]) @ (K @ u2)
+        row_sums = np.add.reduceat(K * u2[cols], starts[filled])
+        total += np.sum(np.conj(u1[i0:i0 + cnt.size][filled]) * row_sums)
     return total * h * h
 
 
@@ -128,6 +188,8 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
     elements within distance 1 of the identity.
 
     Returns (total, rows, flags); rows carry one line per (m, n, d, gamma).
+    Each distinct conjugated element is integrated once per call: the rows
+    and flags of every (m, n, d, gamma) landing on it share one report.
     """
     support = amp.support()
     needed = {}
@@ -137,6 +199,7 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                 if m % d == 0 and n % d == 0 and (m * n) % (d * d) == 0:
                     needed.setdefault(m * n // (d * d), None)
     cache = {v: enumerate_norm_n(alg, v, g0, radius=radius) for v in sorted(needed)}
+    reports = {}   # conjugated element's matrix bytes -> its IntegralReport
     total = 0.0
     rows = []
     flags = []
@@ -152,8 +215,11 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                 weight = amn * d / np.sqrt(m * n)
                 for gamma in cache[v]:
                     h = conjugated_element(alg, gamma, v, g0)
-                    rep = eval_I(kernel, window, phi, h,
-                                 g_desc=f"gamma{gamma}/sqrt({v})")
+                    key = h.m.tobytes()
+                    if key not in reports:
+                        reports[key] = eval_I(kernel, window, phi, h,
+                                              g_desc=f"gamma{gamma}/sqrt({v})")
+                    rep = reports[key]
                     if not rep.converged:
                         flags.append((m, n, d, gamma, rep.error_estimate))
                     term = weight * abs(rep.value)

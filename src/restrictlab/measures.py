@@ -12,6 +12,9 @@ from .sampling import SampledFunction
 
 ATOM_BUDGET = 1 << 22
 GRID_BUDGET = 1 << 24
+# atoms x grid points of one build_weight, whose loop runs once per atom
+# over the whole grid
+WORK_BUDGET = 1 << 27
 
 # Metric-dependent bound on the speed of the distance phase along a geodesic;
 # never computed from a metric here, exposed as a knob with a model default.
@@ -290,6 +293,9 @@ def build_weight(nu: FractalMeasure, lam: float, eta, rho=None,
     n = int(round(4.0 / h))
     if n + 1 > grid_budget:
         raise ResourceError(f"{n + 1} grid points exceed budget {grid_budget}")
+    if nu.atoms.size * (n + 1) > WORK_BUDGET:
+        raise ResourceError(f"{nu.atoms.size} atoms x {n + 1} grid points exceed"
+                            f" work budget {WORK_BUDGET}")
     t = -2.0 + h * np.arange(n + 1)
     scale = 4.0 * c_ell
     acc = np.zeros_like(t)

@@ -50,6 +50,40 @@ def test_load_config_file_plus_overrides(tmp_path):
     assert cfg.seed == 5
 
 
+@pytest.mark.parametrize("content", [
+    {"seed": "x"},
+    {"seed": True},
+    {"seed": 1.5},
+    {"params": [1]},
+    {"params": "alpha=0.5"},
+    {"out": 3},
+], ids=["seed-str", "seed-bool", "seed-float", "params-list", "params-str", "out-int"])
+def test_load_config_rejects_bad_file_fields(tmp_path, capsys, content):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "measure", **content}))
+    with pytest.raises(DomainError):
+        cli.load_config(path=str(p))
+    assert cli.main(["measure", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: bare {name}")
+
+
+def test_stdout_is_strict_json(tmp_path, capsys, monkeypatch):
+    # a NaN contrast (|I| = 0 at t = 0) and an infinite value print as null
+    from restrictlab import integrals
+    monkeypatch.setattr(integrals, "rapid_decay_experiment",
+                        lambda *args: ([], float("nan"), float("inf")))
+    rc = cli.main(["rapid-decay", "-p", "lambda=10", "-p", "t_factors=[0,4]",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["summary"]
+    assert summary["contrast"] is None and summary["threshold_t"] is None
+    assert summary["contrast_ok"] is False
+
+
 def test_exponents_experiment(tmp_path):
     out = tmp_path / "res"
     rc = cli.main(["exponents", "--out", str(out)])
@@ -82,6 +116,12 @@ def test_validation_exit_code():
 def test_resource_exit_code(tmp_path):
     rc = cli.main(["kernel", "-p", "lambda=1000000.0", "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_weight_work_budget_exit_code(tmp_path, capsys):
+    # 2^22 atoms x 3201 grid points: refused at once instead of looping
+    assert cli.main(["integrals", "-p", "depth=22", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_kn_experiment(tmp_path, capsys):
@@ -146,6 +186,8 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("beta-scaling", "beta_exponents=[]"),
     ("rapid-decay", "t_factors=[1.0]"),
     ("theorem3", "degrees=[]"),
+    ("hecke-returns", "a=1"),
+    ("hecke-returns", "b=1"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2

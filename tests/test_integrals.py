@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import restrictlab as rl
+from restrictlab import integrals
 from restrictlab.errors import DomainError
-from restrictlab.integrals import modulated_gaussian
+from restrictlab.hecke import conjugated_element, enumerate_norm_n
+from restrictlab.integrals import _bilinear_sum, _window_values, modulated_gaussian
 
 from conftest import ALPHA_CANTOR, cached_algebra, cached_bump, cached_kernel, cached_weight
 
@@ -33,6 +37,93 @@ def test_window_supports():
 def test_window_validation():
     with pytest.raises(DomainError):
         rl.TestWindow(plateau=3.0, support=2.0)
+
+
+# ---------------------------------------------------------------- banded sum
+
+def _dense_bilinear_sum(kernel, u1, u2, x, h, g, row_chunk=256):
+    """Oracle: the full n x n distance matrix with the spline on every entry."""
+    a, b, c, d = g.m.ravel()
+    ex = np.exp(x)
+    den = c * 1j * ex + d
+    z2 = (a * 1j * ex + b) / den
+    r2, i2 = z2.real, z2.imag
+    supp = kernel.support_radius + 2 * kernel.x_step
+    total = 0.0 + 0.0j
+    for i0 in range(0, x.size, row_chunk):
+        e1 = ex[i0:i0 + row_chunk][:, None]
+        dr = r2[None, :]
+        di = i2[None, :] - e1
+        dist = 2.0 * np.arcsinh(np.sqrt(dr * dr + di * di)
+                                / (2.0 * np.sqrt(e1 * i2[None, :])))
+        K = np.where(dist <= supp, kernel.radial(dist), 0.0)
+        total += np.conj(u1[i0:i0 + row_chunk]) @ (K @ u2)
+    return total * h * h
+
+
+def _oracle_element(name: str):
+    g0 = rl.GroupElement.diag_flow(0.17) @ rl.GroupElement.rotation(0.387)
+    if name == "e":
+        return rl.GroupElement.identity()
+    if name == "-e":
+        # GroupElement canonicalises the sign away; the sum only reads .m
+        return SimpleNamespace(m=-np.eye(2))
+    if name.startswith("shear"):
+        return rl.GroupElement.lower_shear(float(name[5:]))
+    if name == "diag_rot":
+        return g0
+    if name == "norm12":
+        alg = cached_algebra()
+        gamma = enumerate_norm_n(alg, 12, g0)[0]
+        return conjugated_element(alg, gamma, 12, g0)
+    raise ValueError(name)
+
+
+def _oracle_inputs(grid: str):
+    """(u, x, h) at lam=100: the full window, or its slice x in [-1.25, 0.25],
+    where some bands run off the grid's end."""
+    _, _, _, f = _phi_w_sampled(100.0)
+    u, x = _window_values(rl.TestWindow(), f), f.grid()
+    if grid == "small":
+        u, x = u[1400:2601], x[1400:2601]
+    return u, x, f.grid_step
+
+
+def _assert_agree(banded, dense, scale):
+    # relative agreement, with a floor far below every value the cases reach
+    assert abs(banded - dense) <= 1e-12 * max(abs(dense), 1e-9 * scale)
+
+
+@pytest.mark.parametrize("grid", ["full", "small"])
+@pytest.mark.parametrize("name", ["e", "-e", "shear0.01", "shear0.5", "diag_rot",
+                                  "norm12"])
+def test_banded_sum_matches_dense(kernel100, name, grid):
+    u, x, h = _oracle_inputs(grid)
+    g = _oracle_element(name)
+    banded = _bilinear_sum(kernel100, u, u, x, h, g)
+    dense = _dense_bilinear_sum(kernel100, u, u, x, h, g)
+    assert dense != 0
+    _assert_agree(banded, dense, h * h * np.abs(u).sum() ** 2)
+
+
+def test_banded_sum_far_element_is_exactly_zero(kernel100):
+    # a(8) moves every window point about 8 away: no row has an in-band pair
+    u, x, h = _oracle_inputs("full")
+    g = rl.GroupElement.diag_flow(8.0)
+    assert _bilinear_sum(kernel100, u, u, x, h, g) == 0
+    assert _dense_bilinear_sum(kernel100, u, u, x, h, g) == 0
+
+
+@pytest.mark.parametrize("step", [1, 2], ids=["full", "half"])
+@pytest.mark.parametrize("name", ["shear0.01", "norm12"])
+def test_banded_sum_matches_dense_sesquilinear(kernel100, name, step):
+    u1, x, h = _oracle_inputs("full")
+    u2 = u1 * np.exp(-(x - 0.4) ** 2) * np.exp(-3j * x)
+    u1, u2, x, h = u1[::step], u2[::step], x[::step], h * step
+    g = _oracle_element(name)
+    banded = _bilinear_sum(kernel100, u1, u2, x, h, g)
+    dense = _dense_bilinear_sum(kernel100, u1, u2, x, h, g)
+    _assert_agree(banded, dense, h * h * np.abs(u1).sum() * np.abs(u2).sum())
 
 
 # ---------------------------------------------------------------- eval_I
@@ -164,6 +255,55 @@ def test_amplified_rhs_identity_amplifier(kernel100):
     direct = rl.eval_I(kernel100, win, f, g0)
     assert len(rows) == 1
     assert total == pytest.approx(abs(direct.value), rel=1e-12)
+
+
+def _amplified_rhs_every_row(alg, amp, kernel, window, phi, g0):
+    """Oracle: amplified_rhs with a fresh eval_I for every (m, n, d, gamma)."""
+    support = amp.support()
+    total, rows, flags = 0.0, [], []
+    for m in support:
+        for n in support:
+            amn = abs(amp.coeffs[m] * amp.coeffs[n])
+            if amn == 0:
+                continue
+            for d in range(1, min(m, n) + 1):
+                if m % d or n % d:
+                    continue
+                v = m * n // (d * d)
+                weight = amn * d / np.sqrt(m * n)
+                for gamma in enumerate_norm_n(alg, v, g0):
+                    rep = rl.eval_I(kernel, window, phi,
+                                    conjugated_element(alg, gamma, v, g0))
+                    if not rep.converged:
+                        flags.append((m, n, d, gamma, rep.error_estimate))
+                    term = weight * abs(rep.value)
+                    total += term
+                    rows.append({"m": m, "n": n, "d": d, "gamma": str(gamma),
+                                 "term": term, "abs_I": abs(rep.value),
+                                 "error": rep.error_estimate})
+    return total, rows, flags
+
+
+def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
+    alg = cached_algebra()
+    win = rl.TestWindow()
+    _, _, _, f = _phi_w_sampled(100.0)
+    g0 = rl.GroupElement.diag_flow(0.17) @ rl.GroupElement.rotation(0.387)
+    amp = rl.build_amplifier(9, rl.random_hecke_eigenvalues(9, np.random.default_rng(1)))
+    expected = _amplified_rhs_every_row(alg, amp, kernel100, win, f, g0)
+
+    calls = []
+    eval_I = integrals.eval_I
+
+    def counted(kernel, window, phi, g, **kw):
+        calls.append(g.m.tobytes())
+        return eval_I(kernel, window, phi, g, **kw)
+
+    monkeypatch.setattr(integrals, "eval_I", counted)
+    total, rows, flags = integrals.amplified_rhs(alg, amp, kernel100, win, f, g0)
+    assert len(calls) == len(set(calls)) >= 2
+    assert len(rows) > len(calls)
+    assert (total, rows, flags) == expected
 
 
 def test_amplified_rhs_dominates_identity_term():

@@ -244,6 +244,15 @@ def test_build_weight_grid_resolution_guard():
         rl.build_weight(nu, 1e6, cached_bump(), grid_budget=1 << 12)
 
 
+def test_build_weight_work_budget():
+    # 2^22 atoms pass the atom budget and 3201 points the grid budget, but
+    # their product is refused before the per-atom loop starts
+    nu = rl.make_cantor_measure(0.9, 22)
+    with pytest.raises(ResourceError) as exc:
+        rl.build_weight(nu, 100.0, cached_bump())
+    assert "work budget" in str(exc.value)
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_measure_roundtrip():
