@@ -213,10 +213,15 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
     tmp.replace(path)
 
 
-def _weight_for(alpha: float, depth: int, lam: float, bump, spw: int = 8):
-    from .measures import build_weight, make_cantor_measure
-    return build_weight(make_cantor_measure(alpha, depth), lam, bump,
-                        samples_per_wavelength=spw)
+def _weight_for(alpha: float, depth: int, lam: float, spw: int = 8):
+    """(Cantor weight, the BumpPair it was mollified with); the measure's and
+    the weight's budgets are checked before the bump is built."""
+    from .frequency import BumpPair
+    from .measures import build_weight, check_weight_budget, make_cantor_measure
+    nu = make_cantor_measure(alpha, depth)
+    check_weight_budget(nu.atoms.size, lam, spw)
+    bump = BumpPair()
+    return build_weight(nu, lam, bump, samples_per_wavelength=spw), bump
 
 
 def _run_measure(cfg, out_dir):
@@ -297,15 +302,13 @@ def _run_amplifier(cfg, out_dir):
 
 
 def _run_integrals(cfg, out_dir):
-    from .frequency import BumpPair
     from .geometry import GroupElement
     from .integrals import (TestWindow, _phi_w_on_window_grid, eval_I,
                             modulated_gaussian)
     from .spherical import make_kernel
     p = cfg.params
     lam = p["lambda"]
-    w = _weight_for(p["alpha"], p["depth"], lam, BumpPair(),
-                    p["resolution_per_wavelength"])
+    w, _ = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
     kern = make_kernel(lam, x_max=1.0)
     _, _, f, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
     g = GroupElement.lower_shear(p["shear_t"])
@@ -318,13 +321,11 @@ def _run_integrals(cfg, out_dir):
 
 
 def _run_beta_scaling(cfg, out_dir):
-    from .frequency import BumpPair
     from .integrals import TestWindow, beta_scaling_experiment
     from .spherical import make_kernel
     p = cfg.params
     lam = p["lambda"]
-    bump = BumpPair()
-    w = _weight_for(p["alpha"], p["depth"], lam, bump, p["resolution_per_wavelength"])
+    w, bump = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
     kern = make_kernel(lam, x_max=1.0)
     betas = [lam ** e for e in p["beta_exponents"]]
     rows, slope, norm_sq = beta_scaling_experiment(kern, TestWindow(), w, bump, betas)
@@ -336,13 +337,11 @@ def _run_beta_scaling(cfg, out_dir):
 
 
 def _run_rapid_decay(cfg, out_dir):
-    from .frequency import BumpPair
     from .integrals import TestWindow, rapid_decay_experiment
     from .spherical import make_kernel
     p = cfg.params
     lam = p["lambda"]
-    bump = BumpPair()
-    w = _weight_for(p["alpha"], p["depth"], lam, bump, p["resolution_per_wavelength"])
+    w, bump = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
     kern = make_kernel(lam, x_max=1.0)
     beta = lam ** p["beta_exponent"]
     rows, contrast, t_star = rapid_decay_experiment(
@@ -410,11 +409,10 @@ def _run_exponents(cfg, out_dir):
 
 
 def _run_dyadic(cfg, out_dir):
-    from .frequency import BumpPair
     from .modes import dyadic_kernel_check
     p = cfg.params
     lam = p["lambda"]
-    w = _weight_for(p["alpha"], 6, lam, BumpPair())
+    w, _ = _weight_for(p["alpha"], 6, lam)
     rows = []
     summaries = {}
     for k in p["k_indices"]:

@@ -7,6 +7,7 @@ Fourier convention: fhat(xi) = int f(x) e^(-i x xi) dx, inverse carries 1/2pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -35,32 +36,39 @@ def rho_cutoff(t) -> np.ndarray:
     return smooth_step(2.0 * (2.0 - np.abs(np.asarray(t, dtype=float))))
 
 
+@lru_cache(maxsize=1)
+def _legendre_rule(n: int):
+    """n-point Gauss-Legendre nodes and weights, computed once per process."""
+    return roots_legendre(n)
+
+
 class BumpPair:
     """An even bump eta with hat(eta) = 1 on [-1/2,1/2] and = 0 outside (-1,1).
 
     hat(eta) is the exact piecewise definition; eta is tabulated once by dense
     quadrature of the inverse transform and evaluated by cubic interpolation.
-    Beyond table_max the spatial tail is below tail_floor and eta returns 0.
+    Beyond TABLE_MAX the spatial tail is below tail_floor and eta returns 0.
     """
 
     PLATEAU = 0.5
     SUPPORT = 1.0
+    TABLE_MAX = 800.0
+    QUAD_NODES = 2048
+    # the table's uniform pieces (start, stop, step): fine up to 64, then coarse
+    TABLE_PIECES = ((0.0, 64.0, 1.0 / 128.0), (64.0, TABLE_MAX + 1e-9, 1.0 / 16.0))
 
     rho = staticmethod(rho_cutoff)   # the companion plateau cutoff
 
-    def __init__(self, transition_sharpness: float = 1.0,
-                 table_max: float = 800.0, quad_nodes: int = 2048):
+    def __init__(self, transition_sharpness: float = 1.0):
         if transition_sharpness <= 0:
             raise DomainError("transition_sharpness must be positive")
         self.sharpness = float(transition_sharpness)
-        self.table_max = float(table_max)
-        xg, wg = roots_legendre(quad_nodes)
+        xg, wg = _legendre_rule(self.QUAD_NODES)
         self._xi_q = 0.5 + 0.25 * (xg + 1.0)      # nodes on [1/2, 1]
         self._w_q = 0.25 * wg * self.eta_hat(self._xi_q)
-        u_head = np.arange(0.0, 64.0, 1.0 / 128.0)
-        u_tail = np.arange(64.0, self.table_max + 1e-9, 1.0 / 16.0)
-        u = np.concatenate([u_head, u_tail])
-        vals = self._eta_direct(u)
+        pieces = [np.arange(*piece) for piece in self.TABLE_PIECES]
+        u = np.concatenate(pieces)
+        vals = np.concatenate([self._eta_uniform(p) for p in pieces])
         self._spline = CubicSpline(u, vals)
         self.tail_floor = float(np.abs(vals[-64:]).max())
 
@@ -69,19 +77,26 @@ class BumpPair:
         axi = np.abs(np.asarray(xi, dtype=float))
         return smooth_step(2.0 * (1.0 - axi), self.sharpness)
 
-    def _eta_direct(self, u: np.ndarray) -> np.ndarray:
-        # eta(u) = (1/pi) [ sin(u/2)/u + int_{1/2}^1 hat(eta)(xi) cos(u xi) dxi ]
-        out = np.empty_like(u)
-        for i0 in range(0, u.size, 4096):
-            uu = u[i0:i0 + 4096]
-            plateau = 0.5 * np.sinc(uu / (2.0 * np.pi))
-            out[i0:i0 + 4096] = plateau + np.cos(np.outer(uu, self._xi_q)) @ self._w_q
-        return out / np.pi
+    def _eta_uniform(self, u: np.ndarray) -> np.ndarray:
+        """eta on a uniform grid u = u0 + du m, m = 0..n-1, from
+        eta(u) = (1/pi) [ sin(u/2)/u + int_{1/2}^1 hat(eta)(xi) cos(u xi) dxi ].
+
+        With m = K j + k (K ~ sqrt n), e^(i u xi) = e^(i (u0 + du K j) xi)
+        e^(i du k xi), so the node sum over all n points is the real part of
+        one (n/K x Q) @ (Q x K) product of exponential tables.
+        """
+        u0, du, n = u[0], u[1] - u[0], u.size
+        K = int(np.ceil(np.sqrt(n)))
+        J = -(-n // K)
+        A = self._w_q * np.exp(1j * np.outer(u0 + du * K * np.arange(J), self._xi_q))
+        B = np.exp(1j * np.outer(du * np.arange(K), self._xi_q))
+        tail = (A.real @ B.real.T - A.imag @ B.imag.T).ravel()[:n]
+        return (0.5 * np.sinc(u / (2.0 * np.pi)) + tail) / np.pi
 
     def eta(self, x) -> np.ndarray:
         x = np.abs(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
-        inside = x <= self.table_max
+        inside = x <= self.TABLE_MAX
         out[inside] = self._spline(x[inside])
         return out
 

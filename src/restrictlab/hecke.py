@@ -45,6 +45,38 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+def hilbert_symbol(a: int, b: int, p: int) -> int:
+    """(a,b)_p for nonzero integers a, b: +1 when a x^2 + b y^2 = z^2 has a
+    nonzero solution over Q_p, else -1.  p = 0 stands for the real place."""
+    if p == 0:
+        return -1 if a < 0 and b < 0 else 1
+    alpha = beta = 0
+    while a % p == 0:
+        a, alpha = a // p, alpha + 1
+    while b % p == 0:
+        b, beta = b // p, beta + 1
+    if p == 2:   # (-1)^(eps(a) eps(b) + alpha omega(b) + beta omega(a))
+        e = ((a - 1) // 2) * ((b - 1) // 2) + alpha * ((b * b - 1) // 8) \
+            + beta * ((a * a - 1) // 8)
+        return -1 if e % 2 else 1
+
+    def legendre(u):
+        return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+    sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    return sign * legendre(b) ** alpha * legendre(a) ** beta
+
+
+def _prime_divisors(n: int) -> list[int]:
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def _mul_std(x, y, a: int, b: int):
     """Product in the standard basis 1, w, W, wW with w^2=a, W^2=b, wW=-Ww."""
     x0, x1, x2, x3 = x
@@ -90,8 +122,10 @@ class QuatAlgebra:
     """(a,b / Q) with a fixed order basis (columns, in standard coordinates).
 
     Default is the standard order Z<1, w, W, wW>; MAXIMAL_ORDER_2_3 gives a
-    maximal order of reduced discriminant 6 for (a,b) = (2,3).  Division is
-    screened numerically (isotropy search), not certified.
+    maximal order of reduced discriminant 6 for (a,b) = (2,3).  The algebra
+    must be a division algebra: (a,b)_p = -1 at some place p, and the
+    symbols at the real place, at 2 and at the odd primes dividing ab decide
+    it (every other symbol is +1).
     """
 
     def __init__(self, a: int = 2, b: int = 3, basis=None, q: int = 6):
@@ -99,9 +133,10 @@ class QuatAlgebra:
             raise DomainError("a must be a positive squarefree integer")
         if not is_squarefree(b):
             raise DomainError("b must be a squarefree integer")
-        if a == 1 or b == 1:
-            raise DomainError("a square a or b (here 1) makes (a,b / Q) the split"
-                              " algebra M_2(Q), not a division algebra")
+        places = [0, 2] + [p for p in _prime_divisors(a * b) if p != 2]
+        if all(hilbert_symbol(a, b, p) == 1 for p in places):
+            raise DomainError(f"({a},{b} / Q) is split (isomorphic to M_2(Q)):"
+                              " every Hilbert symbol is +1")
         self.a, self.b, self.q = int(a), int(b), int(q)
         self.basis = _fraction_matrix(basis if basis is not None
                                       else np.eye(4, dtype=int).tolist())

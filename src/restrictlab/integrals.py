@@ -117,6 +117,22 @@ def _row_bands(ex: np.ndarray, r2: np.ndarray, i2: np.ndarray, supp: float):
     return left_hi, np.where(inside, right_lo, left_hi - 1)
 
 
+def _toeplitz_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
+                  h: float) -> complex:
+    """The bilinear sum at g = +-e on a uniform grid of step h.
+
+    d(a(x1) i, a(x2) i) = |x1 - x2| = h |i - j|, so the spline runs once per
+    lag inside the support and each row sum is one entry of a direct 1-D
+    convolution of u2 with the symmetric lag profile.
+    """
+    supp = kernel.support_radius + 2 * kernel.x_step
+    lag = h * np.arange(min(int(supp / h), u2.size - 1) + 1)
+    k = kernel.radial(lag)
+    m = lag.size - 1
+    rows = np.convolve(u2, np.concatenate([k[:0:-1], k]))[m:m + u2.size]
+    return np.sum(np.conj(u1) * rows) * h * h
+
+
 def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
                   x: np.ndarray, h: float, g: GroupElement) -> complex:
     """h^2 sum over the grid of conj(u1(x1)) u2(x2) k(d(g a(x2) i, a(x1) i)).
@@ -124,9 +140,12 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     Only the kernel band is visited: each row's pairs within the support
     radius form one column interval (`_row_bands`), and the spline runs on
     those pairs alone.  Rows are taken ROW_CHUNK at a time and each chunk's
-    pairs are summed in a fixed order, so results are reproducible.
+    pairs are summed in a fixed order, so results are reproducible.  For
+    g = +-e the matrix is Toeplitz and `_toeplitz_sum` takes over.
     """
     a, b, c, d = g.m.ravel()
+    if b == 0 and c == 0 and a == d:
+        return _toeplitz_sum(kernel, u1, u2, h)
     ex = np.exp(x)
     den = c * 1j * ex + d
     z2 = (a * 1j * ex + b) / den

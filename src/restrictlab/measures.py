@@ -153,7 +153,7 @@ def make_cantor_measure(alpha: float, depth: int,
         raise DomainError(f"alpha must lie in (0,1], got {alpha}")
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if 2 ** depth > atom_budget:
+    if depth >= atom_budget.bit_length():   # 2^depth > atom_budget, without 2^depth
         raise ResourceError(f"2^{depth} atoms exceed budget {atom_budget}")
     r = 2.0 ** (-1.0 / alpha)
     mid = np.array([0.5])
@@ -272,6 +272,28 @@ def truncated_riesz(w: WeightFunction, x: float, s: float, delta: float) -> floa
     return float(np.dot(w.values, seg))
 
 
+def check_weight_budget(atoms: int, lam: float, samples_per_wavelength: int = 8,
+                        grid_budget: int = GRID_BUDGET) -> tuple[float, int]:
+    """(h, n) of the grid -2 + h * arange(n + 1) that a weight of `atoms` atoms
+    at lam is sampled on.
+
+    Raises DomainError for an under-resolved grid and ResourceError past the
+    grid budget or WORK_BUDGET, before anything is built.
+    """
+    if lam < 1:
+        raise DomainError("lam must be >= 1")
+    if samples_per_wavelength < 8:
+        raise DomainError("need at least 8 samples per wavelength 1/lam")
+    h = 1.0 / (samples_per_wavelength * lam)
+    n = int(round(4.0 / h))
+    if n + 1 > grid_budget:
+        raise ResourceError(f"{n + 1} grid points exceed budget {grid_budget}")
+    if atoms * (n + 1) > WORK_BUDGET:
+        raise ResourceError(f"{atoms} atoms x {n + 1} grid points exceed"
+                            f" work budget {WORK_BUDGET}")
+    return h, n
+
+
 def build_weight(nu: FractalMeasure, lam: float, eta, rho=None,
                  c_ell: float = DEFAULT_C_ELL, samples_per_wavelength: int = 8,
                  grid_budget: int = GRID_BUDGET) -> WeightFunction:
@@ -281,21 +303,11 @@ def build_weight(nu: FractalMeasure, lam: float, eta, rho=None,
     eta rescaled so its transform plateaus on |xi| <= 2 c_ell and vanishes
     beyond 4 c_ell.  eta is a BumpPair (or a plain callable evaluator).
     """
-    if lam < 1:
-        raise DomainError("lam must be >= 1")
-    if samples_per_wavelength < 8:
-        raise DomainError("need at least 8 samples per wavelength 1/lam")
+    h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength, grid_budget)
     if rho is None:
         from .frequency import rho_cutoff
         rho = rho_cutoff
     eta_fn = getattr(eta, "eta", eta)
-    h = 1.0 / (samples_per_wavelength * lam)
-    n = int(round(4.0 / h))
-    if n + 1 > grid_budget:
-        raise ResourceError(f"{n + 1} grid points exceed budget {grid_budget}")
-    if nu.atoms.size * (n + 1) > WORK_BUDGET:
-        raise ResourceError(f"{nu.atoms.size} atoms x {n + 1} grid points exceed"
-                            f" work budget {WORK_BUDGET}")
     t = -2.0 + h * np.arange(n + 1)
     scale = 4.0 * c_ell
     acc = np.zeros_like(t)

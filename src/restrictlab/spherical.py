@@ -203,8 +203,12 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0,
     dt_target = 1.0 / (2.0 * samples_per_wavelength * lam)
     L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * dt_target))))
     dt = 2.0 * np.pi / (L * ds)
-    Q = np.fft.fft(coef, L).real
     n_t = min(L, int(x_max / dt) + 8)
+    # coef is real, so the half spectrum carries Q; past t = pi / ds (only
+    # for x_max beyond that) the periodic Q mirrors about it
+    Q = np.fft.rfft(coef, L).real
+    if n_t > Q.size:
+        Q = np.concatenate([Q, Q[-2:0:-1]])
     q_spline = CubicSpline(dt * np.arange(n_t), Q[:n_t])
 
     xs = np.linspace(0.0, x_max, n_x)

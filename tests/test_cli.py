@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import restrictlab.cli as cli
 from restrictlab.errors import DomainError
@@ -118,10 +120,29 @@ def test_resource_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_weight_work_budget_exit_code(tmp_path, capsys):
-    # 2^22 atoms x 3201 grid points: refused at once instead of looping
+def _count_bump_builds(monkeypatch) -> list:
+    builds = []
+    init = BumpPair.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BumpPair, "__init__", counted)
+    return builds
+
+
+def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # 2^22 atoms x 3201 grid points: refused at once instead of looping, and
+    # before the bump table is built; likewise the other weight-building runs
+    builds = _count_bump_builds(monkeypatch)
     assert cli.main(["integrals", "-p", "depth=22", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().out == ""
+    for argv in (["beta-scaling", "-p", "depth=22"], ["rapid-decay", "-p", "depth=22"],
+                 ["dyadic", "-p", "lambda=1e7"]):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().out == ""
+    assert builds == []
 
 
 def test_kn_experiment(tmp_path, capsys):
@@ -188,6 +209,7 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("theorem3", "degrees=[]"),
     ("hecke-returns", "a=1"),
     ("hecke-returns", "b=1"),
+    ("hecke-returns", "b=7"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2
@@ -216,16 +238,62 @@ def test_hecke_returns_rows_match_hecke_returns(tmp_path, basis, n_max):
     ("beta-scaling", ["lambda=10", "beta_exponents=[0.3,0.6]"]),
 ], ids=["rapid-decay", "beta-scaling"])
 def test_integral_runs_build_one_bump(tmp_path, monkeypatch, experiment, params):
-    builds = []
-    init = BumpPair.__init__
-
-    def counted(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BumpPair, "__init__", counted)
+    builds = _count_bump_builds(monkeypatch)
     argv = [experiment, "--out", str(tmp_path)]
     for p in params:
         argv += ["-p", p]
     assert cli.main(argv) == 0
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+# experiments that run in well under a second at their defaults
+_CHEAP = ("measure", "energy", "hecke-returns", "amplifier", "kn", "exponents",
+          "restrict")
+
+_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just({}),
+                   st.just([[]]), st.sampled_from(["1/2", "1e3", "true"]))
+_INTS = st.one_of(st.sampled_from([0, 1, -1, 2, 8]), st.integers(-10 ** 4, -1),
+                  st.just(-10 ** 30), st.sampled_from([0.5, 2.0, -1e300]))
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 1e-300, 1e300,
+                                     float("nan"), float("inf"), float("-inf")]),
+                    st.floats(-10.0, 0.0), st.integers(-2, 2))
+
+
+def _value(typ):
+    """Typed-wrong, out-of-range and boundary values for a parameter of type typ;
+    positive sizes stay small, so every accepted draw is a cheap run."""
+    if isinstance(typ, list):
+        return st.one_of(_WRONG, _value(typ[0]), st.lists(_value(typ[0]), max_size=4))
+    if typ is int:
+        return st.one_of(_WRONG, _INTS)
+    if typ is float:
+        return st.one_of(_WRONG, _FLOATS)
+    if typ is str:
+        return st.one_of(_WRONG, st.sampled_from(["zonal", "highest_weight", ""]))
+    return st.one_of(_WRONG, _INTS, st.sampled_from(["1/2", "0", "x"]))   # _rational
+
+
+@st.composite
+def _fuzzed_run(draw):
+    experiment = draw(st.sampled_from(_CHEAP))
+    schema = cli._SCHEMAS[experiment]
+    keys = draw(st.lists(st.sampled_from(sorted(schema)), min_size=1, max_size=3,
+                         unique=True))
+    return experiment, {k: draw(_value(schema[k][0])) for k in keys}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzzed_run())
+def test_cli_fuzz_exit_codes_and_strict_json(tmp_path, capsys, run):
+    experiment, params = run
+    argv = [experiment, "--out", str(tmp_path)]
+    for key, val in params.items():
+        argv += ["-p", f"{key}={json.dumps(val)}"]
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    assert rc in (0, 2, 3, 4)
+    if out:
+        json.loads(out, parse_constant=_reject_constant)

@@ -10,6 +10,37 @@ from conftest import cached_weight
 
 # ---------------------------------------------------------------- bump pair
 
+def _eta_direct(self, u: np.ndarray) -> np.ndarray:
+    # eta(u) = (1/pi) [ sin(u/2)/u + int_{1/2}^1 hat(eta)(xi) cos(u xi) dxi ]
+    out = np.empty_like(u)
+    for i0 in range(0, u.size, 4096):
+        uu = u[i0:i0 + 4096]
+        plateau = 0.5 * np.sinc(uu / (2.0 * np.pi))
+        out[i0:i0 + 4096] = plateau + np.cos(np.outer(uu, self._xi_q)) @ self._w_q
+    return out / np.pi
+
+
+def test_factored_table_matches_direct_quadrature(bump):
+    # oracle: the dense cos(outer(u, xi)) quadrature the table was once built by
+    u = bump._spline.x
+    assert u.size == 19969 and u[-1] == bump.TABLE_MAX
+    direct = _eta_direct(bump, u)
+    assert np.abs(bump.eta(u) - direct).max() <= 1e-14
+    assert abs(bump.tail_floor - np.abs(direct[-64:]).max()) <= 1e-14
+
+
+def test_bump_table_knobs_are_class_constants(bump):
+    for knob in ({"table_max": 400.0}, {"quad_nodes": 512}):
+        with pytest.raises(TypeError):
+            rl.BumpPair(**knob)
+    with pytest.raises(DomainError):
+        rl.BumpPair(0.0)
+    rl.BumpPair(2.0)
+    # one node rule per process, keyed by QUAD_NODES and reused by every build
+    info = rl.frequency._legendre_rule.cache_info()
+    assert info.currsize == 1 and info.hits >= 1
+
+
 def test_eta_hat_plateau_and_support(bump):
     assert bump.eta_hat(0.0) == 1.0
     assert bump.eta_hat(0.25) == 1.0

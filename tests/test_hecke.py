@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import restrictlab as rl
 from restrictlab.errors import DomainError, ResourceError
 from restrictlab.geometry import dist_to_diag, dist_to_identity
 from restrictlab.hecke import (_entry_bound, _order_box, conjugated_element,
-                               left_equivalent)
+                               hilbert_symbol, is_squarefree, left_equivalent)
 
 from conftest import cached_algebra
 
@@ -28,6 +29,43 @@ def test_algebra_validation():
         rl.QuatAlgebra(4, 3)
     with pytest.raises(DomainError):
         rl.QuatAlgebra(2, 9)
+
+
+def test_split_algebras_rejected():
+    # (2,7): 3^2 - 2 * 1^2 - 7 * 1^2 = 0; (2,-1): 1^2 - 2 * 1^2 + 1^2 = 0
+    for a, b in ((2, 7), (2, -1), (3, -2), (5, -1)):
+        with pytest.raises(DomainError, match="split"):
+            rl.QuatAlgebra(a, b)
+    rl.QuatAlgebra(2, 3, basis=rl.MAXIMAL_ORDER_2_3)
+
+
+def test_hilbert_symbols_decide_division():
+    # accepted <=> no integer zero of the norm form in a small box; every
+    # split (a,b) in this range has one (Legendre: a small solution exists)
+    checked = 0
+    for a in range(2, 16):
+        for b in range(-15, 16):
+            if b in (0, 1) or not (is_squarefree(a) and is_squarefree(b)):
+                continue
+            try:
+                alg = rl.QuatAlgebra(a, b)
+            except DomainError:
+                screen = rl.QuatAlgebra.isotropy_screen(SimpleNamespace(a=a, b=b), side=12)
+                assert not screen, (a, b)
+                continue
+            assert alg.isotropy_screen(side=12), (a, b)
+            checked += 1
+    assert checked > 100
+
+
+def test_hilbert_symbol_product_formula():
+    # prod over all places of (a,b)_p is 1; only oo, 2 and p | ab can be -1
+    for a in range(-20, 21):
+        for b in range(-20, 21):
+            if a == 0 or b == 0:
+                continue
+            places = [0] + rl.primes_up_to(abs(a * b) + 2)
+            assert np.prod([hilbert_symbol(a, b, p) for p in places]) == 1, (a, b)
 
 
 def test_norm_of_one_plus_omega(algebra):

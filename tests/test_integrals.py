@@ -115,7 +115,7 @@ def test_banded_sum_far_element_is_exactly_zero(kernel100):
 
 
 @pytest.mark.parametrize("step", [1, 2], ids=["full", "half"])
-@pytest.mark.parametrize("name", ["shear0.01", "norm12"])
+@pytest.mark.parametrize("name", ["shear0.01", "norm12", "e"])
 def test_banded_sum_matches_dense_sesquilinear(kernel100, name, step):
     u1, x, h = _oracle_inputs("full")
     u2 = u1 * np.exp(-(x - 0.4) ** 2) * np.exp(-3j * x)
@@ -124,6 +124,19 @@ def test_banded_sum_matches_dense_sesquilinear(kernel100, name, step):
     banded = _bilinear_sum(kernel100, u1, u2, x, h, g)
     dense = _dense_bilinear_sum(kernel100, u1, u2, x, h, g)
     _assert_agree(banded, dense, h * h * np.abs(u1).sum() * np.abs(u2).sum())
+
+
+def test_identity_sum_takes_toeplitz_path(kernel100, monkeypatch):
+    def no_bands(*args):
+        raise AssertionError("_row_bands called")
+
+    monkeypatch.setattr(integrals, "_row_bands", no_bands)
+    u, x, h = _oracle_inputs("full")
+    for name in ("e", "-e"):
+        assert _bilinear_sum(kernel100, u, u, x, h, _oracle_element(name)) != 0
+    # every other element still takes the banded path
+    with pytest.raises(AssertionError, match="_row_bands"):
+        _bilinear_sum(kernel100, u, u, x, h, _oracle_element("shear0.01"))
 
 
 # ---------------------------------------------------------------- eval_I
