@@ -14,8 +14,8 @@ from .measures import (FractalMeasure, WeightFunction, make_cantor_measure,
                        frostman_ratio, energy, weighted_energy, truncated_riesz,
                        build_weight, frostman_weight_sweep, decade_sweep,
                        standard_test_functions)
-from .frequency import (BumpPair, BandKernel, eta_beta,
-                        band_project, fourier_energy_identity, gamma_factor,
+from .frequency import (BumpPair, BandKernel, band_project,
+                        fourier_energy_identity, gamma_factor,
                         fourier_transform, rho_cutoff, smooth_step)
 from .geometry import (GroupElement, Geodesic, Tube, act, dist_hyp, iwasawa_A,
                        dist_to_geodesic, dist_to_identity, dist_to_diag,
@@ -24,10 +24,9 @@ from .spherical import (SphericalKernel, phi_s, phi_s_radial, hc_forward,
                         hc_inverse, make_kernel, asymptotic_check,
                         kernel_decay_constant)
 from .hecke import (QuatAlgebra, QuatElement, Amplifier, MAXIMAL_ORDER_2_3,
-                    quat_mul, quat_norm_trace, iota, iota_matrix,
+                    quat_mul, iota, iota_matrix,
                     enumerate_norm_n, coset_reps, hecke_returns,
                     build_amplifier, random_hecke_eigenvalues, find_units,
-                    serialize_elements,
                     left_equivalent, return_count_ratio, primes_up_to,
                     optimal_bandwidth, optimal_amplifier_length)
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,

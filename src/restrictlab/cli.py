@@ -21,11 +21,12 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, ResourceError
 
-EXPERIMENTS = ("measure", "energy", "kernel", "hecke-returns", "amplifier",
-               "integrals", "beta-scaling", "rapid-decay", "restrict", "kn",
-               "theorem3", "exponents", "dyadic")
-
 EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_NONCONVERGENCE = 0, 2, 3, 4
+
+# sizes of the loops that run here; a larger request exits 3 before its loop
+RADII_BUDGET = 1 << 16        # measure: radii n_r
+DRAW_BUDGET = 1 << 20         # amplifier: draws x isqrt(N), the sieve length per draw
+ALPHA_GRID_BUDGET = 1 << 16   # exponents: rows n_alpha
 
 
 @dataclass
@@ -71,65 +72,6 @@ def _type_name(typ) -> str:
     return typ.__name__.lstrip("_")
 
 
-# per-experiment parameter schema: name -> (type, default, validator); a type
-# in brackets, such as [int], types a list element by element
-_SCHEMAS = {
-    "measure": {"alpha": (float, 0.6309297535714574, _in_unit),
-                "depth": (int, 6, lambda v: v >= 0),
-                "r_min": (float, 1e-3, _positive), "r_max": (float, 1.0, _in_unit),
-                "n_r": (int, 32, _positive)},
-    "energy": {"alpha": (float, 0.6309297535714574, _in_unit),
-               "depths": ([int], [6, 8], None),
-               "s_values": ([float], [0.3, 0.55, 0.8], None)},
-    "kernel": {"lambda": (float, 100.0, lambda v: v >= 10),
-               "h_width": (float, 0.05, lambda v: 0 < v <= 0.05),
-               "x_max": (float, 4.0, _positive)},
-    "hecke-returns": {"a": (int, 2, _positive), "b": (int, 3, None),
-                      "q": (int, 6, _positive),
-                      "order_basis": ([[_rational]], None,
-                                      lambda v: len(v) == 4 and all(len(r) == 4 for r in v)),
-                      "n_max": (int, 8, _positive),
-                      "kappas": ([float], [1.0, 0.5, 0.25, 0.125],
-                                 lambda v: all(map(_in_unit, v)))},
-    "amplifier": {"N": (int, 400, _positive), "q": (int, 1, _positive),
-                  "draws": (int, 1000, _positive)},
-    "integrals": {"lambda": (float, 100.0, lambda v: v >= 10),
-                  "alpha": (float, 0.9, _in_unit),
-                  "depth": (int, 8, lambda v: v >= 0),
-                  "shear_t": (float, 0.0, None),
-                  "resolution_per_wavelength": (int, 8, lambda v: v >= 8)},
-    "beta-scaling": {"lambda": (float, 100.0, lambda v: v >= 10),
-                     "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
-                     "depth": (int, 8, lambda v: v >= 0),
-                     "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6],
-                                        lambda v: len(set(v)) >= 2),
-                     "resolution_per_wavelength": (int, 8, lambda v: v >= 8)},
-    "rapid-decay": {"lambda": (float, 100.0, lambda v: v >= 10),
-                    "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
-                    "depth": (int, 8, lambda v: v >= 0),
-                    "beta_exponent": (float, 0.5, lambda v: 0 < v < 1),
-                    "epsilon0": (float, 0.1, _positive),
-                    "t_factors": ([float], [0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
-                                  lambda v: 0 in v and min(v) >= 0),
-                    "resolution_per_wavelength": (int, 8, lambda v: v >= 8)},
-    "restrict": {"kind": (str, "highest_weight",
-                          lambda v: v in ("zonal", "highest_weight")),
-                 "degrees": ([int], [64, 128, 256, 512], None),
-                 "alpha": (float, 0.7, _in_unit),
-                 "depth": (int, 8, lambda v: v >= 0)},
-    "kn": {"kind": (str, "highest_weight",
-                    lambda v: v in ("zonal", "highest_weight")),
-           "degree": (int, 64, lambda v: 1 <= v <= 1000)},
-    "theorem3": {"alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
-                 "degrees": ([int], [64, 128, 256], lambda v: len(v) >= 1),
-                 "depth": (int, 8, lambda v: v >= 0)},
-    "exponents": {"n_alpha": (int, 100, lambda v: v >= 2)},
-    "dyadic": {"lambda": (float, 128.0, lambda v: v >= 10),
-               "alpha": (float, 0.7, _in_unit),
-               "k_indices": ([int], [-2, -1], None)},
-}
-
-
 def load_config(path: str = None, experiment: str = None, overrides: dict = None,
                 out: str = "results", seed: int = 0) -> ExperimentConfig:
     """Build and validate a config from a JSON file and/or inline values.
@@ -160,7 +102,7 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
         raise DomainError(f"'out' = {out!r} must be a string")
     params = dict(file_params)
     params.update(overrides or {})
-    schema = _SCHEMAS[name]
+    schema = _EXPERIMENTS[name][1]
     unknown = set(params) - set(schema)
     if unknown:
         raise DomainError(f"unknown parameter(s) {sorted(unknown)} for {name}")
@@ -213,7 +155,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
     tmp.replace(path)
 
 
-def _weight_for(alpha: float, depth: int, lam: float, spw: int = 8):
+def _weight_for(alpha: float, depth: int, lam: float, spw: int):
     """(Cantor weight, the BumpPair it was mollified with); the measure's and
     the weight's budgets are checked before the bump is built."""
     from .frequency import BumpPair
@@ -224,18 +166,31 @@ def _weight_for(alpha: float, depth: int, lam: float, spw: int = 8):
     return build_weight(nu, lam, bump, samples_per_wavelength=spw), bump
 
 
-def _run_measure(cfg, out_dir):
-    from .measures import frostman_ratio, make_cantor_measure
+def _integral_setup(p: dict):
+    """(kernel on [0, 1], bump, weight) of an integral run; the kernel's, the
+    measure's and the weight's budgets are all checked before the bump, the
+    weight or the kernel is built."""
+    from .spherical import check_kernel_budget, make_kernel
+    lam = p["lambda"]
+    check_kernel_budget(lam, 1.0)
+    w, bump = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    return make_kernel(lam, x_max=1.0), bump, w
+
+
+def _run_measure(cfg):
+    from .measures import WORK_BUDGET, frostman_ratio, make_cantor_measure
     p = cfg.params
     m = make_cantor_measure(p["alpha"], p["depth"])
+    if p["n_r"] > RADII_BUDGET or p["n_r"] * m.atoms.size > WORK_BUDGET:
+        raise ResourceError(f"{p['n_r']} radii x {m.atoms.size} atoms exceed budget"
+                            f" {RADII_BUDGET} radii or {WORK_BUDGET} atom-radius pairs")
     rs = np.geomspace(p["r_min"], p["r_max"], p["n_r"])
     rows = [{"r": float(r), "sup_ratio": frostman_ratio(m, [r])} for r in rs]
-    _write_csv(out_dir / "measure.csv", cfg, ["r", "sup_ratio"], rows)
-    return {"sup_ratio_overall": max(r["sup_ratio"] for r in rows),
-            "atoms": int(m.atoms.size)}
+    return ["r", "sup_ratio"], rows, {
+        "sup_ratio_overall": max(r["sup_ratio"] for r in rows), "atoms": int(m.atoms.size)}
 
 
-def _run_energy(cfg, out_dir):
+def _run_energy(cfg):
     from .measures import energy, make_cantor_measure
     p = cfg.params
     rows = []
@@ -243,28 +198,27 @@ def _run_energy(cfg, out_dir):
         m = make_cantor_measure(p["alpha"], int(depth))
         for s in p["s_values"]:
             rows.append({"depth": depth, "s": s, "energy": energy(m, float(s))})
-    _write_csv(out_dir / "energy.csv", cfg, ["depth", "s", "energy"], rows)
     ratios = {}
     for s in p["s_values"]:
         vals = [r["energy"] for r in rows if r["s"] == s]
         if len(vals) >= 2:
             ratios[str(s)] = vals[-1] / vals[0]
-    return {"depth_ratios": ratios}
+    return ["depth", "s", "energy"], rows, {"depth_ratios": ratios}
 
 
-def _run_kernel(cfg, out_dir):
+def _run_kernel(cfg):
     from .spherical import kernel_decay_constant, make_kernel
     p = cfg.params
     k = make_kernel(p["lambda"], p["h_width"], p["x_max"])
     x = k.x_grid()
     rows = [{"x": float(xx), "k": float(vv)} for xx, vv in
             zip(x[::16], k.values[::16])]
-    _write_csv(out_dir / "kernel.csv", cfg, ["x", "k"], rows)
-    return {"k_at_0": float(k.values[0]), "decay_constant": kernel_decay_constant(k),
-            "support_radius": k.support_radius, "verify_residual": k.verify_residual}
+    return ["x", "k"], rows, {
+        "k_at_0": float(k.values[0]), "decay_constant": kernel_decay_constant(k),
+        "support_radius": k.support_radius, "verify_residual": k.verify_residual}
 
 
-def _run_hecke_returns(cfg, out_dir):
+def _run_hecke_returns(cfg):
     from .geometry import GroupElement
     from .hecke import QuatAlgebra, return_count_ratio
     p = cfg.params
@@ -274,17 +228,19 @@ def _run_hecke_returns(cfg, out_dir):
     alg = QuatAlgebra(p["a"], p["b"], basis=basis, q=p["q"])
     sup, rows = return_count_ratio(alg, [GroupElement.identity()], p["n_max"],
                                    p["kappas"], eps=0.1)
-    _write_csv(out_dir / "hecke_returns.csv", cfg,
-               ["n", "kappa", "M", "shape_ratio"], [row[1:] for row in rows])
-    return {"max_shape_ratio": sup}
+    return (["n", "kappa", "M", "shape_ratio"], [row[1:] for row in rows],
+            {"max_shape_ratio": sup})
 
 
-def _run_amplifier(cfg, out_dir):
+def _run_amplifier(cfg):
     from .hecke import build_amplifier, primes_up_to, random_hecke_eigenvalues
     p = cfg.params
+    if p["draws"] * math.isqrt(p["N"]) > DRAW_BUDGET:
+        raise ResourceError(f"{p['draws']} draws x isqrt(N) = {math.isqrt(p['N'])}"
+                            f" exceed budget {DRAW_BUDGET}")
     rng = np.random.default_rng(cfg.seed)
     n_primes = len([q for q in primes_up_to(int(math.isqrt(p["N"])))
-                    if np.gcd(q, p["q"]) == 1])
+                    if math.gcd(q, p["q"]) == 1])
     rows = []
     worst = np.inf
     for i in range(p["draws"]):
@@ -296,63 +252,51 @@ def _run_amplifier(cfg, out_dir):
         if i < 32:
             rows.append({"draw": i, "functional": val, "l1": amp.moment_l1(),
                          "l2_sq": amp.moment_l2()})
-    _write_csv(out_dir / "amplifier.csv", cfg, ["draw", "functional", "l1", "l2_sq"], rows)
-    return {"n_primes": n_primes, "min_functional": worst,
-            "bound": 0.5 * n_primes, "holds": bool(worst >= 0.5 * n_primes)}
+    return ["draw", "functional", "l1", "l2_sq"], rows, {
+        "n_primes": n_primes, "min_functional": worst,
+        "bound": 0.5 * n_primes, "holds": bool(worst >= 0.5 * n_primes)}
 
 
-def _run_integrals(cfg, out_dir):
+def _run_integrals(cfg):
     from .geometry import GroupElement
     from .integrals import (TestWindow, _phi_w_on_window_grid, eval_I,
                             modulated_gaussian)
-    from .spherical import make_kernel
     p = cfg.params
     lam = p["lambda"]
-    w, _ = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
-    kern = make_kernel(lam, x_max=1.0)
+    kern, _, w = _integral_setup(p)
     _, _, f, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
     g = GroupElement.lower_shear(p["shear_t"])
     rep = eval_I(kern, TestWindow(), f, g, g_desc=f"shear({p['shear_t']})")
-    _write_csv(out_dir / "integrals.csv", cfg,
-               ["value_re", "value_im", "error", "lambda", "resolution",
-                "converged", "g", "beta", "alpha"], [rep.to_row()])
-    return {"value": [rep.value.real, rep.value.imag],
-            "error": rep.error_estimate, "converged": rep.converged}
+    return (["value_re", "value_im", "error", "lambda", "resolution", "converged",
+             "g", "beta", "alpha"], [rep.to_row()],
+            {"value": [rep.value.real, rep.value.imag],
+             "error": rep.error_estimate, "converged": rep.converged})
 
 
-def _run_beta_scaling(cfg, out_dir):
+def _run_beta_scaling(cfg):
     from .integrals import TestWindow, beta_scaling_experiment
-    from .spherical import make_kernel
     p = cfg.params
     lam = p["lambda"]
-    w, bump = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
-    kern = make_kernel(lam, x_max=1.0)
+    kern, bump, w = _integral_setup(p)
     betas = [lam ** e for e in p["beta_exponents"]]
     rows, slope, norm_sq = beta_scaling_experiment(kern, TestWindow(), w, bump, betas)
-    _write_csv(out_dir / "beta_scaling.csv", cfg,
-               ["beta", "abs_I", "normalized", "error", "converged"], rows)
-    return {"slope": slope, "target": -(p["alpha"] - 0.5) + 0.15,
-            "phi_norm_sq": norm_sq,
-            "slope_ok": bool(slope <= -(p["alpha"] - 0.5) + 0.15)}
+    return ["beta", "abs_I", "normalized", "error", "converged"], rows, {
+        "slope": slope, "target": -(p["alpha"] - 0.5) + 0.15,
+        "phi_norm_sq": norm_sq, "slope_ok": bool(slope <= -(p["alpha"] - 0.5) + 0.15)}
 
 
-def _run_rapid_decay(cfg, out_dir):
+def _run_rapid_decay(cfg):
     from .integrals import TestWindow, rapid_decay_experiment
-    from .spherical import make_kernel
     p = cfg.params
-    lam = p["lambda"]
-    w, bump = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
-    kern = make_kernel(lam, x_max=1.0)
-    beta = lam ** p["beta_exponent"]
+    kern, bump, w = _integral_setup(p)
     rows, contrast, t_star = rapid_decay_experiment(
-        kern, TestWindow(), w, bump, beta, p["epsilon0"], tuple(p["t_factors"]))
-    _write_csv(out_dir / "rapid_decay.csv", cfg,
-               ["t", "factor", "dist_A", "abs_I", "error", "converged"], rows)
-    return {"contrast": contrast, "threshold_t": t_star,
-            "contrast_ok": bool(contrast <= 1e-3)}
+        kern, TestWindow(), w, bump, p["lambda"] ** p["beta_exponent"], p["epsilon0"],
+        tuple(p["t_factors"]))
+    return ["t", "factor", "dist_A", "abs_I", "error", "converged"], rows, {
+        "contrast": contrast, "threshold_t": t_star, "contrast_ok": bool(contrast <= 1e-3)}
 
 
-def _run_restrict(cfg, out_dir):
+def _run_restrict(cfg):
     from .modes import (ModeSpec, SphereGeodesic, fit_exponent, make_mode,
                         restriction_norm)
     from .measures import make_cantor_measure
@@ -365,25 +309,22 @@ def _run_restrict(cfg, out_dir):
         mode = make_mode(ModeSpec("sphere", p["kind"], int(l)))
         rows.append({"degree": int(l), "lambda": mode.lam,
                      "norm": restriction_norm(mode, ell, mu)})
-    _write_csv(out_dir / "restrict.csv", cfg, ["degree", "lambda", "norm"], rows)
     summary = {}
     if len(rows) >= 3:
         slope, resid = fit_exponent([(r["lambda"], r["norm"]) for r in rows])
         summary = {"fit_exponent": slope, "fit_residual": resid}
-    return summary
+    return ["degree", "lambda", "norm"], rows, summary
 
 
-def _run_kn(cfg, out_dir):
+def _run_kn(cfg):
     from .modes import ModeSpec, kn_norm, make_mode
     p = cfg.params
-    mode = make_mode(ModeSpec("sphere", p["kind"], p["degree"]))
-    rep = kn_norm(mode)
-    _write_csv(out_dir / "kn.csv", cfg,
-               list(rep.to_row().keys()), [rep.to_row()])
-    return {"s_kn": rep.s_kn, "lambda": rep.lam}
+    rep = kn_norm(make_mode(ModeSpec("sphere", p["kind"], p["degree"])))
+    row = rep.to_row()
+    return list(row), [row], {"s_kn": rep.s_kn, "lambda": rep.lam}
 
 
-def _run_theorem3(cfg, out_dir):
+def _run_theorem3(cfg):
     from .measures import make_cantor_measure
     from .modes import ModeSpec, make_mode, theorem_ratio_table
     p = cfg.params
@@ -391,28 +332,25 @@ def _run_theorem3(cfg, out_dir):
     modes = [make_mode(ModeSpec("sphere", "highest_weight", int(l)))
              for l in p["degrees"]]
     rows, spread = theorem_ratio_table(modes, mu, p["alpha"])
-    _write_csv(out_dir / "theorem3.csv", cfg,
-               ["lambda", "lhs", "skn", "bound", "ratio"], rows)
-    return {"ratio_spread": spread, "spread_ok": bool(spread <= 4.0)}
+    return ["lambda", "lhs", "skn", "bound", "ratio"], rows, {
+        "ratio_spread": spread, "spread_ok": bool(spread <= 4.0)}
 
 
-def _run_exponents(cfg, out_dir):
-    from .modes import exponent_table
-    p = cfg.params
-    n = p["n_alpha"]
-    grid = [Fraction(2 * k, n) for k in range(1, n + 1)]
-    rows = exponent_table(grid)
-    _write_csv(out_dir / "exponents.csv", cfg,
-               ["alpha", "gamma", "delta", "marshall"], rows)
-    from .modes import delta_exponent
-    return {"rows": len(rows), "delta_at_1": str(delta_exponent(Fraction(1)))}
+def _run_exponents(cfg):
+    from .modes import delta_exponent, exponent_table
+    n = cfg.params["n_alpha"]
+    if n > ALPHA_GRID_BUDGET:
+        raise ResourceError(f"{n} alpha values exceed budget {ALPHA_GRID_BUDGET}")
+    rows = exponent_table([Fraction(2 * k, n) for k in range(1, n + 1)])
+    return ["alpha", "gamma", "delta", "marshall"], rows, {
+        "rows": len(rows), "delta_at_1": str(delta_exponent(Fraction(1)))}
 
 
-def _run_dyadic(cfg, out_dir):
+def _run_dyadic(cfg):
     from .modes import dyadic_kernel_check
     p = cfg.params
     lam = p["lambda"]
-    w, _ = _weight_for(p["alpha"], 6, lam)
+    w, _ = _weight_for(p["alpha"], 6, lam, 8)
     rows = []
     summaries = {}
     for k in p["k_indices"]:
@@ -423,30 +361,91 @@ def _run_dyadic(cfg, out_dir):
                              "decay_slope": rep["decay_slope"],
                              "weighted_ratio": rep.get("weighted_ratio"),
                              "any_flagged": rep["any_flagged"]}
-    _write_csv(out_dir / "dyadic.csv", cfg,
-               ["k_index", "s", "s_prime", "osc_scale", "abs_value", "model",
-                "ratio", "flagged"], rows)
-    return {"per_k": summaries}
+    return (["k_index", "s", "s_prime", "osc_scale", "abs_value", "model", "ratio",
+             "flagged"], rows, {"per_k": summaries})
 
 
-_RUNNERS = {
-    "measure": _run_measure, "energy": _run_energy, "kernel": _run_kernel,
-    "hecke-returns": _run_hecke_returns, "amplifier": _run_amplifier,
-    "integrals": _run_integrals, "beta-scaling": _run_beta_scaling,
-    "rapid-decay": _run_rapid_decay, "restrict": _run_restrict, "kn": _run_kn,
-    "theorem3": _run_theorem3, "exponents": _run_exponents, "dyadic": _run_dyadic,
+# experiment name -> (runner, parameter schema), in the CLI's order.  A runner
+# returns (CSV header, CSV rows, summary).  A schema maps each parameter to
+# (type, default, validator); a type in brackets, such as [int], types a list
+# element by element
+_EXPERIMENTS = {
+    "measure": (_run_measure, {
+        "alpha": (float, 0.6309297535714574, _in_unit),
+        "depth": (int, 6, lambda v: v >= 0),
+        "r_min": (float, 1e-3, _positive), "r_max": (float, 1.0, _in_unit),
+        "n_r": (int, 32, _positive)}),
+    "energy": (_run_energy, {
+        "alpha": (float, 0.6309297535714574, _in_unit),
+        "depths": ([int], [6, 8], None),
+        "s_values": ([float], [0.3, 0.55, 0.8], None)}),
+    "kernel": (_run_kernel, {
+        "lambda": (float, 100.0, lambda v: v >= 10),
+        "h_width": (float, 0.05, lambda v: 0 < v <= 0.05),
+        "x_max": (float, 4.0, _positive)}),
+    "hecke-returns": (_run_hecke_returns, {
+        "a": (int, 2, _positive), "b": (int, 3, None),
+        "q": (int, 6, _positive),
+        "order_basis": ([[_rational]], None,
+                        lambda v: len(v) == 4 and all(len(r) == 4 for r in v)),
+        "n_max": (int, 8, _positive),
+        "kappas": ([float], [1.0, 0.5, 0.25, 0.125], lambda v: all(map(_in_unit, v)))}),
+    "amplifier": (_run_amplifier, {
+        "N": (int, 400, _positive), "q": (int, 1, _positive),
+        "draws": (int, 1000, _positive)}),
+    "integrals": (_run_integrals, {
+        "lambda": (float, 100.0, lambda v: v >= 10),
+        "alpha": (float, 0.9, _in_unit),
+        "depth": (int, 8, lambda v: v >= 0),
+        "shear_t": (float, 0.0, None),
+        "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}),
+    "beta-scaling": (_run_beta_scaling, {
+        "lambda": (float, 100.0, lambda v: v >= 10),
+        "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
+        "depth": (int, 8, lambda v: v >= 0),
+        "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6], lambda v: len(set(v)) >= 2),
+        "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}),
+    "rapid-decay": (_run_rapid_decay, {
+        "lambda": (float, 100.0, lambda v: v >= 10),
+        "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
+        "depth": (int, 8, lambda v: v >= 0),
+        "beta_exponent": (float, 0.5, lambda v: 0 < v < 1),
+        "epsilon0": (float, 0.1, _positive),
+        "t_factors": ([float], [0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
+                      lambda v: 0 in v and min(v) >= 0),
+        "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}),
+    "restrict": (_run_restrict, {
+        "kind": (str, "highest_weight", lambda v: v in ("zonal", "highest_weight")),
+        "degrees": ([int], [64, 128, 256, 512], None),
+        "alpha": (float, 0.7, _in_unit),
+        "depth": (int, 8, lambda v: v >= 0)}),
+    "kn": (_run_kn, {
+        "kind": (str, "highest_weight", lambda v: v in ("zonal", "highest_weight")),
+        "degree": (int, 64, lambda v: 1 <= v <= 1000)}),
+    "theorem3": (_run_theorem3, {
+        "alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
+        "degrees": ([int], [64, 128, 256], lambda v: len(v) >= 1),
+        "depth": (int, 8, lambda v: v >= 0)}),
+    "exponents": (_run_exponents, {"n_alpha": (int, 100, lambda v: v >= 2)}),
+    "dyadic": (_run_dyadic, {
+        "lambda": (float, 128.0, lambda v: v >= 10),
+        "alpha": (float, 0.7, _in_unit),
+        "k_indices": ([int], [-2, -1], None)}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run one experiment; returns the machine-readable summary.
+    """Run one experiment, write its CSV `<experiment>.csv` (dashes as
+    underscores) into cfg.out and return the machine-readable summary.
 
-    Deterministic for a fixed (config, seed); partial artifacts are removed
-    on failure (written to a temp file and renamed on success).
+    Deterministic for a fixed (config, seed); no artifact is left on failure
+    (the CSV is written to a temp file and renamed on success).
     """
+    header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[cfg.experiment](cfg, out_dir)
+    _write_csv(out_dir / f"{cfg.experiment.replace('-', '_')}.csv", cfg, header, rows)
     return {"experiment": cfg.experiment, "config": cfg.to_dict(), "summary": summary}
 
 

@@ -18,15 +18,15 @@ from .measures import WeightFunction, weighted_energy
 from .sampling import SampledFunction
 
 
-def smooth_step(t, sharpness: float = 1.0) -> np.ndarray:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-sharpness/t) glue."""
+def smooth_step(t) -> np.ndarray:
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t) glue."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     out[t >= 1] = 1.0
     mid = (t > 0) & (t < 1)
     tm = t[mid]
-    g1 = np.exp(-sharpness / tm)
-    g2 = np.exp(-sharpness / (1.0 - tm))
+    g1 = np.exp(-1.0 / tm)
+    g2 = np.exp(-1.0 / (1.0 - tm))
     out[mid] = g1 / (g1 + g2)
     return out
 
@@ -59,10 +59,7 @@ class BumpPair:
 
     rho = staticmethod(rho_cutoff)   # the companion plateau cutoff
 
-    def __init__(self, transition_sharpness: float = 1.0):
-        if transition_sharpness <= 0:
-            raise DomainError("transition_sharpness must be positive")
-        self.sharpness = float(transition_sharpness)
+    def __init__(self):
         xg, wg = _legendre_rule(self.QUAD_NODES)
         self._xi_q = 0.5 + 0.25 * (xg + 1.0)      # nodes on [1/2, 1]
         self._w_q = 0.25 * wg * self.eta_hat(self._xi_q)
@@ -75,7 +72,7 @@ class BumpPair:
     def eta_hat(self, xi) -> np.ndarray:
         """Exact transform: even, 1 on the plateau, 0 outside the support."""
         axi = np.abs(np.asarray(xi, dtype=float))
-        return smooth_step(2.0 * (1.0 - axi), self.sharpness)
+        return smooth_step(2.0 * (1.0 - axi))
 
     def _eta_uniform(self, u: np.ndarray) -> np.ndarray:
         """eta on a uniform grid u = u0 + du m, m = 0..n-1, from
@@ -128,21 +125,16 @@ class BandKernel:
         return 2.0 * self.beta * np.cos(self.lam * x) * self.bump.eta(self.beta * x)
 
 
-def eta_beta(bump: BumpPair, lam: float, beta: float, x):
-    """Spatial band kernel at x; real and even in x."""
-    return BandKernel(bump, lam, beta).spatial(x)
-
-
-def decay_constant(bump: BumpPair, lam: float, beta: float, N: int,
-                   u_max: float = 300.0, du: float = 0.005) -> float:
-    """Measured C_N = sup_x |eta_beta(x)| (1 + beta |x|)^N / beta."""
-    u = np.arange(0.0, u_max, du)
+def decay_constant(bump: BumpPair, lam: float, beta: float, N: int) -> float:
+    """Measured C_N = sup_x |eta_beta(x)| (1 + beta |x|)^N / beta, over
+    beta |x| < 300."""
+    u = np.arange(0.0, 300.0, 0.005)
     vals = np.abs(2.0 * np.cos(lam * u / beta) * bump.eta(u)) * (1.0 + u) ** N
     return float(vals.max())
 
 
 def band_project(bump: BumpPair, lam: float, beta: float, f: SampledFunction,
-                 mode: str = "pass", pad_factor: int = 4) -> SampledFunction:
+                 mode: str = "pass") -> SampledFunction:
     """Spectral band projection: transform, multiply by the band mask, invert.
 
     mode="pass" keeps the bands +-[lam-beta, lam+beta] (transform of the
@@ -157,7 +149,7 @@ def band_project(bump: BumpPair, lam: float, beta: float, f: SampledFunction,
     if h > shortest_period / 4.0 + 1e-15:
         raise DomainError(
             f"grid step {h} under-resolves frequency lam+beta (need <= {shortest_period / 4.0})")
-    L = 1 << int(np.ceil(np.log2(pad_factor * f.n)))
+    L = 1 << int(np.ceil(np.log2(4 * f.n)))
     F = np.fft.fft(f.values, L)
     xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
     passed = np.fft.ifft(F * kern.hat(xi))[:f.n]
@@ -211,8 +203,7 @@ def gamma_factor(s: float) -> float:
     return float(np.pi ** (s - 0.5) * _gamma((1.0 - s) / 2.0) / _gamma(s / 2.0))
 
 
-def fourier_energy_identity(w: WeightFunction, phi, s: float,
-                            pad_factor: int = 16):
+def fourier_energy_identity(w: WeightFunction, phi, s: float):
     """Both sides of the spectral energy identity, by independent quadratures.
 
     lhs = (gamma(s)/(2 pi)^s) int |hat(phi w)(xi)|^2 |xi|^(s-1) dxi  (transform
@@ -226,7 +217,7 @@ def fourier_energy_identity(w: WeightFunction, phi, s: float,
     if phi.shape != w.values.shape:
         raise DomainError("phi must be sampled on the weight's grid")
     f = SampledFunction(w.grid_min, w.grid_step, phi * w.values)
-    xi, fhat = fourier_transform(f, pad_factor)
+    xi, fhat = fourier_transform(f, 16)
     dxi = xi[1] - xi[0]
     # exact cell weights for |xi|^(s-1): antiderivative sign(xi)|xi|^s / s
     lo, hi = xi - dxi / 2, xi + dxi / 2

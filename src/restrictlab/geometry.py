@@ -77,13 +77,6 @@ class GroupElement:
     def op_norm(self) -> float:
         return float(np.linalg.norm(self.m, 2))
 
-    def to_list(self) -> list:
-        return self.m.ravel().tolist()
-
-    @classmethod
-    def from_list(cls, v) -> "GroupElement":
-        return cls(np.asarray(v, dtype=float).reshape(2, 2))
-
 
 def act(g: GroupElement, z: complex) -> complex:
     """Moebius action (a z + b) / (c z + d) on the upper half-plane."""
@@ -118,13 +111,6 @@ class Geodesic:
 
     def point(self, s: float) -> complex:
         return act(self.base @ GroupElement.diag_flow(s), I_UHP)
-
-    def to_dict(self) -> dict:
-        return {"g0": self.base.to_list(), "length": self.length}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Geodesic":
-        return cls(GroupElement.from_list(d["g0"]), float(d["length"]))
 
 
 def dist_to_geodesic(z: complex, ell: Geodesic):
@@ -209,23 +195,22 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
     return x, f(x)
 
 
-def dist_to_diag(g: GroupElement, y_max: float = 10.0, coarse: int = 64,
-                 tol: float = 1e-10):
-    """inf over y in [-y_max, y_max] of d(a(-y) g, e), with the minimizer.
+def dist_to_diag(g: GroupElement):
+    """inf over y in [-10, 10] of d(a(-y) g, e), with the minimizer.
 
-    Coarse bracket scan then golden-section refinement; the boundary flag is
-    set when the minimizer sits at the bracket edge.
+    A 64-cell bracket scan then golden-section refinement; the boundary flag
+    is set when the minimizer sits at the bracket edge.
     """
     def objective(y):
         return dist_to_identity(GroupElement.diag_flow(-y) @ g)
 
-    ys = np.linspace(-y_max, y_max, coarse + 1)
+    ys = np.linspace(-10.0, 10.0, 65)
     vals = np.array([objective(y) for y in ys])
     i = int(np.argmin(vals))
     lo = ys[max(0, i - 1)]
-    hi = ys[min(coarse, i + 1)]
-    y_star, d = _golden_min(objective, lo, hi, tol)
+    hi = ys[min(64, i + 1)]
+    y_star, d = _golden_min(objective, lo, hi)
     if vals[i] < d:   # a scan node (e.g. an exact zero on A) can beat golden
         y_star, d = ys[i], vals[i]
-    flagged = bool(i == 0 or i == coarse)
+    flagged = bool(i == 0 or i == 64)
     return float(d), float(y_star), flagged

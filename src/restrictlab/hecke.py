@@ -19,7 +19,9 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .geometry import GroupElement, dist_to_diag, dist_to_identity
 
-COEFF_BUDGET = 1 << 28
+COEFF_BUDGET = 1 << 28   # coefficient-box points of one enumerate_norm_n
+SCAN_BUDGET = 1 << 26    # box points summed over one return_count_ratio grid
+FACTOR_BUDGET = 1 << 40  # largest |ab| whose trial division QuatAlgebra runs
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -129,6 +131,9 @@ class QuatAlgebra:
     """
 
     def __init__(self, a: int = 2, b: int = 3, basis=None, q: int = 6):
+        if abs(a * b) > FACTOR_BUDGET:
+            raise ResourceError(f"|ab| = {abs(a * b)} exceeds the trial-division"
+                                f" budget {FACTOR_BUDGET}")
         if a <= 0 or not is_squarefree(a):
             raise DomainError("a must be a positive squarefree integer")
         if not is_squarefree(b):
@@ -232,15 +237,6 @@ class QuatAlgebra:
                     return False
         return True
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "q": self.q,
-                "order_basis": [[str(v) for v in row] for row in self.basis]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuatAlgebra":
-        basis = [[Fraction(v) for v in row] for row in d["order_basis"]]
-        return cls(d["a"], d["b"], basis, d["q"])
-
 
 @dataclass(frozen=True)
 class QuatElement:
@@ -282,10 +278,6 @@ def quat_mul(x: QuatElement, y: QuatElement) -> QuatElement:
     return QuatElement(alg, alg.order_coords_from_std(p, scale=alg._den ** 2))
 
 
-def quat_norm_trace(x: QuatElement) -> tuple[int, int]:
-    return x.nrd(), x.trd()
-
-
 def iota_matrix(x: QuatElement) -> np.ndarray:
     """Archimedean embedding [[xi, eta], [b eta_bar, xi_bar]] as floats,
     for x = xi + eta * W with xi, eta in Q(sqrt a).
@@ -323,6 +315,12 @@ def _order_box(alg: QuatAlgebra, E: float) -> np.ndarray:
     return np.ceil(Binv_abs @ xb + 1e-9).astype(np.int64)
 
 
+def _scan_box(alg: QuatAlgebra, n: int, g0: GroupElement, radius: float):
+    """The coefficient box enumerate_norm_n sweeps, and its number of points."""
+    bounds = _order_box(alg, _entry_bound(n, g0, radius))
+    return bounds, int(np.prod(2 * bounds.astype(object) + 1))
+
+
 def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> GroupElement:
     """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element."""
     m = iota_matrix(alg.element(coords))
@@ -352,7 +350,7 @@ def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
 
 
 def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
-                     radius: float = 1.0, coeff_budget: int = COEFF_BUDGET):
+                     radius: float = 1.0):
     """All order elements of reduced norm n whose conjugated projection lies
     within `radius` of the identity, up to projective sign.
 
@@ -360,7 +358,8 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
     matrix by e^(sqrt 2 radius), hence every entry of iota(gamma) by
     sqrt(n) ||g0|| ||g0^-1|| e^(sqrt 2 radius); inverting the coordinate map
     turns that into a finite scan box, swept exactly with the integer norm
-    form.  Returned coordinate tuples are sorted lexicographically.
+    form.  Returned coordinate tuples are sorted lexicographically.  A box of
+    more than COEFF_BUDGET points is refused before the scan.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -368,18 +367,12 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
         raise DomainError("radius must be <= 2")
     if g0 is None:
         g0 = GroupElement.identity()
-    bounds = _order_box(alg, _entry_bound(n, g0, radius))
-    volume = int(np.prod(2 * bounds.astype(object) + 1))
-    if volume > coeff_budget:
+    bounds, volume = _scan_box(alg, n, g0, radius)
+    if volume > COEFF_BUDGET:
         raise ResourceError(f"coefficient box {2 * bounds + 1} has volume "
-                            f"{volume} > budget {coeff_budget}")
+                            f"{volume} > budget {COEFF_BUDGET}")
     return [v for v in _scan_norm_form(alg, bounds, n)
             if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
-
-
-def serialize_elements(alg: QuatAlgebra, elems, n: int) -> list[dict]:
-    """Coordinate quadruples plus reduced norm, for artifact emission."""
-    return [{"coords": list(v), "nrd": alg.element(v).nrd()} for v in elems]
 
 
 def find_units(alg: QuatAlgebra, coeff_radius: int = 5) -> list[tuple]:
@@ -424,13 +417,12 @@ def coset_reps(alg: QuatAlgebra, n: int, coeff_box: int = 12,
     return reps, len(reps), len(reps) == len(reps_big)
 
 
-def hecke_returns(alg: QuatAlgebra, g0: GroupElement, n: int, kappa: float,
-                  **enum_kw) -> int:
+def hecke_returns(alg: QuatAlgebra, g0: GroupElement, n: int, kappa: float) -> int:
     """M(g0, n, kappa): norm-n elements whose conjugate by g0 lies within 1
     of the identity and within kappa of the diagonal subgroup."""
     if kappa > 1:
         raise DomainError("kappa must be <= 1")
-    elems = enumerate_norm_n(alg, n, g0, radius=1.0, **enum_kw)
+    elems = enumerate_norm_n(alg, n, g0, radius=1.0)
     count = 0
     for v in elems:
         h = conjugated_element(alg, v, n, g0)
@@ -446,8 +438,17 @@ def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list,
 
     Finite by construction; the reported value is the measured analogue of
     the return-count bound's implied constant.  Each (g0, n) pair is
-    enumerated once and its diagonal distances reused across kappa.
+    enumerated once and its diagonal distances reused across kappa.  A grid
+    whose scan boxes hold more than SCAN_BUDGET points in all is refused
+    before the first scan.
     """
+    points = 0
+    for g0 in g0_list:
+        for n in range(1, n_max + 1):
+            points += _scan_box(alg, n, g0, 1.0)[1]
+            if points > SCAN_BUDGET:
+                raise ResourceError(f"scan boxes up to n={n} hold more than"
+                                    f" {SCAN_BUDGET} points")
     best = 0.0
     rows = []
     for gi, g0 in enumerate(g0_list):
@@ -484,25 +485,24 @@ class Amplifier:
         return float(sum(v * eigenvalues[n] for n, v in self.coeffs.items()))
 
 
-def build_amplifier(N: int, eigenvalues: dict, q: int = 1,
-                    rel_tol: float = 1e-9) -> Amplifier:
+def build_amplifier(N: int, eigenvalues: dict, q: int = 1) -> Amplifier:
     """Coefficients alpha_p = sgn lambda(p) when |lambda(p)| >= 1/2, else
     alpha_{p^2} = sgn lambda(p^2), over primes p <= sqrt(N) coprime to q.
 
-    Validates the multiplicative relation lambda(p)^2 - lambda(p^2) = 1 and
-    guarantees |sum alpha_n lambda(n)| >= (1/2) #primes.
+    Validates the multiplicative relation lambda(p)^2 - lambda(p^2) = 1 to
+    1e-9 and guarantees |sum alpha_n lambda(n)| >= (1/2) #primes.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     coeffs = {}
     for p in primes_up_to(int(math.isqrt(N))):
-        if np.gcd(p, q) != 1:
+        if math.gcd(p, q) != 1:
             continue
         lp = eigenvalues.get(p)
         lp2 = eigenvalues.get(p * p)
         if lp is None or lp2 is None:
             raise DomainError(f"missing eigenvalues for prime {p}")
-        if abs(lp * lp - lp2 - 1.0) > rel_tol:
+        if abs(lp * lp - lp2 - 1.0) > 1e-9:
             raise DomainError(f"Hecke relation violated at p={p}: "
                               f"lambda(p)^2 - lambda(p^2) = {lp * lp - lp2}")
         if abs(lp) >= 0.5:
@@ -513,12 +513,12 @@ def build_amplifier(N: int, eigenvalues: dict, q: int = 1,
     return Amplifier(N, coeffs, q)
 
 
-def random_hecke_eigenvalues(N: int, rng: np.random.Generator,
-                             scale: float = 2.0) -> dict:
-    """Random eigenvalue assignment satisfying lambda(p)^2 - lambda(p^2) = 1."""
+def random_hecke_eigenvalues(N: int, rng: np.random.Generator) -> dict:
+    """Random eigenvalue assignment satisfying lambda(p)^2 - lambda(p^2) = 1,
+    with lambda(p) uniform on [-2, 2]."""
     eigs = {}
     for p in primes_up_to(int(math.isqrt(N))):
-        lp = float(rng.uniform(-scale, scale))
+        lp = float(rng.uniform(-2.0, 2.0))
         eigs[p] = lp
         eigs[p * p] = lp * lp - 1.0
     return eigs

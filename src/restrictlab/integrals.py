@@ -200,8 +200,7 @@ def eval_I(kernel: SphericalKernel, window: TestWindow, phi: SampledFunction,
 
 
 def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
-                  window: TestWindow, phi: SampledFunction, g0: GroupElement,
-                  radius: float = 1.0):
+                  window: TestWindow, phi: SampledFunction, g0: GroupElement):
     """Geometric side of the amplified bound: sum over m, n of |alpha_m alpha_n|
     times the divisor-weighted sums of |I| over conjugated norm-(mn/d^2)
     elements within distance 1 of the identity.
@@ -217,7 +216,7 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
             for d in range(1, min(m, n) + 1):
                 if m % d == 0 and n % d == 0 and (m * n) % (d * d) == 0:
                     needed.setdefault(m * n // (d * d), None)
-    cache = {v: enumerate_norm_n(alg, v, g0, radius=radius) for v in sorted(needed)}
+    cache = {v: enumerate_norm_n(alg, v, g0) for v in sorted(needed)}
     reports = {}   # conjugated element's matrix bytes -> its IntegralReport
     total = 0.0
     rows = []
@@ -249,9 +248,9 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
     return total, rows, flags
 
 
-def modulated_gaussian(grid: np.ndarray, lam: float, sigma: float = 1.0) -> np.ndarray:
-    """e^(i lam x) Gaussian, the oscillatory member of the test family."""
-    return np.exp(1j * lam * grid) * np.exp(-0.5 * (grid / sigma) ** 2)
+def modulated_gaussian(grid: np.ndarray, lam: float) -> np.ndarray:
+    """e^(i lam x) e^(-x^2/2), the oscillatory member of the test family."""
+    return np.exp(1j * lam * grid) * np.exp(-0.5 * grid ** 2)
 
 
 def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):

@@ -8,17 +8,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, ResourceError
-from .sampling import SampledFunction
 
 ATOM_BUDGET = 1 << 22
 GRID_BUDGET = 1 << 24
-# atoms x grid points of one build_weight, whose loop runs once per atom
-# over the whole grid
+# atoms x points of one pass per atom: the grid of one build_weight, or the
+# radii of one `restrictlab measure` run
 WORK_BUDGET = 1 << 27
+# atom pairs of one exact energy sum
+PAIR_BUDGET = 1 << 24
 
-# Metric-dependent bound on the speed of the distance phase along a geodesic;
-# never computed from a metric here, exposed as a knob with a model default.
-DEFAULT_C_ELL = 2.0
+# Bound on the speed of the distance phase along a geodesic.  It depends on
+# the metric, which no experiment here varies, so it is fixed at the value
+# of the model surfaces.
+C_ELL = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,6 @@ class FractalMeasure:
         i_hi = np.searchsorted(self.atoms, np.asarray(hi, dtype=float), side="right")
         return cum[i_hi] - cum[i_lo]
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "depth": self.depth,
-                "atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FractalMeasure":
-        return cls(np.asarray(d["atoms"], dtype=float),
-                   np.asarray(d["weights"], dtype=float),
-                   float(d["alpha"]), int(d["depth"]))
-
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -108,19 +100,12 @@ class WeightFunction:
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(self.values.size)
 
-    def sampled(self) -> SampledFunction:
-        return SampledFunction(self.grid_min, self.grid_step, self.values)
-
     def cumulative(self):
         """Cell-boundary grid and cumulative integral of the piecewise-constant weight."""
         h = self.grid_step
         bounds = np.concatenate([self.grid() - h / 2, [self.grid()[-1] + h / 2]])
         cum = np.concatenate([[0.0], np.cumsum(self.values) * h])
         return bounds, cum
-
-    def interval_integral(self, lo, hi) -> np.ndarray:
-        bounds, cum = self.cumulative()
-        return np.interp(hi, bounds, cum) - np.interp(lo, bounds, cum)
 
     def l2_weighted_norm(self, phi: np.ndarray) -> float:
         """||phi||_{L^2(w dx)} on the grid."""
@@ -129,20 +114,8 @@ class WeightFunction:
             raise GridMismatchError("phi must be sampled on the weight's grid")
         return float(np.sqrt(self.grid_step * np.sum(np.abs(phi) ** 2 * self.values)))
 
-    def to_dict(self) -> dict:
-        return {"lambda_ref": self.lambda_ref, "frostman_alpha": self.frostman_alpha,
-                "grid_min": self.grid_min, "grid_step": self.grid_step,
-                "values": self.values.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightFunction":
-        return cls(float(d["grid_min"]), float(d["grid_step"]),
-                   np.asarray(d["values"], dtype=float),
-                   float(d["lambda_ref"]), float(d["frostman_alpha"]))
-
-
-def make_cantor_measure(alpha: float, depth: int,
-                        atom_budget: int = ATOM_BUDGET) -> FractalMeasure:
+def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
     """Two-branch Cantor measure of dimension alpha at a finite refinement depth.
 
     The contraction ratio r solves alpha = ln 2 / ln(1/r), i.e. r = 2^(-1/alpha);
@@ -153,8 +126,8 @@ def make_cantor_measure(alpha: float, depth: int,
         raise DomainError(f"alpha must lie in (0,1], got {alpha}")
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if depth >= atom_budget.bit_length():   # 2^depth > atom_budget, without 2^depth
-        raise ResourceError(f"2^{depth} atoms exceed budget {atom_budget}")
+    if depth >= ATOM_BUDGET.bit_length():   # 2^depth > ATOM_BUDGET, without 2^depth
+        raise ResourceError(f"2^{depth} atoms exceed budget {ATOM_BUDGET}")
     r = 2.0 ** (-1.0 / alpha)
     mid = np.array([0.5])
     for _ in range(depth):
@@ -223,8 +196,9 @@ def _grid_energy(values: np.ndarray, h: float, s: float) -> complex:
 def energy(m, s: float) -> float:
     """Riesz s-energy I_s of an atomic measure or of a sampled weight.
 
-    Atomic measures use the exact pair sum with the diagonal excluded;
-    weights use exact cell-pair integration of the piecewise-constant density.
+    Atomic measures use the exact pair sum with the diagonal excluded, refused
+    past PAIR_BUDGET pairs; weights use exact cell-pair integration of the
+    piecewise-constant density.
     """
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0,1), got {s}")
@@ -233,6 +207,8 @@ def energy(m, s: float) -> float:
     if not isinstance(m, FractalMeasure):
         raise DomainError("energy expects a FractalMeasure or WeightFunction")
     x, w = m.atoms, m.weights
+    if x.size ** 2 > PAIR_BUDGET:
+        raise ResourceError(f"{x.size}^2 atom pairs exceed budget {PAIR_BUDGET}")
     total = 0.0
     chunk = 1024
     for i0 in range(0, x.size, chunk):
@@ -272,13 +248,13 @@ def truncated_riesz(w: WeightFunction, x: float, s: float, delta: float) -> floa
     return float(np.dot(w.values, seg))
 
 
-def check_weight_budget(atoms: int, lam: float, samples_per_wavelength: int = 8,
-                        grid_budget: int = GRID_BUDGET) -> tuple[float, int]:
+def check_weight_budget(atoms: int, lam: float,
+                        samples_per_wavelength: int) -> tuple[float, int]:
     """(h, n) of the grid -2 + h * arange(n + 1) that a weight of `atoms` atoms
     at lam is sampled on.
 
-    Raises DomainError for an under-resolved grid and ResourceError past the
-    grid budget or WORK_BUDGET, before anything is built.
+    Raises DomainError for an under-resolved grid and ResourceError past
+    GRID_BUDGET or WORK_BUDGET, before anything is built.
     """
     if lam < 1:
         raise DomainError("lam must be >= 1")
@@ -286,44 +262,42 @@ def check_weight_budget(atoms: int, lam: float, samples_per_wavelength: int = 8,
         raise DomainError("need at least 8 samples per wavelength 1/lam")
     h = 1.0 / (samples_per_wavelength * lam)
     n = int(round(4.0 / h))
-    if n + 1 > grid_budget:
-        raise ResourceError(f"{n + 1} grid points exceed budget {grid_budget}")
+    if n + 1 > GRID_BUDGET:
+        raise ResourceError(f"{n + 1} grid points exceed budget {GRID_BUDGET}")
     if atoms * (n + 1) > WORK_BUDGET:
         raise ResourceError(f"{atoms} atoms x {n + 1} grid points exceed"
                             f" work budget {WORK_BUDGET}")
     return h, n
 
 
-def build_weight(nu: FractalMeasure, lam: float, eta, rho=None,
-                 c_ell: float = DEFAULT_C_ELL, samples_per_wavelength: int = 8,
-                 grid_budget: int = GRID_BUDGET) -> WeightFunction:
+def build_weight(nu: FractalMeasure, lam: float, eta,
+                 samples_per_wavelength: int = 8) -> WeightFunction:
     """Mollify nu at scale 1/lam into a smooth weight on [-2,2].
 
-    w(t) = rho(t) * sum_i nu_i sqrt(lam^2 K(lam (s_i - t))^2 + 1), where K is
-    eta rescaled so its transform plateaus on |xi| <= 2 c_ell and vanishes
-    beyond 4 c_ell.  eta is a BumpPair (or a plain callable evaluator).
+    w(t) = rho(t) * sum_i nu_i sqrt(lam^2 K(lam (s_i - t))^2 + 1), where rho
+    is the plateau cutoff and K is eta rescaled so its transform plateaus on
+    |xi| <= 2 C_ELL and vanishes beyond 4 C_ELL.  eta is a BumpPair (or a
+    plain callable evaluator).
     """
-    h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength, grid_budget)
-    if rho is None:
-        from .frequency import rho_cutoff
-        rho = rho_cutoff
+    from .frequency import rho_cutoff
+    h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength)
     eta_fn = getattr(eta, "eta", eta)
     t = -2.0 + h * np.arange(n + 1)
-    scale = 4.0 * c_ell
+    scale = 4.0 * C_ELL
     acc = np.zeros_like(t)
     for s0, w0 in zip(nu.atoms, nu.weights):
         kern = scale * eta_fn(scale * lam * (s0 - t))
         acc += w0 * np.sqrt((lam * kern) ** 2 + 1.0)
-    vals = acc * rho(t)
+    vals = acc * rho_cutoff(t)
     vals[np.abs(t) > 2.0] = 0.0   # rho already vanishes there; make it exact
     return WeightFunction(-2.0, h, vals, lam, nu.alpha)
 
 
-def frostman_weight_sweep(w: WeightFunction, r_values, a_grid=None) -> np.ndarray:
-    """sup over a of (int_{a-r}^{a+r} w) / r^alpha, for each radius r."""
+def frostman_weight_sweep(w: WeightFunction, r_values) -> np.ndarray:
+    """sup over centers a in [-2.3, 2.3] of (int_{a-r}^{a+r} w) / r^alpha,
+    for each radius r."""
     r_values = np.asarray(r_values, dtype=float)
-    if a_grid is None:
-        a_grid = np.linspace(-2.3, 2.3, 4001)
+    a_grid = np.linspace(-2.3, 2.3, 4001)
     bounds, cum = w.cumulative()
     out = np.empty(r_values.size)
     for i, r in enumerate(r_values):
@@ -332,26 +306,25 @@ def frostman_weight_sweep(w: WeightFunction, r_values, a_grid=None) -> np.ndarra
     return out
 
 
-def decade_sweep(w: WeightFunction, r_min: float, r_max: float = 1.0,
-                 per_decade: int = 16) -> list[tuple[float, float, float]]:
-    """Per-decade suprema of the interval ratio over r in [r_min, r_max].
+def decade_sweep(w: WeightFunction, r_min: float) -> list[tuple[float, float, float]]:
+    """Per-decade suprema of the interval ratio over r in [r_min, 1].
 
-    Returns (r_lo, r_hi, sup) triples for log10-equal bins.
+    Returns (r_lo, r_hi, sup) triples for log10-equal bins of 16 radii each.
     """
-    n_dec = max(1, int(np.ceil(np.log10(r_max / r_min))))
-    edges = np.logspace(np.log10(r_min), np.log10(r_max), n_dec + 1)
+    n_dec = max(1, int(np.ceil(np.log10(1.0 / r_min))))
+    edges = np.logspace(np.log10(r_min), 0.0, n_dec + 1)
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rs = np.logspace(np.log10(lo), np.log10(hi), per_decade)
+        rs = np.logspace(np.log10(lo), np.log10(hi), 16)
         sup = float(frostman_weight_sweep(w, rs).max())
         out.append((float(lo), float(hi), sup))
     return out
 
 
-def standard_test_functions(grid: np.ndarray, lam: float = None) -> list[tuple[str, np.ndarray]]:
+def standard_test_functions(grid: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """The fixed family of ten test profiles used across the experiments."""
     x = np.asarray(grid, dtype=float)
-    fam = [
+    return [
         ("gauss_0.3", np.exp(-0.5 * (x / 0.3) ** 2).astype(complex)),
         ("gauss_0.5", np.exp(-0.5 * (x / 0.5) ** 2).astype(complex)),
         ("gauss_1.0", np.exp(-0.5 * x ** 2).astype(complex)),
@@ -363,6 +336,3 @@ def standard_test_functions(grid: np.ndarray, lam: float = None) -> list[tuple[s
         ("poly_bump8", np.where(np.abs(x) < 2, (1 - (x / 2) ** 2) ** 8, 0.0).astype(complex)),
         ("cos_bump", (np.cos(np.pi * np.clip(x / 4, -0.5, 0.5)) ** 2).astype(complex)),
     ]
-    if lam is not None:
-        fam.append(("modlam_gauss", np.exp(1j * lam * x) * np.exp(-0.5 * x ** 2)))
-    return fam

@@ -11,12 +11,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .frequency import smooth_step
 from .geometry import _golden_min
 from .measures import FractalMeasure, WeightFunction
 
 MAX_DEGREE = 1000
+TUBE_BUDGET = 1 << 26   # candidate tubes x nodes per tube of one sphere kn_norm
+SAMPLES_ACROSS = 17     # nodes across each half of a tube
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +154,8 @@ class SphereMode:
         phi = np.arctan2(y, x)
         return self.value_angles(theta, phi)
 
-    def l2_norm(self, n_theta: int = None) -> float:
-        n = n_theta or max(64, 2 * self.l + 16)
+    def l2_norm(self) -> float:
+        n = max(64, 2 * self.l + 16)
         xg, wg = np.polynomial.legendre.leggauss(n)
         theta = np.arccos(xg)
         n_phi = max(16, 2 * self.l + 8)
@@ -161,12 +163,12 @@ class SphereMode:
         vals = np.abs(self.value_angles(theta[:, None], phi[None, :])) ** 2
         return float(np.sqrt((vals.mean(axis=1) * wg).sum() * 2.0 * np.pi))
 
-    def eigen_residual(self, rng: np.random.Generator, n_points: int = 20) -> float:
-        """max over random points of |(Lap + lam^2) e| / (lam^2 sup|e|),
+    def eigen_residual(self, rng: np.random.Generator) -> float:
+        """max over 20 random points of |(Lap + lam^2) e| / (lam^2 sup|e|),
         via central differences in (theta, phi)."""
         h = max(1.2e-4 / max(self.l, 1), 1e-7)
-        theta = rng.uniform(0.6, np.pi - 0.6, n_points)
-        phi = rng.uniform(0.0, 2.0 * np.pi, n_points)
+        theta = rng.uniform(0.6, np.pi - 0.6, 20)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 20)
         v = self.value_angles(theta, phi)
         vtp = self.value_angles(theta + h, phi)
         vtm = self.value_angles(theta - h, phi)
@@ -182,18 +184,18 @@ class SphereMode:
 
 
 class TorusMode:
-    """Normalized sum of plane waves e^(i<k,x>) on [0, 2pi)^2 with |k| equal."""
+    """Normalized equal-weight sum of plane waves e^(i<k,x>) on [0, 2pi)^2
+    with |k| equal."""
 
     surface = "torus"
 
-    def __init__(self, freqs, coeffs=None):
+    def __init__(self, freqs):
         self.freqs = [tuple(int(c) for c in k) for k in freqs]
         norms = {float(np.hypot(*k)) for k in self.freqs}
         if len(norms) != 1:
             raise DomainError("all frequency vectors must share one modulus")
         self.lam = norms.pop()
-        c = np.asarray(coeffs if coeffs is not None else np.ones(len(self.freqs)),
-                       dtype=complex)
+        c = np.ones(len(self.freqs), dtype=complex)
         # L^2([0,2pi]^2) norm of sum c_k e^{i<k,x>} is 2 pi |c|_2
         self.coeffs = c / (2.0 * np.pi * np.linalg.norm(c))
 
@@ -205,17 +207,17 @@ class TorusMode:
             out += c * np.exp(1j * (k1 * x + k2 * y))
         return out
 
-    def l2_norm(self, n: int = 256) -> float:
-        x = 2.0 * np.pi * np.arange(n) / n
+    def l2_norm(self) -> float:
+        x = 2.0 * np.pi * np.arange(256) / 256
         vals = np.abs(self.value_xy(x[:, None], x[None, :])) ** 2
         return float(np.sqrt(vals.mean() * (2.0 * np.pi) ** 2))
 
-    def eigen_residual(self, rng: np.random.Generator, n_points: int = 20) -> float:
+    def eigen_residual(self, rng: np.random.Generator) -> float:
         if self.lam == 0:
             return 0.0
         h = 1e-4 / max(self.lam, 1.0)
-        x = rng.uniform(0, 2 * np.pi, n_points)
-        y = rng.uniform(0, 2 * np.pi, n_points)
+        x = rng.uniform(0, 2 * np.pi, 20)
+        y = rng.uniform(0, 2 * np.pi, 20)
         v = self.value_xy(x, y)
         lap = ((self.value_xy(x + h, y) - 2 * v + self.value_xy(x - h, y))
                + (self.value_xy(x, y + h) - 2 * v + self.value_xy(x, y - h))) / h ** 2
@@ -247,12 +249,12 @@ class SphereGeodesic:
     length: float = 1.0
 
     @classmethod
-    def equator(cls, length: float = 1.0) -> "SphereGeodesic":
-        return cls(np.eye(3), length)
+    def equator(cls) -> "SphereGeodesic":
+        return cls(np.eye(3))
 
     @classmethod
-    def meridian(cls, length: float = 1.0) -> "SphereGeodesic":
-        return cls(np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]), length)
+    def meridian(cls) -> "SphereGeodesic":
+        return cls(np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]))
 
     def points(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -295,13 +297,12 @@ class KNReport:
                 **{f"max_{k}": v for k, v in self.maximizer.items()}}
 
 
-def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int,
-                      n_across: int = 17) -> float:
+def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int) -> float:
     """L^2 mass of the mode in the delta-collar of the great circle whose
     axis is tilted by psi from the pole."""
     R = _rotation_from_axis_angle(psi)
     t = 2.0 * np.pi * (np.arange(n_along) + 0.5) / n_along
-    u = delta * (np.arange(n_across) + 0.5) / n_across
+    u = delta * (np.arange(SAMPLES_ACROSS) + 0.5) / SAMPLES_ACROSS
     u = np.concatenate([-u[::-1], u])
     circ = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
     pole = np.array([0.0, 0.0, 1.0])
@@ -314,41 +315,37 @@ def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int,
     return float((vals * np.cos(u)[:, None]).sum() * du * dt)
 
 
-def kn_norm(mode, half_width: float = None, grid_factor: float = 4.0,
-            samples_across: int = 17, grid_budget: int = 1 << 26) -> KNReport:
+def kn_norm(mode, half_width: float = None) -> KNReport:
     """Kakeya-Nikodym norm: sup over the tube family of the L^2 mass in the
     lam^(-1/2)-neighborhood.
 
     Sphere: great circles; zonal/highest-weight modes are rotationally
     symmetric about the pole, so the axis search reduces to the polar tilt,
-    gridded at (half-width)/grid_factor with golden-section refinement.
+    gridded at a quarter of the half-width with golden-section refinement;
+    a search of more than TUBE_BUDGET nodes is refused before it starts.
     Torus: rational-direction lines with a transverse offset search.
     """
     lam = mode.lam
     delta = half_width if half_width is not None else lam ** -0.5
-    n_candidates = int(np.ceil((np.pi / 2) / (delta / grid_factor))) + 1
+    step = delta / 4.0
     if mode.surface == "sphere":
+        n_candidates = int(np.ceil((np.pi / 2) / step)) + 1
         n_along = max(256, 4 * getattr(mode, "l", 16) + 32)
-        if n_candidates * n_along * 2 * samples_across > grid_budget:
-            from .errors import ResourceError
+        if n_candidates * n_along * 2 * SAMPLES_ACROSS > TUBE_BUDGET:
             raise ResourceError(
                 f"tube search needs {n_candidates} candidates x "
-                f"{n_along * 2 * samples_across} nodes > budget {grid_budget}")
-        step = delta / grid_factor
+                f"{n_along * 2 * SAMPLES_ACROSS} nodes > budget {TUBE_BUDGET}")
         psis = np.arange(0.0, np.pi / 2 + step, step)
-        masses = np.array([_sphere_tube_mass(mode, p, delta, n_along, samples_across)
-                           for p in psis])
+        masses = np.array([_sphere_tube_mass(mode, p, delta, n_along) for p in psis])
         i = int(np.argmax(masses))
         lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]
-        psi_star, neg = _golden_min(
-            lambda p: -_sphere_tube_mass(mode, p, delta, n_along, samples_across),
-            lo, hi, tol=1e-6)
+        psi_star, neg = _golden_min(lambda p: -_sphere_tube_mass(mode, p, delta, n_along),
+                                    lo, hi, tol=1e-6)
         return KNReport(lam, delta, float(-neg), {"axis_tilt": float(psi_star)},
                         float(step))
     # torus
     directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
     best = (-1.0, None)
-    step = delta / grid_factor
     for d in directions:
         dnorm = float(np.hypot(*d))
         period = 2.0 * np.pi * dnorm
@@ -356,7 +353,7 @@ def kn_norm(mode, half_width: float = None, grid_factor: float = 4.0,
         s = period * (np.arange(n_along) + 0.5) / n_along
         perp = np.array([-d[1], d[0]]) / dnorm
         offsets = np.arange(0.0, 2.0 * np.pi / dnorm, step)
-        u = delta * (np.arange(samples_across) + 0.5) / samples_across
+        u = delta * (np.arange(SAMPLES_ACROSS) + 0.5) / SAMPLES_ACROSS
         u = np.concatenate([-u[::-1], u])
         du = u[1] - u[0]
         base = np.stack([s * d[0] / dnorm, s * d[1] / dnorm], axis=-1)
@@ -369,8 +366,7 @@ def kn_norm(mode, half_width: float = None, grid_factor: float = 4.0,
     return KNReport(lam, delta, best[0], best[1], float(step))
 
 
-def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float,
-                        geodesic_for=None, log_loss_at_one: bool = True):
+def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float, geodesic_for=None):
     """Restriction norm against the tube-norm bound lam^(1/4) s_KN^(alpha-1/2).
 
     Rows: {lambda, lhs, skn, bound, ratio}; at alpha = 1 the bound carries the
@@ -384,7 +380,7 @@ def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float,
         lhs = restriction_norm(mode, ell, mu)
         rep = kn_norm(mode)
         bound = mode.lam ** 0.25 * rep.s_kn ** (alpha - 0.5)
-        if alpha == 1.0 and log_loss_at_one:
+        if alpha == 1.0:
             bound *= max(np.log(mode.lam), 1.0)
         rows.append({"lambda": mode.lam, "lhs": lhs, "skn": rep.s_kn,
                      "bound": bound, "ratio": lhs / bound})
@@ -408,10 +404,11 @@ def lp_bump(tau) -> np.ndarray:
     return psi(tau) - psi(tau / 2.0)
 
 
-def lp_partition_sum(tau, j_min: int = -40, j_max: int = 40) -> np.ndarray:
+def lp_partition_sum(tau) -> np.ndarray:
+    """sum over j in [-40, 40] of lp_bump(2^-j tau)."""
     tau = np.asarray(tau, dtype=float)
     total = np.zeros_like(tau)
-    for j in range(j_min, j_max + 1):
+    for j in range(-40, 41):
         total += lp_bump(tau * 2.0 ** (-j))
     return total
 
@@ -429,19 +426,18 @@ def _parametrix_amplitude(d: np.ndarray) -> np.ndarray:
     return up * down
 
 
-def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float,
-                          n_y1: int = None, n_y2: int = 192, y1_span: float = 2.5):
+def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     """Oscillatory y-integral over the dyadic collar Omega_k:
 
     int e^(i lam (d(l(s),y) - d(l(s'),y))) a a' beta_k^2(y2) cos(y2) dy,
-    plus a degeneracy flag when the transverse phase derivative drops below
-    a tenth of its expected 2^k |s - s'| size on over 10% of the nodes.
+    on y1 within 2.5 of s and s' and 192 nodes across each half of the
+    collar, plus a degeneracy flag when the transverse phase derivative drops
+    below a tenth of its expected 2^k |s - s'| size on over 10% of the nodes.
     """
     two_k = 2.0 ** k_index
-    if n_y1 is None:
-        n_y1 = max(256, int(3.0 * lam) + 64)
-    y1 = np.linspace(min(s, sp) - y1_span, max(s, sp) + y1_span, n_y1)
-    band = two_k * (0.5 + 1.5 * (np.arange(n_y2) + 0.5) / n_y2)
+    n_y1 = max(256, int(3.0 * lam) + 64)
+    y1 = np.linspace(min(s, sp) - 2.5, max(s, sp) + 2.5, n_y1)
+    band = two_k * (0.5 + 1.5 * (np.arange(192) + 0.5) / 192)
     y2 = np.concatenate([-band[::-1], band])
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
     d1 = _fermi_distance(s, Y1, Y2)
@@ -466,10 +462,9 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float,
     return value, frac_degenerate > 0.10
 
 
-def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction = None,
-                        s_pairs=None, decay_power: int = 2):
+def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction = None):
     """Measured decay of the dyadic inner integral against the model kernel
-    2^k (1 + 2^(2k) lam |s-s'|)^(-N), N = decay_power.
+    2^k (1 + 2^(2k) lam |s-s'|)^(-2).
 
     Returns a report with the per-pair table, the sup of |value| / model,
     degeneracy flags, a fitted decay slope in the oscillatory regime, and,
@@ -479,16 +474,14 @@ def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction = None,
     two_k = 2.0 ** k_index
     if not (lam ** -0.5 <= two_k <= 0.5 + 1e-12):
         raise DomainError("need lam^(-1/2) <= 2^k <= 1/2")
-    if s_pairs is None:
-        # probe oscillation scales 2^(2k) lam |s-s'| from 1/2 to ~24; beyond
-        # that the longitudinal oscillation drives values to the noise floor
-        seps = np.geomspace(0.5, 24.0, 10) / (two_k ** 2 * lam)
-        s_pairs = [(0.05, 0.05 + d) for d in seps if d <= 0.9]
+    # probe oscillation scales 2^(2k) lam |s-s'| from 1/2 to ~24; beyond
+    # that the longitudinal oscillation drives values to the noise floor
+    seps = np.geomspace(0.5, 24.0, 10) / (two_k ** 2 * lam)
     rows = []
-    for s, sp in s_pairs:
+    for s, sp in [(0.05, 0.05 + d) for d in seps if d <= 0.9]:
         val, flagged = dyadic_inner_integral(lam, k_index, s, sp)
         x = two_k ** 2 * lam * abs(s - sp)
-        model = two_k * (1.0 + x) ** (-decay_power)
+        model = two_k * (1.0 + x) ** (-2)
         rows.append({"s": s, "s_prime": sp, "osc_scale": x, "abs_value": abs(val),
                      "model": model, "ratio": abs(val) / model, "flagged": flagged})
     sup_ratio = max(r["ratio"] for r in rows)
@@ -505,7 +498,7 @@ def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction = None,
         alpha = w.frostman_alpha
         g = w.grid()
         sp0 = 0.05
-        kernel_vals = two_k * (1.0 + two_k ** 2 * lam * np.abs(g - sp0)) ** (-decay_power)
+        kernel_vals = two_k * (1.0 + two_k ** 2 * lam * np.abs(g - sp0)) ** (-2)
         lhs = float(np.sum(kernel_vals * w.values) * w.grid_step)
         target = two_k * lam ** (-alpha) * two_k ** (-2 * alpha)
         report["weighted_integral"] = lhs

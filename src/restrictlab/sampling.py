@@ -1,4 +1,4 @@
-"""Uniformly sampled functions on an interval, with serialization helpers."""
+"""Uniformly sampled functions on an interval."""
 
 from __future__ import annotations
 
@@ -27,23 +27,15 @@ class SampledFunction:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def grid_max(self) -> float:
-        return self.grid_min + (self.n - 1) * self.grid_step
-
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(self.n)
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid_step * np.sum(np.abs(self.values) ** 2)))
 
-    def same_grid(self, other: "SampledFunction", tol: float = 1e-12) -> bool:
-        return (self.n == other.n
-                and abs(self.grid_min - other.grid_min) <= tol
-                and abs(self.grid_step - other.grid_step) <= tol)
-
     def require_same_grid(self, other: "SampledFunction") -> None:
-        if not self.same_grid(other):
+        if (self.n != other.n or abs(self.grid_min - other.grid_min) > 1e-12
+                or abs(self.grid_step - other.grid_step) > 1e-12):
             raise GridMismatchError(
                 f"grid mismatch: ({self.grid_min}, {self.grid_step}, {self.n}) vs "
                 f"({other.grid_min}, {other.grid_step}, {other.n})")
@@ -67,16 +59,3 @@ class SampledFunction:
         n = int(round((grid_max - grid_min) / grid_step)) + 1
         x = grid_min + grid_step * np.arange(n)
         return cls(grid_min, grid_step, np.asarray(fn(x), dtype=complex))
-
-    def to_dict(self) -> dict:
-        return {
-            "grid_min": self.grid_min,
-            "grid_step": self.grid_step,
-            "real": self.values.real.tolist(),
-            "imag": self.values.imag.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SampledFunction":
-        vals = np.asarray(d["real"], dtype=float) + 1j * np.asarray(d["imag"], dtype=float)
-        return cls(float(d["grid_min"]), float(d["grid_step"]), vals)

@@ -19,6 +19,9 @@ from .errors import DomainError, NonConvergenceError, ResourceError
 from .geometry import GroupElement
 
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
+PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
+TABLE_BUDGET = 1 << 21   # radial nodes of one kernel table
+SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel table
 
 
 def _phi_integrand_nodes(n: int) -> np.ndarray:
@@ -27,24 +30,22 @@ def _phi_integrand_nodes(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * np.pi / n
 
 
-def phi_s_radial(s: float, x, n_theta: int = None) -> np.ndarray:
+def phi_s_radial(s: float, x) -> np.ndarray:
     """phi_s at the diagonal point a(x): mean over the circle of
     u(theta)^(-1/2) cos(s ln u), u = cosh x - sinh x cos 2 theta."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n_theta is None:
-        n_theta = max(64, int(16.0 * abs(s) * float(np.abs(x).max())) + 64)
+    n_theta = max(64, int(16.0 * abs(s) * float(np.abs(x).max())) + 64)
     th = _phi_integrand_nodes(n_theta)
     cos2t = np.cos(2.0 * th)
     u = np.cosh(x)[:, None] - np.sinh(x)[:, None] * cos2t[None, :]
     return (u ** -0.5 * np.cos(s * np.log(u))).mean(axis=1)
 
 
-def phi_s(s: float, g: GroupElement, tol: float = 1e-8,
-          max_nodes: int = 1 << 21) -> complex:
+def phi_s(s: float, g: GroupElement) -> complex:
     """Spherical function phi_s(g) = int_K e^((is+1/2) A(kg)) dk.
 
-    Adaptive doubling of the circle rule until successive refinements agree;
-    raises NonConvergenceError at the node budget.
+    Adaptive doubling of the circle rule until successive refinements agree
+    to 1e-8 relative; raises NonConvergenceError at PHI_MAX_NODES nodes.
     """
     from .geometry import dist_to_identity
     m = g.m
@@ -60,26 +61,25 @@ def phi_s(s: float, g: GroupElement, tol: float = 1e-8,
         return complex(np.mean(np.exp((1j * s + 0.5) * A)))
 
     prev = quad(n)
-    while n < max_nodes:
+    while n < PHI_MAX_NODES:
         n *= 2
         cur = quad(n)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise NonConvergenceError(f"phi_s quadrature did not converge below {tol}")
+    raise NonConvergenceError("phi_s quadrature did not converge below 1e-8"
+                              f" within {PHI_MAX_NODES} nodes")
 
 
-def hc_forward(f_eval, s: float, support_radius: float = None,
-               samples_per_unit: int = None) -> float:
+def hc_forward(f_eval, s: float, support_radius: float = None) -> float:
     """Spherical transform of a radial function supported in r <= R:
     2 pi int_0^R f(r) phi_s(r) sinh r dr (composite Simpson)."""
     from scipy.integrate import simpson
     if support_radius is None:
         raise DomainError("support_radius is required")
     R = float(support_radius)
-    if samples_per_unit is None:
-        samples_per_unit = max(8192, int(64.0 * (abs(s) + 1.0)))
-    n = max(256, int(samples_per_unit * R))
+    per_unit = max(8192, int(64.0 * (abs(s) + 1.0)))
+    n = max(256, int(per_unit * R))
     n += n % 2
     r = np.linspace(0.0, R, n + 1)
     fv = np.asarray(f_eval(r), dtype=float)
@@ -87,14 +87,13 @@ def hc_forward(f_eval, s: float, support_radius: float = None,
     return float(2.0 * np.pi * simpson(fv * pv * np.sinh(r), x=r))
 
 
-def hc_inverse(H_eval, x: float, truncation: float = None,
-               ds: float = 0.01) -> float:
+def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
     """Inverse transform at the radial point a(x):
     int_0^T H(s) phi_s(a(x)) s tanh(pi s) / (2 pi) ds."""
     if truncation is None:
         raise DomainError("truncation point is required")
     T = float(truncation)
-    s = np.arange(0.0, T + ds, ds)
+    s = np.arange(0.0, T + 0.01, 0.01)
     Hs = np.asarray(H_eval(s), dtype=float)
     n_theta = max(64, int(1.3 * T * abs(x)) + 64)
     th = _phi_integrand_nodes(n_theta)
@@ -160,10 +159,6 @@ class SphericalKernel:
             object.__setattr__(self, "_spline_obj", sp)
         return sp
 
-    def to_dict(self) -> dict:
-        return {"lambda": self.lam, "h_width": self.h_width,
-                "x_step": self.x_step, "values": self.values.tolist()}
-
 
 def spectral_truncation(h_width: float) -> float:
     """Offset beyond which h^2 stays under SPECTRAL_FLOOR.
@@ -173,25 +168,31 @@ def spectral_truncation(h_width: float) -> float:
     return 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / h_width
 
 
-def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0,
-                samples_per_wavelength: int = 16, ds: float = 0.01,
-                table_budget: int = 1 << 21) -> SphericalKernel:
+def check_kernel_budget(lam: float, x_max: float) -> int:
+    """Radial nodes of the kernel table on [0, x_max] at lam; ResourceError
+    past TABLE_BUDGET, before anything is built."""
+    n_x = int(round(x_max * SAMPLES_PER_WAVELENGTH * lam)) + 1
+    if n_x > TABLE_BUDGET:
+        raise ResourceError(f"{n_x} radial nodes exceed budget {TABLE_BUDGET}")
+    return n_x
+
+
+def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> SphericalKernel:
     """Tabulate the radial band kernel on [0, x_max].
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
-    ds / (2 pi) (a single FFT on a uniform s-grid), after which each radial
-    value is a circle average of u^(-1/2) Q(ln u).  One node-doubling spot
-    check per table guards the circle rule.
+    ds / (2 pi) (a single FFT on a uniform s-grid of step ds = 0.01), after
+    which each radial value is a circle average of u^(-1/2) Q(ln u).  One
+    node-doubling spot check per table guards the circle rule.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
     if not 0 < h_width <= 0.05:
         raise DomainError("h_width must lie in (0, 0.05] so the kernel support"
                           " radius 4*h_width stays within 0.2")
-    n_x = int(round(x_max * samples_per_wavelength * lam)) + 1
-    if n_x > table_budget:
-        raise ResourceError(f"{n_x} radial nodes exceed budget {table_budget}")
+    n_x = check_kernel_budget(lam, x_max)
 
+    ds = 0.01
     T = spectral_truncation(h_width)
     s_max = lam + T
     M = int(np.ceil(s_max / ds)) + 1
@@ -200,7 +201,7 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0,
     coef = H * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
     coef[0] *= 0.5
     coef[-1] *= 0.5
-    dt_target = 1.0 / (2.0 * samples_per_wavelength * lam)
+    dt_target = 1.0 / (2.0 * SAMPLES_PER_WAVELENGTH * lam)
     L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * dt_target))))
     dt = 2.0 * np.pi / (L * ds)
     n_t = min(L, int(x_max / dt) + 8)
@@ -271,20 +272,19 @@ def demodulate_window(x: np.ndarray, vals: np.ndarray, s: float):
     return complex(coef[0]), complex(coef[2]), resid, flagged
 
 
-def asymptotic_check(lam: float, x_range=(0.5, 2.0), window: int = 12,
-                     n_windows: int = 40):
+def asymptotic_check(lam: float, x_range=(0.5, 2.0)):
     """Demodulate phi_lam into e^(+-i lam x) amplitudes on x_range.
 
-    Reports per-window |f+-| and fit residuals, the scaled sups
-    |f+-| (lam x)^(1/2), and ill-conditioning flags.
+    Reports, for 40 windows of 12 samples each, per-window |f+-| and fit
+    residuals, the scaled sups |f+-| (lam x)^(1/2), and ill-conditioning
+    flags.
     """
     s = float(lam)
     h = 0.4 / s
     lo, hi = x_range
     out = {"x": [], "f_plus": [], "f_minus": [], "residual": [], "flagged": []}
-    starts = np.linspace(lo, hi - window * h, n_windows)
-    for x0 in starts:
-        x = x0 + h * np.arange(window)
+    for x0 in np.linspace(lo, hi - 12 * h, 40):
+        x = x0 + h * np.arange(12)
         vals = phi_s_radial(s, x)
         fp, fm, resid, flagged = demodulate_window(x, vals, s)
         out["x"].append(float(x.mean()))

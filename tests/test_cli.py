@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import restrictlab.cli as cli
+from restrictlab import measures
 from restrictlab.errors import DomainError
 from restrictlab.frequency import BumpPair
 from restrictlab.geometry import GroupElement
@@ -120,29 +121,52 @@ def test_resource_exit_code(tmp_path):
     assert rc == 3
 
 
-def _count_bump_builds(monkeypatch) -> list:
-    builds = []
-    init = BumpPair.__init__
+def _count_calls(monkeypatch, owner, name) -> list:
+    """A list that grows by one on each call of owner.name."""
+    calls = []
+    fn = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(BumpPair, "__init__", counted)
-    return builds
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     # 2^22 atoms x 3201 grid points: refused at once instead of looping, and
-    # before the bump table is built; likewise the other weight-building runs
-    builds = _count_bump_builds(monkeypatch)
+    # before the bump table is built; likewise the other weight-building runs,
+    # and a 3.2M-node kernel table, before the bump or the weight is built
+    builds = _count_calls(monkeypatch, BumpPair, "__init__")
+    weights = _count_calls(monkeypatch, measures, "build_weight")
     assert cli.main(["integrals", "-p", "depth=22", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().out == ""
     for argv in (["beta-scaling", "-p", "depth=22"], ["rapid-decay", "-p", "depth=22"],
-                 ["dyadic", "-p", "lambda=1e7"]):
+                 ["dyadic", "-p", "lambda=1e7"],
+                 ["integrals", "-p", "lambda=200000", "-p", "depth=0"]):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 3
         assert capsys.readouterr().out == ""
-    assert builds == []
+    assert builds == [] and weights == []
+
+
+@pytest.mark.parametrize("experiment, param", [
+    ("measure", "n_r=1e30"),
+    ("energy", "depths=[21]"),
+    ("amplifier", "N=1e30"),
+    ("amplifier", "N=1e12"),
+    ("amplifier", "draws=1e11"),
+    ("exponents", "n_alpha=1e11"),
+    ("hecke-returns", "n_max=1000000"),
+    ("hecke-returns", "a=1000000000000000003"),
+    ("hecke-returns", "b=1000000000000000003"),
+    ("hecke-returns", "b=-1000000000000000003"),
+])
+def test_huge_sizes_exit_3(tmp_path, capsys, experiment, param):
+    # valid but huge sizes are refused by a budget before the work starts,
+    # instead of ending in a traceback or a hang
+    assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_kn_experiment(tmp_path, capsys):
@@ -238,7 +262,7 @@ def test_hecke_returns_rows_match_hecke_returns(tmp_path, basis, n_max):
     ("beta-scaling", ["lambda=10", "beta_exponents=[0.3,0.6]"]),
 ], ids=["rapid-decay", "beta-scaling"])
 def test_integral_runs_build_one_bump(tmp_path, monkeypatch, experiment, params):
-    builds = _count_bump_builds(monkeypatch)
+    builds = _count_calls(monkeypatch, BumpPair, "__init__")
     argv = [experiment, "--out", str(tmp_path)]
     for p in params:
         argv += ["-p", p]
@@ -255,7 +279,8 @@ _CHEAP = ("measure", "energy", "hecke-returns", "amplifier", "kn", "exponents",
 _WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just({}),
                    st.just([[]]), st.sampled_from(["1/2", "1e3", "true"]))
 _INTS = st.one_of(st.sampled_from([0, 1, -1, 2, 8]), st.integers(-10 ** 4, -1),
-                  st.just(-10 ** 30), st.sampled_from([0.5, 2.0, -1e300]))
+                  st.just(-10 ** 30), st.integers(10 ** 7, 10 ** 30),
+                  st.sampled_from([0.5, 2.0, -1e300]))
 _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 1e-300, 1e300,
                                      float("nan"), float("inf"), float("-inf")]),
                     st.floats(-10.0, 0.0), st.integers(-2, 2))
@@ -263,7 +288,8 @@ _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 1e-300, 1
 
 def _value(typ):
     """Typed-wrong, out-of-range and boundary values for a parameter of type typ;
-    positive sizes stay small, so every accepted draw is a cheap run."""
+    positive sizes are either small or huge (10^7 to 10^30), so every accepted
+    draw is a cheap run or a budget refusal."""
     if isinstance(typ, list):
         return st.one_of(_WRONG, _value(typ[0]), st.lists(_value(typ[0]), max_size=4))
     if typ is int:
@@ -278,7 +304,7 @@ def _value(typ):
 @st.composite
 def _fuzzed_run(draw):
     experiment = draw(st.sampled_from(_CHEAP))
-    schema = cli._SCHEMAS[experiment]
+    schema = cli._EXPERIMENTS[experiment][1]
     keys = draw(st.lists(st.sampled_from(sorted(schema)), min_size=1, max_size=3,
                          unique=True))
     return experiment, {k: draw(_value(schema[k][0])) for k in keys}

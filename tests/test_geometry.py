@@ -223,5 +223,5 @@ def test_dist_to_diag_left_translation_invariance():
 
 def test_dist_to_diag_boundary_flag():
     # an element needing y beyond the bracket: flag it
-    d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(12.0), y_max=10.0)
+    d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(12.0))
     assert flagged

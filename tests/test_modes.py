@@ -200,11 +200,12 @@ def test_kn_width_monotone():
     assert wide.s_kn >= narrow.s_kn
 
 
-def test_kn_budget_guard():
+def test_kn_budget_guard(monkeypatch):
     from restrictlab.errors import ResourceError
     mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", 64))
+    monkeypatch.setattr(rl.modes, "TUBE_BUDGET", 1000)
     with pytest.raises(ResourceError):
-        rl.kn_norm(mode, grid_budget=1000)
+        rl.kn_norm(mode)
 
 
 def test_kn_zonal_bounds():
