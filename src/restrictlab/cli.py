@@ -266,9 +266,13 @@ def _run_integrals(cfg):
     kern, _, w = _integral_setup(p)
     _, _, f, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
     g = GroupElement.lower_shear(p["shear_t"])
-    rep = eval_I(kern, TestWindow(), f, g, g_desc=f"shear({p['shear_t']})")
+    rep = eval_I(kern, TestWindow(), f, g)
+    row = {"value_re": rep.value.real, "value_im": rep.value.imag,
+           "error": rep.error_estimate, "lambda": rep.lam,
+           "resolution": rep.resolution, "converged": int(rep.converged),
+           "g": f"shear({p['shear_t']})"}
     return (["value_re", "value_im", "error", "lambda", "resolution", "converged",
-             "g", "beta", "alpha"], [rep.to_row()],
+             "g", "beta", "alpha"], [row],
             {"value": [rep.value.real, rep.value.imag],
              "error": rep.error_estimate, "converged": rep.converged})
 

@@ -93,6 +93,10 @@ def _conj_std(x):
     return (x[0], -x[1], -x[2], -x[3])
 
 
+def _fits_int64(v: int) -> bool:
+    return abs(v) <= np.iinfo(np.int64).max
+
+
 def _fraction_matrix(rows) -> list[list[Fraction]]:
     return [[Fraction(v) for v in row] for row in rows]
 
@@ -146,13 +150,17 @@ class QuatAlgebra:
         self.basis = _fraction_matrix(basis if basis is not None
                                       else np.eye(4, dtype=int).tolist())
         self.basis_inv = _fraction_inverse(self.basis)
-        self._den = int(np.lcm.reduce([v.denominator for row in self.basis for v in row]))
-        self._den_inv = int(np.lcm.reduce([v.denominator for row in self.basis_inv for v in row]))
+        if not self.verify_order():
+            raise DomainError("order basis does not span an order")
+        self._den = math.lcm(*(v.denominator for row in self.basis for v in row))
+        self._den_inv = math.lcm(*(v.denominator for row in self.basis_inv for v in row))
         # integer matrices: C v = den * (std coords), D x = den_inv * (order coords)
-        self._C = np.array([[int(v * self._den) for v in row] for row in self.basis],
-                           dtype=np.int64)
-        self._D = np.array([[int(v * self._den_inv) for v in row] for row in self.basis_inv],
-                           dtype=np.int64)
+        C = [[int(v * self._den) for v in row] for row in self.basis]
+        D = [[int(v * self._den_inv) for v in row] for row in self.basis_inv]
+        if not all(_fits_int64(v) for row in C + D for v in row):
+            raise DomainError("order basis: its integer coordinate matrices exceed int64")
+        self._C = np.array(C, dtype=np.int64)
+        self._D = np.array(D, dtype=np.int64)
 
     def element(self, coords) -> "QuatElement":
         return QuatElement(self, tuple(int(c) for c in coords))
@@ -184,8 +192,10 @@ class QuatAlgebra:
         return x0 * x0 - self.a * x1 * x1 - self.b * x2 * x2 + self.a * self.b * x3 * x3
 
     def verify_order(self) -> bool:
-        """Exact check that the basis lattice is closed under multiplication
-        and has integral reduced norms and traces."""
+        """Exact check that the basis lattice contains 1, is closed under
+        multiplication and has integral reduced norms and traces."""
+        if any(self.basis_inv[r][0].denominator != 1 for r in range(4)):
+            return False
         cols = [tuple(self.basis[r][c] for r in range(4)) for c in range(4)]
         for x in cols:
             if (2 * x[0]).denominator != 1:
@@ -337,6 +347,14 @@ def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
     """
     target = n * alg._den ** 2
     C = alg._C
+    # every partial sum of the int64 norm form is bounded by the sum of its
+    # terms' absolute values at the box's largest standard coordinates
+    top = [sum(abs(int(C[i, j])) * int(box[j]) for j in range(4)) for i in range(4)]
+    peak = top[0] ** 2 + abs(alg.a) * top[1] ** 2 + abs(alg.b) * top[2] ** 2 \
+        + abs(alg.a * alg.b) * top[3] ** 2
+    if not (_fits_int64(peak) and _fits_int64(target)):
+        raise DomainError(f"order basis: norm-form values up to {peak} over the"
+                          " scan box exceed int64")
     g1, g2, g3 = (g.ravel() for g in np.meshgrid(
         *(np.arange(-b, b + 1, dtype=np.int64) for b in box[1:]), indexing="ij"))
     out = set()

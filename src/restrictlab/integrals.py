@@ -17,26 +17,15 @@ from .sampling import SampledFunction
 from .spherical import SphericalKernel
 
 
-@dataclass(frozen=True)
 class TestWindow:
-    """Real cutoffs: b supported in [-3,3] (plateau to 2.5 by default) and
-    the wide cutoff b1 = 1 on [-6,6], 0 outside [-7,7]."""
+    """Real cutoff b: 1 on [-PLATEAU, PLATEAU], 0 outside [-SUPPORT, SUPPORT]."""
 
-    plateau: float = 2.5
-    support: float = 3.0
-
-    def __post_init__(self):
-        if not 0 < self.plateau < self.support:
-            raise DomainError("need 0 < plateau < support")
+    PLATEAU = 2.5
+    SUPPORT = 3.0
 
     def b(self, x) -> np.ndarray:
         x = np.abs(np.asarray(x, dtype=float))
-        width = self.support - self.plateau
-        return smooth_step((self.support - x) / width)
-
-    def b1(self, x) -> np.ndarray:
-        x = np.abs(np.asarray(x, dtype=float))
-        return smooth_step(7.0 - x)
+        return smooth_step((self.SUPPORT - x) / (self.SUPPORT - self.PLATEAU))
 
 
 @dataclass(frozen=True)
@@ -48,15 +37,6 @@ class IntegralReport:
     lam: float
     resolution: int
     converged: bool
-    g_desc: str = "e"
-    beta: float = None
-    alpha: float = None
-
-    def to_row(self) -> dict:
-        return {"value_re": self.value.real, "value_im": self.value.imag,
-                "error": self.error_estimate, "lambda": self.lam,
-                "resolution": self.resolution, "converged": int(self.converged),
-                "g": self.g_desc, "beta": self.beta, "alpha": self.alpha}
 
 
 def _window_values(window: TestWindow, f: SampledFunction) -> np.ndarray:
@@ -72,49 +52,30 @@ def _pair_dist(e1: np.ndarray, r2: np.ndarray, i2: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsinh(np.sqrt(r2 * r2 + di * di) / (2.0 * np.sqrt(e1 * i2)))
 
 
-def _row_bands(ex: np.ndarray, r2: np.ndarray, i2: np.ndarray, supp: float):
-    """Per row i, the column interval [lo, hi] where d(ex_i i, z2_j) <= supp
-    (hi < lo when the row has none).
+def _row_bands(m: np.ndarray, x: np.ndarray, h: float, supp: float):
+    """Per row i of the uniform grid x (step h), a column interval [lo, hi]
+    that contains every j with d(a(x_i) i, g a(x_j) i) <= supp (hi < lo when
+    there is none).
 
-    j -> d is convex (the columns sample a unit-speed geodesic), so a
-    vectorised ternary search finds each row's minimum and two bisections
-    against the same test find the interval's ends.
+    With det g = 1, 2 cosh d = ||a(-x1) g a(x2)||_F^2 = A t + B / t with
+    t = e^(x2), A = a^2 e^(-x1) + c^2 e^(x1) and B = b^2 e^(-x1) + d^2 e^(x1),
+    so the band is the root interval of A t^2 - C t + B <= 0, C = 2 cosh(supp),
+    widened by one column on each side against rounding.
     """
-    n = r2.size
-
-    def dist(j):
-        return _pair_dist(ex, r2[j], i2[j])
-
-    lo = np.zeros(ex.size, dtype=np.intp)
-    hi = np.full(ex.size, n - 1, dtype=np.intp)
-    while (wide := hi - lo > 2).any():
-        third = (hi - lo) // 3
-        m1, m2 = lo + third, hi - third
-        d1, d2 = dist(m1), dist(m2)
-        less, more = d1 < d2, d1 > d2
-        # convexity: the minimum is left of m2 if d1 < d2, right of m1 if
-        # d1 > d2, and in [m1, m2] otherwise (which also guarantees progress)
-        lo = np.where(wide & ~less, np.where(more, m1 + 1, m1), lo)
-        hi = np.where(wide & ~more, np.where(less, m2 - 1, m2), hi)
-    best = lo
-    for step in (1, 2):
-        cand = np.minimum(lo + step, hi)
-        best = np.where(dist(cand) < dist(best), cand, best)
-    inside = dist(best) <= supp
-
-    # leftmost in-band column of [0, best] and rightmost of [best, n-1]
-    left_lo, left_hi = np.zeros_like(best), best.copy()
-    right_lo, right_hi = best.copy(), np.full_like(best, n - 1)
-    while (left_lo < left_hi).any() or (right_lo < right_hi).any():
-        mid = (left_lo + left_hi) // 2
-        ok = dist(mid) <= supp
-        left_hi = np.where(ok, mid, left_hi)
-        left_lo = np.where(ok, left_lo, np.minimum(mid + 1, left_hi))
-        mid = (right_lo + right_hi + 1) // 2
-        ok = dist(mid) <= supp
-        right_lo = np.where(ok, mid, right_lo)
-        right_hi = np.where(ok, right_hi, np.maximum(mid - 1, right_lo))
-    return left_hi, np.where(inside, right_lo, left_hi - 1)
+    (a, b), (c, d) = m
+    ex = np.exp(x)
+    A = a * a / ex + c * c * ex
+    B = b * b / ex + d * d * ex
+    C = 2.0 * np.cosh(supp)
+    disc = C * C - 4.0 * A * B
+    root = C + np.sqrt(np.maximum(disc, 0.0))
+    # the stable roots t- = 2B / root and t+ = root / (2A), as grid columns
+    lo = np.ceil((np.log(2.0 * B / root) - x[0]) / h) - 1
+    hi = np.floor((np.log(root / (2.0 * A)) - x[0]) / h) + 1
+    empty = (disc < 0) | (hi < 0) | (lo > x.size - 1)
+    lo = np.clip(lo, 0, x.size - 1).astype(np.intp)
+    hi = np.clip(hi, 0, x.size - 1).astype(np.intp)
+    return lo, np.where(empty, lo - 1, hi)
 
 
 def _toeplitz_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
@@ -138,10 +99,11 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     """h^2 sum over the grid of conj(u1(x1)) u2(x2) k(d(g a(x2) i, a(x1) i)).
 
     Only the kernel band is visited: each row's pairs within the support
-    radius form one column interval (`_row_bands`), and the spline runs on
-    those pairs alone.  Rows are taken ROW_CHUNK at a time and each chunk's
-    pairs are summed in a fixed order, so results are reproducible.  For
-    g = +-e the matrix is Toeplitz and `_toeplitz_sum` takes over.
+    radius form one column interval, which `_row_bands` contains; the
+    `dist <= supp` mask keeps exactly those pairs, and the spline runs on them
+    alone.  Rows are taken ROW_CHUNK at a time and each chunk's pairs are
+    summed in a fixed order, so results are reproducible.  For g = +-e the
+    matrix is Toeplitz and `_toeplitz_sum` takes over.
     """
     a, b, c, d = g.m.ravel()
     if b == 0 and c == 0 and a == d:
@@ -151,28 +113,29 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     z2 = (a * 1j * ex + b) / den
     r2, i2 = z2.real, z2.imag
     supp = kernel.support_radius + 2 * kernel.x_step
-    lo, hi = _row_bands(ex, r2, i2, supp)
+    lo, hi = _row_bands(g.m, x, h, supp)
     counts = np.maximum(hi - lo + 1, 0)
     total = 0.0 + 0.0j
     for i0 in range(0, x.size, ROW_CHUNK):
         cnt = counts[i0:i0 + ROW_CHUNK]
-        filled = cnt > 0
-        if not filled.any():
+        if not cnt.any():
             continue
         rows = np.repeat(np.arange(i0, i0 + cnt.size), cnt)
         starts = np.cumsum(cnt) - cnt
         cols = lo[rows] + np.arange(rows.size) - np.repeat(starts, cnt)
         dist = _pair_dist(ex[rows], r2[cols], i2[cols])
-        K = np.where(dist <= supp, kernel.radial(dist), 0.0)
-        row_sums = np.add.reduceat(K * u2[cols], starts[filled])
+        keep = dist <= supp
+        kept = np.bincount(rows[keep] - i0, minlength=cnt.size)
+        filled = kept > 0
+        row_sums = np.add.reduceat(kernel.radial(dist[keep]) * u2[cols[keep]],
+                                   (np.cumsum(kept) - kept)[filled])
         total += np.sum(np.conj(u1[i0:i0 + cnt.size][filled]) * row_sums)
     return total * h * h
 
 
 def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
-                f1: SampledFunction, f2: SampledFunction, g: GroupElement,
-                g_desc: str = "e", beta: float = None,
-                alpha: float = None) -> IntegralReport:
+                f1: SampledFunction, f2: SampledFunction,
+                g: GroupElement) -> IntegralReport:
     """Sesquilinear integral of b(x1) b(x2) conj(f1(x1)) f2(x2) k(a(-x1) g a(x2))
     with a half-resolution re-evaluation as the error estimate."""
     f1.require_same_grid(f2)
@@ -189,14 +152,13 @@ def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
     scale = max(abs(value), 1e-12 * (abs(value_half) + np.abs(u1).max() * np.abs(u2).max() + 1.0))
     return IntegralReport(value=complex(value), error_estimate=float(err),
                           lam=lam, resolution=x.size,
-                          converged=bool(err <= 0.01 * scale),
-                          g_desc=g_desc, beta=beta, alpha=alpha)
+                          converged=bool(err <= 0.01 * scale))
 
 
 def eval_I(kernel: SphericalKernel, window: TestWindow, phi: SampledFunction,
-           g: GroupElement, **kw) -> IntegralReport:
+           g: GroupElement) -> IntegralReport:
     """Quadratic integral I(lam, phi, g); phi enters as both test slots."""
-    return eval_I_pair(kernel, window, phi, phi, g, **kw)
+    return eval_I_pair(kernel, window, phi, phi, g)
 
 
 def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
@@ -235,8 +197,7 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                     h = conjugated_element(alg, gamma, v, g0)
                     key = h.m.tobytes()
                     if key not in reports:
-                        reports[key] = eval_I(kernel, window, phi, h,
-                                              g_desc=f"gamma{gamma}/sqrt({v})")
+                        reports[key] = eval_I(kernel, window, phi, h)
                     rep = reports[key]
                     if not rep.converged:
                         flags.append((m, n, d, gamma, rep.error_estimate))
@@ -282,8 +243,7 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
         if not (lam ** 0.2 <= beta <= lam ** 0.8):
             raise DomainError(f"beta={beta} outside [lam^0.2, lam^0.8]")
         fperp = band_project(bump, lam, beta, fw, "complement")
-        rep = eval_I(kernel, window, fperp, GroupElement.identity(),
-                     beta=beta, alpha=alpha)
+        rep = eval_I(kernel, window, fperp, GroupElement.identity())
         bound = lam ** 0.5 * beta ** (-(alpha - 0.5)) * phi_norm_sq
         rows.append({"beta": beta, "abs_I": abs(rep.value),
                      "normalized": abs(rep.value) / bound if bound > 0 else 0.0,
@@ -296,9 +256,7 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
 
 def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
                            w: WeightFunction, bump: BumpPair, beta: float,
-                           epsilon0: float = 0.1,
-                           t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
-                           phi_fn=None):
+                           epsilon0: float, t_factors, phi_fn=None):
     """I(lam, pass-projection of phi w, exp(t E)) across the threshold
     t* = lam^(-1/2+eps0) beta^(1/2) in the lower-shear direction.
 
@@ -315,7 +273,7 @@ def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
         t = fac * t_star
         g = GroupElement.lower_shear(t)
         d_A, _, _ = dist_to_diag(g) if t > 0 else (0.0, 0.0, False)
-        rep = eval_I(kernel, window, fpass, g, g_desc=f"shear({t:.6g})", beta=beta)
+        rep = eval_I(kernel, window, fpass, g)
         rows.append({"t": t, "factor": fac, "dist_A": d_A, "abs_I": abs(rep.value),
                      "error": rep.error_estimate, "converged": rep.converged})
     base = rows[0]["abs_I"] if rows and rows[0]["factor"] == 0.0 else None

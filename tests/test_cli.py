@@ -234,6 +234,18 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("hecke-returns", "a=1"),
     ("hecke-returns", "b=1"),
     ("hecke-returns", "b=7"),
+    # lattices that are not orders: not closed (w^2 = 2 is not in it), norms
+    # that are not integers (of w W / 3 and of w / 2), and 2 O (no 1)
+    ("hecke-returns", "order_basis=[[100000000000000000000,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"),
+    ("hecke-returns", 'order_basis=[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,"1/3"]]'),
+    ("hecke-returns", 'order_basis=[[1,0,0,0],[0,"1/2",0,0],[0,0,1,0],[0,0,0,1]]'),
+    ("hecke-returns", "order_basis=[[2,0,0,0],[0,2,0,0],[0,0,2,0],[0,0,0,2]]"),
+    # Z + N O, an order whose integer matrices (N = 10^19) or whose norm-form
+    # values over the scan box (N = 10^9) do not fit int64
+    ("hecke-returns", "order_basis=[[1,0,0,0],[0,10000000000000000000,0,0],"
+                      "[0,0,10000000000000000000,0],[0,0,0,10000000000000000000]]"),
+    ("hecke-returns", "order_basis=[[1,0,0,0],[0,1000000000,0,0],[0,0,1000000000,0],"
+                      "[0,0,0,1000000000]]"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2
@@ -286,6 +298,17 @@ _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 1e-300, 1
                     st.floats(-10.0, 0.0), st.integers(-2, 2))
 
 
+_ENTRIES = st.one_of(st.sampled_from([0, 1, -1, 2, "1/2", "1/3"]),
+                     st.integers(10 ** 7, 10 ** 30))
+# whole 4 x 4 order bases: the maximal order, mostly non-orders, and Z + N O
+# with N up to 10^20
+_BASES = st.one_of(
+    st.just([[str(v) for v in row] for row in MAXIMAL_ORDER_2_3]),
+    st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=4, max_size=4),
+    st.integers(1, 10 ** 20).map(
+        lambda N: [[1, 0, 0, 0], [0, N, 0, 0], [0, 0, N, 0], [0, 0, 0, N]]))
+
+
 def _value(typ):
     """Typed-wrong, out-of-range and boundary values for a parameter of type typ;
     positive sizes are either small or huge (10^7 to 10^30), so every accepted
@@ -307,6 +330,9 @@ def _fuzzed_run(draw):
     schema = cli._EXPERIMENTS[experiment][1]
     keys = draw(st.lists(st.sampled_from(sorted(schema)), min_size=1, max_size=3,
                          unique=True))
+    if "order_basis" in schema and draw(st.booleans()):
+        # a whole basis alone, so no other invalid parameter stops the run first
+        return experiment, {"order_basis": draw(_BASES)}
     return experiment, {k: draw(_value(schema[k][0])) for k in keys}
 
 

@@ -30,34 +30,33 @@ def test_window_supports():
     win = rl.TestWindow()
     assert win.b(0.0) == 1.0 and win.b(2.4) == 1.0
     assert win.b(3.0) == 0.0 and win.b(3.5) == 0.0
-    assert win.b1(5.9) == 1.0 and win.b1(6.0) == 1.0
-    assert win.b1(7.0) == 0.0 and win.b1(7.4) == 0.0
-
-
-def test_window_validation():
-    with pytest.raises(DomainError):
-        rl.TestWindow(plateau=3.0, support=2.0)
 
 
 # ---------------------------------------------------------------- banded sum
 
-def _dense_bilinear_sum(kernel, u1, u2, x, h, g, row_chunk=256):
-    """Oracle: the full n x n distance matrix with the spline on every entry."""
+def _dense_dist(x, g, row_chunk=256):
+    """Oracle distances d(a(x1) i, g a(x2) i) over the full n x n grid,
+    yielded as (first row, row_chunk full rows)."""
     a, b, c, d = g.m.ravel()
     ex = np.exp(x)
     den = c * 1j * ex + d
     z2 = (a * 1j * ex + b) / den
     r2, i2 = z2.real, z2.imag
-    supp = kernel.support_radius + 2 * kernel.x_step
-    total = 0.0 + 0.0j
     for i0 in range(0, x.size, row_chunk):
         e1 = ex[i0:i0 + row_chunk][:, None]
         dr = r2[None, :]
         di = i2[None, :] - e1
-        dist = 2.0 * np.arcsinh(np.sqrt(dr * dr + di * di)
-                                / (2.0 * np.sqrt(e1 * i2[None, :])))
+        yield i0, 2.0 * np.arcsinh(np.sqrt(dr * dr + di * di)
+                                   / (2.0 * np.sqrt(e1 * i2[None, :])))
+
+
+def _dense_bilinear_sum(kernel, u1, u2, x, h, g):
+    """Oracle: the full n x n distance matrix with the spline on every entry."""
+    supp = kernel.support_radius + 2 * kernel.x_step
+    total = 0.0 + 0.0j
+    for i0, dist in _dense_dist(x, g):
         K = np.where(dist <= supp, kernel.radial(dist), 0.0)
-        total += np.conj(u1[i0:i0 + row_chunk]) @ (K @ u2)
+        total += np.conj(u1[i0:i0 + dist.shape[0]]) @ (K @ u2)
     return total * h * h
 
 
@@ -112,6 +111,9 @@ def test_banded_sum_far_element_is_exactly_zero(kernel100):
     g = rl.GroupElement.diag_flow(8.0)
     assert _bilinear_sum(kernel100, u, u, x, h, g) == 0
     assert _dense_bilinear_sum(kernel100, u, u, x, h, g) == 0
+    supp = kernel100.support_radius + 2 * kernel100.x_step
+    lo, hi = integrals._row_bands(g.m, x, h, supp)
+    assert (hi < lo).all()
 
 
 @pytest.mark.parametrize("step", [1, 2], ids=["full", "half"])
@@ -124,6 +126,23 @@ def test_banded_sum_matches_dense_sesquilinear(kernel100, name, step):
     banded = _bilinear_sum(kernel100, u1, u2, x, h, g)
     dense = _dense_bilinear_sum(kernel100, u1, u2, x, h, g)
     _assert_agree(banded, dense, h * h * np.abs(u1).sum() * np.abs(u2).sum())
+
+
+@pytest.mark.parametrize("grid", ["full", "small", "half"])
+@pytest.mark.parametrize("name", ["e", "-e", "shear0.01", "shear0.5", "diag_rot",
+                                  "norm12"])
+def test_closed_band_contains_dense_support(kernel100, name, grid):
+    _, x, h = _oracle_inputs("full" if grid == "half" else grid)
+    if grid == "half":
+        x, h = x[::2], 2 * h
+    g = _oracle_element(name)
+    supp = kernel100.support_radius + 2 * kernel100.x_step
+    inside = np.concatenate([dist <= supp for _, dist in _dense_dist(x, g)])
+    lo, hi = integrals._row_bands(g.m, x, h, supp)
+    cols = np.arange(x.size)
+    band = (cols >= lo[:, None]) & (cols <= hi[:, None])
+    assert inside.any()
+    assert not (inside & ~band).any()
 
 
 def test_identity_sum_takes_toeplitz_path(kernel100, monkeypatch):
@@ -308,9 +327,9 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
     calls = []
     eval_I = integrals.eval_I
 
-    def counted(kernel, window, phi, g, **kw):
+    def counted(kernel, window, phi, g):
         calls.append(g.m.tobytes())
-        return eval_I(kernel, window, phi, g, **kw)
+        return eval_I(kernel, window, phi, g)
 
     monkeypatch.setattr(integrals, "eval_I", counted)
     total, rows, flags = integrals.amplified_rhs(alg, amp, kernel100, win, f, g0)
@@ -372,7 +391,7 @@ def test_rapid_decay_t0_matches_eval(kernel100):
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
     rows, contrast, t_star = rl.rapid_decay_experiment(
-        kernel100, win, w, bump, 10.0, t_factors=(0.0, 4.0))
+        kernel100, win, w, bump, 10.0, epsilon0=0.1, t_factors=(0.0, 4.0))
     lam = 100.0
     h = w.grid_step
     n3 = int(round(6.0 / h))
@@ -390,7 +409,7 @@ def test_rapid_decay_monotone_trend(kernel100):
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
     rows, contrast, t_star = rl.rapid_decay_experiment(
-        kernel100, win, w, bump, 10.0,
+        kernel100, win, w, bump, 10.0, epsilon0=0.1,
         t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
     vals = [r["abs_I"] for r in rows]
     near = vals[1:3]
@@ -401,8 +420,8 @@ def test_rapid_decay_monotone_trend(kernel100):
 def test_integral_report_row(kernel100):
     win = rl.TestWindow()
     _, _, _, f = _phi_w_sampled(100.0)
-    rep = rl.eval_I(kernel100, win, f, rl.GroupElement.identity(), beta=5.0,
-                    alpha=0.9)
-    row = rep.to_row()
-    assert row["lambda"] == 100.0 and row["beta"] == 5.0
-    assert row["converged"] in (0, 1)
+    rep = rl.eval_I(kernel100, win, f, rl.GroupElement.identity())
+    # the positional field order that callers building a report rely on
+    assert rep == rl.IntegralReport(rep.value, rep.error_estimate, 100.0,
+                                    f.values.size, rep.converged)
+    assert rep.converged in (True, False)
