@@ -11,32 +11,25 @@ exponent tables), cli (experiment runner).
 from .errors import DomainError, GridMismatchError, NonConvergenceError, ResourceError
 from .sampling import SampledFunction
 from .measures import (FractalMeasure, WeightFunction, make_cantor_measure,
-                       frostman_ratio, energy, weighted_energy, truncated_riesz,
-                       build_weight, frostman_weight_sweep, decade_sweep,
-                       standard_test_functions)
+                       frostman_ratio, energy, build_weight,
+                       frostman_weight_sweep, decade_sweep)
 from .frequency import (BumpPair, BandKernel, band_project,
                         fourier_energy_identity, gamma_factor,
                         fourier_transform, rho_cutoff, smooth_step)
-from .geometry import (GroupElement, Geodesic, Tube, act, dist_hyp, iwasawa_A,
-                       dist_to_geodesic, dist_to_identity, dist_to_diag,
-                       log_psl2, gnorm)
+from .geometry import (GroupElement, act, dist_hyp, dist_to_identity,
+                       dist_to_diag, log_psl2, gnorm)
 from .spherical import (SphericalKernel, phi_s, phi_s_radial, hc_forward,
-                        hc_inverse, make_kernel, asymptotic_check,
-                        kernel_decay_constant)
-from .hecke import (QuatAlgebra, QuatElement, Amplifier, MAXIMAL_ORDER_2_3,
-                    quat_mul, iota, iota_matrix,
-                    enumerate_norm_n, coset_reps, hecke_returns,
-                    build_amplifier, random_hecke_eigenvalues, find_units,
-                    left_equivalent, return_count_ratio, primes_up_to,
-                    optimal_bandwidth, optimal_amplifier_length)
+                        make_kernel, kernel_decay_constant)
+from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
+                    enumerate_norm_n, build_amplifier, random_hecke_eigenvalues,
+                    return_count_ratio, primes_up_to, optimal_bandwidth,
+                    optimal_amplifier_length)
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,
                         amplified_rhs, beta_scaling_experiment,
                         rapid_decay_experiment, modulated_gaussian)
 from .modes import (ModeSpec, SphereMode, TorusMode, SphereGeodesic, KNReport,
-                    make_mode, restriction_norm, restriction_norm_quadrature,
-                    kn_norm, theorem_ratio_table, dyadic_kernel_check,
-                    exponent_table, fit_exponent, gamma_exponent,
-                    delta_exponent, marshall_exponent, lp_bump,
-                    lp_partition_sum)
+                    make_mode, restriction_norm, kn_norm, theorem_ratio_table,
+                    dyadic_kernel_check, exponent_table, fit_exponent,
+                    gamma_exponent, delta_exponent, marshall_exponent, lp_bump)
 
 __version__ = "0.1.0"

@@ -81,7 +81,10 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
     """
     data = {}
     if path is not None:
-        raw = Path(path).read_text()
+        try:
+            raw = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise DomainError(f"cannot read config {path}: {e}")
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as e:
@@ -351,9 +354,10 @@ def _run_exponents(cfg):
 
 
 def _run_dyadic(cfg):
-    from .modes import dyadic_kernel_check
+    from .modes import check_dyadic_budget, dyadic_kernel_check
     p = cfg.params
     lam = p["lambda"]
+    check_dyadic_budget(lam)
     w, _ = _weight_for(p["alpha"], 6, lam, 8)
     rows = []
     summaries = {}
@@ -444,11 +448,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     underscores) into cfg.out and return the machine-readable summary.
 
     Deterministic for a fixed (config, seed); no artifact is left on failure
-    (the CSV is written to a temp file and renamed on success).
+    (the CSV is written to a temp file and renamed on success).  cfg.out is
+    created before the experiment runs, so an unusable path costs no work.
     """
-    header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DomainError(f"cannot create output directory {cfg.out}: {e}")
+    header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
     _write_csv(out_dir / f"{cfg.experiment.replace('-', '_')}.csv", cfg, header, rows)
     return {"experiment": cfg.experiment, "config": cfg.to_dict(), "summary": summary}
 

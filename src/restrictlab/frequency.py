@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, roots_legendre
 
 from .errors import DomainError
-from .measures import WeightFunction, weighted_energy
+from .measures import WeightFunction, _grid_energy
 from .sampling import SampledFunction
 
 
@@ -97,9 +97,6 @@ class BumpPair:
         out[inside] = self._spline(x[inside])
         return out
 
-    def __call__(self, x):
-        return self.eta(x)
-
 
 @dataclass(frozen=True)
 class BandKernel:
@@ -118,19 +115,6 @@ class BandKernel:
         xi = np.asarray(xi, dtype=float)
         return (self.bump.eta_hat((xi - self.lam) / self.beta)
                 + self.bump.eta_hat((xi + self.lam) / self.beta))
-
-    def spatial(self, x) -> np.ndarray:
-        """eta_beta(x) = 2 beta cos(lam x) eta(beta x), by direct inversion."""
-        x = np.asarray(x, dtype=float)
-        return 2.0 * self.beta * np.cos(self.lam * x) * self.bump.eta(self.beta * x)
-
-
-def decay_constant(bump: BumpPair, lam: float, beta: float, N: int) -> float:
-    """Measured C_N = sup_x |eta_beta(x)| (1 + beta |x|)^N / beta, over
-    beta |x| < 300."""
-    u = np.arange(0.0, 300.0, 0.005)
-    vals = np.abs(2.0 * np.cos(lam * u / beta) * bump.eta(u)) * (1.0 + u) ** N
-    return float(vals.max())
 
 
 def band_project(bump: BumpPair, lam: float, beta: float, f: SampledFunction,
@@ -168,32 +152,7 @@ def fourier_transform(f: SampledFunction, pad_factor: int = 4):
     F = np.fft.fft(f.values, L)
     xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
     fhat = h * np.exp(-1j * f.grid_min * xi) * F
-    order = np.argsort(np.fft.fftshift(xi), kind="stable")
-    xi_s = np.fft.fftshift(xi)
-    fhat_s = np.fft.fftshift(fhat)
-    return xi_s[order], fhat_s[order]
-
-
-def spectral_mass_outside(f: SampledFunction, allowed_lo: float, allowed_hi: float) -> float:
-    """Relative spectral mass outside +-[allowed_lo, allowed_hi]."""
-    xi, fhat = fourier_transform(f)
-    p = np.abs(fhat) ** 2
-    inside = (np.abs(xi) >= allowed_lo) & (np.abs(xi) <= allowed_hi)
-    total = p.sum()
-    if total == 0:
-        return 0.0
-    return float(p[~inside].sum() / total)
-
-
-def spectral_mass_inside(f: SampledFunction, hole_lo: float, hole_hi: float) -> float:
-    """Relative spectral mass on the two bands +-[hole_lo, hole_hi]."""
-    xi, fhat = fourier_transform(f)
-    p = np.abs(fhat) ** 2
-    hole = (np.abs(xi) >= hole_lo) & (np.abs(xi) <= hole_hi)
-    total = p.sum()
-    if total == 0:
-        return 0.0
-    return float(p[hole].sum() / total)
+    return np.fft.fftshift(xi), np.fft.fftshift(fhat)
 
 
 def gamma_factor(s: float) -> float:
@@ -227,9 +186,5 @@ def fourier_energy_identity(w: WeightFunction, phi, s: float):
 
     cell = anti(hi) - anti(lo)
     lhs = gamma_factor(s) / (2.0 * np.pi) ** s * float(np.dot(np.abs(fhat) ** 2, cell))
-    rhs = weighted_energy(w, phi, s) if 0 < s < w.frostman_alpha else None
-    if rhs is None:
-        # fall back to the raw grid energy when s >= alpha (identity still holds)
-        from .measures import _grid_energy
-        rhs = _grid_energy(phi * w.values, w.grid_step, s)
-    return lhs, complex(rhs).real
+    rhs = _grid_energy(phi * w.values, w.grid_step, s)
+    return lhs, rhs.real

@@ -1,6 +1,6 @@
-"""Upper half-plane model: PSL(2,R) elements, hyperbolic distance, Iwasawa
-height, geodesics and tubes, and surrogate distances to the identity and to
-the diagonal subgroup A."""
+"""Upper half-plane model: PSL(2,R) elements, the Moebius action, hyperbolic
+distance, and surrogate distances to the identity and to the diagonal
+subgroup A."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-
-I_UHP = 1j
 
 
 def _canonical_sign(m: np.ndarray) -> np.ndarray:
@@ -55,10 +53,6 @@ class GroupElement:
                              [np.sin(theta), np.cos(theta)]]))
 
     @classmethod
-    def upper_unipotent(cls, x: float) -> "GroupElement":
-        return cls(np.array([[1.0, x], [0.0, 1.0]]))
-
-    @classmethod
     def lower_shear(cls, t: float) -> "GroupElement":
         """exp(t E) for the lower off-diagonal generator E."""
         return cls(np.array([[1.0, 0.0], [t, 1.0]]))
@@ -69,10 +63,6 @@ class GroupElement:
     def inv(self) -> "GroupElement":
         a, b, c, d = self.m.ravel()
         return GroupElement(np.array([[d, -b], [-c, a]]))
-
-    def det(self) -> float:
-        a, b, c, d = self.m.ravel()
-        return a * d - b * c
 
     def op_norm(self) -> float:
         return float(np.linalg.norm(self.m, 2))
@@ -94,45 +84,6 @@ def dist_hyp(z: complex, w: complex) -> float:
     if z.imag <= 0 or w.imag <= 0:
         raise DomainError("points must lie in the upper half-plane")
     return 2.0 * np.arcsinh(abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag)))
-
-
-def iwasawa_A(g: GroupElement) -> float:
-    """Height A(g) with g in N a(A(g)) K; equals ln Im(g.i)."""
-    c, d = g.m[1, 0], g.m[1, 1]
-    return -2.0 * np.log(np.hypot(c, d))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Unit-speed geodesic s -> (base a(s)).i through base.i."""
-
-    base: GroupElement
-    length: float = 1.0
-
-    def point(self, s: float) -> complex:
-        return act(self.base @ GroupElement.diag_flow(s), I_UHP)
-
-
-def dist_to_geodesic(z: complex, ell: Geodesic):
-    """Distance from z to the full geodesic line, plus the foot parameter.
-
-    In standard position the line is the imaginary axis, the distance is
-    asinh(|x|/y), and the foot sits at ln |z|.
-    """
-    zp = act(ell.base.inv(), z)
-    return (float(np.arcsinh(abs(zp.real) / zp.imag)), float(np.log(abs(zp))))
-
-
-@dataclass(frozen=True)
-class Tube:
-    """delta-neighborhood of a geodesic segment."""
-
-    geodesic: Geodesic
-    half_width: float
-
-    def contains(self, z: complex) -> bool:
-        d, s = dist_to_geodesic(z, self.geodesic)
-        return d <= self.half_width and 0.0 <= s <= self.geodesic.length
 
 
 def log_psl2(g: GroupElement) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Quaternion algebra arithmetic over an order, bounded enumeration of
-norm-n elements, coset reduction, return counting near the diagonal, and the
-prime-power amplifier.
+"""Quaternion algebras with an order, bounded enumeration of norm-n
+elements, return counting near the diagonal, and the prime-power amplifier.
 
-All arithmetic claims (norms, traces, embeddings, coset equivalence) are
-exact in integer/rational arithmetic; floats enter only through the
-archimedean distance filters.
+The order check and the norm-form scan are exact in integer/rational
+arithmetic; floats enter only through the archimedean embedding and its
+distance filters.
 """
 
 from __future__ import annotations
@@ -89,10 +88,6 @@ def _mul_std(x, y, a: int, b: int):
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
 
 
-def _conj_std(x):
-    return (x[0], -x[1], -x[2], -x[3])
-
-
 def _fits_int64(v: int) -> bool:
     return abs(v) <= np.iinfo(np.int64).max
 
@@ -153,38 +148,16 @@ class QuatAlgebra:
         if not self.verify_order():
             raise DomainError("order basis does not span an order")
         self._den = math.lcm(*(v.denominator for row in self.basis for v in row))
-        self._den_inv = math.lcm(*(v.denominator for row in self.basis_inv for v in row))
-        # integer matrices: C v = den * (std coords), D x = den_inv * (order coords)
+        # integer matrix: C v = den * (std coords)
         C = [[int(v * self._den) for v in row] for row in self.basis]
-        D = [[int(v * self._den_inv) for v in row] for row in self.basis_inv]
-        if not all(_fits_int64(v) for row in C + D for v in row):
-            raise DomainError("order basis: its integer coordinate matrices exceed int64")
+        if not all(_fits_int64(v) for row in C for v in row):
+            raise DomainError("order basis: its integer coordinate matrix exceeds int64")
         self._C = np.array(C, dtype=np.int64)
-        self._D = np.array(D, dtype=np.int64)
-
-    def element(self, coords) -> "QuatElement":
-        return QuatElement(self, tuple(int(c) for c in coords))
-
-    def one(self) -> "QuatElement":
-        v = self.order_coords_from_std((1, 0, 0, 0))
-        return self.element(v)
 
     def std_scaled(self, coords) -> tuple:
         """den * (standard coordinates), exact integers."""
         v = np.asarray(coords, dtype=object)
         return tuple(int(x) for x in (self._C @ v))
-
-    def order_coords_from_std(self, std, scale: int = 1):
-        """Order coordinates of scale*std (std integral); DomainError if not in the order."""
-        x = np.asarray([int(c) for c in std], dtype=object)
-        num = self._D @ x
-        den = self._den_inv * scale
-        out = []
-        for v in num:
-            if int(v) % den != 0:
-                raise DomainError("element does not lie in the order")
-            out.append(int(v) // den)
-        return tuple(out)
 
     def nrd_std_scaled(self, xs) -> int:
         """den^2 * nrd from den-scaled standard coordinates."""
@@ -211,105 +184,21 @@ class QuatAlgebra:
                     return False
         return True
 
-    def reduced_discriminant_squared(self) -> int:
-        cols = [tuple(self.basis[r][c] for r in range(4)) for c in range(4)]
-        G = [[2 * _mul_std(x, _conj_std(y), self.a, self.b)[0] for y in cols] for x in cols]
-        # exact 4x4 determinant by cofactor expansion over Fractions
-        def det(M):
-            if len(M) == 1:
-                return M[0][0]
-            tot = Fraction(0)
-            for j, v in enumerate(M[0]):
-                if v:
-                    minor = [row[:j] + row[j + 1:] for row in M[1:]]
-                    tot += (-1) ** j * v * det(minor)
-            return tot
-        d = det(G)
-        if d.denominator != 1:
-            raise DomainError("discriminant of a non-integral lattice")
-        return abs(int(d))
 
-    def isotropy_screen(self, side: int = 50) -> bool:
-        """True when the norm form has no nonzero integer root with
-        |coordinates| <= side (a necessary condition for division)."""
-        rng = np.arange(-side, side + 1, dtype=np.int64)
-        for x0 in rng:
-            g1, g2, g3 = np.meshgrid(rng, rng, rng, indexing="ij")
-            q = (x0 * x0 - self.a * g1 ** 2 - self.b * g2 ** 2
-                 + self.a * self.b * g3 ** 2)
-            zero = (q == 0)
-            if x0 != 0:
-                if np.any(zero):
-                    return False
-            else:
-                zero &= ~((g1 == 0) & (g2 == 0) & (g3 == 0))
-                if np.any(zero):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class QuatElement:
-    """Integer coordinate vector in the algebra's order basis."""
-
-    algebra: QuatAlgebra
-    coords: tuple
-
-    def std_scaled(self) -> tuple:
-        return self.algebra.std_scaled(self.coords)
-
-    def nrd(self) -> int:
-        num = self.algebra.nrd_std_scaled(self.std_scaled())
-        den = self.algebra._den ** 2
-        if num % den != 0:
-            raise DomainError("non-integral reduced norm: basis is not an order")
-        return num // den
-
-    def trd(self) -> int:
-        num = 2 * self.std_scaled()[0]
-        if num % self.algebra._den != 0:
-            raise DomainError("non-integral reduced trace: basis is not an order")
-        return num // self.algebra._den
-
-    def conj(self) -> "QuatElement":
-        xs = _conj_std(self.std_scaled())
-        return QuatElement(self.algebra,
-                           self.algebra.order_coords_from_std(xs, scale=self.algebra._den))
-
-    def __neg__(self) -> "QuatElement":
-        return QuatElement(self.algebra, tuple(-c for c in self.coords))
-
-
-def quat_mul(x: QuatElement, y: QuatElement) -> QuatElement:
-    if x.algebra is not y.algebra:
-        raise DomainError("elements live in different algebras")
-    alg = x.algebra
-    p = _mul_std(x.std_scaled(), y.std_scaled(), alg.a, alg.b)   # den^2-scaled
-    return QuatElement(alg, alg.order_coords_from_std(p, scale=alg._den ** 2))
-
-
-def iota_matrix(x: QuatElement) -> np.ndarray:
-    """Archimedean embedding [[xi, eta], [b eta_bar, xi_bar]] as floats,
-    for x = xi + eta * W with xi, eta in Q(sqrt a).
+def iota_matrix(alg: QuatAlgebra, coords) -> np.ndarray:
+    """Archimedean embedding [[xi, eta], [b eta_bar, xi_bar]] as floats of
+    the element x = xi + eta * W (xi, eta in Q(sqrt a)) with order
+    coordinates `coords`.
 
     This arrangement is the multiplicative one (W xi = xi_bar W forces the
     Galois conjugates onto the second row); det = xi xi_bar - b eta eta_bar
     = nrd(x) either way.
     """
-    alg = x.algebra
-    x0, x1, x2, x3 = (c / alg._den for c in x.std_scaled())
+    x0, x1, x2, x3 = (c / alg._den for c in alg.std_scaled(coords))
     sa = np.sqrt(alg.a)
     xi, xib = x0 + x1 * sa, x0 - x1 * sa
     et, etb = x2 + x3 * sa, x2 - x3 * sa
     return np.array([[xi, et], [alg.b * etb, xib]])
-
-
-def iota(x: QuatElement) -> GroupElement:
-    """Projection of the embedding to PSL(2,R): iota(x)/sqrt(nrd x)."""
-    n = x.nrd()
-    if n <= 0:
-        raise DomainError(f"nrd must be positive to project to PSL(2,R), got {n}")
-    return GroupElement(iota_matrix(x))
 
 
 def _entry_bound(n: int, g0: GroupElement, radius: float) -> float:
@@ -333,7 +222,7 @@ def _scan_box(alg: QuatAlgebra, n: int, g0: GroupElement, radius: float):
 
 def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> GroupElement:
     """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element."""
-    m = iota_matrix(alg.element(coords))
+    m = iota_matrix(alg, coords)
     return GroupElement(g0.inv().m @ (m / np.sqrt(float(n))) @ g0.m)
 
 
@@ -393,63 +282,6 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
             if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
 
 
-def find_units(alg: QuatAlgebra, coeff_radius: int = 5) -> list[tuple]:
-    """Norm-1 elements with order coordinates in a fixed ball, up to sign."""
-    return _scan_norm_form(alg, [coeff_radius] * 4, 1)
-
-
-def left_equivalent(alg: QuatAlgebra, x: tuple, y: tuple, n: int) -> bool:
-    """Exact test whether y = u x for a norm-1 unit u of the order.
-
-    u = y conj(x) / n; membership in the order is a divisibility check, and
-    nrd(u) = 1 is automatic when nrd(x) = nrd(y) = n.
-    """
-    xs = alg.std_scaled(x)
-    ys = alg.std_scaled(y)
-    p = _mul_std(ys, _conj_std(xs), alg.a, alg.b)
-    try:
-        alg.order_coords_from_std(p, scale=n * alg._den ** 2)
-        return True
-    except DomainError:
-        return False
-
-
-def coset_reps(alg: QuatAlgebra, n: int, coeff_box: int = 12,
-               stability_margin: int = 4):
-    """Representatives of (norm-1 units) \\ (norm-n elements) met by a
-    coefficient box scan.
-
-    Returns (reps, count, certified): certified is True when enlarging the
-    box by `stability_margin` does not change the class count (a stability
-    certificate, not a proof of completeness).
-    """
-    def classes(box: int):
-        reps = []
-        for e in _scan_norm_form(alg, [box] * 4, n):
-            if not any(left_equivalent(alg, r, e, n) for r in reps):
-                reps.append(e)
-        return reps
-
-    reps = classes(coeff_box)
-    reps_big = classes(coeff_box + stability_margin)
-    return reps, len(reps), len(reps) == len(reps_big)
-
-
-def hecke_returns(alg: QuatAlgebra, g0: GroupElement, n: int, kappa: float) -> int:
-    """M(g0, n, kappa): norm-n elements whose conjugate by g0 lies within 1
-    of the identity and within kappa of the diagonal subgroup."""
-    if kappa > 1:
-        raise DomainError("kappa must be <= 1")
-    elems = enumerate_norm_n(alg, n, g0, radius=1.0)
-    count = 0
-    for v in elems:
-        h = conjugated_element(alg, v, n, g0)
-        d, _, _ = dist_to_diag(h)
-        if d <= kappa:
-            count += 1
-    return count
-
-
 def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list,
                        eps: float = 0.1):
     """max over the grid of M(g,n,kappa) / ((n/kappa)^eps (n sqrt(kappa)+1)).
@@ -484,11 +316,9 @@ def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list,
 
 @dataclass(frozen=True)
 class Amplifier:
-    """Prime/prime-square coefficient sequence alpha_n of length N."""
+    """Prime/prime-square coefficient sequence alpha_n."""
 
-    N: int
     coeffs: dict = field(repr=False)
-    q: int = 1
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
@@ -528,7 +358,7 @@ def build_amplifier(N: int, eigenvalues: dict, q: int = 1) -> Amplifier:
         else:
             # |lambda(p^2)| = |lambda(p)^2 - 1| > 3/4 here
             coeffs[p * p] = 1.0 if lp2 > 0 else -1.0
-    return Amplifier(N, coeffs, q)
+    return Amplifier(coeffs)
 
 
 def random_hecke_eigenvalues(N: int, rng: np.random.Generator) -> dict:

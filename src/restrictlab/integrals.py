@@ -172,13 +172,7 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
     and flags of every (m, n, d, gamma) landing on it share one report.
     """
     support = amp.support()
-    needed = {}
-    for m in support:
-        for n in support:
-            for d in range(1, min(m, n) + 1):
-                if m % d == 0 and n % d == 0 and (m * n) % (d * d) == 0:
-                    needed.setdefault(m * n // (d * d), None)
-    cache = {v: enumerate_norm_n(alg, v, g0) for v in sorted(needed)}
+    elements = {}   # norm -> its enumerate_norm_n list
     reports = {}   # conjugated element's matrix bytes -> its IntegralReport
     total = 0.0
     rows = []
@@ -192,8 +186,10 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                 if m % d or n % d:
                     continue
                 v = m * n // (d * d)
+                if v not in elements:
+                    elements[v] = enumerate_norm_n(alg, v, g0)
                 weight = amn * d / np.sqrt(m * n)
-                for gamma in cache[v]:
+                for gamma in elements[v]:
                     h = conjugated_element(alg, gamma, v, g0)
                     key = h.m.tobytes()
                     if key not in reports:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, ResourceError
+from .errors import DomainError, ResourceError
 
 ATOM_BUDGET = 1 << 22
 GRID_BUDGET = 1 << 24
@@ -34,7 +34,6 @@ class FractalMeasure:
     atoms: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     alpha: float
-    depth: int = 0
 
     def __post_init__(self):
         atoms = np.ascontiguousarray(self.atoms, dtype=float)
@@ -56,10 +55,6 @@ class FractalMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def interval_mass(self, lo, hi) -> np.ndarray:
         """Measure of [lo, hi] (endpoints included); lo/hi may be arrays."""
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
@@ -79,7 +74,6 @@ class WeightFunction:
     grid_min: float
     grid_step: float
     values: np.ndarray = field(repr=False)
-    lambda_ref: float
     frostman_alpha: float
 
     def __post_init__(self):
@@ -93,10 +87,6 @@ class WeightFunction:
         if np.any(self.values[outside] != 0.0):
             raise DomainError("weight must vanish at grid points with |s| > 2")
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(self.values.size)
 
@@ -106,13 +96,6 @@ class WeightFunction:
         bounds = np.concatenate([self.grid() - h / 2, [self.grid()[-1] + h / 2]])
         cum = np.concatenate([[0.0], np.cumsum(self.values) * h])
         return bounds, cum
-
-    def l2_weighted_norm(self, phi: np.ndarray) -> float:
-        """||phi||_{L^2(w dx)} on the grid."""
-        phi = np.asarray(phi)
-        if phi.shape != self.values.shape:
-            raise GridMismatchError("phi must be sampled on the weight's grid")
-        return float(np.sqrt(self.grid_step * np.sum(np.abs(phi) ** 2 * self.values)))
 
 
 def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
@@ -134,7 +117,7 @@ def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
         mid = np.concatenate([r * mid, r * mid + (1.0 - r)])
     mid = np.sort(mid)
     w = np.full(mid.size, 2.0 ** (-depth))
-    return FractalMeasure(mid, w, alpha, depth)
+    return FractalMeasure(mid, w, alpha)
 
 
 def frostman_ratio(m: FractalMeasure, r_grid) -> float:
@@ -219,35 +202,6 @@ def energy(m, s: float) -> float:
     return total
 
 
-def weighted_energy(w: WeightFunction, phi, s: float) -> complex:
-    """I_s(phi w): double integral of phi(x) conj(phi(y)) w(x) w(y) |x-y|^(-s)."""
-    if not 0 < s < w.frostman_alpha:
-        raise DomainError(f"s must lie in (0, alpha={w.frostman_alpha}), got {s}")
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != w.values.shape:
-        raise GridMismatchError("phi must be sampled on the weight's grid")
-    return _grid_energy(phi * w.values, w.grid_step, s)
-
-
-def truncated_riesz(w: WeightFunction, x: float, s: float, delta: float) -> float:
-    """int over |x-y| <= delta of w(y) |x-y|^(-s) dy, exact per grid cell."""
-    if not 0 < s < w.frostman_alpha:
-        raise DomainError(f"s must lie in (0, alpha={w.frostman_alpha}), got {s}")
-    if not 0 < delta <= 100:
-        raise DomainError("delta must lie in (0, 100]")
-    g = w.grid()
-    h = w.grid_step
-    lo = np.maximum(g - h / 2, x - delta)
-    hi = np.minimum(g + h / 2, x + delta)
-    lo, hi = lo - x, hi - x
-
-    def anti(t):
-        return np.sign(t) * np.abs(t) ** (1.0 - s) / (1.0 - s)
-
-    seg = np.where(hi > lo, anti(hi) - anti(lo), 0.0)
-    return float(np.dot(w.values, seg))
-
-
 def check_weight_budget(atoms: int, lam: float,
                         samples_per_wavelength: int) -> tuple[float, int]:
     """(h, n) of the grid -2 + h * arange(n + 1) that a weight of `atoms` atoms
@@ -270,27 +224,25 @@ def check_weight_budget(atoms: int, lam: float,
     return h, n
 
 
-def build_weight(nu: FractalMeasure, lam: float, eta,
+def build_weight(nu: FractalMeasure, lam: float, bump,
                  samples_per_wavelength: int = 8) -> WeightFunction:
     """Mollify nu at scale 1/lam into a smooth weight on [-2,2].
 
     w(t) = rho(t) * sum_i nu_i sqrt(lam^2 K(lam (s_i - t))^2 + 1), where rho
-    is the plateau cutoff and K is eta rescaled so its transform plateaus on
-    |xi| <= 2 C_ELL and vanishes beyond 4 C_ELL.  eta is a BumpPair (or a
-    plain callable evaluator).
+    is the plateau cutoff and K is the BumpPair's eta rescaled so its
+    transform plateaus on |xi| <= 2 C_ELL and vanishes beyond 4 C_ELL.
     """
     from .frequency import rho_cutoff
     h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength)
-    eta_fn = getattr(eta, "eta", eta)
     t = -2.0 + h * np.arange(n + 1)
     scale = 4.0 * C_ELL
     acc = np.zeros_like(t)
     for s0, w0 in zip(nu.atoms, nu.weights):
-        kern = scale * eta_fn(scale * lam * (s0 - t))
+        kern = scale * bump.eta(scale * lam * (s0 - t))
         acc += w0 * np.sqrt((lam * kern) ** 2 + 1.0)
     vals = acc * rho_cutoff(t)
     vals[np.abs(t) > 2.0] = 0.0   # rho already vanishes there; make it exact
-    return WeightFunction(-2.0, h, vals, lam, nu.alpha)
+    return WeightFunction(-2.0, h, vals, nu.alpha)
 
 
 def frostman_weight_sweep(w: WeightFunction, r_values) -> np.ndarray:
@@ -319,20 +271,3 @@ def decade_sweep(w: WeightFunction, r_min: float) -> list[tuple[float, float, fl
         sup = float(frostman_weight_sweep(w, rs).max())
         out.append((float(lo), float(hi), sup))
     return out
-
-
-def standard_test_functions(grid: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """The fixed family of ten test profiles used across the experiments."""
-    x = np.asarray(grid, dtype=float)
-    return [
-        ("gauss_0.3", np.exp(-0.5 * (x / 0.3) ** 2).astype(complex)),
-        ("gauss_0.5", np.exp(-0.5 * (x / 0.5) ** 2).astype(complex)),
-        ("gauss_1.0", np.exp(-0.5 * x ** 2).astype(complex)),
-        ("gauss_shift", np.exp(-0.5 * ((x - 0.5) / 0.5) ** 2).astype(complex)),
-        ("mod3_gauss", np.exp(3j * x) * np.exp(-0.5 * x ** 2)),
-        ("mod10_gauss", np.exp(10j * x) * np.exp(-0.5 * x ** 2)),
-        ("poly_bump2", np.where(np.abs(x) < 2, (1 - (x / 2) ** 2) ** 2, 0.0).astype(complex)),
-        ("poly_bump4", np.where(np.abs(x) < 2, (1 - (x / 2) ** 2) ** 4, 0.0).astype(complex)),
-        ("poly_bump8", np.where(np.abs(x) < 2, (1 - (x / 2) ** 2) ** 8, 0.0).astype(complex)),
-        ("cos_bump", (np.cos(np.pi * np.clip(x / 4, -0.5, 0.5)) ** 2).astype(complex)),
-    ]

@@ -19,6 +19,9 @@ from .measures import FractalMeasure, WeightFunction
 MAX_DEGREE = 1000
 TUBE_BUDGET = 1 << 26   # candidate tubes x nodes per tube of one sphere kn_norm
 SAMPLES_ACROSS = 17     # nodes across each half of a tube
+# nodes of one dyadic inner integral, (3 lam + 64) x 384; the default
+# lam = 128 uses 172,032
+DYADIC_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ def fit_exponent(pairs):
     vs = np.log([p[1] for p in pairs])
     if np.ptp(ls) == 0:
         raise DomainError("degenerate fit: identical lambda values")
-    coef, res = np.polyfit(ls, vs, 1), None
+    coef = np.polyfit(ls, vs, 1)
     fit = np.polyval(coef, ls)
     return float(coef[0]), float(np.sqrt(np.mean((vs - fit) ** 2)))
 
@@ -272,17 +275,6 @@ def restriction_norm(mode, ell, mu: FractalMeasure) -> float:
     return float(np.sqrt(np.sum(mu.weights * np.abs(vals) ** 2)))
 
 
-def restriction_norm_quadrature(mode, ell, n: int = 4096) -> float:
-    """Dense uniform-measure reference value for the unit segment."""
-    s = (np.arange(n) + 0.5) / n * ell.length
-    pts = ell.points(s)
-    if mode.surface == "sphere":
-        vals = mode.value_xyz(pts)
-    else:
-        vals = mode.value_xy(pts[..., 0], pts[..., 1])
-    return float(np.sqrt(np.mean(np.abs(vals) ** 2) * ell.length))
-
-
 @dataclass(frozen=True)
 class KNReport:
     lam: float
@@ -404,15 +396,6 @@ def lp_bump(tau) -> np.ndarray:
     return psi(tau) - psi(tau / 2.0)
 
 
-def lp_partition_sum(tau) -> np.ndarray:
-    """sum over j in [-40, 40] of lp_bump(2^-j tau)."""
-    tau = np.asarray(tau, dtype=float)
-    total = np.zeros_like(tau)
-    for j in range(-40, 41):
-        total += lp_bump(tau * 2.0 ** (-j))
-    return total
-
-
 def _fermi_distance(s, y1, y2):
     """Great-circle distance from the equator point at arc s to the point
     with Fermi coordinates (y1, y2): arccos(cos y2 cos(y1 - s))."""
@@ -426,6 +409,17 @@ def _parametrix_amplitude(d: np.ndarray) -> np.ndarray:
     return up * down
 
 
+def check_dyadic_budget(lam: float) -> int:
+    """Nodes along y1 of one dyadic inner integral at lam; ResourceError when
+    its grid of n_y1 x 384 nodes exceeds DYADIC_BUDGET, before anything is
+    built."""
+    n_y1 = max(256, int(3.0 * lam) + 64)
+    if n_y1 * 384 > DYADIC_BUDGET:
+        raise ResourceError(f"{n_y1} x 384 nodes of a dyadic inner integral exceed"
+                            f" budget {DYADIC_BUDGET}")
+    return n_y1
+
+
 def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     """Oscillatory y-integral over the dyadic collar Omega_k:
 
@@ -435,7 +429,7 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     below a tenth of its expected 2^k |s - s'| size on over 10% of the nodes.
     """
     two_k = 2.0 ** k_index
-    n_y1 = max(256, int(3.0 * lam) + 64)
+    n_y1 = check_dyadic_budget(lam)
     y1 = np.linspace(min(s, sp) - 2.5, max(s, sp) + 2.5, n_y1)
     band = two_k * (0.5 + 1.5 * (np.arange(192) + 0.5) / 192)
     y2 = np.concatenate([-band[::-1], band])

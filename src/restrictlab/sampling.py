@@ -30,9 +30,6 @@ class SampledFunction:
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(self.n)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.grid_step * np.sum(np.abs(self.values) ** 2)))
-
     def require_same_grid(self, other: "SampledFunction") -> None:
         if (self.n != other.n or abs(self.grid_min - other.grid_min) > 1e-12
                 or abs(self.grid_step - other.grid_step) > 1e-12):
@@ -52,10 +49,3 @@ class SampledFunction:
         out = np.zeros(n_new, dtype=complex)
         out[k0:k0 + self.n] = self.values
         return SampledFunction(new_min, h, out)
-
-    @classmethod
-    def from_callable(cls, fn, grid_min: float, grid_max: float,
-                      grid_step: float) -> "SampledFunction":
-        n = int(round((grid_max - grid_min) / grid_step)) + 1
-        x = grid_min + grid_step * np.arange(n)
-        return cls(grid_min, grid_step, np.asarray(fn(x), dtype=complex))

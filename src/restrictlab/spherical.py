@@ -1,5 +1,5 @@
 """Spherical functions on the hyperbolic plane, the spherical (Harish-Chandra)
-transform and its Plancherel inverse, and the band-limited radial kernel used
+transform, and the band-limited radial kernel (its Plancherel inverse) used
 by the geometric-integral experiments.
 
 Conventions: Haar measure on G extends the hyperbolic area by mass 1 on the
@@ -87,23 +87,6 @@ def hc_forward(f_eval, s: float, support_radius: float = None) -> float:
     return float(2.0 * np.pi * simpson(fv * pv * np.sinh(r), x=r))
 
 
-def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
-    """Inverse transform at the radial point a(x):
-    int_0^T H(s) phi_s(a(x)) s tanh(pi s) / (2 pi) ds."""
-    if truncation is None:
-        raise DomainError("truncation point is required")
-    T = float(truncation)
-    s = np.arange(0.0, T + 0.01, 0.01)
-    Hs = np.asarray(H_eval(s), dtype=float)
-    n_theta = max(64, int(1.3 * T * abs(x)) + 64)
-    th = _phi_integrand_nodes(n_theta)
-    u = np.cosh(x) - np.sinh(x) * np.cos(2.0 * th)
-    lu = np.log(u)
-    phis = (u[None, :] ** -0.5 * np.cos(np.outer(s, lu))).mean(axis=1)
-    dens = s * np.tanh(np.pi * s) / (2.0 * np.pi)
-    return float(np.trapezoid(Hs * phis * dens, s))
-
-
 def _h_profile(h_width: float, u) -> np.ndarray:
     """The sinc^4 Paley-Wiener profile, transform supported in [-2 h_width, 2 h_width]."""
     return np.sinc(h_width * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
@@ -123,7 +106,6 @@ class SphericalKernel:
     h_width: float
     x_step: float
     values: np.ndarray = field(repr=False)
-    truncation: float
     verify_residual: float
 
     @property
@@ -245,7 +227,7 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> Spheri
     if resid > 1e-6 * scale:
         raise NonConvergenceError(
             f"kernel circle rule residual {resid:.2e} exceeds 1e-6 * {scale:.2e}")
-    return SphericalKernel(lam, h_width, xs[1] - xs[0], vals, T, resid / scale)
+    return SphericalKernel(lam, h_width, xs[1] - xs[0], vals, resid / scale)
 
 
 def kernel_decay_constant(kernel: SphericalKernel) -> float:
@@ -253,46 +235,3 @@ def kernel_decay_constant(kernel: SphericalKernel) -> float:
     x = kernel.x_grid()
     return float((np.abs(kernel.values) * np.sqrt(1.0 + kernel.lam * x)).max()
                  / kernel.lam)
-
-
-def demodulate_window(x: np.ndarray, vals: np.ndarray, s: float):
-    """Least-squares split of samples into e^(+-i s x) components with
-    window-linear amplitudes.
-
-    Returns (f_plus, f_minus, residual, flagged); the flag marks an
-    ill-conditioned design (near-parallel columns)."""
-    x = np.asarray(x, dtype=float)
-    xc = x - x.mean()
-    e_p = np.exp(1j * s * x)
-    e_m = np.exp(-1j * s * x)
-    A = np.stack([e_p, xc * e_p, e_m, xc * e_m], axis=1)
-    coef, _, rank, sv = np.linalg.lstsq(A, np.asarray(vals, dtype=complex), rcond=None)
-    resid = float(np.abs(vals - A @ coef).max())
-    flagged = bool(rank < 4 or sv[-1] < 1e-8 * sv[0])
-    return complex(coef[0]), complex(coef[2]), resid, flagged
-
-
-def asymptotic_check(lam: float, x_range=(0.5, 2.0)):
-    """Demodulate phi_lam into e^(+-i lam x) amplitudes on x_range.
-
-    Reports, for 40 windows of 12 samples each, per-window |f+-| and fit
-    residuals, the scaled sups |f+-| (lam x)^(1/2), and ill-conditioning
-    flags.
-    """
-    s = float(lam)
-    h = 0.4 / s
-    lo, hi = x_range
-    out = {"x": [], "f_plus": [], "f_minus": [], "residual": [], "flagged": []}
-    for x0 in np.linspace(lo, hi - 12 * h, 40):
-        x = x0 + h * np.arange(12)
-        vals = phi_s_radial(s, x)
-        fp, fm, resid, flagged = demodulate_window(x, vals, s)
-        out["x"].append(float(x.mean()))
-        out["f_plus"].append(abs(fp))
-        out["f_minus"].append(abs(fm))
-        out["residual"].append(resid)
-        out["flagged"].append(flagged)
-    out = {k: np.asarray(v) for k, v in out.items()}
-    out["sup_scaled_plus"] = float((out["f_plus"] * np.sqrt(s * out["x"])).max())
-    out["sup_scaled_minus"] = float((out["f_minus"] * np.sqrt(s * out["x"])).max())
-    return out

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import restrictlab as rl
+from restrictlab.errors import DomainError, GridMismatchError
+from restrictlab.measures import _grid_energy
 
 ALPHA_CANTOR = np.log(2.0) / np.log(3.0)
 
@@ -63,4 +65,29 @@ def uniform_weight(level_h: float = 1e-3, lo: float = 0.0, hi: float = 1.0,
     grid_min = -2.0 + h / 2.0
     x = grid_min + h * np.arange(n_tot)
     vals = np.where((x > lo) & (x < hi), 1.0, 0.0)
-    return rl.WeightFunction(grid_min, h, vals, lambda_ref=1.0, frostman_alpha=alpha)
+    return rl.WeightFunction(grid_min, h, vals, frostman_alpha=alpha)
+
+
+def sampled(fn, grid_min: float, grid_max: float, grid_step: float) -> rl.SampledFunction:
+    """fn sampled at grid_min + k * grid_step up to grid_max."""
+    n = int(round((grid_max - grid_min) / grid_step)) + 1
+    x = grid_min + grid_step * np.arange(n)
+    return rl.SampledFunction(grid_min, grid_step, np.asarray(fn(x), dtype=complex))
+
+
+def weighted_energy(w: rl.WeightFunction, phi, s: float) -> complex:
+    """I_s(phi w): double integral of phi(x) conj(phi(y)) w(x) w(y) |x-y|^(-s)."""
+    if not 0 < s < w.frostman_alpha:
+        raise DomainError(f"s must lie in (0, alpha={w.frostman_alpha}), got {s}")
+    phi = np.asarray(phi, dtype=complex)
+    if phi.shape != w.values.shape:
+        raise GridMismatchError("phi must be sampled on the weight's grid")
+    return _grid_energy(phi * w.values, w.grid_step, s)
+
+
+def l2_weighted_norm(w: rl.WeightFunction, phi) -> float:
+    """||phi||_{L^2(w dx)} on the grid."""
+    phi = np.asarray(phi)
+    if phi.shape != w.values.shape:
+        raise GridMismatchError("phi must be sampled on the weight's grid")
+    return float(np.sqrt(w.grid_step * np.sum(np.abs(phi) ** 2 * w.values)))

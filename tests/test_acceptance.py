@@ -39,7 +39,7 @@ def test_criterion_01_energy_identity():
         h = 1e-3
         n = int(round(4.0 / h)) + 1
         x = -2.0 + h * np.arange(n)
-        triangle = rl.WeightFunction(-2.0, h, np.maximum(1 - np.abs(x), 0.0), 1.0, 1.0)
+        triangle = rl.WeightFunction(-2.0, h, np.maximum(1 - np.abs(x), 0.0), 1.0)
         w_cantor = cached_weight(ALPHA_CANTOR, 6, 50.0)
         xc = w_cantor.grid()
         triples = [
@@ -132,12 +132,12 @@ def test_criterion_05_hecke_enumeration():
             fast = rl.enumerate_norm_n(alg, n, g0, radius=1.0)
             if fast != brute_force_norm_n(alg, n, g0, radius=1.0):
                 mismatch.append(n)
-        m_bad = []
-        for n in range(1, 21):
-            for kappa in (0.25, 1.0):
-                if rl.hecke_returns(alg, g0, n, kappa) != \
-                        oracle_returns(alg, g0, n, kappa):
-                    m_bad.append((n, kappa))
+        # the return counts of the `hecke-returns` experiment's code path
+        _, rows = rl.return_count_ratio(alg, [g0], 20, [0.25, 1.0])
+        assert [row[1:3] for row in rows] == [(n, k) for n in range(1, 21)
+                                              for k in (0.25, 1.0)]
+        m_bad = [(n, kappa) for _, n, kappa, M, _ in rows
+                 if M != oracle_returns(alg, g0, n, kappa)]
         g_grid = [rl.GroupElement.identity(),
                   rl.GroupElement.diag_flow(0.25),
                   rl.GroupElement.diag_flow(0.25) @ rl.GroupElement.rotation(0.3),

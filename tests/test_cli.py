@@ -9,7 +9,9 @@ from restrictlab import measures
 from restrictlab.errors import DomainError
 from restrictlab.frequency import BumpPair
 from restrictlab.geometry import GroupElement
-from restrictlab.hecke import MAXIMAL_ORDER_2_3, QuatAlgebra, hecke_returns
+from restrictlab.hecke import MAXIMAL_ORDER_2_3, QuatAlgebra
+
+from test_hecke import hecke_returns
 
 
 def test_load_config_defaults_echoed(tmp_path):
@@ -68,6 +70,29 @@ def test_load_config_rejects_bad_file_fields(tmp_path, capsys, content):
         cli.load_config(path=str(p))
     assert cli.main(["measure", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, case):
+    cfg = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+           "non-utf8": tmp_path / "bytes.json"}[case]
+    if case == "non-utf8":
+        cfg.write_bytes(b'{"experiment": "\xff\xfe"}')
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch, below):
+    runs = []
+    schema = cli._EXPERIMENTS["exponents"][1]
+    monkeypatch.setitem(cli._EXPERIMENTS, "exponents", (runs.append, schema))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "res" if below else blocker
+    assert cli.main(["exponents", "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert runs == []
 
 
 def _reject_constant(name):
@@ -143,7 +168,7 @@ def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["integrals", "-p", "depth=22", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().out == ""
     for argv in (["beta-scaling", "-p", "depth=22"], ["rapid-decay", "-p", "depth=22"],
-                 ["dyadic", "-p", "lambda=1e7"],
+                 ["dyadic", "-p", "lambda=1e7"], ["dyadic", "-p", "lambda=20000"],
                  ["integrals", "-p", "lambda=200000", "-p", "depth=0"]):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 3
         assert capsys.readouterr().out == ""
@@ -161,6 +186,7 @@ def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     ("hecke-returns", "a=1000000000000000003"),
     ("hecke-returns", "b=1000000000000000003"),
     ("hecke-returns", "b=-1000000000000000003"),
+    ("dyadic", "lambda=20000"),
 ])
 def test_huge_sizes_exit_3(tmp_path, capsys, experiment, param):
     # valid but huge sizes are refused by a budget before the work starts,

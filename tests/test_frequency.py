@@ -3,9 +3,8 @@ import pytest
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
-from restrictlab.frequency import spectral_mass_inside, spectral_mass_outside
 
-from conftest import cached_weight
+from conftest import cached_weight, l2_weighted_norm, sampled, weighted_energy
 
 
 # ---------------------------------------------------------------- bump pair
@@ -72,6 +71,20 @@ def test_eta_real_even(bump):
 
 # ---------------------------------------------------------------- band kernel
 
+def _spatial(kern, x):
+    """eta_beta(x) = 2 beta cos(lam x) eta(beta x), by direct inversion."""
+    x = np.asarray(x, dtype=float)
+    return 2.0 * kern.beta * np.cos(kern.lam * x) * kern.bump.eta(kern.beta * x)
+
+
+def _decay_constant(bump, lam, beta, N):
+    """Measured C_N = sup_x |eta_beta(x)| (1 + beta |x|)^N / beta, over
+    beta |x| < 300."""
+    u = np.arange(0.0, 300.0, 0.005)
+    vals = np.abs(2.0 * np.cos(lam * u / beta) * bump.eta(u)) * (1.0 + u) ** N
+    return float(vals.max())
+
+
 def test_band_hat_plateau_at_center(bump):
     for lam, beta in ((64.0, 8.0), (256.0, 16.0)):
         k = rl.BandKernel(bump, lam, beta)
@@ -82,7 +95,7 @@ def test_band_hat_plateau_at_center(bump):
 def test_eta_beta_at_zero(bump):
     # formula value cross-checked by direct quadrature of the band transform
     lam, beta = 128.0, 16.0
-    val = rl.BandKernel(bump, lam, beta).spatial(0.0)
+    val = _spatial(rl.BandKernel(bump, lam, beta), 0.0)
     assert val == pytest.approx(2.0 * beta * bump.eta(0.0), rel=1e-12)
     xi = np.linspace(-lam - 2 * beta, lam + 2 * beta, 400001)
     quad = np.trapezoid(rl.BandKernel(bump, lam, beta).hat(xi), xi) / (2 * np.pi)
@@ -94,32 +107,42 @@ def test_eta_beta_even_and_decay_finite(bump):
     for beta in (8.0, 32.0, 128.0):
         x = 1.0 / beta
         kern = rl.BandKernel(bump, lam, beta)
-        v = kern.spatial(x)
+        v = _spatial(kern, x)
         assert np.isfinite(v / (beta * 2.0 ** -4))
-        assert kern.spatial(-x) == v
+        assert _spatial(kern, -x) == v
 
 
 def test_eta_beta_requires_band_inside_center(bump):
     with pytest.raises(DomainError):
-        rl.BandKernel(bump, 64.0, 128.0).spatial(0.1)
+        _spatial(rl.BandKernel(bump, 64.0, 128.0), 0.1)
     with pytest.raises(DomainError):
-        rl.BandKernel(bump, 64.0, 0.5).spatial(0.1)
+        _spatial(rl.BandKernel(bump, 64.0, 0.5), 0.1)
 
 
 def test_decay_constant_stability(bump):
     # measured C_N varies by less than a factor 2 across bandwidths
     lam = 256.0
     for N in (2, 4):
-        cs = [rl.frequency.decay_constant(bump, lam, beta, N)
+        cs = [_decay_constant(bump, lam, beta, N)
               for beta in (8.0, 32.0, 128.0)]
         assert max(cs) / min(cs) < 2.0
 
 
 def test_decay_constant_finite_n8(bump):
-    assert np.isfinite(rl.frequency.decay_constant(bump, 256.0, 32.0, 8))
+    assert np.isfinite(_decay_constant(bump, 256.0, 32.0, 8))
 
 
 # ---------------------------------------------------------------- projections
+
+def _band_mass_fraction(f, lo, hi):
+    """Share of the spectral mass |fhat|^2 on the two bands +-[lo, hi]."""
+    xi, fhat = rl.fourier_transform(f)
+    p = np.abs(fhat) ** 2
+    total = p.sum()
+    if total == 0:
+        return 0.0
+    return float(p[(np.abs(xi) >= lo) & (np.abs(xi) <= hi)].sum() / total)
+
 
 def _bump_profile(x, beta):
     # frequency width 1/sigma <= beta/4, and small enough spatially that the
@@ -131,7 +154,7 @@ def _bump_profile(x, beta):
 def test_band_project_passes_resonant_signal(bump):
     lam, beta = 128.0, 16.0
     h = 1.0 / (8.0 * lam)
-    f = rl.SampledFunction.from_callable(
+    f = sampled(
         lambda x: np.cos(lam * x) * _bump_profile(x, beta), -3.0, 3.0, h)
     p = rl.band_project(bump, lam, beta, f, "pass")
     err = np.sqrt(np.sum(np.abs(p.values - f.values) ** 2)
@@ -143,7 +166,7 @@ def test_band_project_kills_detuned_signal(bump):
     lam = 128.0
     beta = lam / 4.0
     h = 1.0 / (8.0 * lam)
-    f = rl.SampledFunction.from_callable(
+    f = sampled(
         lambda x: np.cos(lam / 2.0 * x) * _bump_profile(x, beta), -3.0, 3.0, h)
     p = rl.band_project(bump, lam, beta, f, "pass")
     rel = np.sqrt(np.sum(np.abs(p.values) ** 2) / np.sum(np.abs(f.values) ** 2))
@@ -153,7 +176,7 @@ def test_band_project_kills_detuned_signal(bump):
 def test_band_project_partition_of_identity(bump):
     lam, beta = 64.0, 8.0
     h = 1.0 / (8.0 * lam)
-    f = rl.SampledFunction.from_callable(
+    f = sampled(
         lambda x: np.exp(1j * lam * x) * np.exp(-x ** 2), -3.0, 3.0, h)
     p = rl.band_project(bump, lam, beta, f, "pass")
     c = rl.band_project(bump, lam, beta, f, "complement")
@@ -161,7 +184,7 @@ def test_band_project_partition_of_identity(bump):
 
 
 def test_band_project_underresolved_grid(bump):
-    f = rl.SampledFunction.from_callable(np.cos, -3.0, 3.0, 0.05)
+    f = sampled(np.cos, -3.0, 3.0, 0.05)
     with pytest.raises(DomainError):
         rl.band_project(bump, 128.0, 16.0, f)
 
@@ -172,13 +195,13 @@ def test_band_support_statements(bump, lam, beta_exp):
     # wide grid so the projection's spatial tails are not chopped at the edge
     beta = lam ** beta_exp
     h = 1.0 / (8.0 * lam)
-    f = rl.SampledFunction.from_callable(
+    f = sampled(
         lambda x: np.exp(1j * lam * x) * np.exp(-2 * x ** 2)
         + 0.3 * np.exp(-3 * x ** 2), -6.0, 6.0, h)
     p = rl.band_project(bump, lam, beta, f, "pass")
-    assert spectral_mass_outside(p, lam - beta, lam + beta) <= 1e-8
+    assert 1.0 - _band_mass_fraction(p, lam - beta, lam + beta) <= 1e-8
     c = rl.band_project(bump, lam, beta, f, "complement")
-    assert spectral_mass_inside(c, lam - beta / 2.0, lam + beta / 2.0) <= 1e-8
+    assert _band_mass_fraction(c, lam - beta / 2.0, lam + beta / 2.0) <= 1e-8
 
 
 def test_band_project_matches_spatial_convolution(bump):
@@ -186,14 +209,14 @@ def test_band_project_matches_spatial_convolution(bump):
     # against the spectral implementation
     lam, beta = 64.0, 8.0
     h = 1.0 / (16.0 * lam)
-    f = rl.SampledFunction.from_callable(
+    f = sampled(
         lambda x: np.exp(1j * lam * x) * np.exp(-4.0 * x ** 2), -2.0, 2.0, h)
     p = rl.band_project(bump, lam, beta, f, "pass")
     x = f.grid()
     # eta_beta decays fast; a +-6 window around each point captures the tails
     m = int(round(6.0 / h))
     y = h * np.arange(-m, m + 1)
-    kern = rl.BandKernel(bump, lam, beta).spatial(y)
+    kern = _spatial(rl.BandKernel(bump, lam, beta), y)
     conv = h * np.convolve(f.values, kern, mode="full")[m:m + f.n]
     err = np.abs(conv - p.values).max() / np.abs(p.values).max()
     assert err <= 1e-6
@@ -202,9 +225,9 @@ def test_band_project_matches_spatial_convolution(bump):
 def test_parseval_consistency(bump):
     for name, profile in [("gauss", lambda x: np.exp(-x ** 2)),
                           ("mod", lambda x: np.exp(40j * x) * np.exp(-2 * x ** 2))]:
-        f = rl.SampledFunction.from_callable(profile, -3.0, 3.0, 1e-3)
+        f = sampled(profile, -3.0, 3.0, 1e-3)
         xi, fhat = rl.fourier_transform(f)
-        lhs = f.l2_norm() ** 2
+        lhs = f.grid_step * np.sum(np.abs(f.values) ** 2)
         rhs = np.sum(np.abs(fhat) ** 2) * (xi[1] - xi[0]) / (2 * np.pi)
         assert abs(lhs - rhs) <= 1e-8 * lhs
 
@@ -226,7 +249,7 @@ def test_energy_identity_triangle():
     h = 1e-3
     n = int(round(4.0 / h)) + 1
     x = -2.0 + h * np.arange(n)
-    w = rl.WeightFunction(-2.0, h, np.maximum(1.0 - np.abs(x), 0.0), 1.0, 1.0)
+    w = rl.WeightFunction(-2.0, h, np.maximum(1.0 - np.abs(x), 0.0), 1.0)
     lhs, rhs = rl.fourier_energy_identity(w, np.ones(n), 0.5)
     assert lhs == pytest.approx(rhs, rel=1e-3)
 
@@ -235,7 +258,7 @@ def test_energy_identity_modulated_gaussian():
     h = 1e-3
     n = int(round(4.0 / h)) + 1
     x = -2.0 + h * np.arange(n)
-    w = rl.WeightFunction(-2.0, h, np.maximum(1.0 - np.abs(x), 0.0), 1.0, 1.0)
+    w = rl.WeightFunction(-2.0, h, np.maximum(1.0 - np.abs(x), 0.0), 1.0)
     phi = np.exp(12j * x) * np.exp(-2 * x ** 2)
     lhs, rhs = rl.fourier_energy_identity(w, phi, 0.7)
     assert lhs == pytest.approx(rhs, rel=1e-3)
@@ -247,5 +270,5 @@ def test_mean_square_fourier_decay_bound():
         w = cached_weight(alpha, 6, 50.0)
         phi = np.exp(-0.5 * w.grid() ** 2)
         lhs, rhs = rl.fourier_energy_identity(w, phi, 0.5)
-        c_meas = abs(complex(rl.weighted_energy(w, phi, 0.5))) / w.l2_weighted_norm(phi) ** 2
-        assert lhs <= c_meas * w.l2_weighted_norm(phi) ** 2 * 1.01
+        c_meas = abs(complex(weighted_energy(w, phi, 0.5))) / l2_weighted_norm(w, phi) ** 2
+        assert lhs <= c_meas * l2_weighted_norm(w, phi) ** 2 * 1.01

@@ -1,6 +1,7 @@
 import itertools
 import math
-from types import SimpleNamespace
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,175 @@ from hypothesis import strategies as st
 import restrictlab as rl
 from restrictlab.errors import DomainError, ResourceError
 from restrictlab.geometry import dist_to_diag, dist_to_identity
-from restrictlab.hecke import (_entry_bound, _order_box, conjugated_element,
-                               hilbert_symbol, is_squarefree, left_equivalent)
+from restrictlab.hecke import (_entry_bound, _mul_std, _order_box, _scan_norm_form,
+                               conjugated_element, hilbert_symbol, is_squarefree)
 
 from conftest import cached_algebra
 
 coord = st.integers(min_value=-50, max_value=50)
 coords4 = st.tuples(coord, coord, coord, coord)
+
+
+# ---------------------------------------------------------------- exact arithmetic
+# Exact element arithmetic that the order and the scans are checked against.
+
+def _conj_std(x):
+    return (x[0], -x[1], -x[2], -x[3])
+
+
+def order_coords_from_std(alg, std, scale: int = 1) -> tuple:
+    """Order coordinates of std / scale (std integral); DomainError if that
+    element does not lie in the order."""
+    v = [sum(alg.basis_inv[i][j] * Fraction(int(std[j]), scale) for j in range(4))
+         for i in range(4)]
+    if any(c.denominator != 1 for c in v):
+        raise DomainError("element does not lie in the order")
+    return tuple(int(c) for c in v)
+
+
+@dataclass(frozen=True)
+class QuatElement:
+    """Integer coordinate vector in the algebra's order basis."""
+
+    algebra: rl.QuatAlgebra
+    coords: tuple
+
+    def std_scaled(self) -> tuple:
+        return self.algebra.std_scaled(self.coords)
+
+    def nrd(self) -> int:
+        num = self.algebra.nrd_std_scaled(self.std_scaled())
+        den = self.algebra._den ** 2
+        if num % den != 0:
+            raise DomainError("non-integral reduced norm: basis is not an order")
+        return num // den
+
+    def trd(self) -> int:
+        num = 2 * self.std_scaled()[0]
+        if num % self.algebra._den != 0:
+            raise DomainError("non-integral reduced trace: basis is not an order")
+        return num // self.algebra._den
+
+    def conj(self) -> "QuatElement":
+        xs = _conj_std(self.std_scaled())
+        return QuatElement(self.algebra,
+                           order_coords_from_std(self.algebra, xs, scale=self.algebra._den))
+
+
+def element(alg, coords) -> QuatElement:
+    return QuatElement(alg, tuple(int(c) for c in coords))
+
+
+def one(alg) -> QuatElement:
+    return element(alg, order_coords_from_std(alg, (1, 0, 0, 0)))
+
+
+def quat_mul(x: QuatElement, y: QuatElement) -> QuatElement:
+    if x.algebra is not y.algebra:
+        raise DomainError("elements live in different algebras")
+    alg = x.algebra
+    p = _mul_std(x.std_scaled(), y.std_scaled(), alg.a, alg.b)   # den^2-scaled
+    return QuatElement(alg, order_coords_from_std(alg, p, scale=alg._den ** 2))
+
+
+def iota(x: QuatElement) -> rl.GroupElement:
+    """Projection of the embedding to PSL(2,R): iota(x)/sqrt(nrd x)."""
+    n = x.nrd()
+    if n <= 0:
+        raise DomainError(f"nrd must be positive to project to PSL(2,R), got {n}")
+    return rl.GroupElement(rl.iota_matrix(x.algebra, x.coords))
+
+
+def reduced_discriminant_squared(alg) -> int:
+    cols = [tuple(alg.basis[r][c] for r in range(4)) for c in range(4)]
+    G = [[2 * _mul_std(x, _conj_std(y), alg.a, alg.b)[0] for y in cols] for x in cols]
+
+    def det(M):   # exact cofactor expansion over Fractions
+        if len(M) == 1:
+            return M[0][0]
+        tot = Fraction(0)
+        for j, v in enumerate(M[0]):
+            if v:
+                minor = [row[:j] + row[j + 1:] for row in M[1:]]
+                tot += (-1) ** j * v * det(minor)
+        return tot
+
+    d = det(G)
+    if d.denominator != 1:
+        raise DomainError("discriminant of a non-integral lattice")
+    return abs(int(d))
+
+
+def isotropy_screen(a: int, b: int, side: int = 50) -> bool:
+    """True when the norm form of (a,b / Q) has no nonzero integer root with
+    |coordinates| <= side (a necessary condition for division)."""
+    rng = np.arange(-side, side + 1, dtype=np.int64)
+    for x0 in rng:
+        g1, g2, g3 = np.meshgrid(rng, rng, rng, indexing="ij")
+        q = x0 * x0 - a * g1 ** 2 - b * g2 ** 2 + a * b * g3 ** 2
+        zero = (q == 0)
+        if x0 != 0:
+            if np.any(zero):
+                return False
+        else:
+            zero &= ~((g1 == 0) & (g2 == 0) & (g3 == 0))
+            if np.any(zero):
+                return False
+    return True
+
+
+def find_units(alg, coeff_radius: int = 5) -> list[tuple]:
+    """Norm-1 elements with order coordinates in a fixed ball, up to sign."""
+    return _scan_norm_form(alg, [coeff_radius] * 4, 1)
+
+
+def left_equivalent(alg, x: tuple, y: tuple, n: int) -> bool:
+    """Exact test whether y = u x for a norm-1 unit u of the order.
+
+    u = y conj(x) / n; membership in the order is a divisibility check, and
+    nrd(u) = 1 is automatic when nrd(x) = nrd(y) = n.
+    """
+    p = _mul_std(alg.std_scaled(y), _conj_std(alg.std_scaled(x)), alg.a, alg.b)
+    try:
+        order_coords_from_std(alg, p, scale=n * alg._den ** 2)
+        return True
+    except DomainError:
+        return False
+
+
+def coset_reps(alg, n: int, coeff_box: int = 12, stability_margin: int = 4):
+    """Representatives of (norm-1 units) \\ (norm-n elements) met by a
+    coefficient box scan.
+
+    Returns (reps, count, certified): certified is True when enlarging the
+    box by `stability_margin` does not change the class count (a stability
+    certificate, not a proof of completeness).
+    """
+    def classes(box: int):
+        reps = []
+        for e in _scan_norm_form(alg, [box] * 4, n):
+            if not any(left_equivalent(alg, r, e, n) for r in reps):
+                reps.append(e)
+        return reps
+
+    reps = classes(coeff_box)
+    reps_big = classes(coeff_box + stability_margin)
+    return reps, len(reps), len(reps) == len(reps_big)
+
+
+def _count_returns(alg, g0, n: int, kappa: float, elems) -> int:
+    """Norm-n elements of `elems` whose conjugate by g0 lies within kappa of
+    the diagonal subgroup."""
+    return sum(dist_to_diag(conjugated_element(alg, v, n, g0))[0] <= kappa for v in elems)
+
+
+def hecke_returns(alg, g0, n: int, kappa: float) -> int:
+    """M(g0, n, kappa): norm-n elements whose conjugate by g0 lies within 1
+    of the identity and within kappa of the diagonal subgroup, counted one
+    (n, kappa) at a time."""
+    if kappa > 1:
+        raise DomainError("kappa must be <= 1")
+    return _count_returns(alg, g0, n, kappa, rl.enumerate_norm_n(alg, n, g0, radius=1.0))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -50,10 +213,9 @@ def test_hilbert_symbols_decide_division():
             try:
                 alg = rl.QuatAlgebra(a, b)
             except DomainError:
-                screen = rl.QuatAlgebra.isotropy_screen(SimpleNamespace(a=a, b=b), side=12)
-                assert not screen, (a, b)
+                assert not isotropy_screen(a, b, side=12), (a, b)
                 continue
-            assert alg.isotropy_screen(side=12), (a, b)
+            assert isotropy_screen(alg.a, alg.b, side=12), (a, b)
             checked += 1
     assert checked > 100
 
@@ -70,50 +232,50 @@ def test_hilbert_symbol_product_formula():
 
 def test_norm_of_one_plus_omega(algebra):
     # (1+w)(1-w) = 1 - a = -1 for a = 2
-    x = algebra.element((1, 1, 0, 0))
+    x = element(algebra, (1, 1, 0, 0))
     assert x.nrd() == -1
     assert x.trd() == 2
 
 
 def test_unit_norm_trace(algebra):
-    one = algebra.one()
-    assert (one.nrd(), one.trd()) == (1, 2)
+    e = one(algebra)
+    assert (e.nrd(), e.trd()) == (1, 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(coords4, coords4)
 def test_norm_multiplicative(xc, yc):
     alg = cached_algebra()
-    x, y = alg.element(xc), alg.element(yc)
-    assert rl.quat_mul(x, y).nrd() == x.nrd() * y.nrd()
+    x, y = element(alg, xc), element(alg, yc)
+    assert quat_mul(x, y).nrd() == x.nrd() * y.nrd()
 
 
 @settings(max_examples=30, deadline=None)
 @given(coords4)
 def test_conjugation_gives_norm(xc):
     alg = cached_algebra()
-    x = alg.element(xc)
-    prod = rl.quat_mul(x, x.conj())
+    x = element(alg, xc)
+    prod = quat_mul(x, x.conj())
     # x xbar = nrd(x) * 1
     assert prod.coords == (x.nrd(), 0, 0, 0)
 
 
 def test_maximal_order_is_order_and_disc6(algebra_maximal, algebra):
     assert algebra_maximal.verify_order()
-    assert algebra_maximal.reduced_discriminant_squared() == 36
+    assert reduced_discriminant_squared(algebra_maximal) == 36
     assert algebra.verify_order()
-    assert algebra.reduced_discriminant_squared() == (4 * 2 * 3) ** 2
+    assert reduced_discriminant_squared(algebra) == (4 * 2 * 3) ** 2
 
 
 def test_division_screen(algebra):
     # necessary-condition screen only: no isotropic vector in the box
-    assert algebra.isotropy_screen(side=50)
+    assert isotropy_screen(algebra.a, algebra.b, side=50)
 
 
 # ---------------------------------------------------------------- embedding
 
 def test_iota_identity(algebra):
-    assert np.array_equal(rl.iota(algebra.one()).m, np.eye(2))
+    assert np.array_equal(iota(one(algebra)).m, np.eye(2))
 
 
 def test_iota_det_equals_nrd_symbolic():
@@ -132,8 +294,8 @@ def test_iota_det_equals_nrd_numeric(algebra):
     rng = np.random.default_rng(11)
     for _ in range(100):
         v = tuple(int(c) for c in rng.integers(-20, 21, 4))
-        x = algebra.element(v)
-        det = float(np.linalg.det(rl.iota_matrix(x)))
+        x = element(algebra, v)
+        det = float(np.linalg.det(rl.iota_matrix(algebra, v)))
         assert det == pytest.approx(float(x.nrd()), rel=1e-9, abs=1e-9)
 
 
@@ -142,15 +304,15 @@ def test_iota_multiplicative(algebra):
     for _ in range(50):
         xv = tuple(int(c) for c in rng.integers(-10, 11, 4))
         yv = tuple(int(c) for c in rng.integers(-10, 11, 4))
-        x, y = algebra.element(xv), algebra.element(yv)
-        lhs = rl.iota_matrix(rl.quat_mul(x, y))
-        rhs = rl.iota_matrix(x) @ rl.iota_matrix(y)
+        x, y = element(algebra, xv), element(algebra, yv)
+        lhs = rl.iota_matrix(algebra, quat_mul(x, y).coords)
+        rhs = rl.iota_matrix(algebra, xv) @ rl.iota_matrix(algebra, yv)
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
 
 def test_iota_rejects_nonpositive_norm(algebra):
     with pytest.raises(DomainError):
-        rl.iota(algebra.element((1, 1, 0, 0)))   # nrd = -1
+        iota(element(algebra, (1, 1, 0, 0)))   # nrd = -1
 
 
 # ---------------------------------------------------------------- enumeration
@@ -206,7 +368,7 @@ def product_scan(alg, box, n):
     (True, ((1, 0.0, 1.0), (3, 0.4, 0.7), (4, 0.0, 0.7)))], ids=["default", "maximal"])
 def test_scans_match_product_scan(maximal, cases):
     alg = cached_algebra(maximal)
-    assert rl.find_units(alg, coeff_radius=3) == product_scan(alg, [3] * 4, 1)
+    assert find_units(alg, coeff_radius=3) == product_scan(alg, [3] * 4, 1)
     for n, theta, radius in cases:
         g0 = rl.GroupElement.rotation(theta)
         box = _order_box(alg, _entry_bound(n, g0, radius))
@@ -222,15 +384,15 @@ def test_scans_match_product_scan(maximal, cases):
                 if not any(left_equivalent(alg, r, e, n) for r in reps):
                     reps.append(e)
             classes.append(reps)
-        assert rl.coset_reps(alg, n, coeff_box=3, stability_margin=1) == \
+        assert coset_reps(alg, n, coeff_box=3, stability_margin=1) == \
             (classes[0], len(classes[0]), len(classes[0]) == len(classes[1]))
 
 
 def test_enumerate_contains_identity(algebra):
-    one = algebra.one().coords
+    e = one(algebra).coords
     for radius in (0.0, 0.5, 1.0):
         elems = rl.enumerate_norm_n(algebra, 1, radius=radius)
-        assert one in elems or tuple(-c for c in one) in elems
+        assert e in elems or tuple(-c for c in e) in elems
 
 
 def test_enumerate_matches_brute_force(algebra):
@@ -263,38 +425,38 @@ def test_enumerate_radius_cap(algebra):
 # ---------------------------------------------------------------- cosets
 
 def test_coset_single_class_at_one(algebra):
-    _, count, certified = rl.coset_reps(algebra, 1, coeff_box=6)
+    _, count, certified = coset_reps(algebra, 1, coeff_box=6)
     assert count == 1 and certified
 
 
 @pytest.mark.parametrize("maximal", [False, True])
 def test_coset_count_p_plus_one(maximal):
     alg = cached_algebra(maximal)
-    _, c5, cert5 = rl.coset_reps(alg, 5, coeff_box=10)
+    _, c5, cert5 = coset_reps(alg, 5, coeff_box=10)
     assert c5 == 6 and cert5
-    _, c7, _ = rl.coset_reps(alg, 7, coeff_box=10)
+    _, c7, _ = coset_reps(alg, 7, coeff_box=10)
     assert c7 == 8
 
 
 def test_coset_hecke_relation_pattern(algebra):
     # applying T_p T_p = T_{p^2} + T_1 to the constant function:
     # |R(1)\R(p)|^2 = |R(1)\R(p^2)| + p
-    _, c5, _ = rl.coset_reps(algebra, 5, coeff_box=10)
-    _, c25, cert = rl.coset_reps(algebra, 25, coeff_box=12)
+    _, c5, _ = coset_reps(algebra, 5, coeff_box=10)
+    _, c25, cert = coset_reps(algebra, 25, coeff_box=12)
     assert cert
     assert c5 ** 2 == c25 + 5
 
 
 def test_units_and_equivalence(algebra):
-    units = rl.find_units(algebra, coeff_radius=5)
+    units = find_units(algebra, coeff_radius=5)
     assert (1, 0, 0, 0) in units
     for u in units:
-        assert algebra.element(u).nrd() == 1
+        assert element(algebra, u).nrd() == 1
     # gamma ~ u gamma for every truncated unit
     gamma = (2, 1, 1, 1)   # nrd 5
-    assert algebra.element(gamma).nrd() == 5
+    assert element(algebra, gamma).nrd() == 5
     for u in units[:6]:
-        prod = rl.quat_mul(algebra.element(u), algebra.element(gamma))
+        prod = quat_mul(element(algebra, u), element(algebra, gamma))
         assert left_equivalent(algebra, gamma, prod.coords, 5)
 
 
@@ -302,23 +464,19 @@ def test_units_and_equivalence(algebra):
 
 def oracle_returns(alg, g0, n, kappa, side=40):
     """Independent count over the brute-force element list."""
-    count = 0
-    for v in brute_force_norm_n(alg, n, g0, radius=1.0, side=side):
-        h = conjugated_element(alg, v, n, g0)
-        if dist_to_diag(h)[0] <= kappa:
-            count += 1
-    return count
+    return _count_returns(alg, g0, n, kappa,
+                          brute_force_norm_n(alg, n, g0, radius=1.0, side=side))
 
 
 def test_returns_identity_always_counted(algebra):
     for kappa in (0.0, 0.5, 1.0):
-        assert rl.hecke_returns(algebra, rl.GroupElement.identity(), 1, kappa) >= 1
+        assert hecke_returns(algebra, rl.GroupElement.identity(), 1, kappa) >= 1
 
 
 def test_returns_monotone_in_kappa(algebra):
     g0 = rl.GroupElement.identity()
     for n in (7, 12, 17):
-        counts = [rl.hecke_returns(algebra, g0, n, k) for k in (0.125, 0.5, 1.0)]
+        counts = [hecke_returns(algebra, g0, n, k) for k in (0.125, 0.5, 1.0)]
         assert counts == sorted(counts)
 
 
@@ -326,7 +484,7 @@ def test_returns_match_oracle(algebra):
     g0 = rl.GroupElement.identity()
     for n in range(1, 21):
         for kappa in (0.25, 1.0):
-            assert rl.hecke_returns(algebra, g0, n, kappa) == \
+            assert hecke_returns(algebra, g0, n, kappa) == \
                 oracle_returns(algebra, g0, n, kappa)
 
 
@@ -335,9 +493,9 @@ def test_returns_stable_under_base_translation(algebra):
     # element sits on a threshold
     g0 = rl.GroupElement.identity()
     for n in (7, 14):
-        base = rl.hecke_returns(algebra, g0, n, 0.9)
+        base = hecke_returns(algebra, g0, n, 0.9)
         for y in (0.05, 0.1):
-            moved = rl.hecke_returns(algebra, rl.GroupElement.diag_flow(y), n, 0.9)
+            moved = hecke_returns(algebra, rl.GroupElement.diag_flow(y), n, 0.9)
             assert moved == base
 
 
@@ -350,7 +508,7 @@ def test_return_ratio_finite(algebra):
 
 def test_returns_kappa_cap(algebra):
     with pytest.raises(DomainError):
-        rl.hecke_returns(algebra, rl.GroupElement.identity(), 2, 1.5)
+        hecke_returns(algebra, rl.GroupElement.identity(), 2, 1.5)
 
 
 # ---------------------------------------------------------------- amplifier
@@ -427,4 +585,4 @@ def test_parameter_choice_balances_exponents():
 
 def test_algebra_roundtrip(algebra_maximal):
     assert algebra_maximal.verify_order()
-    assert algebra_maximal.reduced_discriminant_squared() == 36
+    assert reduced_discriminant_squared(algebra_maximal) == 36

@@ -9,7 +9,8 @@ from restrictlab.errors import DomainError
 from restrictlab.hecke import conjugated_element, enumerate_norm_n
 from restrictlab.integrals import _bilinear_sum, _window_values, modulated_gaussian
 
-from conftest import ALPHA_CANTOR, cached_algebra, cached_bump, cached_kernel, cached_weight
+from conftest import (ALPHA_CANTOR, cached_algebra, cached_bump, cached_kernel,
+                      cached_weight, sampled)
 
 
 def _phi_w_sampled(lam: float, alpha: float = 0.9, depth: int = 8,
@@ -204,7 +205,7 @@ def test_eval_I_sesquilinearity(kernel100):
 
 def test_eval_I_underresolved_grid(kernel100):
     win = rl.TestWindow()
-    f = rl.SampledFunction.from_callable(lambda x: np.exp(-x ** 2), -3.0, 3.0, 0.01)
+    f = sampled(lambda x: np.exp(-x ** 2), -3.0, 3.0, 0.01)
     with pytest.raises(DomainError):
         rl.eval_I(kernel100, win, f, rl.GroupElement.identity())
 
@@ -248,7 +249,6 @@ def test_uniform_bound_constant_stable_in_lambda():
         kern = cached_kernel(lam)
         w, grid3, phi, f = _phi_w_sampled(lam, alpha=ALPHA_CANTOR, depth=6)
         fp = rl.band_project(bump, lam, lam ** 0.5, f, "pass")
-        norm_sq = float(np.sum(np.abs(phi[:w.n]) ** 2 * 0.0) + 0.0)
         wext = rl.SampledFunction(w.grid_min, w.grid_step, w.values).embed(-3.0, 3.0)
         norm_sq = float(np.sum(np.abs(phi) ** 2 * wext.values.real) * w.grid_step)
         best = 0.0
@@ -270,7 +270,7 @@ def test_amplified_rhs_zero_amplifier(kernel100):
     alg = cached_algebra()
     win = rl.TestWindow()
     _, _, _, f = _phi_w_sampled(100.0)
-    amp = rl.Amplifier(N=4, coeffs={2: 0.0}, q=1)
+    amp = rl.Amplifier(coeffs={2: 0.0})
     total, rows, flags = rl.amplified_rhs(alg, amp, kernel100, win, f,
                                           rl.GroupElement.identity())
     assert total == 0.0
@@ -281,7 +281,7 @@ def test_amplified_rhs_identity_amplifier(kernel100):
     alg = cached_algebra()
     win = rl.TestWindow()
     _, _, _, f = _phi_w_sampled(100.0)
-    amp = rl.Amplifier(N=1, coeffs={1: 1.0}, q=1)
+    amp = rl.Amplifier(coeffs={1: 1.0})
     g0 = rl.GroupElement.identity()
     total, rows, flags = rl.amplified_rhs(alg, amp, kernel100, win, f, g0)
     direct = rl.eval_I(kernel100, win, f, g0)

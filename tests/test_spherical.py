@@ -4,9 +4,67 @@ import pytest
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
-from restrictlab.spherical import demodulate_window, phi_s_radial, spectral_truncation
+from restrictlab.spherical import _phi_integrand_nodes, phi_s_radial, spectral_truncation
 
 from conftest import cached_kernel
+
+
+def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
+    """Inverse transform at the radial point a(x):
+    int_0^T H(s) phi_s(a(x)) s tanh(pi s) / (2 pi) ds, by a direct per-point
+    quadrature (the oracle of make_kernel's FFT and circle table)."""
+    if truncation is None:
+        raise DomainError("truncation point is required")
+    T = float(truncation)
+    s = np.arange(0.0, T + 0.01, 0.01)
+    Hs = np.asarray(H_eval(s), dtype=float)
+    n_theta = max(64, int(1.3 * T * abs(x)) + 64)
+    th = _phi_integrand_nodes(n_theta)
+    u = np.cosh(x) - np.sinh(x) * np.cos(2.0 * th)
+    lu = np.log(u)
+    phis = (u[None, :] ** -0.5 * np.cos(np.outer(s, lu))).mean(axis=1)
+    dens = s * np.tanh(np.pi * s) / (2.0 * np.pi)
+    return float(np.trapezoid(Hs * phis * dens, s))
+
+
+def demodulate_window(x: np.ndarray, vals: np.ndarray, s: float):
+    """Least-squares split of samples into e^(+-i s x) components with
+    window-linear amplitudes.
+
+    Returns (f_plus, f_minus, residual, flagged); the flag marks an
+    ill-conditioned design (near-parallel columns)."""
+    x = np.asarray(x, dtype=float)
+    xc = x - x.mean()
+    e_p = np.exp(1j * s * x)
+    e_m = np.exp(-1j * s * x)
+    A = np.stack([e_p, xc * e_p, e_m, xc * e_m], axis=1)
+    coef, _, rank, sv = np.linalg.lstsq(A, np.asarray(vals, dtype=complex), rcond=None)
+    resid = float(np.abs(vals - A @ coef).max())
+    flagged = bool(rank < 4 or sv[-1] < 1e-8 * sv[0])
+    return complex(coef[0]), complex(coef[2]), resid, flagged
+
+
+def asymptotic_check(lam: float, x_range=(0.5, 2.0)):
+    """Demodulate phi_lam into e^(+-i lam x) amplitudes on x_range.
+
+    Reports, for 40 windows of 12 samples each, per-window |f+| and fit
+    residuals, the scaled sup |f+| (lam x)^(1/2), and ill-conditioning flags.
+    """
+    s = float(lam)
+    h = 0.4 / s
+    lo, hi = x_range
+    out = {"x": [], "f_plus": [], "residual": [], "flagged": []}
+    for x0 in np.linspace(lo, hi - 12 * h, 40):
+        x = x0 + h * np.arange(12)
+        vals = phi_s_radial(s, x)
+        fp, _, resid, flagged = demodulate_window(x, vals, s)
+        out["x"].append(float(x.mean()))
+        out["f_plus"].append(abs(fp))
+        out["residual"].append(resid)
+        out["flagged"].append(flagged)
+    out = {k: np.asarray(v) for k, v in out.items()}
+    out["sup_scaled_plus"] = float((out["f_plus"] * np.sqrt(s * out["x"])).max())
+    return out
 
 
 # ---------------------------------------------------------------- phi_s
@@ -82,25 +140,25 @@ def test_hc_forward_requires_support():
 
 
 def test_hc_inverse_zero_and_truncation_required():
-    assert rl.hc_inverse(lambda s: np.zeros_like(s), 0.3, truncation=50.0) == 0.0
+    assert hc_inverse(lambda s: np.zeros_like(s), 0.3, truncation=50.0) == 0.0
     with pytest.raises(DomainError):
-        rl.hc_inverse(lambda s: np.zeros_like(s), 0.3)
+        hc_inverse(lambda s: np.zeros_like(s), 0.3)
 
 
 def test_kernel_positive_at_origin(kernel100):
     # k(e) = int h0^2 d(plancherel) > 0
     assert kernel100.values[0] > 0
     assert kernel100.values[0] == pytest.approx(
-        rl.hc_inverse(kernel100.h0_squared, 0.0,
-                      truncation=kernel100.lam + kernel100.truncation), rel=1e-6)
+        hc_inverse(kernel100.h0_squared, 0.0,
+                   truncation=kernel100.lam + spectral_truncation(kernel100.h_width)), rel=1e-6)
 
 
 def test_kernel_table_matches_direct_inverse(kernel100):
     # two organizations of the same spectral integral: the FFT+circle table
     # against a direct per-point inverse transform
-    T = kernel100.lam + kernel100.truncation
+    T = kernel100.lam + spectral_truncation(kernel100.h_width)
     for x in (0.02, 0.05, 0.11):
-        direct = rl.hc_inverse(kernel100.h0_squared, x, truncation=T)
+        direct = hc_inverse(kernel100.h0_squared, x, truncation=T)
         assert kernel100.radial(x) == pytest.approx(direct, rel=1e-5, abs=1e-4)
 
 
@@ -176,7 +234,7 @@ def test_demodulate_recovers_pure_wave():
 def test_asymptotic_amplitudes_stable_and_residual_small():
     sups = []
     for s in (50.0, 200.0):
-        rep = rl.asymptotic_check(s, x_range=(0.5, 2.0))
+        rep = asymptotic_check(s, x_range=(0.5, 2.0))
         assert not rep["flagged"].any()
         # residual after removing both oscillatory terms
         assert np.all(rep["residual"] <= 10.0 * (s * rep["x"]) ** -2.0)
