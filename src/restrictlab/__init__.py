@@ -4,8 +4,8 @@ Modules: measures (fractal measures, energies, smoothed weights), frequency
 (band-limited bumps and projections), geometry (upper half-plane and PSL(2,R)),
 spherical (spherical functions and the band kernel), hecke (quaternion orders,
 enumeration, amplifier), integrals (the geometric bilinear integrals and their
-scaling experiments), modes (model-surface eigenfunctions, tube norms and
-exponent tables), cli (experiment runner).
+scaling experiments), modes (sphere eigenfunctions, tube norms and exponent
+tables), cli (experiment runner).
 """
 
 from .errors import DomainError, GridMismatchError, NonConvergenceError, ResourceError
@@ -27,9 +27,9 @@ from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,
                         amplified_rhs, beta_scaling_experiment,
                         rapid_decay_experiment, modulated_gaussian)
-from .modes import (ModeSpec, SphereMode, TorusMode, SphereGeodesic, KNReport,
-                    make_mode, restriction_norm, kn_norm, theorem_ratio_table,
-                    dyadic_kernel_check, exponent_table, fit_exponent,
-                    gamma_exponent, delta_exponent, marshall_exponent, lp_bump)
+from .modes import (SphereMode, SphereGeodesic, KNReport, restriction_norm,
+                    kn_norm, theorem_ratio_table, dyadic_kernel_check,
+                    exponent_table, fit_exponent, gamma_exponent,
+                    delta_exponent, marshall_exponent, lp_bump)
 
 __version__ = "0.1.0"

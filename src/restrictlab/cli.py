@@ -230,7 +230,7 @@ def _run_hecke_returns(cfg):
         basis = [[Fraction(v) for v in row] for row in basis]
     alg = QuatAlgebra(p["a"], p["b"], basis=basis, q=p["q"])
     sup, rows = return_count_ratio(alg, [GroupElement.identity()], p["n_max"],
-                                   p["kappas"], eps=0.1)
+                                   p["kappas"])
     return (["n", "kappa", "M", "shape_ratio"], [row[1:] for row in rows],
             {"max_shape_ratio": sup})
 
@@ -304,8 +304,7 @@ def _run_rapid_decay(cfg):
 
 
 def _run_restrict(cfg):
-    from .modes import (ModeSpec, SphereGeodesic, fit_exponent, make_mode,
-                        restriction_norm)
+    from .modes import SphereGeodesic, SphereMode, fit_exponent, restriction_norm
     from .measures import make_cantor_measure
     p = cfg.params
     mu = make_cantor_measure(p["alpha"], p["depth"])
@@ -313,7 +312,7 @@ def _run_restrict(cfg):
         else SphereGeodesic.meridian()
     rows = []
     for l in p["degrees"]:
-        mode = make_mode(ModeSpec("sphere", p["kind"], int(l)))
+        mode = SphereMode(p["kind"], int(l))
         rows.append({"degree": int(l), "lambda": mode.lam,
                      "norm": restriction_norm(mode, ell, mu)})
     summary = {}
@@ -324,20 +323,19 @@ def _run_restrict(cfg):
 
 
 def _run_kn(cfg):
-    from .modes import ModeSpec, kn_norm, make_mode
+    from .modes import SphereMode, kn_norm
     p = cfg.params
-    rep = kn_norm(make_mode(ModeSpec("sphere", p["kind"], p["degree"])))
+    rep = kn_norm(SphereMode(p["kind"], p["degree"]))
     row = rep.to_row()
     return list(row), [row], {"s_kn": rep.s_kn, "lambda": rep.lam}
 
 
 def _run_theorem3(cfg):
     from .measures import make_cantor_measure
-    from .modes import ModeSpec, make_mode, theorem_ratio_table
+    from .modes import SphereMode, theorem_ratio_table
     p = cfg.params
     mu = make_cantor_measure(p["alpha"], p["depth"])
-    modes = [make_mode(ModeSpec("sphere", "highest_weight", int(l)))
-             for l in p["degrees"]]
+    modes = [SphereMode("highest_weight", int(l)) for l in p["degrees"]]
     rows, spread = theorem_ratio_table(modes, mu, p["alpha"])
     return ["lambda", "lhs", "skn", "bound", "ratio"], rows, {
         "ratio_spread": spread, "spread_ok": bool(spread <= 4.0)}
@@ -362,12 +360,12 @@ def _run_dyadic(cfg):
     rows = []
     summaries = {}
     for k in p["k_indices"]:
-        rep = dyadic_kernel_check(lam, int(k), w=w)
+        rep = dyadic_kernel_check(lam, int(k), w)
         for r in rep["rows"]:
             rows.append({"k_index": k, **r})
         summaries[str(k)] = {"sup_ratio": rep["sup_ratio"],
                              "decay_slope": rep["decay_slope"],
-                             "weighted_ratio": rep.get("weighted_ratio"),
+                             "weighted_ratio": rep["weighted_ratio"],
                              "any_flagged": rep["any_flagged"]}
     return (["k_index", "s", "s_prime", "osc_scale", "abs_value", "model", "ratio",
              "flagged"], rows, {"per_k": summaries})

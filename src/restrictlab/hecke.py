@@ -21,6 +21,7 @@ from .geometry import GroupElement, dist_to_diag, dist_to_identity
 COEFF_BUDGET = 1 << 28   # coefficient-box points of one enumerate_norm_n
 SCAN_BUDGET = 1 << 26    # box points summed over one return_count_ratio grid
 FACTOR_BUDGET = 1 << 40  # largest |ab| whose trial division QuatAlgebra runs
+RETURN_EPS = 0.1         # eps of the (n/kappa)^eps loss in return_count_ratio
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -282,9 +283,9 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
             if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
 
 
-def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list,
-                       eps: float = 0.1):
-    """max over the grid of M(g,n,kappa) / ((n/kappa)^eps (n sqrt(kappa)+1)).
+def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list):
+    """max over the grid of M(g,n,kappa) / ((n/kappa)^eps (n sqrt(kappa)+1)),
+    eps = RETURN_EPS.
 
     Finite by construction; the reported value is the measured analogue of
     the return-count bound's implied constant.  Each (g0, n) pair is
@@ -308,7 +309,7 @@ def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list,
                               for v in elems])
             for kappa in kappa_list:
                 M = int(np.count_nonzero(dists <= kappa)) if dists.size else 0
-                denom = (n / kappa) ** eps * (n * np.sqrt(kappa) + 1.0)
+                denom = (n / kappa) ** RETURN_EPS * (n * np.sqrt(kappa) + 1.0)
                 rows.append((gi, n, float(kappa), M, M / denom))
                 best = max(best, M / denom)
     return best, rows

@@ -222,17 +222,17 @@ def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
 
 def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
                             w: WeightFunction, bump: BumpPair,
-                            beta_list, phi_fn=None):
-    """I(lam, complement-projection of phi w, e) against beta.
+                            beta_list):
+    """I(lam, complement-projection of phi w, e) against beta, with phi the
+    modulated Gaussian at lam.
 
     Rows: (beta, |I|, |I| / (lam^(1/2) beta^(-(alpha-1/2)) ||phi||^2_L2(w)));
     also returns the fitted log-log slope.
     """
     lam = kernel.lam
     alpha = w.frostman_alpha
-    if phi_fn is None:
-        phi_fn = lambda x: modulated_gaussian(x, lam)
-    grid3, phi, fw, wext = _phi_w_on_window_grid(w, phi_fn, lam)
+    _, phi, fw, wext = _phi_w_on_window_grid(
+        w, lambda x: modulated_gaussian(x, lam), lam)
     phi_norm_sq = float(np.sum(np.abs(phi) ** 2 * wext.values.real) * w.grid_step)
     rows = []
     for beta in sorted(beta_list):
@@ -252,16 +252,15 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
 
 def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
                            w: WeightFunction, bump: BumpPair, beta: float,
-                           epsilon0: float, t_factors, phi_fn=None):
+                           epsilon0: float, t_factors):
     """I(lam, pass-projection of phi w, exp(t E)) across the threshold
-    t* = lam^(-1/2+eps0) beta^(1/2) in the lower-shear direction.
+    t* = lam^(-1/2+eps0) beta^(1/2) in the lower-shear direction, with phi
+    the modulated Gaussian at lam.
 
     Rows: (t, d(g, A), |I|); the contrast is |I|(largest t) / |I|(t=0).
     """
     lam = kernel.lam
-    if phi_fn is None:
-        phi_fn = lambda x: modulated_gaussian(x, lam)
-    grid3, phi, fw, wext = _phi_w_on_window_grid(w, phi_fn, lam)
+    _, _, fw, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
     fpass = band_project(bump, lam, beta, fw, "pass")
     t_star = lam ** (-0.5 + epsilon0) * beta ** 0.5
     rows = []

@@ -1,11 +1,11 @@
-"""Model-surface eigenfunctions (round sphere, flat torus), restriction norms
-against fractal measures, Kakeya-Nikodym tube norms with a rotation search,
-the dyadic oscillatory-kernel check in Fermi coordinates, and the closed-form
-exponent tables with log-log fitting."""
+"""Eigenfunctions of the round sphere, restriction norms against fractal
+measures, Kakeya-Nikodym tube norms with a rotation search, the dyadic
+oscillatory-kernel check in Fermi coordinates, and the closed-form exponent
+tables with log-log fitting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -84,30 +84,6 @@ def fit_exponent(pairs):
 # ---------------------------------------------------------------------------
 # model-surface modes
 
-@dataclass(frozen=True)
-class ModeSpec:
-    surface: str                     # "sphere" | "torus"
-    kind: str                        # "zonal" | "highest_weight" | "plane_wave_sum"
-    degree: int = None
-    freqs: tuple = None              # torus integer frequency vectors
-
-    def __post_init__(self):
-        if self.surface not in ("sphere", "torus"):
-            raise DomainError(f"unknown surface {self.surface!r}")
-        if self.surface == "sphere":
-            if self.kind not in ("zonal", "highest_weight"):
-                raise DomainError(f"unknown sphere mode kind {self.kind!r}")
-            if self.degree is None or self.degree < 1:
-                raise DomainError("sphere modes need a degree >= 1")
-            if self.degree > MAX_DEGREE:
-                raise DomainError(f"degree above stability range {MAX_DEGREE}")
-        else:
-            if self.kind != "plane_wave_sum":
-                raise DomainError("torus modes are plane_wave_sum")
-            if not self.freqs:
-                raise DomainError("torus modes need frequency vectors")
-
-
 def _legendre_values(l: int, x: np.ndarray) -> np.ndarray:
     """P_l(x) by the standard three-term recurrence; |P_l| <= 1 keeps it
     stable, with an overflow guard for pathological inputs."""
@@ -132,9 +108,13 @@ def _highest_weight_log_c(l: int) -> float:
 class SphereMode:
     """Spherical harmonic evaluator on the unit sphere; L^2 norm 1."""
 
-    surface = "sphere"
-
     def __init__(self, kind: str, degree: int):
+        if kind not in ("zonal", "highest_weight"):
+            raise DomainError(f"unknown sphere mode kind {kind!r}")
+        if degree < 1:
+            raise DomainError("sphere modes need a degree >= 1")
+        if degree > MAX_DEGREE:
+            raise DomainError(f"degree above stability range {MAX_DEGREE}")
         self.kind = kind
         self.l = int(degree)
         self.lam = float(np.sqrt(self.l * (self.l + 1.0)))
@@ -157,83 +137,6 @@ class SphereMode:
         phi = np.arctan2(y, x)
         return self.value_angles(theta, phi)
 
-    def l2_norm(self) -> float:
-        n = max(64, 2 * self.l + 16)
-        xg, wg = np.polynomial.legendre.leggauss(n)
-        theta = np.arccos(xg)
-        n_phi = max(16, 2 * self.l + 8)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        vals = np.abs(self.value_angles(theta[:, None], phi[None, :])) ** 2
-        return float(np.sqrt((vals.mean(axis=1) * wg).sum() * 2.0 * np.pi))
-
-    def eigen_residual(self, rng: np.random.Generator) -> float:
-        """max over 20 random points of |(Lap + lam^2) e| / (lam^2 sup|e|),
-        via central differences in (theta, phi)."""
-        h = max(1.2e-4 / max(self.l, 1), 1e-7)
-        theta = rng.uniform(0.6, np.pi - 0.6, 20)
-        phi = rng.uniform(0.0, 2.0 * np.pi, 20)
-        v = self.value_angles(theta, phi)
-        vtp = self.value_angles(theta + h, phi)
-        vtm = self.value_angles(theta - h, phi)
-        vpp = self.value_angles(theta, phi + h)
-        vpm = self.value_angles(theta, phi - h)
-        d2t = (vtp - 2 * v + vtm) / h ** 2
-        dt = (vtp - vtm) / (2 * h)
-        d2p = (vpp - 2 * v + vpm) / h ** 2
-        lap = d2t + dt / np.tan(theta) + d2p / np.sin(theta) ** 2
-        resid = np.abs(lap + self.l * (self.l + 1.0) * v)
-        scale = self.l * (self.l + 1.0) * max(np.abs(v).max(), 1e-300)
-        return float(resid.max() / scale)
-
-
-class TorusMode:
-    """Normalized equal-weight sum of plane waves e^(i<k,x>) on [0, 2pi)^2
-    with |k| equal."""
-
-    surface = "torus"
-
-    def __init__(self, freqs):
-        self.freqs = [tuple(int(c) for c in k) for k in freqs]
-        norms = {float(np.hypot(*k)) for k in self.freqs}
-        if len(norms) != 1:
-            raise DomainError("all frequency vectors must share one modulus")
-        self.lam = norms.pop()
-        c = np.ones(len(self.freqs), dtype=complex)
-        # L^2([0,2pi]^2) norm of sum c_k e^{i<k,x>} is 2 pi |c|_2
-        self.coeffs = c / (2.0 * np.pi * np.linalg.norm(c))
-
-    def value_xy(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for c, (k1, k2) in zip(self.coeffs, self.freqs):
-            out += c * np.exp(1j * (k1 * x + k2 * y))
-        return out
-
-    def l2_norm(self) -> float:
-        x = 2.0 * np.pi * np.arange(256) / 256
-        vals = np.abs(self.value_xy(x[:, None], x[None, :])) ** 2
-        return float(np.sqrt(vals.mean() * (2.0 * np.pi) ** 2))
-
-    def eigen_residual(self, rng: np.random.Generator) -> float:
-        if self.lam == 0:
-            return 0.0
-        h = 1e-4 / max(self.lam, 1.0)
-        x = rng.uniform(0, 2 * np.pi, 20)
-        y = rng.uniform(0, 2 * np.pi, 20)
-        v = self.value_xy(x, y)
-        lap = ((self.value_xy(x + h, y) - 2 * v + self.value_xy(x - h, y))
-               + (self.value_xy(x, y + h) - 2 * v + self.value_xy(x, y - h))) / h ** 2
-        resid = np.abs(lap + self.lam ** 2 * v)
-        return float(resid.max() / (self.lam ** 2 * max(np.abs(v).max(), 1e-300)))
-
-
-def make_mode(spec: ModeSpec):
-    """Build the evaluator; callers may check eigen_residual and l2_norm."""
-    if spec.surface == "sphere":
-        return SphereMode(spec.kind, spec.degree)
-    return TorusMode(spec.freqs)
-
 
 # ---------------------------------------------------------------------------
 # geodesics, restriction norms, tube norms
@@ -248,8 +151,7 @@ def _rotation_from_axis_angle(psi: float) -> np.ndarray:
 class SphereGeodesic:
     """Unit-speed great-circle arc s -> R (cos s, sin s, 0)."""
 
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    length: float = 1.0
+    rotation: np.ndarray
 
     @classmethod
     def equator(cls) -> "SphereGeodesic":
@@ -267,11 +169,7 @@ class SphereGeodesic:
 
 def restriction_norm(mode, ell, mu: FractalMeasure) -> float:
     """||e||_{L^2(mu)} with mu's atoms pushed to the geodesic by arclength."""
-    pts = ell.points(mu.atoms)
-    if mode.surface == "sphere":
-        vals = mode.value_xyz(pts)
-    else:
-        vals = mode.value_xy(pts[..., 0], pts[..., 1])
+    vals = mode.value_xyz(ell.points(mu.atoms))
     return float(np.sqrt(np.sum(mu.weights * np.abs(vals) ** 2)))
 
 
@@ -307,68 +205,46 @@ def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int) -> float:
     return float((vals * np.cos(u)[:, None]).sum() * du * dt)
 
 
-def kn_norm(mode, half_width: float = None) -> KNReport:
-    """Kakeya-Nikodym norm: sup over the tube family of the L^2 mass in the
+def kn_norm(mode: SphereMode) -> KNReport:
+    """Kakeya-Nikodym norm: sup over great circles of the L^2 mass in the
     lam^(-1/2)-neighborhood.
 
-    Sphere: great circles; zonal/highest-weight modes are rotationally
-    symmetric about the pole, so the axis search reduces to the polar tilt,
-    gridded at a quarter of the half-width with golden-section refinement;
-    a search of more than TUBE_BUDGET nodes is refused before it starts.
-    Torus: rational-direction lines with a transverse offset search.
+    Zonal and highest-weight modes are rotationally symmetric about the pole,
+    so the axis search reduces to the polar tilt, gridded at a quarter of the
+    half-width with golden-section refinement; a search of more than
+    TUBE_BUDGET nodes is refused before it starts.
     """
     lam = mode.lam
-    delta = half_width if half_width is not None else lam ** -0.5
+    delta = lam ** -0.5
     step = delta / 4.0
-    if mode.surface == "sphere":
-        n_candidates = int(np.ceil((np.pi / 2) / step)) + 1
-        n_along = max(256, 4 * getattr(mode, "l", 16) + 32)
-        if n_candidates * n_along * 2 * SAMPLES_ACROSS > TUBE_BUDGET:
-            raise ResourceError(
-                f"tube search needs {n_candidates} candidates x "
-                f"{n_along * 2 * SAMPLES_ACROSS} nodes > budget {TUBE_BUDGET}")
-        psis = np.arange(0.0, np.pi / 2 + step, step)
-        masses = np.array([_sphere_tube_mass(mode, p, delta, n_along) for p in psis])
-        i = int(np.argmax(masses))
-        lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]
-        psi_star, neg = _golden_min(lambda p: -_sphere_tube_mass(mode, p, delta, n_along),
-                                    lo, hi, tol=1e-6)
-        return KNReport(lam, delta, float(-neg), {"axis_tilt": float(psi_star)},
-                        float(step))
-    # torus
-    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
-    best = (-1.0, None)
-    for d in directions:
-        dnorm = float(np.hypot(*d))
-        period = 2.0 * np.pi * dnorm
-        n_along = max(256, int(8 * lam * dnorm) + 16)
-        s = period * (np.arange(n_along) + 0.5) / n_along
-        perp = np.array([-d[1], d[0]]) / dnorm
-        offsets = np.arange(0.0, 2.0 * np.pi / dnorm, step)
-        u = delta * (np.arange(SAMPLES_ACROSS) + 0.5) / SAMPLES_ACROSS
-        u = np.concatenate([-u[::-1], u])
-        du = u[1] - u[0]
-        base = np.stack([s * d[0] / dnorm, s * d[1] / dnorm], axis=-1)
-        for off in offsets:
-            pts = (base[None, :, :] + (off + u)[:, None, None] * perp[None, None, :])
-            vals = np.abs(mode.value_xy(pts[..., 0], pts[..., 1])) ** 2
-            mass = float(vals.sum() * du * (period / n_along))
-            if mass > best[0]:
-                best = (mass, {"direction": d, "offset": float(off)})
-    return KNReport(lam, delta, best[0], best[1], float(step))
+    n_candidates = int(np.ceil((np.pi / 2) / step)) + 1
+    n_along = max(256, 4 * mode.l + 32)
+    if n_candidates * n_along * 2 * SAMPLES_ACROSS > TUBE_BUDGET:
+        raise ResourceError(
+            f"tube search needs {n_candidates} candidates x "
+            f"{n_along * 2 * SAMPLES_ACROSS} nodes > budget {TUBE_BUDGET}")
+    psis = np.arange(0.0, np.pi / 2 + step, step)
+    masses = np.array([_sphere_tube_mass(mode, p, delta, n_along) for p in psis])
+    i = int(np.argmax(masses))
+    lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]
+    psi_star, neg = _golden_min(lambda p: -_sphere_tube_mass(mode, p, delta, n_along),
+                                lo, hi, tol=1e-6)
+    return KNReport(lam, delta, float(-neg), {"axis_tilt": float(psi_star)},
+                    float(step))
 
 
-def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float, geodesic_for=None):
-    """Restriction norm against the tube-norm bound lam^(1/4) s_KN^(alpha-1/2).
+def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float):
+    """Restriction norm on the equator against the tube-norm bound
+    lam^(1/4) s_KN^(alpha-1/2).
 
     Rows: {lambda, lhs, skn, bound, ratio}; at alpha = 1 the bound carries the
     additional log(lam) factor.
     """
     if not 0.5 < alpha <= 1.0:
         raise DomainError("alpha must lie in (1/2, 1]")
+    ell = SphereGeodesic.equator()
     rows = []
     for mode in modes:
-        ell = geodesic_for(mode) if geodesic_for else SphereGeodesic.equator()
         lhs = restriction_norm(mode, ell, mu)
         rep = kn_norm(mode)
         bound = mode.lam ** 0.25 * rep.s_kn ** (alpha - 0.5)
@@ -456,14 +332,14 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     return value, frac_degenerate > 0.10
 
 
-def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction = None):
+def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction):
     """Measured decay of the dyadic inner integral against the model kernel
     2^k (1 + 2^(2k) lam |s-s'|)^(-2).
 
     Returns a report with the per-pair table, the sup of |value| / model,
-    degeneracy flags, a fitted decay slope in the oscillatory regime, and,
-    when a weight is supplied, the weighted s-integral of the model kernel
-    compared to 2^k lam^(-alpha) 2^(-2 alpha k).
+    degeneracy flags, a fitted decay slope in the oscillatory regime, and the
+    w-weighted s-integral of the model kernel compared to
+    2^k lam^(-alpha) 2^(-2 alpha k).
     """
     two_k = 2.0 ** k_index
     if not (lam ** -0.5 <= two_k <= 0.5 + 1e-12):
@@ -485,17 +361,13 @@ def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction = None):
     slope = None
     if len(osc) >= 3:
         slope, _ = fit_exponent(osc)
-    report = {"lambda": lam, "k_index": k_index, "rows": rows,
-              "sup_ratio": sup_ratio, "decay_slope": slope,
-              "any_flagged": any(r["flagged"] for r in rows)}
-    if w is not None:
-        alpha = w.frostman_alpha
-        g = w.grid()
-        sp0 = 0.05
-        kernel_vals = two_k * (1.0 + two_k ** 2 * lam * np.abs(g - sp0)) ** (-2)
-        lhs = float(np.sum(kernel_vals * w.values) * w.grid_step)
-        target = two_k * lam ** (-alpha) * two_k ** (-2 * alpha)
-        report["weighted_integral"] = lhs
-        report["weighted_target"] = target
-        report["weighted_ratio"] = lhs / target
-    return report
+    alpha = w.frostman_alpha
+    sp0 = 0.05
+    kernel_vals = two_k * (1.0 + two_k ** 2 * lam * np.abs(w.grid() - sp0)) ** (-2)
+    lhs = float(np.sum(kernel_vals * w.values) * w.grid_step)
+    target = two_k * lam ** (-alpha) * two_k ** (-2 * alpha)
+    return {"lambda": lam, "k_index": k_index, "rows": rows,
+            "sup_ratio": sup_ratio, "decay_slope": slope,
+            "any_flagged": any(r["flagged"] for r in rows),
+            "weighted_integral": lhs, "weighted_target": target,
+            "weighted_ratio": lhs / target}

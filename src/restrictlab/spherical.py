@@ -71,12 +71,10 @@ def phi_s(s: float, g: GroupElement) -> complex:
                               f" within {PHI_MAX_NODES} nodes")
 
 
-def hc_forward(f_eval, s: float, support_radius: float = None) -> float:
+def hc_forward(f_eval, s: float, support_radius: float) -> float:
     """Spherical transform of a radial function supported in r <= R:
     2 pi int_0^R f(r) phi_s(r) sinh r dr (composite Simpson)."""
     from scipy.integrate import simpson
-    if support_radius is None:
-        raise DomainError("support_radius is required")
     R = float(support_radius)
     per_unit = max(8192, int(64.0 * (abs(s) + 1.0)))
     n = max(256, int(per_unit * R))

@@ -210,7 +210,7 @@ def test_criterion_09_sharpness_exponent():
         ell = rl.SphereGeodesic.equator()
         pairs = []
         for l in (64, 128, 256, 512):
-            mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
+            mode = rl.SphereMode("highest_weight", l)
             pairs.append((mode.lam, rl.restriction_norm(mode, ell, mu)))
         slope, _ = rl.fit_exponent(pairs)
     ok = abs(slope - 0.25) <= 0.03 and t.elapsed < limit
@@ -224,8 +224,7 @@ def test_criterion_10_tube_norm_ratio():
     limit = 1200.0
     with _Timer() as t:
         degrees = (64, 128, 256, 512)
-        modes = [rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
-                 for l in degrees]
+        modes = [rl.SphereMode("highest_weight", l) for l in degrees]
         spreads = {}
         for alpha in (0.7, 0.9):
             mu = rl.make_cantor_measure(alpha, 8)

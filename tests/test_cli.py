@@ -257,6 +257,10 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("beta-scaling", "beta_exponents=[]"),
     ("rapid-decay", "t_factors=[1.0]"),
     ("theorem3", "degrees=[]"),
+    # degrees outside 1 <= l <= MAX_DEGREE, refused by SphereMode
+    ("restrict", "degrees=[0]"),
+    ("restrict", "degrees=[2000]"),
+    ("theorem3", "degrees=[1001]"),
     ("hecke-returns", "a=1"),
     ("hecke-returns", "b=1"),
     ("hecke-returns", "b=7"),

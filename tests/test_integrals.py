@@ -368,16 +368,6 @@ def test_beta_scaling_smoke(kernel100):
     assert norm_sq > 0
 
 
-def test_beta_scaling_zero_phi(kernel100):
-    bump = cached_bump()
-    win = rl.TestWindow()
-    w = cached_weight(0.9, 8, 100.0)
-    rows, slope, norm_sq = rl.beta_scaling_experiment(
-        kernel100, win, w, bump, [100.0 ** 0.4],
-        phi_fn=lambda x: np.zeros_like(x, dtype=complex))
-    assert rows[0]["abs_I"] == 0.0
-
-
 def test_beta_scaling_range_guard(kernel100):
     bump = cached_bump()
     win = rl.TestWindow()

@@ -81,70 +81,90 @@ def test_fit_exponent_degenerate():
 
 # ---------------------------------------------------------------- modes
 
+def l2_norm(mode) -> float:
+    """L^2 norm on the sphere: Gauss-Legendre in cos(theta), uniform in phi."""
+    n = max(64, 2 * mode.l + 16)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    theta = np.arccos(xg)
+    n_phi = max(16, 2 * mode.l + 8)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    vals = np.abs(mode.value_angles(theta[:, None], phi[None, :])) ** 2
+    return float(np.sqrt((vals.mean(axis=1) * wg).sum() * 2.0 * np.pi))
+
+
+def eigen_residual(mode, rng: np.random.Generator) -> float:
+    """max over 20 random points of |(Lap + lam^2) e| / (lam^2 sup|e|),
+    via central differences in (theta, phi)."""
+    l = mode.l
+    h = max(1.2e-4 / l, 1e-7)
+    theta = rng.uniform(0.6, np.pi - 0.6, 20)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 20)
+    v = mode.value_angles(theta, phi)
+    vtp = mode.value_angles(theta + h, phi)
+    vtm = mode.value_angles(theta - h, phi)
+    vpp = mode.value_angles(theta, phi + h)
+    vpm = mode.value_angles(theta, phi - h)
+    d2t = (vtp - 2 * v + vtm) / h ** 2
+    dt = (vtp - vtm) / (2 * h)
+    d2p = (vpp - 2 * v + vpm) / h ** 2
+    lap = d2t + dt / np.tan(theta) + d2p / np.sin(theta) ** 2
+    resid = np.abs(lap + l * (l + 1.0) * v)
+    scale = l * (l + 1.0) * max(np.abs(v).max(), 1e-300)
+    return float(resid.max() / scale)
+
+
 def test_zonal_pole_value():
     for l in (8, 101):
-        mode = rl.make_mode(rl.ModeSpec("sphere", "zonal", l))
+        mode = rl.SphereMode("zonal", l)
         assert mode.value_angles(0.0, 0.0).real == pytest.approx(
             np.sqrt((2 * l + 1) / (4 * np.pi)), rel=1e-12)
 
 
 def test_zonal_matches_scipy_oracle():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "zonal", 40))
+    mode = rl.SphereMode("zonal", 40)
     th = np.linspace(0.1, 3.0, 7)
     ref = _sph_ref(40, th)
     assert np.abs(mode.value_angles(th, 0.0).real - ref).max() <= 1e-10
 
 
 def test_highest_weight_constant_on_equator():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", 64))
+    mode = rl.SphereMode("highest_weight", 64)
     phi = np.linspace(0, 2 * np.pi, 181)
     vals = np.abs(mode.value_angles(np.pi / 2, phi))
     assert vals.var() <= 1e-10
 
 
 def test_modes_l2_normalized():
-    for spec in (rl.ModeSpec("sphere", "zonal", 32),
-                  rl.ModeSpec("sphere", "highest_weight", 64),
-                  rl.ModeSpec("torus", "plane_wave_sum", freqs=((3, 4), (5, 0)))):
-        mode = rl.make_mode(spec)
-        assert mode.l2_norm() == pytest.approx(1.0, abs=1e-8)
-
-
-def test_torus_plane_wave_modulus():
-    mode = rl.make_mode(rl.ModeSpec("torus", "plane_wave_sum", freqs=((3, 4),)))
-    x = np.linspace(0, 2 * np.pi, 13)
-    assert np.abs(np.abs(mode.value_xy(x, x[::-1])) - 1 / (2 * np.pi)).max() <= 1e-14
+    for mode in (rl.SphereMode("zonal", 32), rl.SphereMode("highest_weight", 64)):
+        assert l2_norm(mode) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_eigen_residuals():
     rng = np.random.default_rng(31)
-    for spec in (rl.ModeSpec("sphere", "zonal", 32),
-                  rl.ModeSpec("sphere", "highest_weight", 128),
-                  rl.ModeSpec("torus", "plane_wave_sum", freqs=((3, 4),))):
-        mode = rl.make_mode(spec)
-        assert mode.eigen_residual(rng) <= 1e-5
+    for mode in (rl.SphereMode("zonal", 32), rl.SphereMode("highest_weight", 128)):
+        assert eigen_residual(mode, rng) <= 1e-5
 
 
 def test_mode_validation():
     with pytest.raises(DomainError):
-        rl.ModeSpec("sphere", "zonal", 2000)
+        rl.SphereMode("zonal", 2000)
     with pytest.raises(DomainError):
-        rl.ModeSpec("klein", "zonal", 4)
-    with pytest.raises(DomainError):   # frequency moduli differ
-        rl.make_mode(rl.ModeSpec("torus", "plane_wave_sum", freqs=((1, 0), (2, 0))))
+        rl.SphereMode("zonal", 0)
+    with pytest.raises(DomainError):
+        rl.SphereMode("klein", 4)
 
 
 # ---------------------------------------------------------------- restriction
 
 def restriction_norm_quadrature(mode, ell, n: int = 4096) -> float:
     """Dense uniform-measure reference value for the unit segment."""
-    s = (np.arange(n) + 0.5) / n * ell.length
+    s = (np.arange(n) + 0.5) / n
     vals = mode.value_xyz(ell.points(s))
-    return float(np.sqrt(np.mean(np.abs(vals) ** 2) * ell.length))
+    return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
 def test_restriction_point_mass():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "zonal", 24))
+    mode = rl.SphereMode("zonal", 24)
     ell = rl.SphereGeodesic.meridian()
     s0 = 0.37
     mu = rl.FractalMeasure(np.array([s0]), np.array([1.0]), 0.7)
@@ -153,7 +173,7 @@ def test_restriction_point_mass():
 
 
 def test_restriction_uniform_matches_quadrature():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "zonal", 24))
+    mode = rl.SphereMode("zonal", 24)
     ell = rl.SphereGeodesic.meridian()
     mu = rl.make_cantor_measure(1.0, 12)
     val = rl.restriction_norm(mode, ell, mu)
@@ -168,7 +188,7 @@ def test_restriction_highest_weight_equator_growth():
     ell = rl.SphereGeodesic.equator()
     pairs = []
     for l in (64, 128, 256, 512):
-        mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
+        mode = rl.SphereMode("highest_weight", l)
         val = rl.restriction_norm(mode, ell, mu)
         const = abs(mode.value_angles(np.pi / 2, 0.0))
         assert val == pytest.approx(const, rel=1e-10)
@@ -180,67 +200,74 @@ def test_restriction_highest_weight_equator_growth():
 # ---------------------------------------------------------------- tube norms
 
 def test_kn_highest_weight_concentrates_on_equator():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", 64))
+    mode = rl.SphereMode("highest_weight", 64)
     rep = rl.kn_norm(mode)
     assert rep.s_kn >= 0.3
     assert rep.maximizer["axis_tilt"] <= rep.half_width
     assert rep.lam ** -0.5 / 10.0 <= rep.s_kn <= 1.0 + 1e-6
 
 
-def test_kn_constant_mode_area_ratio():
-    # for the constant density the tube mass is area(tube)/area(surface); the
-    # maximizer is the longest closed line in the search family (length
-    # 2 pi sqrt(5) for the (2,1)-type directions)
-    mode = rl.TorusMode(freqs=((0, 0),))
-    delta = 0.05
-    rep = rl.kn_norm(mode, half_width=delta)
-    d = rep.maximizer["direction"]
-    assert float(np.hypot(*d)) == pytest.approx(np.sqrt(5.0))
-    expect = (2 * delta * 2 * np.pi * np.sqrt(5.0)) / (2 * np.pi) ** 2
-    assert rep.s_kn == pytest.approx(expect, rel=1e-2)
+class _ConstantMode:
+    """|e|^2 = 1/(4 pi) everywhere: L^2-normalized on the unit sphere."""
+
+    def value_xyz(self, xyz):
+        return np.full(xyz.shape[:-1], (4.0 * np.pi) ** -0.5, dtype=complex)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.125])
+@pytest.mark.parametrize("psi", [0.0, 0.7])
+def test_tube_mass_constant_mode_is_collar_area(delta, psi):
+    # the delta-collar of a great circle has area 4 pi sin(delta), so the
+    # constant mode's tube mass is sin(delta) at every tilt
+    mass = rl.modes._sphere_tube_mass(_ConstantMode(), psi, delta, 256)
+    assert mass == pytest.approx(np.sin(delta), rel=1e-4)
 
 
 def test_kn_width_monotone():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", 64))
-    narrow = rl.kn_norm(mode, half_width=mode.lam ** -0.5)
-    wide = rl.kn_norm(mode, half_width=2 * mode.lam ** -0.5)
-    assert wide.s_kn >= narrow.s_kn
+    mode = rl.SphereMode("highest_weight", 64)
+    rep = rl.kn_norm(mode)
+    psi = rep.maximizer["axis_tilt"]
+    delta = rep.half_width
+    n_along = max(256, 4 * mode.l + 32)
+    narrow = rl.modes._sphere_tube_mass(mode, psi, delta, n_along)
+    wide = rl.modes._sphere_tube_mass(mode, psi, 2 * delta, n_along)
+    assert narrow == pytest.approx(rep.s_kn, rel=1e-12)
+    assert wide >= narrow
 
 
 def test_kn_budget_guard(monkeypatch):
     from restrictlab.errors import ResourceError
-    mode = rl.make_mode(rl.ModeSpec("sphere", "highest_weight", 64))
+    mode = rl.SphereMode("highest_weight", 64)
     monkeypatch.setattr(rl.modes, "TUBE_BUDGET", 1000)
     with pytest.raises(ResourceError):
         rl.kn_norm(mode)
 
 
 def test_kn_zonal_bounds():
-    mode = rl.make_mode(rl.ModeSpec("sphere", "zonal", 48))
+    mode = rl.SphereMode("zonal", 48)
     rep = rl.kn_norm(mode)
     assert mode.lam ** -0.5 / 10.0 <= rep.s_kn <= 1.0 + 1e-6
 
 
 def test_theorem_ratio_spread_small_family():
     mu = rl.make_cantor_measure(0.7, 8)
-    modes = [rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
+    modes = [rl.SphereMode("highest_weight", l)
              for l in (64, 128, 256)]
     rows, spread = rl.theorem_ratio_table(modes, mu, 0.7)
     assert spread <= 4.0
     assert all(np.isfinite(r["ratio"]) for r in rows)
 
 
-def test_theorem_ratio_zonal_meridian_reported():
+def test_theorem_ratio_zonal_finite():
     mu = rl.make_cantor_measure(0.7, 8)
-    modes = [rl.make_mode(rl.ModeSpec("sphere", "zonal", l)) for l in (32, 64)]
-    rows, spread = rl.theorem_ratio_table(
-        modes, mu, 0.7, geodesic_for=lambda m: rl.SphereGeodesic.meridian())
+    modes = [rl.SphereMode("zonal", l) for l in (32, 64)]
+    rows, spread = rl.theorem_ratio_table(modes, mu, 0.7)
     assert np.isfinite(spread)
 
 
 def test_theorem_ratio_log_loss_at_alpha_one():
     mu = rl.make_cantor_measure(1.0, 8)
-    modes = [rl.make_mode(rl.ModeSpec("sphere", "highest_weight", l))
+    modes = [rl.SphereMode("highest_weight", l)
              for l in (64, 128)]
     rows, spread = rl.theorem_ratio_table(modes, mu, 1.0)
     for r in rows:
@@ -287,7 +314,7 @@ def test_dyadic_stationary_case():
 def test_dyadic_decay_and_bounds():
     lam = 128.0
     w = cached_weight(0.7, 6, lam)
-    rep = rl.dyadic_kernel_check(lam, -1, w=w)
+    rep = rl.dyadic_kernel_check(lam, -1, w)
     assert rep["decay_slope"] <= -1.5
     assert np.isfinite(rep["sup_ratio"])
     assert rep["weighted_ratio"] <= 10.0
@@ -295,7 +322,8 @@ def test_dyadic_decay_and_bounds():
 
 
 def test_dyadic_k_range_guard():
+    w = cached_weight(0.7, 6, 128.0)
     with pytest.raises(DomainError):
-        rl.dyadic_kernel_check(128.0, 1)
+        rl.dyadic_kernel_check(128.0, 1, w)
     with pytest.raises(DomainError):
-        rl.dyadic_kernel_check(128.0, -6)
+        rl.dyadic_kernel_check(128.0, -6, w)

@@ -135,7 +135,7 @@ def test_hc_forward_zero_and_evenness():
 
 
 def test_hc_forward_requires_support():
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         rl.hc_forward(lambda r: np.zeros_like(r), 5.0)
 
 
