@@ -1,11 +1,11 @@
 """Desk-scale numerical laboratory for fractal geodesic restriction bounds.
 
 Modules: measures (fractal measures, energies, smoothed weights), frequency
-(band-limited bumps and projections), geometry (upper half-plane and PSL(2,R)),
-spherical (spherical functions and the band kernel), hecke (quaternion orders,
-enumeration, amplifier), integrals (the geometric bilinear integrals and their
-scaling experiments), modes (sphere eigenfunctions, tube norms and exponent
-tables), cli (experiment runner).
+(the band-limited bump, its transform and band projections), geometry (upper
+half-plane and PSL(2,R)), spherical (spherical functions and the band kernel),
+hecke (quaternion orders, enumeration, amplifier), integrals (the geometric
+bilinear integrals and their scaling experiments), modes (sphere
+eigenfunctions, tube norms and exponent tables), cli (experiment runner).
 """
 
 from .errors import DomainError, GridMismatchError, NonConvergenceError, ResourceError
@@ -13,9 +13,8 @@ from .sampling import SampledFunction
 from .measures import (FractalMeasure, WeightFunction, make_cantor_measure,
                        frostman_ratio, energy, build_weight,
                        frostman_weight_sweep, decade_sweep)
-from .frequency import (BumpPair, BandKernel, band_project,
-                        fourier_energy_identity, gamma_factor,
-                        fourier_transform, rho_cutoff, smooth_step)
+from .frequency import (BumpPair, band_project, fourier_energy_identity,
+                        gamma_factor, fourier_transform, rho_cutoff, smooth_step)
 from .geometry import (GroupElement, act, dist_hyp, dist_to_identity,
                        dist_to_diag, log_psl2, gnorm)
 from .spherical import (SphericalKernel, phi_s, phi_s_radial, hc_forward,

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from . import frequency, geometry, hecke, integrals, measures, modes, spherical
 from .errors import DomainError, NonConvergenceError, ResourceError
 
 EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_NONCONVERGENCE = 0, 2, 3, 4
@@ -159,48 +160,42 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> No
 
 
 def _weight_for(alpha: float, depth: int, lam: float, spw: int):
-    """(Cantor weight, the BumpPair it was mollified with); the measure's and
-    the weight's budgets are checked before the bump is built."""
-    from .frequency import BumpPair
-    from .measures import build_weight, check_weight_budget, make_cantor_measure
-    nu = make_cantor_measure(alpha, depth)
-    check_weight_budget(nu.atoms.size, lam, spw)
-    bump = BumpPair()
-    return build_weight(nu, lam, bump, samples_per_wavelength=spw), bump
+    """Cantor weight mollified at lam; the measure's and the weight's budgets
+    are checked before the bump is built."""
+    nu = measures.make_cantor_measure(alpha, depth)
+    measures.check_weight_budget(nu.atoms.size, lam, spw)
+    return measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
 
 
 def _integral_setup(p: dict):
-    """(kernel on [0, 1], bump, weight) of an integral run; the kernel's, the
+    """(kernel on [0, 1], weight) of an integral run; the kernel's, the
     measure's and the weight's budgets are all checked before the bump, the
     weight or the kernel is built."""
-    from .spherical import check_kernel_budget, make_kernel
     lam = p["lambda"]
-    check_kernel_budget(lam, 1.0)
-    w, bump = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
-    return make_kernel(lam, x_max=1.0), bump, w
+    spherical.check_kernel_budget(lam, 1.0)
+    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    return spherical.make_kernel(lam, x_max=1.0), w
 
 
 def _run_measure(cfg):
-    from .measures import WORK_BUDGET, frostman_ratio, make_cantor_measure
     p = cfg.params
-    m = make_cantor_measure(p["alpha"], p["depth"])
-    if p["n_r"] > RADII_BUDGET or p["n_r"] * m.atoms.size > WORK_BUDGET:
+    m = measures.make_cantor_measure(p["alpha"], p["depth"])
+    if p["n_r"] > RADII_BUDGET or p["n_r"] * m.atoms.size > measures.WORK_BUDGET:
         raise ResourceError(f"{p['n_r']} radii x {m.atoms.size} atoms exceed budget"
-                            f" {RADII_BUDGET} radii or {WORK_BUDGET} atom-radius pairs")
+                            f" {RADII_BUDGET} radii or {measures.WORK_BUDGET} atom-radius pairs")
     rs = np.geomspace(p["r_min"], p["r_max"], p["n_r"])
-    rows = [{"r": float(r), "sup_ratio": frostman_ratio(m, [r])} for r in rs]
+    rows = [{"r": float(r), "sup_ratio": measures.frostman_ratio(m, [r])} for r in rs]
     return ["r", "sup_ratio"], rows, {
         "sup_ratio_overall": max(r["sup_ratio"] for r in rows), "atoms": int(m.atoms.size)}
 
 
 def _run_energy(cfg):
-    from .measures import energy, make_cantor_measure
     p = cfg.params
     rows = []
     for depth in p["depths"]:
-        m = make_cantor_measure(p["alpha"], int(depth))
+        m = measures.make_cantor_measure(p["alpha"], int(depth))
         for s in p["s_values"]:
-            rows.append({"depth": depth, "s": s, "energy": energy(m, float(s))})
+            rows.append({"depth": depth, "s": s, "energy": measures.energy(m, float(s))})
     ratios = {}
     for s in p["s_values"]:
         vals = [r["energy"] for r in rows if r["s"] == s]
@@ -210,66 +205,58 @@ def _run_energy(cfg):
 
 
 def _run_kernel(cfg):
-    from .spherical import kernel_decay_constant, make_kernel
     p = cfg.params
-    k = make_kernel(p["lambda"], p["h_width"], p["x_max"])
+    k = spherical.make_kernel(p["lambda"], p["h_width"], p["x_max"])
     x = k.x_grid()
     rows = [{"x": float(xx), "k": float(vv)} for xx, vv in
             zip(x[::16], k.values[::16])]
     return ["x", "k"], rows, {
-        "k_at_0": float(k.values[0]), "decay_constant": kernel_decay_constant(k),
+        "k_at_0": float(k.values[0]), "decay_constant": spherical.kernel_decay_constant(k),
         "support_radius": k.support_radius, "verify_residual": k.verify_residual}
 
 
 def _run_hecke_returns(cfg):
-    from .geometry import GroupElement
-    from .hecke import QuatAlgebra, return_count_ratio
     p = cfg.params
-    basis = p["order_basis"]
-    if basis is not None:
-        basis = [[Fraction(v) for v in row] for row in basis]
-    alg = QuatAlgebra(p["a"], p["b"], basis=basis, q=p["q"])
-    sup, rows = return_count_ratio(alg, [GroupElement.identity()], p["n_max"],
-                                   p["kappas"])
+    alg = hecke.QuatAlgebra(p["a"], p["b"], basis=p["order_basis"], q=p["q"])
+    sup, rows = hecke.return_count_ratio(alg, [geometry.GroupElement.identity()],
+                                         p["n_max"], p["kappas"])
     return (["n", "kappa", "M", "shape_ratio"], [row[1:] for row in rows],
             {"max_shape_ratio": sup})
 
 
 def _run_amplifier(cfg):
-    from .hecke import build_amplifier, primes_up_to, random_hecke_eigenvalues
     p = cfg.params
     if p["draws"] * math.isqrt(p["N"]) > DRAW_BUDGET:
         raise ResourceError(f"{p['draws']} draws x isqrt(N) = {math.isqrt(p['N'])}"
                             f" exceed budget {DRAW_BUDGET}")
     rng = np.random.default_rng(cfg.seed)
-    n_primes = len([q for q in primes_up_to(int(math.isqrt(p["N"])))
-                    if math.gcd(q, p["q"]) == 1])
     rows = []
     worst = np.inf
     for i in range(p["draws"]):
-        eigs = random_hecke_eigenvalues(p["N"], rng)
-        amp = build_amplifier(p["N"], eigs, q=p["q"])
+        eigs = hecke.random_hecke_eigenvalues(p["N"], rng)
+        amp = hecke.build_amplifier(p["N"], eigs, q=p["q"])
         # the functional needs lambda(n) on the support; p and p^2 are stored
         val = abs(amp.eigenvalue_functional(eigs))
         worst = min(worst, val)
         if i < 32:
             rows.append({"draw": i, "functional": val, "l1": amp.moment_l1(),
                          "l2_sq": amp.moment_l2()})
+    # every draw stores one coefficient, at p or p^2, per prime p <= sqrt(N)
+    # prime to q (draws >= 1, so amp is bound)
+    n_primes = len(amp.coeffs)
     return ["draw", "functional", "l1", "l2_sq"], rows, {
         "n_primes": n_primes, "min_functional": worst,
         "bound": 0.5 * n_primes, "holds": bool(worst >= 0.5 * n_primes)}
 
 
 def _run_integrals(cfg):
-    from .geometry import GroupElement
-    from .integrals import (TestWindow, _phi_w_on_window_grid, eval_I,
-                            modulated_gaussian)
     p = cfg.params
     lam = p["lambda"]
-    kern, _, w = _integral_setup(p)
-    _, _, f, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
-    g = GroupElement.lower_shear(p["shear_t"])
-    rep = eval_I(kern, TestWindow(), f, g)
+    kern, w = _integral_setup(p)
+    _, _, f, _ = integrals._phi_w_on_window_grid(
+        w, lambda x: integrals.modulated_gaussian(x, lam), lam)
+    g = geometry.GroupElement.lower_shear(p["shear_t"])
+    rep = integrals.eval_I(kern, integrals.TestWindow(), f, g)
     row = {"value_re": rep.value.real, "value_im": rep.value.imag,
            "error": rep.error_estimate, "lambda": rep.lam,
            "resolution": rep.resolution, "converged": int(rep.converged),
@@ -281,86 +268,78 @@ def _run_integrals(cfg):
 
 
 def _run_beta_scaling(cfg):
-    from .integrals import TestWindow, beta_scaling_experiment
     p = cfg.params
     lam = p["lambda"]
-    kern, bump, w = _integral_setup(p)
+    kern, w = _integral_setup(p)
     betas = [lam ** e for e in p["beta_exponents"]]
-    rows, slope, norm_sq = beta_scaling_experiment(kern, TestWindow(), w, bump, betas)
+    rows, slope, norm_sq = integrals.beta_scaling_experiment(
+        kern, integrals.TestWindow(), w, betas)
     return ["beta", "abs_I", "normalized", "error", "converged"], rows, {
         "slope": slope, "target": -(p["alpha"] - 0.5) + 0.15,
         "phi_norm_sq": norm_sq, "slope_ok": bool(slope <= -(p["alpha"] - 0.5) + 0.15)}
 
 
 def _run_rapid_decay(cfg):
-    from .integrals import TestWindow, rapid_decay_experiment
     p = cfg.params
-    kern, bump, w = _integral_setup(p)
-    rows, contrast, t_star = rapid_decay_experiment(
-        kern, TestWindow(), w, bump, p["lambda"] ** p["beta_exponent"], p["epsilon0"],
+    kern, w = _integral_setup(p)
+    rows, contrast, t_star = integrals.rapid_decay_experiment(
+        kern, integrals.TestWindow(), w, p["lambda"] ** p["beta_exponent"], p["epsilon0"],
         tuple(p["t_factors"]))
     return ["t", "factor", "dist_A", "abs_I", "error", "converged"], rows, {
         "contrast": contrast, "threshold_t": t_star, "contrast_ok": bool(contrast <= 1e-3)}
 
 
 def _run_restrict(cfg):
-    from .modes import SphereGeodesic, SphereMode, fit_exponent, restriction_norm
-    from .measures import make_cantor_measure
     p = cfg.params
-    mu = make_cantor_measure(p["alpha"], p["depth"])
-    ell = SphereGeodesic.equator() if p["kind"] == "highest_weight" \
-        else SphereGeodesic.meridian()
+    mu = measures.make_cantor_measure(p["alpha"], p["depth"])
+    ell = modes.SphereGeodesic.equator() if p["kind"] == "highest_weight" \
+        else modes.SphereGeodesic.meridian()
     rows = []
     for l in p["degrees"]:
-        mode = SphereMode(p["kind"], int(l))
+        mode = modes.SphereMode(p["kind"], int(l))
         rows.append({"degree": int(l), "lambda": mode.lam,
-                     "norm": restriction_norm(mode, ell, mu)})
+                     "norm": modes.restriction_norm(mode, ell, mu)})
     summary = {}
     if len(rows) >= 3:
-        slope, resid = fit_exponent([(r["lambda"], r["norm"]) for r in rows])
+        slope, resid = modes.fit_exponent([(r["lambda"], r["norm"]) for r in rows])
         summary = {"fit_exponent": slope, "fit_residual": resid}
     return ["degree", "lambda", "norm"], rows, summary
 
 
 def _run_kn(cfg):
-    from .modes import SphereMode, kn_norm
     p = cfg.params
-    rep = kn_norm(SphereMode(p["kind"], p["degree"]))
+    rep = modes.kn_norm(modes.SphereMode(p["kind"], p["degree"]))
     row = rep.to_row()
     return list(row), [row], {"s_kn": rep.s_kn, "lambda": rep.lam}
 
 
 def _run_theorem3(cfg):
-    from .measures import make_cantor_measure
-    from .modes import SphereMode, theorem_ratio_table
     p = cfg.params
-    mu = make_cantor_measure(p["alpha"], p["depth"])
-    modes = [SphereMode("highest_weight", int(l)) for l in p["degrees"]]
-    rows, spread = theorem_ratio_table(modes, mu, p["alpha"])
+    mu = measures.make_cantor_measure(p["alpha"], p["depth"])
+    sphere_modes = [modes.SphereMode("highest_weight", int(l)) for l in p["degrees"]]
+    rows, spread = modes.theorem_ratio_table(sphere_modes, mu, p["alpha"])
     return ["lambda", "lhs", "skn", "bound", "ratio"], rows, {
         "ratio_spread": spread, "spread_ok": bool(spread <= 4.0)}
 
 
 def _run_exponents(cfg):
-    from .modes import delta_exponent, exponent_table
     n = cfg.params["n_alpha"]
     if n > ALPHA_GRID_BUDGET:
         raise ResourceError(f"{n} alpha values exceed budget {ALPHA_GRID_BUDGET}")
-    rows = exponent_table([Fraction(2 * k, n) for k in range(1, n + 1)])
+    rows = modes.exponent_table([Fraction(2 * k, n) for k in range(1, n + 1)])
     return ["alpha", "gamma", "delta", "marshall"], rows, {
-        "rows": len(rows), "delta_at_1": str(delta_exponent(Fraction(1)))}
+        "rows": len(rows), "delta_at_1": str(modes.delta_exponent(Fraction(1)))}
 
 
 def _run_dyadic(cfg):
-    from .modes import check_dyadic_budget, dyadic_kernel_check
     p = cfg.params
     lam = p["lambda"]
-    check_dyadic_budget(lam)
-    w, _ = _weight_for(p["alpha"], 6, lam, 8)
+    modes.check_dyadic_budget(lam)
+    w = _weight_for(p["alpha"], 6, lam, 8)
     rows = []
     summaries = {}
     for k in p["k_indices"]:
-        rep = dyadic_kernel_check(lam, int(k), w)
+        rep = modes.dyadic_kernel_check(lam, int(k), w)
         for r in rep["rows"]:
             rows.append({"k_index": k, **r})
         summaries[str(k)] = {"sup_ratio": rep["sup_ratio"],

@@ -1,12 +1,13 @@
-"""Compactly band-limited bump functions, the two-sided band kernel centered
-at +-lambda, spectral band projections, and the Fourier-side energy identity.
+"""The compactly band-limited bump and its two uses: the exact transform
+eta_hat masks the bands around +-lambda in spectral band projections, and the
+tabulated profile eta with the plateau cutoff rho (BumpPair) mollifies
+measures; plus the Fourier-side energy identity.
 
 Fourier convention: fhat(xi) = int f(x) e^(-i x xi) dx, inverse carries 1/2pi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +37,12 @@ def rho_cutoff(t) -> np.ndarray:
     return smooth_step(2.0 * (2.0 - np.abs(np.asarray(t, dtype=float))))
 
 
+def eta_hat(xi) -> np.ndarray:
+    """The bump's exact transform: even, 1 on |xi| <= 1/2, 0 on |xi| >= 1."""
+    axi = np.abs(np.asarray(xi, dtype=float))
+    return smooth_step(2.0 * (1.0 - axi))
+
+
 @lru_cache(maxsize=1)
 def _legendre_rule(n: int):
     """n-point Gauss-Legendre nodes and weights, computed once per process."""
@@ -45,13 +52,11 @@ def _legendre_rule(n: int):
 class BumpPair:
     """An even bump eta with hat(eta) = 1 on [-1/2,1/2] and = 0 outside (-1,1).
 
-    hat(eta) is the exact piecewise definition; eta is tabulated once by dense
+    hat(eta) is the module function eta_hat; eta is tabulated once by dense
     quadrature of the inverse transform and evaluated by cubic interpolation.
     Beyond TABLE_MAX the spatial tail is below tail_floor and eta returns 0.
     """
 
-    PLATEAU = 0.5
-    SUPPORT = 1.0
     TABLE_MAX = 800.0
     QUAD_NODES = 2048
     # the table's uniform pieces (start, stop, step): fine up to 64, then coarse
@@ -62,17 +67,12 @@ class BumpPair:
     def __init__(self):
         xg, wg = _legendre_rule(self.QUAD_NODES)
         self._xi_q = 0.5 + 0.25 * (xg + 1.0)      # nodes on [1/2, 1]
-        self._w_q = 0.25 * wg * self.eta_hat(self._xi_q)
+        self._w_q = 0.25 * wg * eta_hat(self._xi_q)
         pieces = [np.arange(*piece) for piece in self.TABLE_PIECES]
         u = np.concatenate(pieces)
         vals = np.concatenate([self._eta_uniform(p) for p in pieces])
         self._spline = CubicSpline(u, vals)
         self.tail_floor = float(np.abs(vals[-64:]).max())
-
-    def eta_hat(self, xi) -> np.ndarray:
-        """Exact transform: even, 1 on the plateau, 0 outside the support."""
-        axi = np.abs(np.asarray(xi, dtype=float))
-        return smooth_step(2.0 * (1.0 - axi))
 
     def _eta_uniform(self, u: np.ndarray) -> np.ndarray:
         """eta on a uniform grid u = u0 + du m, m = 0..n-1, from
@@ -98,28 +98,10 @@ class BumpPair:
         return out
 
 
-@dataclass(frozen=True)
-class BandKernel:
-    """Convolution kernel whose transform is hat(eta) rescaled to the two
-    bands of width ~beta around +-lam."""
-
-    bump: BumpPair
-    lam: float
-    beta: float
-
-    def __post_init__(self):
-        if not 1.0 <= self.beta <= self.lam:
-            raise DomainError(f"need 1 <= beta <= lam, got beta={self.beta}, lam={self.lam}")
-
-    def hat(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return (self.bump.eta_hat((xi - self.lam) / self.beta)
-                + self.bump.eta_hat((xi + self.lam) / self.beta))
-
-
-def band_project(bump: BumpPair, lam: float, beta: float, f: SampledFunction,
+def band_project(lam: float, beta: float, f: SampledFunction,
                  mode: str = "pass") -> SampledFunction:
-    """Spectral band projection: transform, multiply by the band mask, invert.
+    """Spectral band projection: transform, multiply by the band mask
+    eta_hat((xi - lam)/beta) + eta_hat((xi + lam)/beta), invert.
 
     mode="pass" keeps the bands +-[lam-beta, lam+beta] (transform of the
     result is exactly supported there); mode="complement" returns f - pass,
@@ -127,7 +109,8 @@ def band_project(bump: BumpPair, lam: float, beta: float, f: SampledFunction,
     """
     if mode not in ("pass", "complement"):
         raise DomainError(f"unknown mode {mode!r}")
-    kern = BandKernel(bump, lam, beta)
+    if not 1.0 <= beta <= lam:
+        raise DomainError(f"need 1 <= beta <= lam, got beta={beta}, lam={lam}")
     h = f.grid_step
     shortest_period = 2.0 * np.pi / (lam + beta)
     if h > shortest_period / 4.0 + 1e-15:
@@ -136,7 +119,8 @@ def band_project(bump: BumpPair, lam: float, beta: float, f: SampledFunction,
     L = 1 << int(np.ceil(np.log2(4 * f.n)))
     F = np.fft.fft(f.values, L)
     xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
-    passed = np.fft.ifft(F * kern.hat(xi))[:f.n]
+    mask = eta_hat((xi - lam) / beta) + eta_hat((xi + lam) / beta)
+    passed = np.fft.ifft(F * mask)[:f.n]
     if mode == "pass":
         return SampledFunction(f.grid_min, h, passed)
     return SampledFunction(f.grid_min, h, f.values - passed)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .frequency import BumpPair, band_project, smooth_step
+from .frequency import band_project, smooth_step
 from .geometry import GroupElement, dist_to_diag
 from .hecke import Amplifier, QuatAlgebra, conjugated_element, enumerate_norm_n
 from .measures import WeightFunction
@@ -221,8 +221,7 @@ def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
 
 
 def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
-                            w: WeightFunction, bump: BumpPair,
-                            beta_list):
+                            w: WeightFunction, beta_list):
     """I(lam, complement-projection of phi w, e) against beta, with phi the
     modulated Gaussian at lam.
 
@@ -238,7 +237,7 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
     for beta in sorted(beta_list):
         if not (lam ** 0.2 <= beta <= lam ** 0.8):
             raise DomainError(f"beta={beta} outside [lam^0.2, lam^0.8]")
-        fperp = band_project(bump, lam, beta, fw, "complement")
+        fperp = band_project(lam, beta, fw, "complement")
         rep = eval_I(kernel, window, fperp, GroupElement.identity())
         bound = lam ** 0.5 * beta ** (-(alpha - 0.5)) * phi_norm_sq
         rows.append({"beta": beta, "abs_I": abs(rep.value),
@@ -251,8 +250,8 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
 
 
 def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
-                           w: WeightFunction, bump: BumpPair, beta: float,
-                           epsilon0: float, t_factors):
+                           w: WeightFunction, beta: float, epsilon0: float,
+                           t_factors):
     """I(lam, pass-projection of phi w, exp(t E)) across the threshold
     t* = lam^(-1/2+eps0) beta^(1/2) in the lower-shear direction, with phi
     the modulated Gaussian at lam.
@@ -261,7 +260,7 @@ def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
     """
     lam = kernel.lam
     _, _, fw, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
-    fpass = band_project(bump, lam, beta, fw, "pass")
+    fpass = band_project(lam, beta, fw, "pass")
     t_star = lam ** (-0.5 + epsilon0) * beta ** 0.5
     rows = []
     for fac in sorted(t_factors):

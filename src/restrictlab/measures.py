@@ -176,19 +176,11 @@ def _grid_energy(values: np.ndarray, h: float, s: float) -> complex:
     return complex(total)
 
 
-def energy(m, s: float) -> float:
-    """Riesz s-energy I_s of an atomic measure or of a sampled weight.
-
-    Atomic measures use the exact pair sum with the diagonal excluded, refused
-    past PAIR_BUDGET pairs; weights use exact cell-pair integration of the
-    piecewise-constant density.
-    """
+def energy(m: FractalMeasure, s: float) -> float:
+    """Riesz s-energy I_s of an atomic measure: the exact pair sum with the
+    diagonal excluded, refused past PAIR_BUDGET pairs."""
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0,1), got {s}")
-    if isinstance(m, WeightFunction):
-        return _grid_energy(m.values, m.grid_step, s).real
-    if not isinstance(m, FractalMeasure):
-        raise DomainError("energy expects a FractalMeasure or WeightFunction")
     x, w = m.atoms, m.weights
     if x.size ** 2 > PAIR_BUDGET:
         raise ResourceError(f"{x.size}^2 atom pairs exceed budget {PAIR_BUDGET}")
@@ -228,11 +220,11 @@ def build_weight(nu: FractalMeasure, lam: float, bump,
                  samples_per_wavelength: int = 8) -> WeightFunction:
     """Mollify nu at scale 1/lam into a smooth weight on [-2,2].
 
-    w(t) = rho(t) * sum_i nu_i sqrt(lam^2 K(lam (s_i - t))^2 + 1), where rho
-    is the plateau cutoff and K is the BumpPair's eta rescaled so its
-    transform plateaus on |xi| <= 2 C_ELL and vanishes beyond 4 C_ELL.
+    w(t) = rho(t) * sum_i nu_i sqrt(lam^2 K(lam (s_i - t))^2 + 1), where bump
+    is a BumpPair, rho = bump.rho is its plateau cutoff and K is bump.eta
+    rescaled so its transform plateaus on |xi| <= 2 C_ELL and vanishes beyond
+    4 C_ELL.
     """
-    from .frequency import rho_cutoff
     h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength)
     t = -2.0 + h * np.arange(n + 1)
     scale = 4.0 * C_ELL
@@ -240,7 +232,7 @@ def build_weight(nu: FractalMeasure, lam: float, bump,
     for s0, w0 in zip(nu.atoms, nu.weights):
         kern = scale * bump.eta(scale * lam * (s0 - t))
         acc += w0 * np.sqrt((lam * kern) ** 2 + 1.0)
-    vals = acc * rho_cutoff(t)
+    vals = acc * bump.rho(t)
     vals[np.abs(t) > 2.0] = 0.0   # rho already vanishes there; make it exact
     return WeightFunction(-2.0, h, vals, nu.alpha)
 

@@ -338,7 +338,7 @@ def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction):
 
     Returns a report with the per-pair table, the sup of |value| / model,
     degeneracy flags, a fitted decay slope in the oscillatory regime, and the
-    w-weighted s-integral of the model kernel compared to
+    ratio of the w-weighted s-integral of the model kernel to
     2^k lam^(-alpha) 2^(-2 alpha k).
     """
     two_k = 2.0 ** k_index
@@ -366,8 +366,6 @@ def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction):
     kernel_vals = two_k * (1.0 + two_k ** 2 * lam * np.abs(w.grid() - sp0)) ** (-2)
     lhs = float(np.sum(kernel_vals * w.values) * w.grid_step)
     target = two_k * lam ** (-alpha) * two_k ** (-2 * alpha)
-    return {"lambda": lam, "k_index": k_index, "rows": rows,
-            "sup_ratio": sup_ratio, "decay_slope": slope,
+    return {"rows": rows, "sup_ratio": sup_ratio, "decay_slope": slope,
             "any_flagged": any(r["flagged"] for r in rows),
-            "weighted_integral": lhs, "weighted_target": target,
             "weighted_ratio": lhs / target}

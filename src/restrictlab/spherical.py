@@ -16,7 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NonConvergenceError, ResourceError
-from .geometry import GroupElement
+from .geometry import GroupElement, dist_to_identity
 
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
 PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
@@ -47,7 +47,6 @@ def phi_s(s: float, g: GroupElement) -> complex:
     Adaptive doubling of the circle rule until successive refinements agree
     to 1e-8 relative; raises NonConvergenceError at PHI_MAX_NODES nodes.
     """
-    from .geometry import dist_to_identity
     m = g.m
     n = max(64, int(16.0 * abs(s) * dist_to_identity(g)) + 64)
 
@@ -74,6 +73,8 @@ def phi_s(s: float, g: GroupElement) -> complex:
 def hc_forward(f_eval, s: float, support_radius: float) -> float:
     """Spherical transform of a radial function supported in r <= R:
     2 pi int_0^R f(r) phi_s(r) sinh r dr (composite Simpson)."""
+    # imported here: scipy.integrate adds about 16 ms to start-up (2-core
+    # machine), and no experiment calls this, only the tests
     from scipy.integrate import simpson
     R = float(support_radius)
     per_unit = max(8192, int(64.0 * (abs(s) + 1.0)))

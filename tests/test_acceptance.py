@@ -12,7 +12,7 @@ import numpy as np
 
 import restrictlab as rl
 
-from conftest import ALPHA_CANTOR, cached_algebra, cached_bump, cached_kernel, cached_weight
+from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, limit: float):
@@ -177,7 +177,7 @@ def test_criterion_07_rapid_decay_contrast():
     with _Timer() as t:
         w = cached_weight(0.9, 8, lam)
         rows, contrast, t_star = rl.rapid_decay_experiment(
-            cached_kernel(lam), rl.TestWindow(), w, cached_bump(),
+            cached_kernel(lam), rl.TestWindow(), w,
             beta=lam ** 0.5, epsilon0=0.1, t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
         assert all(r["converged"] for r in rows[:2])
     ok = contrast <= 1e-3 and t.elapsed < limit
@@ -194,7 +194,7 @@ def test_criterion_08_beta_scaling_slope():
         w = cached_weight(alpha, 8, lam)
         betas = [lam ** e for e in (0.3, 0.4, 0.5, 0.6)]
         rows, slope, _ = rl.beta_scaling_experiment(
-            cached_kernel(lam), rl.TestWindow(), w, cached_bump(), betas)
+            cached_kernel(lam), rl.TestWindow(), w, betas)
         assert all(np.isfinite(r["normalized"]) for r in rows)
     target = -(alpha - 0.5) + 0.15
     ok = slope <= target and t.elapsed < limit

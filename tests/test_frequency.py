@@ -3,6 +3,7 @@ import pytest
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
+from restrictlab.frequency import eta_hat
 
 from conftest import cached_weight, l2_weighted_norm, sampled, weighted_energy
 
@@ -39,21 +40,21 @@ def test_bump_table_knobs_are_class_constants(bump):
     assert info.currsize == 1 and info.hits >= 1
 
 
-def test_eta_hat_plateau_and_support(bump):
-    assert bump.eta_hat(0.0) == 1.0
-    assert bump.eta_hat(0.25) == 1.0
-    assert bump.eta_hat(-0.5) == 1.0
-    assert bump.eta_hat(1.0) == 0.0
-    assert bump.eta_hat(1.5) == 0.0
+def test_eta_hat_plateau_and_support():
+    assert eta_hat(0.0) == 1.0
+    assert eta_hat(0.25) == 1.0
+    assert eta_hat(-0.5) == 1.0
+    assert eta_hat(1.0) == 0.0
+    assert eta_hat(1.5) == 0.0
     xi = np.linspace(-2, 2, 1001)
-    assert np.array_equal(bump.eta_hat(xi), bump.eta_hat(-xi))
+    assert np.array_equal(eta_hat(xi), eta_hat(-xi))
 
 
-def test_eta_hat_numerically_smooth(bump):
+def test_eta_hat_numerically_smooth():
     # sampled difference quotients stay bounded through both transition edges
     xi = np.linspace(0.4, 1.1, 20001)
     h = xi[1] - xi[0]
-    d1 = np.diff(bump.eta_hat(xi)) / h
+    d1 = np.diff(eta_hat(xi)) / h
     d2 = np.diff(d1) / h
     assert np.abs(d1).max() < 20.0
     assert np.abs(d2).max() < 2000.0
@@ -71,10 +72,15 @@ def test_eta_real_even(bump):
 
 # ---------------------------------------------------------------- band kernel
 
-def _spatial(kern, x):
+def _band_hat(lam, beta, xi):
+    """The band mask band_project multiplies by."""
+    return eta_hat((xi - lam) / beta) + eta_hat((xi + lam) / beta)
+
+
+def _spatial(bump, lam, beta, x):
     """eta_beta(x) = 2 beta cos(lam x) eta(beta x), by direct inversion."""
     x = np.asarray(x, dtype=float)
-    return 2.0 * kern.beta * np.cos(kern.lam * x) * kern.bump.eta(kern.beta * x)
+    return 2.0 * beta * np.cos(lam * x) * bump.eta(beta * x)
 
 
 def _decay_constant(bump, lam, beta, N):
@@ -85,20 +91,19 @@ def _decay_constant(bump, lam, beta, N):
     return float(vals.max())
 
 
-def test_band_hat_plateau_at_center(bump):
+def test_band_hat_plateau_at_center():
     for lam, beta in ((64.0, 8.0), (256.0, 16.0)):
-        k = rl.BandKernel(bump, lam, beta)
-        assert k.hat(lam) == 1.0
-        assert k.hat(-lam) == 1.0
+        assert _band_hat(lam, beta, lam) == 1.0
+        assert _band_hat(lam, beta, -lam) == 1.0
 
 
 def test_eta_beta_at_zero(bump):
     # formula value cross-checked by direct quadrature of the band transform
     lam, beta = 128.0, 16.0
-    val = _spatial(rl.BandKernel(bump, lam, beta), 0.0)
+    val = _spatial(bump, lam, beta, 0.0)
     assert val == pytest.approx(2.0 * beta * bump.eta(0.0), rel=1e-12)
     xi = np.linspace(-lam - 2 * beta, lam + 2 * beta, 400001)
-    quad = np.trapezoid(rl.BandKernel(bump, lam, beta).hat(xi), xi) / (2 * np.pi)
+    quad = np.trapezoid(_band_hat(lam, beta, xi), xi) / (2 * np.pi)
     assert val == pytest.approx(quad, rel=1e-6)
 
 
@@ -106,17 +111,18 @@ def test_eta_beta_even_and_decay_finite(bump):
     lam = 256.0
     for beta in (8.0, 32.0, 128.0):
         x = 1.0 / beta
-        kern = rl.BandKernel(bump, lam, beta)
-        v = _spatial(kern, x)
+        v = _spatial(bump, lam, beta, x)
         assert np.isfinite(v / (beta * 2.0 ** -4))
-        assert _spatial(kern, -x) == v
+        assert _spatial(bump, lam, beta, -x) == v
 
 
-def test_eta_beta_requires_band_inside_center(bump):
-    with pytest.raises(DomainError):
-        _spatial(rl.BandKernel(bump, 64.0, 128.0), 0.1)
-    with pytest.raises(DomainError):
-        _spatial(rl.BandKernel(bump, 64.0, 0.5), 0.1)
+def test_band_project_requires_band_inside_center():
+    # the grid resolves lam + beta in both cases, so only the band check refuses
+    f = sampled(np.cos, -3.0, 3.0, 1.0 / 1024.0)
+    with pytest.raises(DomainError, match="1 <= beta <= lam"):
+        rl.band_project(64.0, 128.0, f)
+    with pytest.raises(DomainError, match="1 <= beta <= lam"):
+        rl.band_project(64.0, 0.5, f)
 
 
 def test_decay_constant_stability(bump):
@@ -151,56 +157,56 @@ def _bump_profile(x, beta):
     return np.exp(-0.5 * (x / sigma) ** 2)
 
 
-def test_band_project_passes_resonant_signal(bump):
+def test_band_project_passes_resonant_signal():
     lam, beta = 128.0, 16.0
     h = 1.0 / (8.0 * lam)
     f = sampled(
         lambda x: np.cos(lam * x) * _bump_profile(x, beta), -3.0, 3.0, h)
-    p = rl.band_project(bump, lam, beta, f, "pass")
+    p = rl.band_project(lam, beta, f, "pass")
     err = np.sqrt(np.sum(np.abs(p.values - f.values) ** 2)
                   / np.sum(np.abs(f.values) ** 2))
     assert err <= 1e-6
 
 
-def test_band_project_kills_detuned_signal(bump):
+def test_band_project_kills_detuned_signal():
     lam = 128.0
     beta = lam / 4.0
     h = 1.0 / (8.0 * lam)
     f = sampled(
         lambda x: np.cos(lam / 2.0 * x) * _bump_profile(x, beta), -3.0, 3.0, h)
-    p = rl.band_project(bump, lam, beta, f, "pass")
+    p = rl.band_project(lam, beta, f, "pass")
     rel = np.sqrt(np.sum(np.abs(p.values) ** 2) / np.sum(np.abs(f.values) ** 2))
     assert rel <= 1e-6
 
 
-def test_band_project_partition_of_identity(bump):
+def test_band_project_partition_of_identity():
     lam, beta = 64.0, 8.0
     h = 1.0 / (8.0 * lam)
     f = sampled(
         lambda x: np.exp(1j * lam * x) * np.exp(-x ** 2), -3.0, 3.0, h)
-    p = rl.band_project(bump, lam, beta, f, "pass")
-    c = rl.band_project(bump, lam, beta, f, "complement")
+    p = rl.band_project(lam, beta, f, "pass")
+    c = rl.band_project(lam, beta, f, "complement")
     assert np.abs(p.values + c.values - f.values).max() <= 1e-12
 
 
-def test_band_project_underresolved_grid(bump):
+def test_band_project_underresolved_grid():
     f = sampled(np.cos, -3.0, 3.0, 0.05)
     with pytest.raises(DomainError):
-        rl.band_project(bump, 128.0, 16.0, f)
+        rl.band_project(128.0, 16.0, f)
 
 
 @pytest.mark.parametrize("lam", [64.0, 256.0])
 @pytest.mark.parametrize("beta_exp", [0.5, 0.75])
-def test_band_support_statements(bump, lam, beta_exp):
+def test_band_support_statements(lam, beta_exp):
     # wide grid so the projection's spatial tails are not chopped at the edge
     beta = lam ** beta_exp
     h = 1.0 / (8.0 * lam)
     f = sampled(
         lambda x: np.exp(1j * lam * x) * np.exp(-2 * x ** 2)
         + 0.3 * np.exp(-3 * x ** 2), -6.0, 6.0, h)
-    p = rl.band_project(bump, lam, beta, f, "pass")
+    p = rl.band_project(lam, beta, f, "pass")
     assert 1.0 - _band_mass_fraction(p, lam - beta, lam + beta) <= 1e-8
-    c = rl.band_project(bump, lam, beta, f, "complement")
+    c = rl.band_project(lam, beta, f, "complement")
     assert _band_mass_fraction(c, lam - beta / 2.0, lam + beta / 2.0) <= 1e-8
 
 
@@ -211,18 +217,18 @@ def test_band_project_matches_spatial_convolution(bump):
     h = 1.0 / (16.0 * lam)
     f = sampled(
         lambda x: np.exp(1j * lam * x) * np.exp(-4.0 * x ** 2), -2.0, 2.0, h)
-    p = rl.band_project(bump, lam, beta, f, "pass")
+    p = rl.band_project(lam, beta, f, "pass")
     x = f.grid()
     # eta_beta decays fast; a +-6 window around each point captures the tails
     m = int(round(6.0 / h))
     y = h * np.arange(-m, m + 1)
-    kern = _spatial(rl.BandKernel(bump, lam, beta), y)
+    kern = _spatial(bump, lam, beta, y)
     conv = h * np.convolve(f.values, kern, mode="full")[m:m + f.n]
     err = np.abs(conv - p.values).max() / np.abs(p.values).max()
     assert err <= 1e-6
 
 
-def test_parseval_consistency(bump):
+def test_parseval_consistency():
     for name, profile in [("gauss", lambda x: np.exp(-x ** 2)),
                           ("mod", lambda x: np.exp(40j * x) * np.exp(-2 * x ** 2))]:
         f = sampled(profile, -3.0, 3.0, 1e-3)

