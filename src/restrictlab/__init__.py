@@ -26,9 +26,9 @@ from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,
                         amplified_rhs, beta_scaling_experiment,
                         rapid_decay_experiment, modulated_gaussian)
-from .modes import (SphereMode, SphereGeodesic, KNReport, restriction_norm,
-                    kn_norm, theorem_ratio_table, dyadic_kernel_check,
-                    exponent_table, fit_exponent, gamma_exponent,
-                    delta_exponent, marshall_exponent, lp_bump)
+from .modes import (SphereMode, SphereGeodesic, restriction_norm, kn_norm,
+                    theorem_ratio_table, dyadic_kernel_check, exponent_table,
+                    fit_exponent, gamma_exponent, delta_exponent,
+                    marshall_exponent, lp_bump)
 
 __version__ = "0.1.0"

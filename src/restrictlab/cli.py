@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,10 +37,6 @@ class ExperimentConfig:
     out: str = "results"
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "params": self.params,
-                "out": self.out, "seed": self.seed}
-
 
 def _positive(v):
     return v > 0
@@ -57,20 +53,24 @@ def _rational(v) -> str:
 
 def _coerce(typ, v):
     """v converted to typ, element by element for a list type such as [int];
-    raises ValueError for a bool, or a non-integral float where an int is due."""
+    raises ValueError for a bool, a non-integral float where an int is due,
+    or a float that is not finite."""
     if isinstance(typ, list):
         if not isinstance(v, (list, tuple)):
             raise ValueError(v)
         return [_coerce(typ[0], x) for x in v]
     if isinstance(v, bool) or (typ is int and isinstance(v, float) and not v.is_integer()):
         raise ValueError(v)
-    return typ(v)
+    out = typ(v)
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ValueError(v)
+    return out
 
 
 def _type_name(typ) -> str:
     if isinstance(typ, list):
         return f"list of {_type_name(typ[0])}"
-    return typ.__name__.lstrip("_")
+    return "finite float" if typ is float else typ.__name__.lstrip("_")
 
 
 def load_config(path: str = None, experiment: str = None, overrides: dict = None,
@@ -146,16 +146,16 @@ def _finite(v):
     return v
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
+def _write_csv(path: Path, cfg: ExperimentConfig, rows: list[dict]) -> None:
+    header = list(rows[0])
     tmp = path.with_suffix(".tmp")
-    meta = cfg.to_dict()
+    meta = asdict(cfg)
     meta.pop("out")   # artifact bytes must not depend on where they land
     with tmp.open("w") as fh:
         fh.write("#" + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(k) if isinstance(row, dict) else row[i])
-                              for i, k in enumerate(header)) + "\n")
+            fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
     tmp.replace(path)
 
 
@@ -170,10 +170,13 @@ def _weight_for(alpha: float, depth: int, lam: float, spw: int):
 def _integral_setup(p: dict):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
     measure's and the weight's budgets are all checked before the bump, the
-    weight or the kernel is built."""
-    lam = p["lambda"]
+    weight or the kernel is built.  The weight's grid step 1 / (lam spw) must
+    put a node on -3, the edge of the window grid, so lam spw is an integer."""
+    lam, spw = p["lambda"], p["resolution_per_wavelength"]
+    if abs(lam * spw - round(lam * spw)) > 1e-9:
+        raise DomainError(f"lambda x resolution_per_wavelength = {lam * spw} is not an integer")
     spherical.check_kernel_budget(lam, 1.0)
-    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    w = _weight_for(p["alpha"], p["depth"], lam, spw)
     return spherical.make_kernel(lam, x_max=1.0), w
 
 
@@ -185,7 +188,7 @@ def _run_measure(cfg):
                             f" {RADII_BUDGET} radii or {measures.WORK_BUDGET} atom-radius pairs")
     rs = np.geomspace(p["r_min"], p["r_max"], p["n_r"])
     rows = [{"r": float(r), "sup_ratio": measures.frostman_ratio(m, [r])} for r in rs]
-    return ["r", "sup_ratio"], rows, {
+    return rows, {
         "sup_ratio_overall": max(r["sup_ratio"] for r in rows), "atoms": int(m.atoms.size)}
 
 
@@ -201,7 +204,7 @@ def _run_energy(cfg):
         vals = [r["energy"] for r in rows if r["s"] == s]
         if len(vals) >= 2:
             ratios[str(s)] = vals[-1] / vals[0]
-    return ["depth", "s", "energy"], rows, {"depth_ratios": ratios}
+    return rows, {"depth_ratios": ratios}
 
 
 def _run_kernel(cfg):
@@ -210,7 +213,7 @@ def _run_kernel(cfg):
     x = k.x_grid()
     rows = [{"x": float(xx), "k": float(vv)} for xx, vv in
             zip(x[::16], k.values[::16])]
-    return ["x", "k"], rows, {
+    return rows, {
         "k_at_0": float(k.values[0]), "decay_constant": spherical.kernel_decay_constant(k),
         "support_radius": k.support_radius, "verify_residual": k.verify_residual}
 
@@ -220,7 +223,7 @@ def _run_hecke_returns(cfg):
     alg = hecke.QuatAlgebra(p["a"], p["b"], basis=p["order_basis"], q=p["q"])
     sup, rows = hecke.return_count_ratio(alg, [geometry.GroupElement.identity()],
                                          p["n_max"], p["kappas"])
-    return (["n", "kappa", "M", "shape_ratio"], [row[1:] for row in rows],
+    return ([dict(zip(("n", "kappa", "M", "shape_ratio"), row[1:])) for row in rows],
             {"max_shape_ratio": sup})
 
 
@@ -244,7 +247,7 @@ def _run_amplifier(cfg):
     # every draw stores one coefficient, at p or p^2, per prime p <= sqrt(N)
     # prime to q (draws >= 1, so amp is bound)
     n_primes = len(amp.coeffs)
-    return ["draw", "functional", "l1", "l2_sq"], rows, {
+    return rows, {
         "n_primes": n_primes, "min_functional": worst,
         "bound": 0.5 * n_primes, "holds": bool(worst >= 0.5 * n_primes)}
 
@@ -260,11 +263,12 @@ def _run_integrals(cfg):
     row = {"value_re": rep.value.real, "value_im": rep.value.imag,
            "error": rep.error_estimate, "lambda": rep.lam,
            "resolution": rep.resolution, "converged": int(rep.converged),
-           "g": f"shear({p['shear_t']})"}
-    return (["value_re", "value_im", "error", "lambda", "resolution", "converged",
-             "g", "beta", "alpha"], [row],
-            {"value": [rep.value.real, rep.value.imag],
-             "error": rep.error_estimate, "converged": rep.converged})
+           "g": f"shear({p['shear_t']})",
+           # always empty; perfbench/reference.json pins both columns until
+           # the next benchmark change
+           "beta": None, "alpha": None}
+    return [row], {"value": [rep.value.real, rep.value.imag],
+                   "error": rep.error_estimate, "converged": rep.converged}
 
 
 def _run_beta_scaling(cfg):
@@ -274,7 +278,7 @@ def _run_beta_scaling(cfg):
     betas = [lam ** e for e in p["beta_exponents"]]
     rows, slope, norm_sq = integrals.beta_scaling_experiment(
         kern, integrals.TestWindow(), w, betas)
-    return ["beta", "abs_I", "normalized", "error", "converged"], rows, {
+    return rows, {
         "slope": slope, "target": -(p["alpha"] - 0.5) + 0.15,
         "phi_norm_sq": norm_sq, "slope_ok": bool(slope <= -(p["alpha"] - 0.5) + 0.15)}
 
@@ -285,7 +289,7 @@ def _run_rapid_decay(cfg):
     rows, contrast, t_star = integrals.rapid_decay_experiment(
         kern, integrals.TestWindow(), w, p["lambda"] ** p["beta_exponent"], p["epsilon0"],
         tuple(p["t_factors"]))
-    return ["t", "factor", "dist_A", "abs_I", "error", "converged"], rows, {
+    return rows, {
         "contrast": contrast, "threshold_t": t_star, "contrast_ok": bool(contrast <= 1e-3)}
 
 
@@ -303,14 +307,13 @@ def _run_restrict(cfg):
     if len(rows) >= 3:
         slope, resid = modes.fit_exponent([(r["lambda"], r["norm"]) for r in rows])
         summary = {"fit_exponent": slope, "fit_residual": resid}
-    return ["degree", "lambda", "norm"], rows, summary
+    return rows, summary
 
 
 def _run_kn(cfg):
     p = cfg.params
-    rep = modes.kn_norm(modes.SphereMode(p["kind"], p["degree"]))
-    row = rep.to_row()
-    return list(row), [row], {"s_kn": rep.s_kn, "lambda": rep.lam}
+    row = modes.kn_norm(modes.SphereMode(p["kind"], p["degree"]))
+    return [row], {"s_kn": row["s_kn"], "lambda": row["lambda"]}
 
 
 def _run_theorem3(cfg):
@@ -318,7 +321,7 @@ def _run_theorem3(cfg):
     mu = measures.make_cantor_measure(p["alpha"], p["depth"])
     sphere_modes = [modes.SphereMode("highest_weight", int(l)) for l in p["degrees"]]
     rows, spread = modes.theorem_ratio_table(sphere_modes, mu, p["alpha"])
-    return ["lambda", "lhs", "skn", "bound", "ratio"], rows, {
+    return rows, {
         "ratio_spread": spread, "spread_ok": bool(spread <= 4.0)}
 
 
@@ -327,7 +330,7 @@ def _run_exponents(cfg):
     if n > ALPHA_GRID_BUDGET:
         raise ResourceError(f"{n} alpha values exceed budget {ALPHA_GRID_BUDGET}")
     rows = modes.exponent_table([Fraction(2 * k, n) for k in range(1, n + 1)])
-    return ["alpha", "gamma", "delta", "marshall"], rows, {
+    return rows, {
         "rows": len(rows), "delta_at_1": str(modes.delta_exponent(Fraction(1)))}
 
 
@@ -335,25 +338,30 @@ def _run_dyadic(cfg):
     p = cfg.params
     lam = p["lambda"]
     modes.check_dyadic_budget(lam)
+    for k in p["k_indices"]:
+        modes.check_dyadic_scale(lam, k)
     w = _weight_for(p["alpha"], 6, lam, 8)
     rows = []
     summaries = {}
     for k in p["k_indices"]:
         rep = modes.dyadic_kernel_check(lam, int(k), w)
-        for r in rep["rows"]:
-            rows.append({"k_index": k, **r})
-        summaries[str(k)] = {"sup_ratio": rep["sup_ratio"],
-                             "decay_slope": rep["decay_slope"],
-                             "weighted_ratio": rep["weighted_ratio"],
-                             "any_flagged": rep["any_flagged"]}
-    return (["k_index", "s", "s_prime", "osc_scale", "abs_value", "model", "ratio",
-             "flagged"], rows, {"per_k": summaries})
+        rows += [{"k_index": k, **r} for r in rep.pop("rows")]
+        summaries[str(k)] = rep
+    return rows, {"per_k": summaries}
 
+
+# the parameters the three integral runs share; integrals widens alpha to (0, 1]
+_INTEGRAL_RUN = {
+    "lambda": (float, 100.0, lambda v: v >= 10),
+    "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
+    "depth": (int, 8, lambda v: v >= 0),
+    "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}
 
 # experiment name -> (runner, parameter schema), in the CLI's order.  A runner
-# returns (CSV header, CSV rows, summary).  A schema maps each parameter to
-# (type, default, validator); a type in brackets, such as [int], types a list
-# element by element
+# returns (CSV rows, summary); the rows are dicts, and the first row's keys are
+# the CSV header, so every list a run sweeps over is refused when empty.  A
+# schema maps each parameter to (type, default, validator); a type in
+# brackets, such as [int], types a list element by element
 _EXPERIMENTS = {
     "measure": (_run_measure, {
         "alpha": (float, 0.6309297535714574, _in_unit),
@@ -362,8 +370,8 @@ _EXPERIMENTS = {
         "n_r": (int, 32, _positive)}),
     "energy": (_run_energy, {
         "alpha": (float, 0.6309297535714574, _in_unit),
-        "depths": ([int], [6, 8], None),
-        "s_values": ([float], [0.3, 0.55, 0.8], None)}),
+        "depths": ([int], [6, 8], bool),
+        "s_values": ([float], [0.3, 0.55, 0.8], bool)}),
     "kernel": (_run_kernel, {
         "lambda": (float, 100.0, lambda v: v >= 10),
         "h_width": (float, 0.05, lambda v: 0 < v <= 0.05),
@@ -374,34 +382,29 @@ _EXPERIMENTS = {
         "order_basis": ([[_rational]], None,
                         lambda v: len(v) == 4 and all(len(r) == 4 for r in v)),
         "n_max": (int, 8, _positive),
-        "kappas": ([float], [1.0, 0.5, 0.25, 0.125], lambda v: all(map(_in_unit, v)))}),
+        "kappas": ([float], [1.0, 0.5, 0.25, 0.125],
+                   lambda v: bool(v) and all(map(_in_unit, v)))}),
     "amplifier": (_run_amplifier, {
         "N": (int, 400, _positive), "q": (int, 1, _positive),
         "draws": (int, 1000, _positive)}),
     "integrals": (_run_integrals, {
-        "lambda": (float, 100.0, lambda v: v >= 10),
-        "alpha": (float, 0.9, _in_unit),
-        "depth": (int, 8, lambda v: v >= 0),
-        "shear_t": (float, 0.0, None),
-        "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}),
+        **_INTEGRAL_RUN, "alpha": (float, 0.9, _in_unit),
+        "shear_t": (float, 0.0, None)}),
+    # beta = lam^e with lam >= 10, so [0.2, 0.8] is the library's
+    # lam^0.2 <= beta <= lam^0.8
     "beta-scaling": (_run_beta_scaling, {
-        "lambda": (float, 100.0, lambda v: v >= 10),
-        "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
-        "depth": (int, 8, lambda v: v >= 0),
-        "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6], lambda v: len(set(v)) >= 2),
-        "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}),
+        **_INTEGRAL_RUN,
+        "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6],
+                           lambda v: len(set(v)) >= 2 and all(0.2 <= e <= 0.8 for e in v))}),
     "rapid-decay": (_run_rapid_decay, {
-        "lambda": (float, 100.0, lambda v: v >= 10),
-        "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
-        "depth": (int, 8, lambda v: v >= 0),
+        **_INTEGRAL_RUN,
         "beta_exponent": (float, 0.5, lambda v: 0 < v < 1),
         "epsilon0": (float, 0.1, _positive),
         "t_factors": ([float], [0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
-                      lambda v: 0 in v and min(v) >= 0),
-        "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}),
+                      lambda v: 0 in v and min(v) >= 0)}),
     "restrict": (_run_restrict, {
         "kind": (str, "highest_weight", lambda v: v in ("zonal", "highest_weight")),
-        "degrees": ([int], [64, 128, 256, 512], None),
+        "degrees": ([int], [64, 128, 256, 512], bool),
         "alpha": (float, 0.7, _in_unit),
         "depth": (int, 8, lambda v: v >= 0)}),
     "kn": (_run_kn, {
@@ -409,13 +412,13 @@ _EXPERIMENTS = {
         "degree": (int, 64, lambda v: 1 <= v <= 1000)}),
     "theorem3": (_run_theorem3, {
         "alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
-        "degrees": ([int], [64, 128, 256], lambda v: len(v) >= 1),
+        "degrees": ([int], [64, 128, 256], bool),
         "depth": (int, 8, lambda v: v >= 0)}),
     "exponents": (_run_exponents, {"n_alpha": (int, 100, lambda v: v >= 2)}),
     "dyadic": (_run_dyadic, {
         "lambda": (float, 128.0, lambda v: v >= 10),
         "alpha": (float, 0.7, _in_unit),
-        "k_indices": ([int], [-2, -1], None)}),
+        "k_indices": ([int], [-2, -1], bool)}),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -433,9 +436,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise DomainError(f"cannot create output directory {cfg.out}: {e}")
-    header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
-    _write_csv(out_dir / f"{cfg.experiment.replace('-', '_')}.csv", cfg, header, rows)
-    return {"experiment": cfg.experiment, "config": cfg.to_dict(), "summary": summary}
+    rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg)
+    _write_csv(out_dir / f"{cfg.experiment.replace('-', '_')}.csv", cfg, rows)
+    return {"experiment": cfg.experiment, "config": asdict(cfg), "summary": summary}
 
 
 def main(argv=None) -> int:

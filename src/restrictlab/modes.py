@@ -173,20 +173,6 @@ def restriction_norm(mode, ell, mu: FractalMeasure) -> float:
     return float(np.sqrt(np.sum(mu.weights * np.abs(vals) ** 2)))
 
 
-@dataclass(frozen=True)
-class KNReport:
-    lam: float
-    half_width: float
-    s_kn: float
-    maximizer: dict
-    search_resolution: float
-
-    def to_row(self) -> dict:
-        return {"lambda": self.lam, "half_width": self.half_width,
-                "s_kn": self.s_kn, "search_resolution": self.search_resolution,
-                **{f"max_{k}": v for k, v in self.maximizer.items()}}
-
-
 def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int) -> float:
     """L^2 mass of the mode in the delta-collar of the great circle whose
     axis is tilted by psi from the pole."""
@@ -205,9 +191,10 @@ def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int) -> float:
     return float((vals * np.cos(u)[:, None]).sum() * du * dt)
 
 
-def kn_norm(mode: SphereMode) -> KNReport:
+def kn_norm(mode: SphereMode) -> dict:
     """Kakeya-Nikodym norm: sup over great circles of the L^2 mass in the
-    lam^(-1/2)-neighborhood.
+    lam^(-1/2)-neighborhood, as the row {lambda, half_width, s_kn,
+    search_resolution, max_axis_tilt}.
 
     Zonal and highest-weight modes are rotationally symmetric about the pole,
     so the axis search reduces to the polar tilt, gridded at a quarter of the
@@ -229,8 +216,8 @@ def kn_norm(mode: SphereMode) -> KNReport:
     lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]
     psi_star, neg = _golden_min(lambda p: -_sphere_tube_mass(mode, p, delta, n_along),
                                 lo, hi, tol=1e-6)
-    return KNReport(lam, delta, float(-neg), {"axis_tilt": float(psi_star)},
-                    float(step))
+    return {"lambda": lam, "half_width": delta, "s_kn": float(-neg),
+            "search_resolution": float(step), "max_axis_tilt": float(psi_star)}
 
 
 def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float):
@@ -246,11 +233,11 @@ def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float):
     rows = []
     for mode in modes:
         lhs = restriction_norm(mode, ell, mu)
-        rep = kn_norm(mode)
-        bound = mode.lam ** 0.25 * rep.s_kn ** (alpha - 0.5)
+        s_kn = kn_norm(mode)["s_kn"]
+        bound = mode.lam ** 0.25 * s_kn ** (alpha - 0.5)
         if alpha == 1.0:
             bound *= max(np.log(mode.lam), 1.0)
-        rows.append({"lambda": mode.lam, "lhs": lhs, "skn": rep.s_kn,
+        rows.append({"lambda": mode.lam, "lhs": lhs, "skn": s_kn,
                      "bound": bound, "ratio": lhs / bound})
     ratios = [r["ratio"] for r in rows]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
@@ -294,6 +281,12 @@ def check_dyadic_budget(lam: float) -> int:
         raise ResourceError(f"{n_y1} x 384 nodes of a dyadic inner integral exceed"
                             f" budget {DYADIC_BUDGET}")
     return n_y1
+
+
+def check_dyadic_scale(lam: float, k_index: int) -> None:
+    """DomainError unless lam^(-1/2) <= 2^k <= 1/2 (no 2^k formed for k >= 0)."""
+    if k_index > -1 or 2.0 ** k_index < lam ** -0.5:
+        raise DomainError("need lam^(-1/2) <= 2^k <= 1/2")
 
 
 def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
@@ -341,9 +334,8 @@ def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction):
     ratio of the w-weighted s-integral of the model kernel to
     2^k lam^(-alpha) 2^(-2 alpha k).
     """
+    check_dyadic_scale(lam, k_index)
     two_k = 2.0 ** k_index
-    if not (lam ** -0.5 <= two_k <= 0.5 + 1e-12):
-        raise DomainError("need lam^(-1/2) <= 2^k <= 1/2")
     # probe oscillation scales 2^(2k) lam |s-s'| from 1/2 to ~24; beyond
     # that the longitudinal oscillation drives values to the noise floor
     seps = np.geomspace(0.5, 24.0, 10) / (two_k ** 2 * lam)

@@ -172,6 +172,8 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> Spheri
         raise DomainError("h_width must lie in (0, 0.05] so the kernel support"
                           " radius 4*h_width stays within 0.2")
     n_x = check_kernel_budget(lam, x_max)
+    if n_x < 2:
+        raise DomainError(f"x_max = {x_max} gives fewer than 2 radial nodes")
 
     ds = 0.01
     T = spectral_truncation(h_width)

@@ -103,7 +103,7 @@ def test_stdout_is_strict_json(tmp_path, capsys, monkeypatch):
     # a NaN contrast (|I| = 0 at t = 0) and an infinite value print as null
     from restrictlab import integrals
     monkeypatch.setattr(integrals, "rapid_decay_experiment",
-                        lambda *args: ([], float("nan"), float("inf")))
+                        lambda *args: ([{"t": 0.0}], float("nan"), float("inf")))
     rc = cli.main(["rapid-decay", "-p", "lambda=10", "-p", "t_factors=[0,4]",
                    "--out", str(tmp_path)])
     assert rc == 0
@@ -276,10 +276,55 @@ def test_measure_experiment_summary(tmp_path, capsys):
                       "[0,0,10000000000000000000,0],[0,0,0,10000000000000000000]]"),
     ("hecke-returns", "order_basis=[[1,0,0,0],[0,1000000000,0,0],[0,0,1000000000,0],"
                       "[0,0,0,1000000000]]"),
+    # non-finite numbers: JSON's NaN and Infinity, and the raw strings nan, inf
+    ("integrals", "shear_t=NaN"),
+    ("integrals", "shear_t=Infinity"),
+    ("integrals", "shear_t=nan"),
+    ("integrals", "lambda=Infinity"),
+    ("rapid-decay", "epsilon0=Infinity"),
+    ("rapid-decay", "t_factors=[0,NaN]"),
+    ("dyadic", "lambda=Infinity"),
+    ("kernel", "x_max=Infinity"),
+    ("kernel", "x_max=inf"),
+    # a kernel table of one radial node
+    ("kernel", "x_max=1e-4"),
+    # empty sweeps
+    ("energy", "depths=[]"),
+    ("energy", "s_values=[]"),
+    ("restrict", "degrees=[]"),
+    ("dyadic", "k_indices=[]"),
+    ("hecke-returns", "kappas=[]"),
+    # 2^k > 1/2, refused before 2^k overflows
+    ("dyadic", "k_indices=[5000]"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_nonfinite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "integrals", "params": {"shear_t": NaN}}')
+    assert cli.main(["integrals", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrals", "-p", "lambda=100.3"],
+    ["beta-scaling", "-p", "lambda=100.3"],
+    ["rapid-decay", "-p", "lambda=100.3"],
+    ["beta-scaling", "-p", "beta_exponents=[0.1,0.5]"],
+    ["dyadic", "-p", "k_indices=[-10]"],
+], ids=["integrals-lambda", "beta-scaling-lambda", "rapid-decay-lambda",
+        "beta-scaling-exponents", "dyadic-k"])
+def test_refusals_come_before_the_bump(tmp_path, capsys, monkeypatch, argv):
+    # lam x resolution_per_wavelength not an integer, a beta = lam^e outside
+    # [lam^0.2, lam^0.8], and 2^k below lam^(-1/2) are refused before the
+    # bump, the weight or the kernel is built
+    builds = _count_calls(monkeypatch, BumpPair, "__init__")
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert builds == []
 
 
 @pytest.mark.parametrize("basis, n_max", [(None, 8), (MAXIMAL_ORDER_2_3, 4)],

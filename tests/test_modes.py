@@ -202,9 +202,9 @@ def test_restriction_highest_weight_equator_growth():
 def test_kn_highest_weight_concentrates_on_equator():
     mode = rl.SphereMode("highest_weight", 64)
     rep = rl.kn_norm(mode)
-    assert rep.s_kn >= 0.3
-    assert rep.maximizer["axis_tilt"] <= rep.half_width
-    assert rep.lam ** -0.5 / 10.0 <= rep.s_kn <= 1.0 + 1e-6
+    assert rep["s_kn"] >= 0.3
+    assert rep["max_axis_tilt"] <= rep["half_width"]
+    assert rep["lambda"] ** -0.5 / 10.0 <= rep["s_kn"] <= 1.0 + 1e-6
 
 
 class _ConstantMode:
@@ -226,12 +226,12 @@ def test_tube_mass_constant_mode_is_collar_area(delta, psi):
 def test_kn_width_monotone():
     mode = rl.SphereMode("highest_weight", 64)
     rep = rl.kn_norm(mode)
-    psi = rep.maximizer["axis_tilt"]
-    delta = rep.half_width
+    psi = rep["max_axis_tilt"]
+    delta = rep["half_width"]
     n_along = max(256, 4 * mode.l + 32)
     narrow = rl.modes._sphere_tube_mass(mode, psi, delta, n_along)
     wide = rl.modes._sphere_tube_mass(mode, psi, 2 * delta, n_along)
-    assert narrow == pytest.approx(rep.s_kn, rel=1e-12)
+    assert narrow == pytest.approx(rep["s_kn"], rel=1e-12)
     assert wide >= narrow
 
 
@@ -246,7 +246,7 @@ def test_kn_budget_guard(monkeypatch):
 def test_kn_zonal_bounds():
     mode = rl.SphereMode("zonal", 48)
     rep = rl.kn_norm(mode)
-    assert mode.lam ** -0.5 / 10.0 <= rep.s_kn <= 1.0 + 1e-6
+    assert mode.lam ** -0.5 / 10.0 <= rep["s_kn"] <= 1.0 + 1e-6
 
 
 def test_theorem_ratio_spread_small_family():
