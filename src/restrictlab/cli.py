@@ -170,13 +170,10 @@ def _weight_for(alpha: float, depth: int, lam: float, spw: int):
 def _integral_setup(p: dict):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
     measure's and the weight's budgets are all checked before the bump, the
-    weight or the kernel is built.  The weight's grid step 1 / (lam spw) must
-    put a node on -3, the edge of the window grid, so lam spw is an integer."""
-    lam, spw = p["lambda"], p["resolution_per_wavelength"]
-    if abs(lam * spw - round(lam * spw)) > 1e-9:
-        raise DomainError(f"lambda x resolution_per_wavelength = {lam * spw} is not an integer")
+    weight or the kernel is built."""
+    lam = p["lambda"]
     spherical.check_kernel_budget(lam, 1.0)
-    w = _weight_for(p["alpha"], p["depth"], lam, spw)
+    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
     return spherical.make_kernel(lam, x_max=1.0), w
 
 
@@ -285,10 +282,12 @@ def _run_beta_scaling(cfg):
 
 def _run_rapid_decay(cfg):
     p = cfg.params
+    beta = p["lambda"] ** p["beta_exponent"]
+    # a shear too large for dist_to_diag is refused before anything is built
+    integrals.rapid_decay_shears(p["lambda"], beta, p["epsilon0"], p["t_factors"])
     kern, w = _integral_setup(p)
     rows, contrast, t_star = integrals.rapid_decay_experiment(
-        kern, integrals.TestWindow(), w, p["lambda"] ** p["beta_exponent"], p["epsilon0"],
-        tuple(p["t_factors"]))
+        kern, integrals.TestWindow(), w, beta, p["epsilon0"], tuple(p["t_factors"]))
     return rows, {
         "contrast": contrast, "threshold_t": t_star, "contrast_ok": bool(contrast <= 1e-3)}
 
@@ -399,7 +398,8 @@ _EXPERIMENTS = {
     "rapid-decay": (_run_rapid_decay, {
         **_INTEGRAL_RUN,
         "beta_exponent": (float, 0.5, lambda v: 0 < v < 1),
-        "epsilon0": (float, 0.1, _positive),
+        # t* = lam^(-1/2+eps0) beta^(1/2) is a shear below beta^(1/2)
+        "epsilon0": (float, 0.1, lambda v: 0 < v < 0.5),
         "t_factors": ([float], [0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
                       lambda v: 0 in v and min(v) >= 0)}),
     "restrict": (_run_restrict, {

@@ -11,12 +11,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, roots_legendre
 
 from .errors import DomainError
 from .measures import WeightFunction, _grid_energy
-from .sampling import SampledFunction
+from .sampling import SampledFunction, even_table
 
 
 def smooth_step(t) -> np.ndarray:
@@ -53,8 +52,8 @@ class BumpPair:
     """An even bump eta with hat(eta) = 1 on [-1/2,1/2] and = 0 outside (-1,1).
 
     hat(eta) is the module function eta_hat; eta is tabulated once by dense
-    quadrature of the inverse transform and evaluated by cubic interpolation.
-    Beyond TABLE_MAX the spatial tail is below tail_floor and eta returns 0.
+    quadrature of the inverse transform into an even_table whose last knot is
+    TABLE_MAX, beyond which the spatial tail is below tail_floor and eta is 0.
     """
 
     TABLE_MAX = 800.0
@@ -71,7 +70,7 @@ class BumpPair:
         pieces = [np.arange(*piece) for piece in self.TABLE_PIECES]
         u = np.concatenate(pieces)
         vals = np.concatenate([self._eta_uniform(p) for p in pieces])
-        self._spline = CubicSpline(u, vals)
+        self.eta = even_table(u, vals)
         self.tail_floor = float(np.abs(vals[-64:]).max())
 
     def _eta_uniform(self, u: np.ndarray) -> np.ndarray:
@@ -89,13 +88,6 @@ class BumpPair:
         B = np.exp(1j * np.outer(du * np.arange(K), self._xi_q))
         tail = (A.real @ B.real.T - A.imag @ B.imag.T).ravel()[:n]
         return (0.5 * np.sinc(u / (2.0 * np.pi)) + tail) / np.pi
-
-    def eta(self, x) -> np.ndarray:
-        x = np.abs(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        inside = x <= self.TABLE_MAX
-        out[inside] = self._spline(x[inside])
-        return out
 
 
 def band_project(lam: float, beta: float, f: SampledFunction,

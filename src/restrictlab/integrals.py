@@ -211,13 +211,18 @@ def modulated_gaussian(grid: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
-    """(phi, phi*w) sampled on the [-3,3] grid aligned with w's grid."""
-    h = w.grid_step
-    n3 = int(round(6.0 / h))
-    grid3 = -3.0 + h * np.arange(n3 + 1)
-    wext = SampledFunction(w.grid_min, h, w.values).embed(-3.0, 3.0)
-    phi = np.asarray(phi_fn(grid3), dtype=complex)
-    return grid3, phi, SampledFunction(-3.0, h, phi * wext.values.real), wext
+    """(grid, phi, phi*w, w) on w's grid extended by whole steps until it
+    covers the window's support [-SUPPORT, SUPPORT], with w zero-padded."""
+    h, edge = w.grid_step, TestWindow.SUPPORT
+    # whole steps past the edge, less a rounding slack, so an edge that falls
+    # on a node ends the grid there
+    left = int(np.ceil((w.grid_min + edge) / h - 1e-6))
+    right = int(np.ceil((edge - w.grid_min) / h - 1e-6)) + 1 - w.values.size
+    wpad = np.pad(w.values, (left, right))
+    start = w.grid_min - left * h
+    grid = start + h * np.arange(wpad.size)
+    phi = np.asarray(phi_fn(grid), dtype=complex)
+    return grid, phi, SampledFunction(start, h, phi * wpad), wpad
 
 
 def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
@@ -230,9 +235,9 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
     """
     lam = kernel.lam
     alpha = w.frostman_alpha
-    _, phi, fw, wext = _phi_w_on_window_grid(
+    _, phi, fw, wpad = _phi_w_on_window_grid(
         w, lambda x: modulated_gaussian(x, lam), lam)
-    phi_norm_sq = float(np.sum(np.abs(phi) ** 2 * wext.values.real) * w.grid_step)
+    phi_norm_sq = float(np.sum(np.abs(phi) ** 2 * wpad) * w.grid_step)
     rows = []
     for beta in sorted(beta_list):
         if not (lam ** 0.2 <= beta <= lam ** 0.8):
@@ -249,25 +254,38 @@ def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
     return rows, slope, phi_norm_sq
 
 
+def rapid_decay_shears(lam: float, beta: float, epsilon0: float, t_factors):
+    """t* = lam^(-1/2+eps0) beta^(1/2) and (factor, t = factor t*, d(exp(tE), A))
+    for each factor in increasing order; DomainError for a distance that is
+    not finite or that dist_to_diag flags (minimizer at its bracket edge)."""
+    t_star = lam ** (-0.5 + epsilon0) * beta ** 0.5
+    shears = []
+    for fac in sorted(t_factors):
+        t = fac * t_star
+        d_A, _, flagged = dist_to_diag(GroupElement.lower_shear(t)) if t > 0 else (0.0, 0.0, False)
+        if flagged or not np.isfinite(d_A):
+            raise DomainError(f"shear t = {t} = {fac} t* is too large for the distance"
+                              " to the diagonal subgroup")
+        shears.append((fac, t, d_A))
+    return t_star, shears
+
+
 def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
                            w: WeightFunction, beta: float, epsilon0: float,
                            t_factors):
-    """I(lam, pass-projection of phi w, exp(t E)) across the threshold
-    t* = lam^(-1/2+eps0) beta^(1/2) in the lower-shear direction, with phi
-    the modulated Gaussian at lam.
+    """I(lam, pass-projection of phi w, exp(t E)) across the threshold t* of
+    rapid_decay_shears in the lower-shear direction, with phi the modulated
+    Gaussian at lam.
 
     Rows: (t, d(g, A), |I|); the contrast is |I|(largest t) / |I|(t=0).
     """
     lam = kernel.lam
+    t_star, shears = rapid_decay_shears(lam, beta, epsilon0, t_factors)
     _, _, fw, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
     fpass = band_project(lam, beta, fw, "pass")
-    t_star = lam ** (-0.5 + epsilon0) * beta ** 0.5
     rows = []
-    for fac in sorted(t_factors):
-        t = fac * t_star
-        g = GroupElement.lower_shear(t)
-        d_A, _, _ = dist_to_diag(g) if t > 0 else (0.0, 0.0, False)
-        rep = eval_I(kernel, window, fpass, g)
+    for fac, t, d_A in shears:
+        rep = eval_I(kernel, window, fpass, GroupElement.lower_shear(t))
         rows.append({"t": t, "factor": fac, "dist_A": d_A, "abs_I": abs(rep.value),
                      "error": rep.error_estimate, "converged": rep.converged})
     base = rows[0]["abs_I"] if rows and rows[0]["factor"] == 0.0 else None

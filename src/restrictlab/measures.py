@@ -206,6 +206,9 @@ def check_weight_budget(atoms: int, lam: float,
         raise DomainError("lam must be >= 1")
     if samples_per_wavelength < 8:
         raise DomainError("need at least 8 samples per wavelength 1/lam")
+    if samples_per_wavelength > GRID_BUDGET:   # 4 lam spw + 1 points; lam spw may overflow
+        raise ResourceError(f"{samples_per_wavelength} samples per wavelength exceed"
+                            f" budget {GRID_BUDGET} grid points")
     h = 1.0 / (samples_per_wavelength * lam)
     n = int(round(4.0 / h))
     if n + 1 > GRID_BUDGET:

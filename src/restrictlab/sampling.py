@@ -1,10 +1,12 @@
-"""Uniformly sampled functions on an interval."""
+"""Uniformly sampled functions on an interval, and the even function
+through a radial table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, GridMismatchError
 
@@ -37,15 +39,18 @@ class SampledFunction:
                 f"grid mismatch: ({self.grid_min}, {self.grid_step}, {self.n}) vs "
                 f"({other.grid_min}, {other.grid_step}, {other.n})")
 
-    def embed(self, new_min: float, new_max: float) -> "SampledFunction":
-        """Zero-extend onto a larger grid with the same step and aligned nodes."""
-        h = self.grid_step
-        k0 = int(round((self.grid_min - new_min) / h))
-        if abs(new_min + k0 * h - self.grid_min) > 1e-9 * h:
-            raise GridMismatchError("embedding target grid is not node-aligned")
-        n_new = int(round((new_max - new_min) / h)) + 1
-        if k0 < 0 or k0 + self.n > n_new:
-            raise DomainError("embedding target does not contain the source grid")
-        out = np.zeros(n_new, dtype=complex)
-        out[k0:k0 + self.n] = self.values
-        return SampledFunction(new_min, h, out)
+
+def even_table(knots: np.ndarray, values: np.ndarray):
+    """The even function f with f(x) = values[i] at |x| = knots[i]: a cubic
+    spline through the table for |x| <= knots[-1], and 0 beyond the last knot."""
+    spline = CubicSpline(knots, values)
+    x_max = knots[-1]
+
+    def f(x) -> np.ndarray:
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.zeros_like(x)
+        inside = x <= x_max
+        out[inside] = spline(x[inside])
+        return out
+
+    return f

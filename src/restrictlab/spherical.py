@@ -11,12 +11,13 @@ s tanh(pi s) ds / (2 pi).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NonConvergenceError, ResourceError
 from .geometry import GroupElement, dist_to_identity
+from .sampling import even_table
 
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
 PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
@@ -30,15 +31,20 @@ def _phi_integrand_nodes(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * np.pi / n
 
 
+def _circle_mean(x, n_theta: int, F) -> np.ndarray:
+    """Mean over n_theta circle nodes of u^(-1/2) F(ln u), u = cosh x -
+    sinh x cos 2 theta, for each x (the last axis runs over the circle)."""
+    x = np.asarray(x, dtype=float)[..., None]
+    u = np.cosh(x) - np.sinh(x) * np.cos(2.0 * _phi_integrand_nodes(n_theta))
+    return (u ** -0.5 * F(np.log(u))).mean(axis=-1)
+
+
 def phi_s_radial(s: float, x) -> np.ndarray:
-    """phi_s at the diagonal point a(x): mean over the circle of
-    u(theta)^(-1/2) cos(s ln u), u = cosh x - sinh x cos 2 theta."""
+    """phi_s at the diagonal point a(x): the circle mean of
+    u(theta)^(-1/2) cos(s ln u)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_theta = max(64, int(16.0 * abs(s) * float(np.abs(x).max())) + 64)
-    th = _phi_integrand_nodes(n_theta)
-    cos2t = np.cos(2.0 * th)
-    u = np.cosh(x)[:, None] - np.sinh(x)[:, None] * cos2t[None, :]
-    return (u ** -0.5 * np.cos(s * np.log(u))).mean(axis=1)
+    return _circle_mean(x, n_theta, lambda v: np.cos(s * v))
 
 
 def phi_s(s: float, g: GroupElement) -> complex:
@@ -91,6 +97,12 @@ def _h_profile(h_width: float, u) -> np.ndarray:
     return np.sinc(h_width * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
 
 
+def _h0_squared(h_width: float, lam: float, s) -> np.ndarray:
+    """h0(s)^2 = (h(s - lam) + h(-s - lam))^2 for the sinc^4 profile h."""
+    s = np.asarray(s, dtype=float)
+    return (_h_profile(h_width, s - lam) + _h_profile(h_width, -s - lam)) ** 2
+
+
 @dataclass(frozen=True)
 class SphericalKernel:
     """Radial table of the band kernel k at spectral center lam.
@@ -106,6 +118,7 @@ class SphericalKernel:
     x_step: float
     values: np.ndarray = field(repr=False)
     verify_residual: float
+    radial: Callable = field(repr=False)   # k at radial distance |x|; 0 beyond the table
 
     @property
     def support_radius(self) -> float:
@@ -114,31 +127,11 @@ class SphericalKernel:
     def h_profile(self, u) -> np.ndarray:
         return _h_profile(self.h_width, u)
 
-    def h0(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return self.h_profile(s - self.lam) + self.h_profile(-s - self.lam)
-
     def h0_squared(self, s) -> np.ndarray:
-        return self.h0(s) ** 2
+        return _h0_squared(self.h_width, self.lam, s)
 
     def x_grid(self) -> np.ndarray:
         return self.x_step * np.arange(self.values.size)
-
-    def radial(self, x) -> np.ndarray:
-        """k at radial distance |x|; zero beyond the table."""
-        x = np.abs(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        xmax = self.x_step * (self.values.size - 1)
-        inside = x <= xmax
-        out[inside] = self._spline()(x[inside])
-        return out
-
-    def _spline(self):
-        sp = getattr(self, "_spline_obj", None)
-        if sp is None:
-            sp = CubicSpline(self.x_grid(), self.values)
-            object.__setattr__(self, "_spline_obj", sp)
-        return sp
 
 
 def spectral_truncation(h_width: float) -> float:
@@ -152,10 +145,10 @@ def spectral_truncation(h_width: float) -> float:
 def check_kernel_budget(lam: float, x_max: float) -> int:
     """Radial nodes of the kernel table on [0, x_max] at lam; ResourceError
     past TABLE_BUDGET, before anything is built."""
-    n_x = int(round(x_max * SAMPLES_PER_WAVELENGTH * lam)) + 1
+    n_x = np.round(x_max * SAMPLES_PER_WAVELENGTH * lam) + 1   # inf past float range
     if n_x > TABLE_BUDGET:
-        raise ResourceError(f"{n_x} radial nodes exceed budget {TABLE_BUDGET}")
-    return n_x
+        raise ResourceError(f"{n_x:.0f} radial nodes exceed budget {TABLE_BUDGET}")
+    return int(n_x)
 
 
 def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> SphericalKernel:
@@ -180,8 +173,7 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> Spheri
     s_max = lam + T
     M = int(np.ceil(s_max / ds)) + 1
     s = np.arange(M) * ds
-    H = (_h_profile(h_width, s - lam) + _h_profile(h_width, -s - lam)) ** 2
-    coef = H * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
+    coef = _h0_squared(h_width, lam, s) * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
     coef[0] *= 0.5
     coef[-1] *= 0.5
     dt_target = 1.0 / (2.0 * SAMPLES_PER_WAVELENGTH * lam)
@@ -193,42 +185,39 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> Spheri
     Q = np.fft.rfft(coef, L).real
     if n_t > Q.size:
         Q = np.concatenate([Q, Q[-2:0:-1]])
-    q_spline = CubicSpline(dt * np.arange(n_t), Q[:n_t])
+    q = even_table(dt * np.arange(n_t), Q[:n_t])
 
     xs = np.linspace(0.0, x_max, n_x)
     vals = np.zeros(n_x)
     supp = 4.0 * h_width + 2.0 * dt
 
-    def circle_average(xx: float, n_th: int) -> float:
-        th = _phi_integrand_nodes(n_th)
-        u = np.cosh(xx) - np.sinh(xx) * np.cos(2.0 * th)
-        return float(np.mean(u ** -0.5 * q_spline(np.abs(np.log(u)))))
-
-    def n_nodes(xx: float) -> int:
-        return max(64, int(1.3 * s_max * xx) + 64)
+    def circle_average(xx: float, refine: int = 1) -> float:
+        return float(_circle_mean(xx, refine * max(64, int(1.3 * s_max * xx) + 64), q))
 
     for i, xx in enumerate(xs):
         if xx > supp:
             break
-        vals[i] = circle_average(xx, n_nodes(xx))
+        vals[i] = circle_average(xx)
     # beyond the Paley-Wiener support the kernel vanishes; spot-verify on a
     # sparse set instead of densely tabulating noise
     i_supp = int(np.searchsorted(xs, supp))
     spot = xs[i_supp::max(1, (n_x - i_supp) // 32)] if i_supp < n_x else np.array([])
-    beyond = max((abs(circle_average(xx, n_nodes(xx))) for xx in spot), default=0.0)
+    beyond = max((abs(circle_average(xx)) for xx in spot), default=0.0)
 
     rng = np.random.default_rng(7)
     check_idx = rng.choice(max(i_supp, 1), size=min(16, max(i_supp, 1)), replace=False)
     resid = 0.0
     for i in check_idx:
-        v2 = circle_average(xs[i], 2 * n_nodes(xs[i]))
+        v2 = circle_average(xs[i], refine=2)
         resid = max(resid, abs(v2 - vals[i]))
     scale = float(np.abs(vals).max())
     resid = max(resid, beyond)
     if resid > 1e-6 * scale:
         raise NonConvergenceError(
             f"kernel circle rule residual {resid:.2e} exceeds 1e-6 * {scale:.2e}")
-    return SphericalKernel(lam, h_width, xs[1] - xs[0], vals, resid / scale)
+    x_step = xs[1] - xs[0]
+    return SphericalKernel(lam, h_width, x_step, vals, resid / scale,
+                           even_table(x_step * np.arange(n_x), vals))
 
 
 def kernel_decay_constant(kernel: SphericalKernel) -> float:

@@ -1,11 +1,11 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import restrictlab.cli as cli
-from restrictlab import measures
+from restrictlab import frequency, measures, spherical
 from restrictlab.errors import DomainError
 from restrictlab.frequency import BumpPair
 from restrictlab.geometry import GroupElement
@@ -187,6 +187,8 @@ def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     ("hecke-returns", "b=1000000000000000003"),
     ("hecke-returns", "b=-1000000000000000003"),
     ("dyadic", "lambda=20000"),
+    ("integrals", "resolution_per_wavelength=1" + "0" * 400),
+    ("integrals", "lambda=1e308"),
 ])
 def test_huge_sizes_exit_3(tmp_path, capsys, experiment, param):
     # valid but huge sizes are refused by a budget before the work starts,
@@ -310,16 +312,18 @@ def test_nonfinite_config_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["integrals", "-p", "lambda=100.3"],
-    ["beta-scaling", "-p", "lambda=100.3"],
-    ["rapid-decay", "-p", "lambda=100.3"],
     ["beta-scaling", "-p", "beta_exponents=[0.1,0.5]"],
     ["dyadic", "-p", "k_indices=[-10]"],
-], ids=["integrals-lambda", "beta-scaling-lambda", "rapid-decay-lambda",
-        "beta-scaling-exponents", "dyadic-k"])
+    ["rapid-decay", "-p", "epsilon0=1000"],
+    ["rapid-decay", "-p", "epsilon0=0.5"],
+    ["rapid-decay", "-p", "t_factors=[0,1e308]"],
+    ["rapid-decay", "-p", "t_factors=[0,100000]"],
+], ids=["beta-scaling-exponents", "dyadic-k", "rapid-decay-epsilon0-1000",
+        "rapid-decay-epsilon0-half", "rapid-decay-shear-nan", "rapid-decay-shear-edge"])
 def test_refusals_come_before_the_bump(tmp_path, capsys, monkeypatch, argv):
-    # lam x resolution_per_wavelength not an integer, a beta = lam^e outside
-    # [lam^0.2, lam^0.8], and 2^k below lam^(-1/2) are refused before the
+    # a beta = lam^e outside [lam^0.2, lam^0.8], 2^k below lam^(-1/2), an
+    # epsilon0 outside (0, 1/2), and a shear whose distance to A dist_to_diag
+    # flags (NaN, or a minimizer at the bracket edge) are refused before the
     # bump, the weight or the kernel is built
     builds = _count_calls(monkeypatch, BumpPair, "__init__")
     assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -424,3 +428,59 @@ def test_cli_fuzz_exit_codes_and_strict_json(tmp_path, capsys, run):
     assert rc in (0, 2, 3, 4)
     if out:
         json.loads(out, parse_constant=_reject_constant)
+
+
+_INTEGRAL_RUNS = ("integrals", "beta-scaling", "rapid-decay")
+# values that pass the integral runs' schemas or sit on their edges, up to an
+# integer beyond float range and a float near the top of it
+_IN_RANGE = st.sampled_from([0, 0.3, 0.49, 0.5, 0.6, 0.9, 1.0, 4.0, 8, 10, 100.3, 1e5,
+                             2 ** 24, 2 ** 24 + 1, 1e300, 1.7e308, 10 ** 400])
+
+
+class _Built(Exception):
+    """Raised by the stubbed builders: the run passed every refusal."""
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise _Built
+
+
+def _integral_value(typ):
+    if isinstance(typ, list):
+        lists = st.lists(st.one_of(_IN_RANGE, st.floats(0.0, 1e6), _value(typ[0])),
+                         min_size=1, max_size=4)
+        return st.one_of(lists.map(lambda v: [0] + v), lists, _value(typ))
+    return st.one_of(_IN_RANGE, st.floats(0.0, 1e6), _value(typ))
+
+
+@st.composite
+def _fuzzed_integral_run(draw):
+    experiment = draw(st.sampled_from(_INTEGRAL_RUNS))
+    schema = cli._EXPERIMENTS[experiment][1]
+    keys = draw(st.lists(st.sampled_from(sorted(schema)), min_size=1, max_size=2,
+                         unique=True))
+    return experiment, {k: draw(_integral_value(schema[k][0])) for k in keys}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzzed_integral_run())
+@example(("integrals", {"resolution_per_wavelength": 10 ** 400}))
+@example(("rapid-decay", {"epsilon0": 1000.0}))
+@example(("rapid-decay", {"t_factors": [0, 1e308]}))
+def test_integral_runs_fuzz_refuse_before_building(tmp_path, capsys, monkeypatch, run):
+    # every draw is refused (rc 2 or 3, empty stdout) or reaches the bump, the
+    # weight or the kernel, which are stubbed so the fuzz stays cheap
+    for owner, name in ((frequency, "BumpPair"), (measures, "build_weight"),
+                        (spherical, "make_kernel")):
+        monkeypatch.setattr(owner, name, _refuse_to_build)
+    experiment, params = run
+    argv = [experiment, "--out", str(tmp_path)]
+    for key, val in params.items():
+        argv += ["-p", f"{key}={json.dumps(val)}"]
+    try:
+        rc = cli.main(argv)
+    except _Built:
+        return
+    assert rc in (2, 3)
+    assert capsys.readouterr().out == ""

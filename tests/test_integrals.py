@@ -29,6 +29,52 @@ def test_window_supports():
     assert win.b(3.0) == 0.0 and win.b(3.5) == 0.0
 
 
+def _embedded_phi_w(w, phi_fn):
+    """Oracle: phi*w as once built, on the grid -3 + h k spanning [-3, 3]
+    with w's step h, w zero-extended onto it (w's nodes must lie on it)."""
+    h = w.grid_step
+    k0 = int(round((w.grid_min + 3.0) / h))
+    assert abs(-3.0 + k0 * h - w.grid_min) <= 1e-9 * h
+    n3 = int(round(6.0 / h))
+    grid3 = -3.0 + h * np.arange(n3 + 1)
+    wext = np.zeros(n3 + 1, dtype=complex)
+    wext[k0:k0 + w.values.size] = w.values
+    phi = np.asarray(phi_fn(grid3), dtype=complex)
+    return grid3, rl.SampledFunction(-3.0, h, phi * wext.real)
+
+
+@pytest.mark.parametrize("spw", [8, 16])
+@pytest.mark.parametrize("lam", [10.0, 100.0, 200.0, 1000.0])
+def test_window_grid_is_the_embedded_weight_grid(lam, spw):
+    # for integer lam x spw, the padded weight grid starts on -3 and gives
+    # the same phi*w, bit for bit, as the oracle
+    w = cached_weight(0.9, 4, lam, spw)
+    phi_fn = lambda x: modulated_gaussian(x, lam)
+    grid, _, f, _ = integrals._phi_w_on_window_grid(w, phi_fn, lam)
+    grid3, f3 = _embedded_phi_w(w, phi_fn)
+    assert f.grid_min == f3.grid_min == -3.0 and f.grid_step == f3.grid_step
+    assert np.array_equal(grid, grid3)
+    assert np.array_equal(f.values, f3.values)
+
+
+def test_window_grid_pads_a_weight_grid_off_the_edge():
+    # lam x spw = 802.4: no node falls on -3, and the weight's own grid is
+    # extended by whole steps until it covers [-3, 3]
+    lam = 100.3
+    w = cached_weight(0.9, 4, lam)
+    h = w.grid_step
+    assert h == pytest.approx(1.0 / (8 * lam), rel=1e-15)
+    grid, phi, f, wpad = integrals._phi_w_on_window_grid(
+        w, lambda x: modulated_gaussian(x, lam), lam)
+    assert f.grid_step == h and f.grid_min == grid[0]
+    assert -3.0 - h < grid[0] <= -3.0 and 3.0 - 1e-9 * h <= grid[-1] < 3.0 + h
+    k0 = int(round((w.grid_min - grid[0]) / h))
+    assert np.allclose(grid[k0:k0 + w.values.size], w.grid(), rtol=0, atol=1e-12)
+    assert np.array_equal(wpad[k0:k0 + w.values.size], w.values)
+    assert not wpad[:k0].any() and not wpad[k0 + w.values.size:].any()
+    assert np.array_equal(f.values, phi * wpad)
+
+
 # ---------------------------------------------------------------- banded sum
 
 def _dense_dist(x, g, row_chunk=256):
@@ -242,10 +288,10 @@ def test_uniform_bound_constant_stable_in_lambda():
     for lam in (50.0, 100.0):
         kern = cached_kernel(lam)
         w = cached_weight(ALPHA_CANTOR, 6, lam)
-        _, phi, f, wext = integrals._phi_w_on_window_grid(
+        _, phi, f, wpad = integrals._phi_w_on_window_grid(
             w, lambda x: modulated_gaussian(x, lam), lam)
         fp = rl.band_project(lam, lam ** 0.5, f, "pass")
-        norm_sq = float(np.sum(np.abs(phi) ** 2 * wext.values.real) * w.grid_step)
+        norm_sq = float(np.sum(np.abs(phi) ** 2 * wpad) * w.grid_step)
         best = 0.0
         gs = [rl.GroupElement.identity()]
         for _ in range(7):
