@@ -284,10 +284,11 @@ def _run_rapid_decay(cfg):
     p = cfg.params
     beta = p["lambda"] ** p["beta_exponent"]
     # a shear too large for dist_to_diag is refused before anything is built
-    integrals.rapid_decay_shears(p["lambda"], beta, p["epsilon0"], p["t_factors"])
+    t_star, shears = integrals.rapid_decay_shears(
+        p["lambda"], beta, p["epsilon0"], p["t_factors"])
     kern, w = _integral_setup(p)
-    rows, contrast, t_star = integrals.rapid_decay_experiment(
-        kern, integrals.TestWindow(), w, beta, p["epsilon0"], tuple(p["t_factors"]))
+    rows, contrast = integrals.rapid_decay_experiment(
+        kern, integrals.TestWindow(), w, beta, shears)
     return rows, {
         "contrast": contrast, "threshold_t": t_star, "contrast_ok": bool(contrast <= 1e-3)}
 

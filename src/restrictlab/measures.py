@@ -209,6 +209,9 @@ def check_weight_budget(atoms: int, lam: float,
     if samples_per_wavelength > GRID_BUDGET:   # 4 lam spw + 1 points; lam spw may overflow
         raise ResourceError(f"{samples_per_wavelength} samples per wavelength exceed"
                             f" budget {GRID_BUDGET} grid points")
+    if not np.isfinite(samples_per_wavelength * lam):
+        raise ResourceError(f"lam x samples per wavelength = {lam} x {samples_per_wavelength}"
+                            f" exceeds budget {GRID_BUDGET} grid points")
     h = 1.0 / (samples_per_wavelength * lam)
     n = int(round(4.0 / h))
     if n + 1 > GRID_BUDGET:

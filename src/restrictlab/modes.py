@@ -92,10 +92,11 @@ def _legendre_values(l: int, x: np.ndarray) -> np.ndarray:
     if l == 0:
         return p_prev
     p = x.copy()
-    for k in range(1, l):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-        if np.any(np.abs(p) > 1e250):
-            raise DomainError("Legendre recurrence overflow")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, l):
+            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    if not (np.abs(p) <= 1e250).all():   # also false for inf and nan
+        raise DomainError("Legendre recurrence overflow")
     return p
 
 
@@ -131,21 +132,18 @@ class SphereMode:
         mag = np.where(st > 0, np.exp(self._log_c + self.l * np.log(np.maximum(st, 1e-300))), 0.0)
         return mag * np.exp(1j * self.l * phi)
 
-    def value_xyz(self, xyz: np.ndarray) -> np.ndarray:
-        x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
-        theta = np.arccos(np.clip(z, -1.0, 1.0))
-        phi = np.arctan2(y, x)
-        return self.value_angles(theta, phi)
+    def density(self, z) -> np.ndarray:
+        """|e|^2 at the height z = cos(theta); it does not depend on phi."""
+        z = np.clip(np.asarray(z, dtype=float), -1.0, 1.0)
+        if self.kind == "zonal":
+            return (2 * self.l + 1) / (4.0 * np.pi) * _legendre_values(self.l, z) ** 2
+        st2 = (1.0 - z) * (1.0 + z)
+        return np.where(st2 > 0, np.exp(2.0 * self._log_c
+                                        + self.l * np.log(np.maximum(st2, 1e-300))), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # geodesics, restriction norms, tube norms
-
-def _rotation_from_axis_angle(psi: float) -> np.ndarray:
-    """Rotation about the y-axis tilting the north pole by psi."""
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
 
 @dataclass(frozen=True)
 class SphereGeodesic:
@@ -169,26 +167,26 @@ class SphereGeodesic:
 
 def restriction_norm(mode, ell, mu: FractalMeasure) -> float:
     """||e||_{L^2(mu)} with mu's atoms pushed to the geodesic by arclength."""
-    vals = mode.value_xyz(ell.points(mu.atoms))
-    return float(np.sqrt(np.sum(mu.weights * np.abs(vals) ** 2)))
+    dens = mode.density(ell.points(mu.atoms)[..., 2])
+    return float(np.sqrt(np.sum(mu.weights * dens)))
 
 
 def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int) -> float:
     """L^2 mass of the mode in the delta-collar of the great circle whose
-    axis is tilted by psi from the pole."""
-    R = _rotation_from_axis_angle(psi)
-    t = 2.0 * np.pi * (np.arange(n_along) + 0.5) / n_along
+    axis is tilted by psi from the pole, on n_along (even) nodes along it."""
+    # The node at arc t and offset u from the circle has height
+    # z' = -sin(psi) cos(u) cos(t) + cos(psi) sin(u), and |e|^2 depends on z'
+    # alone.  t -> 2 pi - t fixes z', and (u, t) -> (-u, pi - t) sends z' to
+    # -z', where the density is even; both maps permute the midpoint nodes and
+    # the weight cos(u), so the nodes with u > 0 and 0 < t < pi carry exactly
+    # a quarter of the sum.
+    t = 2.0 * np.pi * (np.arange(n_along // 2) + 0.5) / n_along
     u = delta * (np.arange(SAMPLES_ACROSS) + 0.5) / SAMPLES_ACROSS
-    u = np.concatenate([-u[::-1], u])
-    circ = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
-    pole = np.array([0.0, 0.0, 1.0])
-    pts = (np.cos(u)[:, None, None] * circ[None, :, :]
-           + np.sin(u)[:, None, None] * pole[None, None, :])
-    pts = pts @ R.T
-    vals = np.abs(mode.value_xyz(pts)) ** 2
-    du = u[1] - u[0]
+    cu = np.cos(u)[:, None]
+    z = -np.sin(psi) * cu * np.cos(t)[None, :] + np.cos(psi) * np.sin(u)[:, None]
+    du = delta / SAMPLES_ACROSS
     dt = 2.0 * np.pi / n_along
-    return float((vals * np.cos(u)[:, None]).sum() * du * dt)
+    return float(4.0 * (mode.density(z) * cu).sum() * du * dt)
 
 
 def kn_norm(mode: SphereMode) -> dict:
@@ -300,6 +298,12 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     two_k = 2.0 ** k_index
     n_y1 = check_dyadic_budget(lam)
     y1 = np.linspace(min(s, sp) - 2.5, max(s, sp) + 2.5, n_y1)
+    h1 = y1[1] - y1[0]
+    # |y2| <= 2^(k+1) <= 1 < pi/2, so d(l(s), y) >= 1 on a row with
+    # cos(y1 - s) <= cos(1), and likewise for s'; the amplitude, supported on
+    # d < 1, is exactly 0 there, so only the other rows are built
+    c1 = np.cos(1.0)
+    y1 = y1[(np.cos(y1 - s) > c1) & (np.cos(y1 - sp) > c1)]
     band = two_k * (0.5 + 1.5 * (np.arange(192) + 0.5) / 192)
     y2 = np.concatenate([-band[::-1], band])
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
@@ -308,18 +312,18 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     amp = _parametrix_amplitude(d1) * _parametrix_amplitude(d2)
     bk = lp_bump(np.abs(y2) / two_k) ** 2
     integrand = amp * np.exp(1j * lam * (d1 - d2)) * (bk * np.cos(y2))[None, :]
-    h1 = y1[1] - y1[0]
     h2 = band[1] - band[0]
     value = complex(integrand.sum() * h1 * h2)
     # transverse phase-derivative screen on the amplitude's support
-    dd = 1e-5
-    ph_p = (_fermi_distance(s, Y1, Y2 + dd) - _fermi_distance(sp, Y1, Y2 + dd))
-    ph_m = (_fermi_distance(s, Y1, Y2 - dd) - _fermi_distance(sp, Y1, Y2 - dd))
-    dphase = np.abs(ph_p - ph_m) / (2 * dd)
     on_supp = amp > 1e-3
     expected = two_k * abs(s - sp)
     if expected > 0 and on_supp.any():
-        frac_degenerate = float((dphase[on_supp] < 0.1 * expected).mean())
+        dd = 1e-5
+        Y1, Y2 = Y1[on_supp], Y2[on_supp]
+        ph_p = (_fermi_distance(s, Y1, Y2 + dd) - _fermi_distance(sp, Y1, Y2 + dd))
+        ph_m = (_fermi_distance(s, Y1, Y2 - dd) - _fermi_distance(sp, Y1, Y2 - dd))
+        dphase = np.abs(ph_p - ph_m) / (2 * dd)
+        frac_degenerate = float((dphase < 0.1 * expected).mean())
     else:
         frac_degenerate = 0.0
     return value, frac_degenerate > 0.10

@@ -176,9 +176,10 @@ def test_criterion_07_rapid_decay_contrast():
     lam = 100.0
     with _Timer() as t:
         w = cached_weight(0.9, 8, lam)
-        rows, contrast, t_star = rl.rapid_decay_experiment(
-            cached_kernel(lam), rl.TestWindow(), w,
-            beta=lam ** 0.5, epsilon0=0.1, t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
+        t_star, shears = rl.integrals.rapid_decay_shears(
+            lam, lam ** 0.5, epsilon0=0.1, t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
+        rows, contrast = rl.rapid_decay_experiment(
+            cached_kernel(lam), rl.TestWindow(), w, beta=lam ** 0.5, shears=shears)
         assert all(r["converged"] for r in rows[:2])
     ok = contrast <= 1e-3 and t.elapsed < limit
     _report(7, ok, f"far/near contrast {contrast:.2e} at t = 4 x {t_star:.3f} "

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -102,8 +103,10 @@ def _reject_constant(name):
 def test_stdout_is_strict_json(tmp_path, capsys, monkeypatch):
     # a NaN contrast (|I| = 0 at t = 0) and an infinite value print as null
     from restrictlab import integrals
+    monkeypatch.setattr(integrals, "rapid_decay_shears",
+                        lambda *args: (float("inf"), [(0.0, 0.0, 0.0)]))
     monkeypatch.setattr(integrals, "rapid_decay_experiment",
-                        lambda *args: ([{"t": 0.0}], float("nan"), float("inf")))
+                        lambda *args: ([{"t": 0.0}], float("nan")))
     rc = cli.main(["rapid-decay", "-p", "lambda=10", "-p", "t_factors=[0,4]",
                    "--out", str(tmp_path)])
     assert rc == 0
@@ -324,10 +327,16 @@ def test_refusals_come_before_the_bump(tmp_path, capsys, monkeypatch, argv):
     # a beta = lam^e outside [lam^0.2, lam^0.8], 2^k below lam^(-1/2), an
     # epsilon0 outside (0, 1/2), and a shear whose distance to A dist_to_diag
     # flags (NaN, or a minimizer at the bracket edge) are refused before the
-    # bump, the weight or the kernel is built
+    # bump, the weight or the kernel is built, with the validation line alone
+    # (dist_to_diag's numpy overflow warnings on t ~ 1e308 stay silent)
     builds = _count_calls(monkeypatch, BumpPair, "__init__")
-    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().out == ""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
     assert builds == []
 
 

@@ -418,8 +418,8 @@ def test_beta_scaling_range_guard(kernel100):
 def test_rapid_decay_t0_matches_eval(kernel100):
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
-    rows, contrast, t_star = rl.rapid_decay_experiment(
-        kernel100, win, w, 10.0, epsilon0=0.1, t_factors=(0.0, 4.0))
+    _, shears = integrals.rapid_decay_shears(100.0, 10.0, 0.1, (0.0, 4.0))
+    rows, contrast = rl.rapid_decay_experiment(kernel100, win, w, 10.0, shears)
     lam = 100.0
     _, _, f, _ = integrals._phi_w_on_window_grid(
         w, lambda x: modulated_gaussian(x, lam), lam)
@@ -432,9 +432,8 @@ def test_rapid_decay_t0_matches_eval(kernel100):
 def test_rapid_decay_monotone_trend(kernel100):
     win = rl.TestWindow()
     w = cached_weight(0.9, 8, 100.0)
-    rows, contrast, t_star = rl.rapid_decay_experiment(
-        kernel100, win, w, 10.0, epsilon0=0.1,
-        t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
+    _, shears = integrals.rapid_decay_shears(100.0, 10.0, 0.1, (0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
+    rows, contrast = rl.rapid_decay_experiment(kernel100, win, w, 10.0, shears)
     vals = [r["abs_I"] for r in rows]
     near = vals[1:3]
     far = vals[4:]

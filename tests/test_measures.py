@@ -275,6 +275,12 @@ def test_build_weight_grid_resolution_guard():
         rl.build_weight(nu, 1e6, cached_bump())
 
 
+def test_weight_budget_refuses_overflowing_grid():
+    # lam x spw = inf would make the step h = 0
+    with pytest.raises(ResourceError):
+        rl.measures.check_weight_budget(1, 1e308, 8)
+
+
 def test_build_weight_work_budget():
     # 2^22 atoms pass the atom budget and 3201 points the grid budget, but
     # their product is refused before the per-atom loop starts

@@ -16,6 +16,7 @@ except ImportError:   # older scipy
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
+from restrictlab.geometry import _golden_min
 from restrictlab.modes import dyadic_inner_integral
 
 from conftest import cached_weight
@@ -145,6 +146,20 @@ def test_eigen_residuals():
         assert eigen_residual(mode, rng) <= 1e-5
 
 
+def test_legendre_overflow_refused():
+    # 1e10 overflows past 1e250 and 1e200 to inf and then nan
+    for x in (1e10, 1e200):
+        with pytest.raises(DomainError):
+            rl.modes._legendre_values(40, np.array([0.5, x]))
+
+
+def test_density_is_abs_value_squared():
+    z = np.linspace(-1.0, 1.0, 41)
+    for mode in (rl.SphereMode("zonal", 32), rl.SphereMode("highest_weight", 64)):
+        ref = np.abs(mode.value_angles(np.arccos(z), 0.3)) ** 2
+        assert np.allclose(mode.density(z), ref, rtol=1e-12, atol=0.0)
+
+
 def test_mode_validation():
     with pytest.raises(DomainError):
         rl.SphereMode("zonal", 2000)
@@ -156,10 +171,18 @@ def test_mode_validation():
 
 # ---------------------------------------------------------------- restriction
 
+def _value_xyz(mode, xyz):
+    """The mode at points of the unit sphere given by their coordinates."""
+    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    phi = np.arctan2(y, x)
+    return mode.value_angles(theta, phi)
+
+
 def restriction_norm_quadrature(mode, ell, n: int = 4096) -> float:
     """Dense uniform-measure reference value for the unit segment."""
     s = (np.arange(n) + 0.5) / n
-    vals = mode.value_xyz(ell.points(s))
+    vals = _value_xyz(mode, ell.points(s))
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
@@ -168,7 +191,7 @@ def test_restriction_point_mass():
     ell = rl.SphereGeodesic.meridian()
     s0 = 0.37
     mu = rl.FractalMeasure(np.array([s0]), np.array([1.0]), 0.7)
-    expect = abs(mode.value_xyz(ell.points(np.array([s0])))[0])
+    expect = abs(_value_xyz(mode, ell.points(np.array([s0])))[0])
     assert rl.restriction_norm(mode, ell, mu) == pytest.approx(expect, rel=1e-12)
 
 
@@ -210,15 +233,16 @@ def test_kn_highest_weight_concentrates_on_equator():
 class _ConstantMode:
     """|e|^2 = 1/(4 pi) everywhere: L^2-normalized on the unit sphere."""
 
-    def value_xyz(self, xyz):
-        return np.full(xyz.shape[:-1], (4.0 * np.pi) ** -0.5, dtype=complex)
+    def density(self, z):
+        return np.full(np.shape(z), 1.0 / (4.0 * np.pi))
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.125])
 @pytest.mark.parametrize("psi", [0.0, 0.7])
 def test_tube_mass_constant_mode_is_collar_area(delta, psi):
     # the delta-collar of a great circle has area 4 pi sin(delta), so the
-    # constant mode's tube mass is sin(delta) at every tilt
+    # constant mode's tube mass is sin(delta) at every tilt; the quarter of
+    # the nodes the sum visits, times 4, must make up the whole collar
     mass = rl.modes._sphere_tube_mass(_ConstantMode(), psi, delta, 256)
     assert mass == pytest.approx(np.sin(delta), rel=1e-4)
 
@@ -241,6 +265,66 @@ def test_kn_budget_guard(monkeypatch):
     monkeypatch.setattr(rl.modes, "TUBE_BUDGET", 1000)
     with pytest.raises(ResourceError):
         rl.kn_norm(mode)
+
+
+def _rotation_from_axis_angle(psi: float) -> np.ndarray:
+    """Rotation about the y-axis tilting the north pole by psi."""
+    c, s = np.cos(psi), np.sin(psi)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _sphere_tube_mass_oracle(mode, psi: float, delta: float, n_along: int) -> float:
+    """The tube mass from every node of the collar and the complex mode."""
+    R = _rotation_from_axis_angle(psi)
+    t = 2.0 * np.pi * (np.arange(n_along) + 0.5) / n_along
+    u = delta * (np.arange(rl.modes.SAMPLES_ACROSS) + 0.5) / rl.modes.SAMPLES_ACROSS
+    u = np.concatenate([-u[::-1], u])
+    circ = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
+    pole = np.array([0.0, 0.0, 1.0])
+    pts = (np.cos(u)[:, None, None] * circ[None, :, :]
+           + np.sin(u)[:, None, None] * pole[None, None, :])
+    pts = pts @ R.T
+    vals = np.abs(_value_xyz(mode, pts)) ** 2
+    du = u[1] - u[0]
+    dt = 2.0 * np.pi / n_along
+    return float((vals * np.cos(u)[:, None]).sum() * du * dt)
+
+
+def _kn_norm_oracle(mode) -> dict:
+    """kn_norm's tilt search over the full-collar tube mass."""
+    lam = mode.lam
+    delta = lam ** -0.5
+    step = delta / 4.0
+    n_along = max(256, 4 * mode.l + 32)
+    psis = np.arange(0.0, np.pi / 2 + step, step)
+    masses = np.array([_sphere_tube_mass_oracle(mode, p, delta, n_along) for p in psis])
+    i = int(np.argmax(masses))
+    lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]
+    psi_star, neg = _golden_min(
+        lambda p: -_sphere_tube_mass_oracle(mode, p, delta, n_along), lo, hi, tol=1e-6)
+    return {"s_kn": float(-neg), "max_axis_tilt": float(psi_star)}
+
+
+@pytest.mark.parametrize("l", [48, 64, 512])
+@pytest.mark.parametrize("kind", ["highest_weight", "zonal"])
+def test_tube_mass_matches_full_collar_oracle(kind, l):
+    mode = rl.SphereMode(kind, l)
+    n_along = max(256, 4 * l + 32)
+    for psi in (0.0, 0.3, np.pi / 2):
+        for width in (1.0, 2.0):
+            delta = width * mode.lam ** -0.5
+            ref = _sphere_tube_mass_oracle(mode, psi, delta, n_along)
+            assert rl.modes._sphere_tube_mass(mode, psi, delta, n_along) == pytest.approx(
+                ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, l", [("highest_weight", 64), ("zonal", 48)])
+def test_kn_norm_matches_full_collar_oracle(kind, l):
+    mode = rl.SphereMode(kind, l)
+    rep, ref = rl.kn_norm(mode), _kn_norm_oracle(mode)
+    assert rep["s_kn"] == pytest.approx(ref["s_kn"], rel=1e-12)
+    # the golden refinement's tolerance
+    assert rep["max_axis_tilt"] == pytest.approx(ref["max_axis_tilt"], abs=1e-6)
 
 
 def test_kn_zonal_bounds():
@@ -309,6 +393,50 @@ def test_dyadic_stationary_case():
     val, flagged = dyadic_inner_integral(lam, k, 0.3, 0.3)
     assert 0.1 <= abs(val) / 2.0 ** k <= 10.0
     assert not flagged
+
+
+def _dyadic_inner_integral_oracle(lam: float, k_index: int, s: float, sp: float):
+    """dyadic_inner_integral with the mesh and the phase screen on every y1 row."""
+    from restrictlab.modes import (_fermi_distance, _parametrix_amplitude,
+                                   check_dyadic_budget, lp_bump)
+    two_k = 2.0 ** k_index
+    n_y1 = check_dyadic_budget(lam)
+    y1 = np.linspace(min(s, sp) - 2.5, max(s, sp) + 2.5, n_y1)
+    band = two_k * (0.5 + 1.5 * (np.arange(192) + 0.5) / 192)
+    y2 = np.concatenate([-band[::-1], band])
+    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
+    d1 = _fermi_distance(s, Y1, Y2)
+    d2 = _fermi_distance(sp, Y1, Y2)
+    amp = _parametrix_amplitude(d1) * _parametrix_amplitude(d2)
+    bk = lp_bump(np.abs(y2) / two_k) ** 2
+    integrand = amp * np.exp(1j * lam * (d1 - d2)) * (bk * np.cos(y2))[None, :]
+    h1 = y1[1] - y1[0]
+    h2 = band[1] - band[0]
+    value = complex(integrand.sum() * h1 * h2)
+    dd = 1e-5
+    ph_p = (_fermi_distance(s, Y1, Y2 + dd) - _fermi_distance(sp, Y1, Y2 + dd))
+    ph_m = (_fermi_distance(s, Y1, Y2 - dd) - _fermi_distance(sp, Y1, Y2 - dd))
+    dphase = np.abs(ph_p - ph_m) / (2 * dd)
+    on_supp = amp > 1e-3
+    expected = two_k * abs(s - sp)
+    if expected > 0 and on_supp.any():
+        frac_degenerate = float((dphase[on_supp] < 0.1 * expected).mean())
+    else:
+        frac_degenerate = 0.0
+    return value, frac_degenerate > 0.10
+
+
+@pytest.mark.parametrize("lam, k", [(128.0, -2), (128.0, -1), (64.0, -1)])
+def test_dyadic_inner_integral_matches_all_rows_oracle(lam, k):
+    # the (s, s') pairs of dyadic_kernel_check; the flags come from the same
+    # per-node arithmetic, so they must agree exactly
+    two_k = 2.0 ** k
+    seps = np.geomspace(0.5, 24.0, 10) / (two_k ** 2 * lam)
+    for s, sp in [(0.05, 0.05 + d) for d in seps if d <= 0.9]:
+        val, flagged = dyadic_inner_integral(lam, k, s, sp)
+        ref, ref_flagged = _dyadic_inner_integral_oracle(lam, k, s, sp)
+        assert flagged == ref_flagged
+        assert abs(val - ref) <= 1e-12 * abs(ref) + 1e-15
 
 
 def test_dyadic_decay_and_bounds():
