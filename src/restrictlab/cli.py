@@ -171,10 +171,10 @@ def _integral_setup(p: dict):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
     measure's and the weight's budgets are all checked before the bump, the
     weight or the kernel is built."""
-    lam = p["lambda"]
-    spherical.check_kernel_budget(lam, 1.0)
+    lam, h_width = p["lambda"], spherical.H_WIDTH
+    spherical.check_kernel_budget(lam, 1.0, h_width)
     w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
-    return spherical.make_kernel(lam, x_max=1.0), w
+    return spherical.make_kernel(lam, h_width, x_max=1.0), w
 
 
 def _run_measure(cfg):
@@ -374,7 +374,7 @@ _EXPERIMENTS = {
         "s_values": ([float], [0.3, 0.55, 0.8], bool)}),
     "kernel": (_run_kernel, {
         "lambda": (float, 100.0, lambda v: v >= 10),
-        "h_width": (float, 0.05, lambda v: 0 < v <= 0.05),
+        "h_width": (float, spherical.H_WIDTH, lambda v: 0 < v <= 0.05),
         "x_max": (float, 4.0, _positive)}),
     "hecke-returns": (_run_hecke_returns, {
         "a": (int, 2, _positive), "b": (int, 3, None),

@@ -21,8 +21,10 @@ from .sampling import even_table
 
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
 PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
-TABLE_BUDGET = 1 << 21   # radial nodes of one kernel table
+TABLE_BUDGET = 1 << 21   # radial and spectral nodes of one kernel table
 SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel table
+SPECTRAL_STEP = 0.01   # step ds of the kernel's uniform s-grid
+H_WIDTH = 0.05   # default Paley-Wiener width h_width of the kernel profile
 
 
 def _phi_integrand_nodes(n: int) -> np.ndarray:
@@ -142,36 +144,58 @@ def spectral_truncation(h_width: float) -> float:
     return 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / h_width
 
 
-def check_kernel_budget(lam: float, x_max: float) -> int:
-    """Radial nodes of the kernel table on [0, x_max] at lam; ResourceError
-    past TABLE_BUDGET, before anything is built."""
+def check_kernel_budget(lam: float, x_max: float, h_width: float) -> tuple[int, int]:
+    """(radial nodes on [0, x_max], spectral nodes on [0, lam + T]) of the
+    kernel table at lam; ResourceError past TABLE_BUDGET, radial nodes first,
+    before anything is built."""
     n_x = np.round(x_max * SAMPLES_PER_WAVELENGTH * lam) + 1   # inf past float range
     if n_x > TABLE_BUDGET:
         raise ResourceError(f"{n_x:.0f} radial nodes exceed budget {TABLE_BUDGET}")
-    return int(n_x)
+    n_s = np.ceil((lam + spectral_truncation(h_width)) / SPECTRAL_STEP) + 1
+    if n_s > TABLE_BUDGET:
+        raise ResourceError(f"{n_s:.0f} spectral nodes exceed budget {TABLE_BUDGET}")
+    return int(n_x), int(n_s)
 
 
-def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> SphericalKernel:
+def _dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
+    """X_j = sum_m c_m exp(-2 pi i j m / L) for j < n: the first n terms of
+    the length-L DFT of c, by Bluestein's chirp-z identity
+    jm = (j^2 + m^2 - (j - m)^2) / 2, so cost and memory follow c.size + n,
+    not L.  The chirp phase is taken from k^2 mod 2L in int64, exact for
+    k up to about 3e9."""
+    M = c.size
+    k = np.arange(max(M, n), dtype=np.int64)
+    w = np.exp(-1j * np.pi * ((k * k) % (2 * L)) / L)
+    N = 1 << (M + n - 2).bit_length()   # power of two >= M + n - 1: no wrap-around
+    b = np.zeros(N, dtype=complex)
+    b[:n] = w[:n].conj()
+    b[N - M + 1:] = w[M - 1:0:-1].conj()
+    X = np.fft.ifft(np.fft.fft(c * w[:M], N) * np.fft.fft(b))
+    return w[:n] * X[:n]
+
+
+def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> SphericalKernel:
     """Tabulate the radial band kernel on [0, x_max].
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
-    ds / (2 pi) (a single FFT on a uniform s-grid of step ds = 0.01), after
-    which each radial value is a circle average of u^(-1/2) Q(ln u).  One
-    node-doubling spot check per table guards the circle rule.
+    ds / (2 pi) on a uniform s-grid of step ds = SPECTRAL_STEP with M nodes.
+    Q on the t-grid is the first n_t terms of the length-L DFT of those
+    coefficients, from one chirp-z convolution whose cost and memory depend
+    on M + n_t and not on L.  Each radial value is then a circle average of
+    u^(-1/2) Q(ln u).  One node-doubling spot check per table guards the
+    circle rule.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
     if not 0 < h_width <= 0.05:
         raise DomainError("h_width must lie in (0, 0.05] so the kernel support"
                           " radius 4*h_width stays within 0.2")
-    n_x = check_kernel_budget(lam, x_max)
+    n_x, M = check_kernel_budget(lam, x_max, h_width)
     if n_x < 2:
         raise DomainError(f"x_max = {x_max} gives fewer than 2 radial nodes")
 
-    ds = 0.01
-    T = spectral_truncation(h_width)
-    s_max = lam + T
-    M = int(np.ceil(s_max / ds)) + 1
+    ds = SPECTRAL_STEP
+    s_max = lam + spectral_truncation(h_width)
     s = np.arange(M) * ds
     coef = _h0_squared(h_width, lam, s) * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
     coef[0] *= 0.5
@@ -180,12 +204,8 @@ def make_kernel(lam: float, h_width: float = 0.05, x_max: float = 4.0) -> Spheri
     L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * dt_target))))
     dt = 2.0 * np.pi / (L * ds)
     n_t = min(L, int(x_max / dt) + 8)
-    # coef is real, so the half spectrum carries Q; past t = pi / ds (only
-    # for x_max beyond that) the periodic Q mirrors about it
-    Q = np.fft.rfft(coef, L).real
-    if n_t > Q.size:
-        Q = np.concatenate([Q, Q[-2:0:-1]])
-    q = even_table(dt * np.arange(n_t), Q[:n_t])
+    Q = _dft_head(coef, L, n_t).real
+    q = even_table(dt * np.arange(n_t), Q)
 
     xs = np.linspace(0.0, x_max, n_x)
     vals = np.zeros(n_x)

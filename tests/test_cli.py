@@ -149,6 +149,19 @@ def test_resource_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "-p", "h_width=1e-6"],
+    ["kernel", "-p", "lambda=1e5", "-p", "x_max=0.01"],
+    ["integrals", "-p", "depth=0", "-p", "lambda=1e5"],
+])
+def test_spectral_nodes_exit_3(tmp_path, capsys, argv):
+    # few radial nodes but more than TABLE_BUDGET spectral nodes: refused
+    # before the s-grid is built
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "spectral nodes" in out.err
+
+
 def _count_calls(monkeypatch, owner, name) -> list:
     """A list that grows by one on each call of owner.name."""
     calls = []

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
 import restrictlab as rl
+from restrictlab import spherical
 from restrictlab.errors import DomainError
-from restrictlab.spherical import _phi_integrand_nodes, phi_s_radial, spectral_truncation
+from restrictlab.spherical import (_dft_head, _phi_integrand_nodes, phi_s_radial,
+                                   spectral_truncation)
 
 from conftest import cached_kernel
 
@@ -25,6 +29,15 @@ def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
     phis = (u[None, :] ** -0.5 * np.cos(np.outer(s, lu))).mean(axis=1)
     dens = s * np.tanh(np.pi * s) / (2.0 * np.pi)
     return float(np.trapezoid(Hs * phis * dens, s))
+
+
+def padded_dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
+    """The first n terms of the length-L DFT of real c from one zero-padded
+    rfft, mirrored past L/2 (the oracle of make_kernel's chirp-z Q)."""
+    X = np.fft.rfft(c, L)
+    if n > X.size:
+        X = np.concatenate([X, X[-2:0:-1].conj()])
+    return X[:n]
 
 
 def demodulate_window(x: np.ndarray, vals: np.ndarray, s: float):
@@ -199,6 +212,46 @@ def test_kernel_h_profile_properties(kernel100):
     assert h.min() >= 0.0
     assert kernel100.h_profile(0.0) == 1.0
     assert np.array_equal(h, kernel100.h_profile(-u))
+
+
+@pytest.mark.parametrize("L, M, n", [(256, 40, 100), (256, 40, 200), (256, 40, 256),
+                                     (256, 1, 256), (256, 1, 1), (4096, 1500, 900)])
+def test_dft_head_matches_fft(L, M, n):
+    # n <= L/2, the old mirror range n > L/2 + 1, n = L and a single coefficient
+    c = np.random.default_rng(M + n).standard_normal(M)
+    assert np.abs(_dft_head(c, L, n) - np.fft.fft(c, L)[:n]).max() <= 1e-13 * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("lam, x_max", [(100.0, 1.0), (200.0, 1.0), (100.0, 4.0)])
+def test_kernel_matches_padded_rfft_oracle(monkeypatch, lam, x_max):
+    # the chirp-z Q and the kernel built from it against the zero-padded rfft
+    # that computed Q before
+    heads = []
+
+    def recorded(c, L, n):
+        heads.append((c, L, n))
+        return _dft_head(c, L, n)
+
+    monkeypatch.setattr(spherical, "_dft_head", recorded)
+    kern = rl.make_kernel(lam, x_max=x_max)
+    monkeypatch.setattr(spherical, "_dft_head", padded_dft_head)
+    oracle = rl.make_kernel(lam, x_max=x_max)
+    scale = np.abs(oracle.values).max()
+    (c, L, n), = heads
+    assert np.abs(_dft_head(c, L, n).real - padded_dft_head(c, L, n).real).max() <= 1e-12 * scale
+    assert np.abs(kern.values - oracle.values).max() <= 1e-12 * scale
+    assert kern.verify_residual == pytest.approx(oracle.verify_residual, abs=1e-12)
+
+
+def test_kernel_memory_independent_of_padded_length():
+    # at lam = 800 the padded rfft alone was a 2^24-point transform, 135 MB peak
+    tracemalloc.start()
+    try:
+        rl.make_kernel(800.0, x_max=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_kernel_domain_errors():
