@@ -74,11 +74,12 @@ def _type_name(typ) -> str:
 
 
 def load_config(path: str = None, experiment: str = None, overrides: dict = None,
-                out: str = "results", seed: int = 0) -> ExperimentConfig:
+                out: str = None, seed: int = None) -> ExperimentConfig:
     """Build and validate a config from a JSON file and/or inline values.
 
-    Inline overrides win over the file; defaults fill the rest and the full
-    config is echoed in every artifact.
+    Inline overrides win over the file's params, and an explicit out or seed
+    over the file's; defaults fill the rest and the full config is echoed in
+    every artifact.
     """
     data = {}
     if path is not None:
@@ -96,14 +97,16 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
     if name not in EXPERIMENTS:
         raise DomainError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     file_params = data.get("params", {})
-    seed = data.get("seed", seed)
-    out = data.get("out", out)
+    file_seed = data.get("seed", 0)
+    file_out = data.get("out", "results")
     if not isinstance(file_params, dict):
         raise DomainError(f"'params' = {file_params!r} must be an object")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"'seed' = {seed!r} must be an integer")
-    if not isinstance(out, str):
-        raise DomainError(f"'out' = {out!r} must be a string")
+    if not isinstance(file_seed, int) or isinstance(file_seed, bool):
+        raise DomainError(f"'seed' = {file_seed!r} must be an integer")
+    if not isinstance(file_out, str):
+        raise DomainError(f"'out' = {file_out!r} must be a string")
+    seed = file_seed if seed is None else seed
+    out = file_out if out is None else out
     params = dict(file_params)
     params.update(overrides or {})
     schema = _EXPERIMENTS[name][1]
@@ -370,7 +373,8 @@ _EXPERIMENTS = {
         "n_r": (int, 32, _positive)}),
     "energy": (_run_energy, {
         "alpha": (float, 0.6309297535714574, _in_unit),
-        "depths": ([int], [6, 8], bool),
+        # a depth-0 measure is one atom: no off-diagonal pair, energy 0
+        "depths": ([int], [6, 8], lambda v: bool(v) and min(v) >= 1),
         "s_values": ([float], [0.3, 0.55, 0.8], bool)}),
     "kernel": (_run_kernel, {
         "lambda": (float, 100.0, lambda v: v >= 10),
@@ -448,8 +452,10 @@ def main(argv=None) -> int:
         description="Run one of the restriction-estimate experiments.")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: the config file's, else results)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="random seed (default: the config file's, else 0)")
     parser.add_argument("--param", "-p", action="append", default=[],
                         metavar="KEY=JSON", help="inline parameter override")
     args = parser.parse_args(argv)

@@ -1,21 +1,20 @@
 """The compactly band-limited bump and its two uses: the exact transform
 eta_hat masks the bands around +-lambda in spectral band projections, and the
-tabulated profile eta with the plateau cutoff rho (BumpPair) mollifies
-measures; plus the Fourier-side energy identity.
+profile eta, tabulated as the head of one DFT of eta_hat's samples, with the
+plateau cutoff rho (BumpPair) mollifies measures; plus the Fourier-side
+energy identity.
 
 Fourier convention: fhat(xi) = int f(x) e^(-i x xi) dx, inverse carries 1/2pi.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.special import gamma as _gamma, roots_legendre
+from scipy.special import gamma as _gamma
 
 from .errors import DomainError
 from .measures import WeightFunction, _grid_energy
-from .sampling import SampledFunction, even_table
+from .sampling import SampledFunction, dft_head, even_table
 
 
 def smooth_step(t) -> np.ndarray:
@@ -42,52 +41,34 @@ def eta_hat(xi) -> np.ndarray:
     return smooth_step(2.0 * (1.0 - axi))
 
 
-@lru_cache(maxsize=1)
-def _legendre_rule(n: int):
-    """n-point Gauss-Legendre nodes and weights, computed once per process."""
-    return roots_legendre(n)
-
-
 class BumpPair:
     """An even bump eta with hat(eta) = 1 on [-1/2,1/2] and = 0 outside (-1,1).
 
-    hat(eta) is the module function eta_hat; eta is tabulated once by dense
-    quadrature of the inverse transform into an even_table whose last knot is
-    TABLE_MAX, beyond which the spatial tail is below tail_floor and eta is 0.
+    hat(eta) is the module function eta_hat.  eta is tabulated once on the
+    uniform knots u_j = j TABLE_STEP up to TABLE_MAX by the trapezoid rule of
+    eta(u) = (1/pi) int_0^1 hat(eta)(xi) cos(u xi) dxi at step
+    dxi = 2 pi / (DFT_LENGTH TABLE_STEP), which makes the sum over all knots
+    the head of one length-DFT_LENGTH DFT.  hat(eta) is smooth with compact
+    support, so the rule is exact to rounding wherever its first alias, at
+    u = DFT_LENGTH TABLE_STEP, lies far past the table.  Beyond the last knot
+    the spatial tail is below tail_floor and eta is 0.
     """
 
     TABLE_MAX = 800.0
-    QUAD_NODES = 2048
-    # the table's uniform pieces (start, stop, step): fine up to 64, then coarse
-    TABLE_PIECES = ((0.0, 64.0, 1.0 / 128.0), (64.0, TABLE_MAX + 1e-9, 1.0 / 16.0))
+    TABLE_STEP = 1.0 / 128.0
+    DFT_LENGTH = 1 << 20   # first alias at u = 8192, ten times TABLE_MAX
 
     rho = staticmethod(rho_cutoff)   # the companion plateau cutoff
 
     def __init__(self):
-        xg, wg = _legendre_rule(self.QUAD_NODES)
-        self._xi_q = 0.5 + 0.25 * (xg + 1.0)      # nodes on [1/2, 1]
-        self._w_q = 0.25 * wg * eta_hat(self._xi_q)
-        pieces = [np.arange(*piece) for piece in self.TABLE_PIECES]
-        u = np.concatenate(pieces)
-        vals = np.concatenate([self._eta_uniform(p) for p in pieces])
+        n = int(self.TABLE_MAX / self.TABLE_STEP) + 1
+        dxi = 2.0 * np.pi / (self.DFT_LENGTH * self.TABLE_STEP)
+        c = dxi * eta_hat(dxi * np.arange(int(1.0 / dxi) + 1))
+        c[0] *= 0.5
+        u = self.TABLE_STEP * np.arange(n)
+        vals = dft_head(c, self.DFT_LENGTH, n).real / np.pi
         self.eta = even_table(u, vals)
-        self.tail_floor = float(np.abs(vals[-64:]).max())
-
-    def _eta_uniform(self, u: np.ndarray) -> np.ndarray:
-        """eta on a uniform grid u = u0 + du m, m = 0..n-1, from
-        eta(u) = (1/pi) [ sin(u/2)/u + int_{1/2}^1 hat(eta)(xi) cos(u xi) dxi ].
-
-        With m = K j + k (K ~ sqrt n), e^(i u xi) = e^(i (u0 + du K j) xi)
-        e^(i du k xi), so the node sum over all n points is the real part of
-        one (n/K x Q) @ (Q x K) product of exponential tables.
-        """
-        u0, du, n = u[0], u[1] - u[0], u.size
-        K = int(np.ceil(np.sqrt(n)))
-        J = -(-n // K)
-        A = self._w_q * np.exp(1j * np.outer(u0 + du * K * np.arange(J), self._xi_q))
-        B = np.exp(1j * np.outer(du * np.arange(K), self._xi_q))
-        tail = (A.real @ B.real.T - A.imag @ B.imag.T).ravel()[:n]
-        return (0.5 * np.sinc(u / (2.0 * np.pi)) + tail) / np.pi
+        self.tail_floor = float(np.abs(vals[u >= self.TABLE_MAX - 4.0]).max())
 
 
 def band_project(lam: float, beta: float, f: SampledFunction,

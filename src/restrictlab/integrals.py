@@ -109,11 +109,14 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     if b == 0 and c == 0 and a == d:
         return _toeplitz_sum(kernel, u1, u2, h)
     ex = np.exp(x)
-    den = c * 1j * ex + d
-    z2 = (a * 1j * ex + b) / den
-    r2, i2 = z2.real, z2.imag
     supp = kernel.support_radius + 2 * kernel.x_step
-    lo, hi = _row_bands(g.m, x, h, supp)
+    # a huge shear overflows den here and A or B in _row_bands; a row whose A
+    # or B overflows has an empty band, so no pair reads those values
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = c * 1j * ex + d
+        z2 = (a * 1j * ex + b) / den
+        lo, hi = _row_bands(g.m, x, h, supp)
+    r2, i2 = z2.real, z2.imag
     counts = np.maximum(hi - lo + 1, 0)
     total = 0.0 + 0.0j
     for i0 in range(0, x.size, ROW_CHUNK):

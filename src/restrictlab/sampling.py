@@ -1,5 +1,5 @@
-"""Uniformly sampled functions on an interval, and the even function
-through a radial table."""
+"""Uniformly sampled functions on an interval, the even function through a
+radial table, and the head of a long DFT that tabulates such a table."""
 
 from __future__ import annotations
 
@@ -54,3 +54,20 @@ def even_table(knots: np.ndarray, values: np.ndarray):
         return out
 
     return f
+
+
+def dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
+    """X_j = sum_m c_m exp(-2 pi i j m / L) for j < n: the first n terms of
+    the length-L DFT of c, by Bluestein's chirp-z identity
+    jm = (j^2 + m^2 - (j - m)^2) / 2, so cost and memory follow c.size + n,
+    not L.  The chirp phase is taken from k^2 mod 2L in int64, exact for
+    k up to about 3e9."""
+    M = c.size
+    k = np.arange(max(M, n), dtype=np.int64)
+    w = np.exp(-1j * np.pi * ((k * k) % (2 * L)) / L)
+    N = 1 << (M + n - 2).bit_length()   # power of two >= M + n - 1: no wrap-around
+    b = np.zeros(N, dtype=complex)
+    b[:n] = w[:n].conj()
+    b[N - M + 1:] = w[M - 1:0:-1].conj()
+    X = np.fft.ifft(np.fft.fft(c * w[:M], N) * np.fft.fft(b))
+    return w[:n] * X[:n]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, ResourceError
 from .geometry import GroupElement, dist_to_identity
-from .sampling import even_table
+from .sampling import dft_head, even_table
 
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
 PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
@@ -157,23 +157,6 @@ def check_kernel_budget(lam: float, x_max: float, h_width: float) -> tuple[int, 
     return int(n_x), int(n_s)
 
 
-def _dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
-    """X_j = sum_m c_m exp(-2 pi i j m / L) for j < n: the first n terms of
-    the length-L DFT of c, by Bluestein's chirp-z identity
-    jm = (j^2 + m^2 - (j - m)^2) / 2, so cost and memory follow c.size + n,
-    not L.  The chirp phase is taken from k^2 mod 2L in int64, exact for
-    k up to about 3e9."""
-    M = c.size
-    k = np.arange(max(M, n), dtype=np.int64)
-    w = np.exp(-1j * np.pi * ((k * k) % (2 * L)) / L)
-    N = 1 << (M + n - 2).bit_length()   # power of two >= M + n - 1: no wrap-around
-    b = np.zeros(N, dtype=complex)
-    b[:n] = w[:n].conj()
-    b[N - M + 1:] = w[M - 1:0:-1].conj()
-    X = np.fft.ifft(np.fft.fft(c * w[:M], N) * np.fft.fft(b))
-    return w[:n] * X[:n]
-
-
 def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> SphericalKernel:
     """Tabulate the radial band kernel on [0, x_max].
 
@@ -204,7 +187,7 @@ def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> Sph
     L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * dt_target))))
     dt = 2.0 * np.pi / (L * ds)
     n_t = min(L, int(x_max / dt) + 8)
-    Q = _dft_head(coef, L, n_t).real
+    Q = dft_head(coef, L, n_t).real
     q = even_table(dt * np.arange(n_t), Q)
 
     xs = np.linspace(0.0, x_max, n_x)

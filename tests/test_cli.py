@@ -56,6 +56,23 @@ def test_load_config_file_plus_overrides(tmp_path):
     assert cfg.seed == 5
 
 
+def test_explicit_flags_win_over_config_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"params": {"N": 16, "draws": 3}, "seed": 5,
+                             "out": "from_file"}))
+    assert cli.main(["amplifier", "--config", str(p), "--seed", "7",
+                     "--out", "from_flag", "-p", "draws=2"]) == 0
+    cfg = json.loads(capsys.readouterr().out)["config"]
+    assert (cfg["seed"], cfg["out"], cfg["params"]["draws"]) == (7, "from_flag", 2)
+    assert (tmp_path / "from_flag" / "amplifier.csv").exists()
+    assert not (tmp_path / "from_file").exists()
+    # without the flags the file's seed and out stand
+    assert cli.main(["amplifier", "--config", str(p)]) == 0
+    cfg = json.loads(capsys.readouterr().out)["config"]
+    assert (cfg["seed"], cfg["out"]) == (5, "from_file")
+
+
 @pytest.mark.parametrize("content", [
     {"seed": "x"},
     {"seed": True},
@@ -309,6 +326,10 @@ def test_measure_experiment_summary(tmp_path, capsys):
     # empty sweeps
     ("energy", "depths=[]"),
     ("energy", "s_values=[]"),
+    # a depth-0 measure is one atom, whose energy is 0
+    ("energy", "depths=[0]"),
+    ("energy", "depths=[0,1]"),
+    ("energy", "depths=[1,0]"),
     ("restrict", "degrees=[]"),
     ("dyadic", "k_indices=[]"),
     ("hecke-returns", "kappas=[]"),

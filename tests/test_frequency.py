@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
@@ -10,23 +12,63 @@ from conftest import cached_weight, l2_weighted_norm, sampled, weighted_energy
 
 # ---------------------------------------------------------------- bump pair
 
-def _eta_direct(self, u: np.ndarray) -> np.ndarray:
-    # eta(u) = (1/pi) [ sin(u/2)/u + int_{1/2}^1 hat(eta)(xi) cos(u xi) dxi ]
+def _eta_mp(u: float) -> float:
+    # eta(u) = (1/pi) [ sin(u/2)/u + int_{1/2}^1 hat(eta)(xi) cos(u xi) dxi ] in
+    # 20 digits, on pieces of about 1.3 periods of the cosine
+    with mpmath.workdps(20):
+        u = mpmath.mpf(u)
+
+        def hat(xi):
+            t = 2 * (1 - xi)
+            if t >= 1:
+                return mpmath.mpf(1)
+            if t <= 0:
+                return mpmath.mpf(0)
+            g1, g2 = mpmath.exp(-1 / t), mpmath.exp(-1 / (1 - t))
+            return g1 / (g1 + g2)
+
+        plateau = mpmath.mpf(1) / 2 if u == 0 else mpmath.sin(u / 2) / u
+        pieces = mpmath.linspace(mpmath.mpf(1) / 2, 1, max(4, int(u / 16)) + 1)
+        tail = mpmath.quad(lambda xi: hat(xi) * mpmath.cos(u * xi), pieces)
+        return float((plateau + tail) / mpmath.pi)
+
+
+def _eta_legendre(u: np.ndarray) -> np.ndarray:
+    # the 2048-node Gauss-Legendre quadrature of the same integral that once
+    # built the table, on [1/2, 1]
+    xg, wg = roots_legendre(2048)
+    xi = 0.5 + 0.25 * (xg + 1.0)
+    w = 0.25 * wg * eta_hat(xi)
     out = np.empty_like(u)
     for i0 in range(0, u.size, 4096):
         uu = u[i0:i0 + 4096]
-        plateau = 0.5 * np.sinc(uu / (2.0 * np.pi))
-        out[i0:i0 + 4096] = plateau + np.cos(np.outer(uu, self._xi_q)) @ self._w_q
+        out[i0:i0 + 4096] = 0.5 * np.sinc(uu / (2.0 * np.pi)) + np.cos(np.outer(uu, xi)) @ w
     return out / np.pi
 
 
-def test_factored_table_matches_direct_quadrature(bump):
-    # oracle: the dense cos(outer(u, xi)) quadrature the table was once built by
-    u = np.concatenate([np.arange(*piece) for piece in bump.TABLE_PIECES])
+# knots j/128 across the table, and three in its last 4 units
+_MP_KNOTS = np.array([0, 64, 401, 1280, 3973, 8192, 12877, 32896, 64003,
+                      101888, 102272, 102400]) / 128.0
+
+
+def test_eta_table_matches_mpmath(bump):
+    ref = np.array([_eta_mp(u) for u in _MP_KNOTS])
+    assert np.abs(bump.eta(_MP_KNOTS) - ref).max() <= 1e-15
+    # tail_floor bounds eta over the last 4 units, where the oracle is sampled
+    tail = _MP_KNOTS >= bump.TABLE_MAX - 4.0
+    assert np.abs(ref[tail]).max() <= bump.tail_floor
+
+
+def test_eta_table_matches_legendre_quadrature(bump):
+    # the knots of the old two-piece table; 5e-14 is twice the quadrature's
+    # own error against mpmath
+    u = np.concatenate([np.arange(0.0, 64.0, 1.0 / 128.0),
+                        np.arange(64.0, bump.TABLE_MAX + 1e-9, 1.0 / 16.0)])
     assert u.size == 19969 and u[-1] == bump.TABLE_MAX
-    direct = _eta_direct(bump, u)
-    assert np.abs(bump.eta(u) - direct).max() <= 1e-14
-    assert abs(bump.tail_floor - np.abs(direct[-64:]).max()) <= 1e-14
+    oracle = _eta_legendre(u)
+    assert np.abs(bump.eta(u) - oracle).max() <= 5e-14
+    tail = u >= bump.TABLE_MAX - 4.0
+    assert abs(bump.tail_floor - np.abs(oracle[tail]).max()) <= 5e-14
 
 
 def test_bump_table_knobs_are_class_constants(bump):
@@ -35,9 +77,6 @@ def test_bump_table_knobs_are_class_constants(bump):
         with pytest.raises(TypeError):
             rl.BumpPair(**knob)
     rl.BumpPair()
-    # one node rule per process, keyed by QUAD_NODES and reused by every build
-    info = rl.frequency._legendre_rule.cache_info()
-    assert info.currsize == 1 and info.hits >= 1
 
 
 def test_eta_hat_plateau_and_support():

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,6 +158,17 @@ def test_banded_sum_far_element_is_exactly_zero(kernel100):
     supp = kernel100.support_radius + 2 * kernel100.x_step
     lo, hi = integrals._row_bands(g.m, x, h, supp)
     assert (hi < lo).all()
+
+
+@pytest.mark.parametrize("t", [1e20, 1e200, 1e308])
+def test_huge_shear_is_exactly_zero_without_warnings(kernel100, t):
+    # the band coefficients A (and at 1e308 the coordinates) overflow; every
+    # band is empty, so the value is exactly 0 and no numpy warning is raised
+    _, _, _, f = _phi_w_sampled(100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = rl.eval_I(kernel100, rl.TestWindow(), f, rl.GroupElement.lower_shear(t))
+    assert rep.value == 0 and rep.error_estimate == 0 and rep.converged
 
 
 @pytest.mark.parametrize("step", [1, 2], ids=["full", "half"])

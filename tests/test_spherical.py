@@ -7,8 +7,8 @@ import pytest
 import restrictlab as rl
 from restrictlab import spherical
 from restrictlab.errors import DomainError
-from restrictlab.spherical import (_dft_head, _phi_integrand_nodes, phi_s_radial,
-                                   spectral_truncation)
+from restrictlab.sampling import dft_head
+from restrictlab.spherical import _phi_integrand_nodes, phi_s_radial, spectral_truncation
 
 from conftest import cached_kernel
 
@@ -219,7 +219,7 @@ def test_kernel_h_profile_properties(kernel100):
 def test_dft_head_matches_fft(L, M, n):
     # n <= L/2, the old mirror range n > L/2 + 1, n = L and a single coefficient
     c = np.random.default_rng(M + n).standard_normal(M)
-    assert np.abs(_dft_head(c, L, n) - np.fft.fft(c, L)[:n]).max() <= 1e-13 * np.abs(c).sum()
+    assert np.abs(dft_head(c, L, n) - np.fft.fft(c, L)[:n]).max() <= 1e-13 * np.abs(c).sum()
 
 
 @pytest.mark.parametrize("lam, x_max", [(100.0, 1.0), (200.0, 1.0), (100.0, 4.0)])
@@ -230,15 +230,15 @@ def test_kernel_matches_padded_rfft_oracle(monkeypatch, lam, x_max):
 
     def recorded(c, L, n):
         heads.append((c, L, n))
-        return _dft_head(c, L, n)
+        return dft_head(c, L, n)
 
-    monkeypatch.setattr(spherical, "_dft_head", recorded)
+    monkeypatch.setattr(spherical, "dft_head", recorded)
     kern = rl.make_kernel(lam, x_max=x_max)
-    monkeypatch.setattr(spherical, "_dft_head", padded_dft_head)
+    monkeypatch.setattr(spherical, "dft_head", padded_dft_head)
     oracle = rl.make_kernel(lam, x_max=x_max)
     scale = np.abs(oracle.values).max()
     (c, L, n), = heads
-    assert np.abs(_dft_head(c, L, n).real - padded_dft_head(c, L, n).real).max() <= 1e-12 * scale
+    assert np.abs(dft_head(c, L, n).real - padded_dft_head(c, L, n).real).max() <= 1e-12 * scale
     assert np.abs(kern.values - oracle.values).max() <= 1e-12 * scale
     assert kern.verify_residual == pytest.approx(oracle.verify_residual, abs=1e-12)
 
