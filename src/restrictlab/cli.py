@@ -46,6 +46,11 @@ def _in_unit(v):
     return 0 < v <= 1
 
 
+def _distinct(v):
+    """A list to sweep over: nonempty, with no value twice."""
+    return bool(v) and len(set(v)) == len(v)
+
+
 def _rational(v) -> str:
     """A rational number as a normalised string such as '1/2'."""
     return str(Fraction(str(v)))
@@ -174,10 +179,10 @@ def _integral_setup(p: dict):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
     measure's and the weight's budgets are all checked before the bump, the
     weight or the kernel is built."""
-    lam, h_width = p["lambda"], spherical.H_WIDTH
-    spherical.check_kernel_budget(lam, 1.0, h_width)
+    lam = p["lambda"]
+    spherical.check_kernel_budget(lam, 1.0)
     w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
-    return spherical.make_kernel(lam, h_width, x_max=1.0), w
+    return spherical.make_kernel(lam, x_max=1.0), w
 
 
 def _run_measure(cfg):
@@ -209,7 +214,7 @@ def _run_energy(cfg):
 
 def _run_kernel(cfg):
     p = cfg.params
-    k = spherical.make_kernel(p["lambda"], p["h_width"], p["x_max"])
+    k = spherical.make_kernel(p["lambda"], p["x_max"])
     x = k.x_grid()
     rows = [{"x": float(xx), "k": float(vv)} for xx, vv in
             zip(x[::16], k.values[::16])]
@@ -362,7 +367,8 @@ _INTEGRAL_RUN = {
 
 # experiment name -> (runner, parameter schema), in the CLI's order.  A runner
 # returns (CSV rows, summary); the rows are dicts, and the first row's keys are
-# the CSV header, so every list a run sweeps over is refused when empty.  A
+# the CSV header, so every list a run sweeps over is refused when empty, and
+# when it repeats a value, which would duplicate rows under one summary key.  A
 # schema maps each parameter to (type, default, validator); a type in
 # brackets, such as [int], types a list element by element
 _EXPERIMENTS = {
@@ -374,11 +380,10 @@ _EXPERIMENTS = {
     "energy": (_run_energy, {
         "alpha": (float, 0.6309297535714574, _in_unit),
         # a depth-0 measure is one atom: no off-diagonal pair, energy 0
-        "depths": ([int], [6, 8], lambda v: bool(v) and min(v) >= 1),
-        "s_values": ([float], [0.3, 0.55, 0.8], bool)}),
+        "depths": ([int], [6, 8], lambda v: _distinct(v) and min(v) >= 1),
+        "s_values": ([float], [0.3, 0.55, 0.8], _distinct)}),
     "kernel": (_run_kernel, {
         "lambda": (float, 100.0, lambda v: v >= 10),
-        "h_width": (float, spherical.H_WIDTH, lambda v: 0 < v <= 0.05),
         "x_max": (float, 4.0, _positive)}),
     "hecke-returns": (_run_hecke_returns, {
         "a": (int, 2, _positive), "b": (int, 3, None),
@@ -387,7 +392,7 @@ _EXPERIMENTS = {
                         lambda v: len(v) == 4 and all(len(r) == 4 for r in v)),
         "n_max": (int, 8, _positive),
         "kappas": ([float], [1.0, 0.5, 0.25, 0.125],
-                   lambda v: bool(v) and all(map(_in_unit, v)))}),
+                   lambda v: _distinct(v) and all(map(_in_unit, v)))}),
     "amplifier": (_run_amplifier, {
         "N": (int, 400, _positive), "q": (int, 1, _positive),
         "draws": (int, 1000, _positive)}),
@@ -399,17 +404,18 @@ _EXPERIMENTS = {
     "beta-scaling": (_run_beta_scaling, {
         **_INTEGRAL_RUN,
         "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6],
-                           lambda v: len(set(v)) >= 2 and all(0.2 <= e <= 0.8 for e in v))}),
+                           lambda v: len(v) >= 2 and _distinct(v)
+                           and all(0.2 <= e <= 0.8 for e in v))}),
     "rapid-decay": (_run_rapid_decay, {
         **_INTEGRAL_RUN,
         "beta_exponent": (float, 0.5, lambda v: 0 < v < 1),
         # t* = lam^(-1/2+eps0) beta^(1/2) is a shear below beta^(1/2)
         "epsilon0": (float, 0.1, lambda v: 0 < v < 0.5),
         "t_factors": ([float], [0.0, 0.25, 0.5, 1.0, 2.0, 4.0],
-                      lambda v: 0 in v and min(v) >= 0)}),
+                      lambda v: _distinct(v) and 0 in v and min(v) >= 0)}),
     "restrict": (_run_restrict, {
         "kind": (str, "highest_weight", lambda v: v in ("zonal", "highest_weight")),
-        "degrees": ([int], [64, 128, 256, 512], bool),
+        "degrees": ([int], [64, 128, 256, 512], _distinct),
         "alpha": (float, 0.7, _in_unit),
         "depth": (int, 8, lambda v: v >= 0)}),
     "kn": (_run_kn, {
@@ -417,13 +423,13 @@ _EXPERIMENTS = {
         "degree": (int, 64, lambda v: 1 <= v <= 1000)}),
     "theorem3": (_run_theorem3, {
         "alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
-        "degrees": ([int], [64, 128, 256], bool),
+        "degrees": ([int], [64, 128, 256], _distinct),
         "depth": (int, 8, lambda v: v >= 0)}),
     "exponents": (_run_exponents, {"n_alpha": (int, 100, lambda v: v >= 2)}),
     "dyadic": (_run_dyadic, {
         "lambda": (float, 128.0, lambda v: v >= 10),
         "alpha": (float, 0.7, _in_unit),
-        "k_indices": ([int], [-2, -1], bool)}),
+        "k_indices": ([int], [-2, -1], _distinct)}),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 

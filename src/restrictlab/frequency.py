@@ -9,8 +9,9 @@ Fourier convention: fhat(xi) = int f(x) e^(-i x xi) dx, inverse carries 1/2pi.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError
 from .measures import WeightFunction, _grid_energy
@@ -116,7 +117,7 @@ def gamma_factor(s: float) -> float:
     """gamma(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2); gamma(1/2) = 1."""
     if not 0 < s < 1:
         raise DomainError(f"s must lie in (0,1), got {s}")
-    return float(np.pi ** (s - 0.5) * _gamma((1.0 - s) / 2.0) / _gamma(s / 2.0))
+    return float(np.pi ** (s - 0.5) * math.gamma((1.0 - s) / 2.0) / math.gamma(s / 2.0))
 
 
 def fourier_energy_identity(w: WeightFunction, phi, s: float):

@@ -99,11 +99,13 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     """h^2 sum over the grid of conj(u1(x1)) u2(x2) k(d(g a(x2) i, a(x1) i)).
 
     Only the kernel band is visited: each row's pairs within the support
-    radius form one column interval, which `_row_bands` contains; the
-    `dist <= supp` mask keeps exactly those pairs, and the spline runs on them
-    alone.  Rows are taken ROW_CHUNK at a time and each chunk's pairs are
-    summed in a fixed order, so results are reproducible.  For g = +-e the
-    matrix is Toeplitz and `_toeplitz_sum` takes over.
+    radius form one column interval, which `_row_bands` contains, and the
+    spline runs on every pair of that interval.  k is exactly 0 past its
+    table's last knot, the first node past the support, so the interval's
+    out-of-support pairs add nothing.  Rows are taken ROW_CHUNK at a time and
+    each chunk's pairs are summed in a fixed order, so results are
+    reproducible.  For g = +-e the matrix is Toeplitz and `_toeplitz_sum`
+    takes over.
     """
     a, b, c, d = g.m.ravel()
     if b == 0 and c == 0 and a == d:
@@ -127,11 +129,8 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
         starts = np.cumsum(cnt) - cnt
         cols = lo[rows] + np.arange(rows.size) - np.repeat(starts, cnt)
         dist = _pair_dist(ex[rows], r2[cols], i2[cols])
-        keep = dist <= supp
-        kept = np.bincount(rows[keep] - i0, minlength=cnt.size)
-        filled = kept > 0
-        row_sums = np.add.reduceat(kernel.radial(dist[keep]) * u2[cols[keep]],
-                                   (np.cumsum(kept) - kept)[filled])
+        filled = cnt > 0
+        row_sums = np.add.reduceat(kernel.radial(dist) * u2[cols], starts[filled])
         total += np.sum(np.conj(u1[i0:i0 + cnt.size][filled]) * row_sums)
     return total * h * h
 

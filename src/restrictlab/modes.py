@@ -8,8 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ResourceError
 from .frequency import smooth_step
@@ -103,7 +104,7 @@ def _legendre_values(l: int, x: np.ndarray) -> np.ndarray:
 def _highest_weight_log_c(l: int) -> float:
     # |Y_l^l| on the equator: sqrt((2l+1)(2l)!/(4 pi)) / (2^l l!)
     return (0.5 * (np.log(2 * l + 1.0) - np.log(4.0 * np.pi))
-            + 0.5 * gammaln(2 * l + 1.0) - l * np.log(2.0) - gammaln(l + 1.0))
+            + 0.5 * math.lgamma(2 * l + 1.0) - l * np.log(2.0) - math.lgamma(l + 1.0))
 
 
 class SphereMode:

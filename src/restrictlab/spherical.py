@@ -24,7 +24,10 @@ PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
 TABLE_BUDGET = 1 << 21   # radial and spectral nodes of one kernel table
 SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel table
 SPECTRAL_STEP = 0.01   # step ds of the kernel's uniform s-grid
-H_WIDTH = 0.05   # default Paley-Wiener width h_width of the kernel profile
+H_WIDTH = 0.05   # Paley-Wiener width of the kernel profile h
+# offset past which h^2 stays under SPECTRAL_FLOOR: h(u) <= (2/(H_WIDTH u))^4,
+# so h^2 < floor once u > 2 floor^(-1/8) / H_WIDTH (about 1,265)
+SPECTRAL_TRUNCATION = 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / H_WIDTH
 
 
 def _phi_integrand_nodes(n: int) -> np.ndarray:
@@ -94,15 +97,15 @@ def hc_forward(f_eval, s: float, support_radius: float) -> float:
     return float(2.0 * np.pi * simpson(fv * pv * np.sinh(r), x=r))
 
 
-def _h_profile(h_width: float, u) -> np.ndarray:
-    """The sinc^4 Paley-Wiener profile, transform supported in [-2 h_width, 2 h_width]."""
-    return np.sinc(h_width * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
+def _h_profile(u) -> np.ndarray:
+    """The sinc^4 Paley-Wiener profile, transform supported in [-2 H_WIDTH, 2 H_WIDTH]."""
+    return np.sinc(H_WIDTH * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
 
 
-def _h0_squared(h_width: float, lam: float, s) -> np.ndarray:
+def _h0_squared(lam: float, s) -> np.ndarray:
     """h0(s)^2 = (h(s - lam) + h(-s - lam))^2 for the sinc^4 profile h."""
     s = np.asarray(s, dtype=float)
-    return (_h_profile(h_width, s - lam) + _h_profile(h_width, -s - lam)) ** 2
+    return (_h_profile(s - lam) + _h_profile(-s - lam)) ** 2
 
 
 @dataclass(frozen=True)
@@ -110,54 +113,42 @@ class SphericalKernel:
     """Radial table of the band kernel k at spectral center lam.
 
     Built from the nonnegative Paley-Wiener profile h (here sinc^4, transform
-    supported in [-2 h_width, 2 h_width]) via h0(s) = h(s-lam) + h(-s-lam);
+    supported in [-2 H_WIDTH, 2 H_WIDTH]) via h0(s) = h(s-lam) + h(-s-lam);
     k is the inverse spherical transform of h0^2, hence positive on the
-    spectral side and compactly supported in radius <= 4 h_width.
+    spectral side and compactly supported in radius <= 4 H_WIDTH.  `values`
+    holds k on the radial grid of [0, x_max]; `radial` is the spline through
+    those values up to the first node past the support, and exactly 0 beyond.
     """
 
     lam: float
-    h_width: float
     x_step: float
     values: np.ndarray = field(repr=False)
     verify_residual: float
-    radial: Callable = field(repr=False)   # k at radial distance |x|; 0 beyond the table
+    radial: Callable = field(repr=False)   # k at radial distance |x|; 0 past the support
 
-    @property
-    def support_radius(self) -> float:
-        return 4.0 * self.h_width
-
-    def h_profile(self, u) -> np.ndarray:
-        return _h_profile(self.h_width, u)
+    support_radius = 4.0 * H_WIDTH
 
     def h0_squared(self, s) -> np.ndarray:
-        return _h0_squared(self.h_width, self.lam, s)
+        return _h0_squared(self.lam, s)
 
     def x_grid(self) -> np.ndarray:
         return self.x_step * np.arange(self.values.size)
 
 
-def spectral_truncation(h_width: float) -> float:
-    """Offset beyond which h^2 stays under SPECTRAL_FLOOR.
-
-    h(u) <= (2/(h_width u))^4, so h^2 < floor once u > 2 floor^(-1/8) / h_width.
-    """
-    return 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / h_width
-
-
-def check_kernel_budget(lam: float, x_max: float, h_width: float) -> tuple[int, int]:
+def check_kernel_budget(lam: float, x_max: float) -> tuple[int, int]:
     """(radial nodes on [0, x_max], spectral nodes on [0, lam + T]) of the
     kernel table at lam; ResourceError past TABLE_BUDGET, radial nodes first,
     before anything is built."""
     n_x = np.round(x_max * SAMPLES_PER_WAVELENGTH * lam) + 1   # inf past float range
     if n_x > TABLE_BUDGET:
         raise ResourceError(f"{n_x:.0f} radial nodes exceed budget {TABLE_BUDGET}")
-    n_s = np.ceil((lam + spectral_truncation(h_width)) / SPECTRAL_STEP) + 1
+    n_s = np.ceil((lam + SPECTRAL_TRUNCATION) / SPECTRAL_STEP) + 1
     if n_s > TABLE_BUDGET:
         raise ResourceError(f"{n_s:.0f} spectral nodes exceed budget {TABLE_BUDGET}")
     return int(n_x), int(n_s)
 
 
-def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> SphericalKernel:
+def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     """Tabulate the radial band kernel on [0, x_max].
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
@@ -170,17 +161,14 @@ def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> Sph
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
-    if not 0 < h_width <= 0.05:
-        raise DomainError("h_width must lie in (0, 0.05] so the kernel support"
-                          " radius 4*h_width stays within 0.2")
-    n_x, M = check_kernel_budget(lam, x_max, h_width)
+    n_x, M = check_kernel_budget(lam, x_max)
     if n_x < 2:
         raise DomainError(f"x_max = {x_max} gives fewer than 2 radial nodes")
 
     ds = SPECTRAL_STEP
-    s_max = lam + spectral_truncation(h_width)
+    s_max = lam + SPECTRAL_TRUNCATION
     s = np.arange(M) * ds
-    coef = _h0_squared(h_width, lam, s) * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
+    coef = _h0_squared(lam, s) * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
     coef[0] *= 0.5
     coef[-1] *= 0.5
     dt_target = 1.0 / (2.0 * SAMPLES_PER_WAVELENGTH * lam)
@@ -192,18 +180,16 @@ def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> Sph
 
     xs = np.linspace(0.0, x_max, n_x)
     vals = np.zeros(n_x)
-    supp = 4.0 * h_width + 2.0 * dt
+    supp = SphericalKernel.support_radius + 2.0 * dt
 
     def circle_average(xx: float, refine: int = 1) -> float:
         return float(_circle_mean(xx, refine * max(64, int(1.3 * s_max * xx) + 64), q))
 
-    for i, xx in enumerate(xs):
-        if xx > supp:
-            break
-        vals[i] = circle_average(xx)
+    i_supp = int(np.searchsorted(xs, supp, side="right"))   # first node past supp
+    for i in range(i_supp):
+        vals[i] = circle_average(xs[i])
     # beyond the Paley-Wiener support the kernel vanishes; spot-verify on a
     # sparse set instead of densely tabulating noise
-    i_supp = int(np.searchsorted(xs, supp))
     spot = xs[i_supp::max(1, (n_x - i_supp) // 32)] if i_supp < n_x else np.array([])
     beyond = max((abs(circle_average(xx)) for xx in spot), default=0.0)
 
@@ -219,8 +205,11 @@ def make_kernel(lam: float, h_width: float = H_WIDTH, x_max: float = 4.0) -> Sph
         raise NonConvergenceError(
             f"kernel circle rule residual {resid:.2e} exceeds 1e-6 * {scale:.2e}")
     x_step = xs[1] - xs[0]
-    return SphericalKernel(lam, h_width, x_step, vals, resid / scale,
-                           even_table(x_step * np.arange(n_x), vals))
+    # the radial spline ends at the first zero node past the support, so k is
+    # exactly 0 beyond it instead of ringing over the zero tail
+    n_knots = min(i_supp + 1, n_x)
+    return SphericalKernel(lam, x_step, vals, resid / scale,
+                           even_table(x_step * np.arange(n_knots), vals[:n_knots]))
 
 
 def kernel_decay_constant(kernel: SphericalKernel) -> float:

@@ -17,7 +17,7 @@ from test_hecke import hecke_returns
 
 def test_load_config_defaults_echoed(tmp_path):
     cfg = cli.load_config(experiment="kernel", overrides={"lambda": 100.0})
-    assert cfg.params == {"lambda": 100.0, "h_width": 0.05, "x_max": 4.0}
+    assert cfg.params == {"lambda": 100.0, "x_max": 4.0}
 
 
 def test_load_config_rejects_bad_alpha():
@@ -167,7 +167,6 @@ def test_resource_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["kernel", "-p", "h_width=1e-6"],
     ["kernel", "-p", "lambda=1e5", "-p", "x_max=0.01"],
     ["integrals", "-p", "depth=0", "-p", "lambda=1e5"],
 ])
@@ -244,6 +243,22 @@ def test_amplifier_experiment(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["holds"] is True
     assert summary["n_primes"] == 8
+
+
+def test_kernel_table_ending_before_support(tmp_path, capsys):
+    # x_max = 0.1 ends inside the support radius 0.2, so the radial spline
+    # runs through every node; the rows are those of the full-table kernel
+    rc = cli.main(["kernel", "-p", "x_max=0.1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["support_radius"] == 0.2
+    lines = (tmp_path / "kernel.csv").read_text().splitlines()
+    assert lines[1] == "x,k"
+    rows = [tuple(map(float, line.split(","))) for line in lines[2:]]
+    assert [x for x, _ in rows] == pytest.approx([0.01 * i for i in range(11)], abs=1e-15)
+    assert [k for _, k in rows] == pytest.approx(
+        [960.98736428, 703.835072619, 164.68339808, -216.637736212, -240.442031685,
+         -62.680368282, 69.3145254984, 72.1234843767, 17.9876435166, -14.1118485584,
+         -12.9603484228], rel=1e-9)
 
 
 def test_restrict_experiment_small(tmp_path, capsys):
@@ -335,6 +350,18 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("hecke-returns", "kappas=[]"),
     # 2^k > 1/2, refused before 2^k overflows
     ("dyadic", "k_indices=[5000]"),
+    # sweeps that repeat a value, refused before any work: a repeat would
+    # duplicate rows under one summary key, or leave a fit degenerate
+    ("energy", "depths=[6,6]"),
+    ("energy", "s_values=[0.5,0.5]"),
+    ("restrict", "degrees=[64,64,128]"),
+    ("theorem3", "degrees=[64,64,128]"),
+    ("dyadic", "k_indices=[-1,-1]"),
+    ("hecke-returns", "kappas=[0.5,0.5]"),
+    ("rapid-decay", "t_factors=[0,1,1]"),
+    ("beta-scaling", "beta_exponents=[0.3,0.5,0.5]"),
+    # the kernel's Paley-Wiener width is a constant, not a parameter
+    ("kernel", "h_width=0.05"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2

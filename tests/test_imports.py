@@ -1,5 +1,6 @@
 """Import structure of the package: restrictlab modules import each other at
-module top only, and `measures` does not depend on `frequency`."""
+module top only, `measures` does not depend on `frequency`, and only
+`sampling` imports scipy at module top."""
 
 import ast
 from pathlib import Path
@@ -26,3 +27,16 @@ def test_measures_does_not_import_frequency():
              if isinstance(node, ast.ImportFrom) and node.level > 0
              and (node.module or "").split(".")[0] == "frequency"]
     assert found == []
+
+
+def test_only_sampling_imports_scipy_at_module_top():
+    # scipy.interpolate costs most of `import restrictlab.cli`, so one module
+    # pays for it; hc_forward's function-local scipy.integrate import is allowed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _tree(path.name).body:
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+                     else [])
+            found += [path.name for name in names if name.split(".")[0] == "scipy"]
+    assert found == ["sampling.py"]

@@ -8,7 +8,9 @@ import restrictlab as rl
 from restrictlab import spherical
 from restrictlab.errors import DomainError
 from restrictlab.sampling import dft_head
-from restrictlab.spherical import _phi_integrand_nodes, phi_s_radial, spectral_truncation
+from restrictlab.sampling import even_table
+from restrictlab.spherical import (SPECTRAL_TRUNCATION, _h_profile, _phi_integrand_nodes,
+                                   phi_s_radial)
 
 from conftest import cached_kernel
 
@@ -163,13 +165,13 @@ def test_kernel_positive_at_origin(kernel100):
     assert kernel100.values[0] > 0
     assert kernel100.values[0] == pytest.approx(
         hc_inverse(kernel100.h0_squared, 0.0,
-                   truncation=kernel100.lam + spectral_truncation(kernel100.h_width)), rel=1e-6)
+                   truncation=kernel100.lam + SPECTRAL_TRUNCATION), rel=1e-6)
 
 
 def test_kernel_table_matches_direct_inverse(kernel100):
     # two organizations of the same spectral integral: the FFT+circle table
     # against a direct per-point inverse transform
-    T = kernel100.lam + spectral_truncation(kernel100.h_width)
+    T = kernel100.lam + SPECTRAL_TRUNCATION
     for x in (0.02, 0.05, 0.11):
         direct = hc_inverse(kernel100.h0_squared, x, truncation=T)
         assert kernel100.radial(x) == pytest.approx(direct, rel=1e-5, abs=1e-4)
@@ -200,18 +202,37 @@ def test_kernel_support_vanishing(kernel100):
     assert np.abs(kernel100.values[beyond]).max() <= 1e-6 * kernel100.values[0]
 
 
+@pytest.mark.parametrize("lam, x_max", [(100.0, 1.0), (200.0, 1.0), (100.0, 4.0)])
+def test_kernel_radial_ends_at_support(lam, x_max):
+    # the radial spline ends at the first zero node past the support: on
+    # [0, support_radius] it matches the spline through the whole table, and
+    # past its last knot k is exactly 0, where the whole table's spline rings
+    kern = cached_kernel(lam, x_max)
+    x = kern.x_step * np.arange(kern.values.size)
+    whole_table = even_table(x, kern.values)
+    scale = np.abs(kern.values).max()
+    inside = np.linspace(0.0, kern.support_radius, 20001)
+    assert np.abs(kern.radial(inside) - whole_table(inside)).max() <= 1e-10 * scale
+    last_knot = x[np.flatnonzero(kern.values)[-1] + 1]
+    # the bilinear sums read k up to support_radius + 2 x_step
+    assert kern.support_radius < last_knot <= kern.support_radius + 2 * kern.x_step
+    past = np.linspace(last_knot, x_max, 20001)[1:]
+    assert np.all(kern.radial(past) == 0.0)
+    assert np.any(whole_table(past) != 0.0)
+
+
 def test_kernel_decay_constant_stability():
     consts = [rl.kernel_decay_constant(cached_kernel(lam))
               for lam in (50.0, 100.0, 200.0)]
     assert max(consts) / min(consts) < 2.0
 
 
-def test_kernel_h_profile_properties(kernel100):
+def test_kernel_h_profile_properties():
     u = np.linspace(-200, 200, 4001)
-    h = kernel100.h_profile(u)
+    h = _h_profile(u)
     assert h.min() >= 0.0
-    assert kernel100.h_profile(0.0) == 1.0
-    assert np.array_equal(h, kernel100.h_profile(-u))
+    assert _h_profile(0.0) == 1.0
+    assert np.array_equal(h, _h_profile(-u))
 
 
 @pytest.mark.parametrize("L, M, n", [(256, 40, 100), (256, 40, 200), (256, 40, 256),
@@ -257,13 +278,10 @@ def test_kernel_memory_independent_of_padded_length():
 def test_kernel_domain_errors():
     with pytest.raises(DomainError):
         rl.make_kernel(5.0)
-    with pytest.raises(DomainError):
-        rl.make_kernel(100.0, h_width=0.2)
 
 
-def test_spectral_truncation_bound(kernel100):
-    T = spectral_truncation(kernel100.h_width)
-    assert kernel100.h_profile(T) ** 2 < 1e-12
+def test_spectral_truncation_bound():
+    assert _h_profile(SPECTRAL_TRUNCATION) ** 2 < 1e-12
 
 
 # ---------------------------------------------------------------- asymptotics
