@@ -17,8 +17,8 @@ from .frequency import (BumpPair, band_project, fourier_energy_identity,
                         gamma_factor, fourier_transform, rho_cutoff, smooth_step)
 from .geometry import (GroupElement, act, dist_hyp, dist_to_identity,
                        dist_to_diag, log_psl2, gnorm)
-from .spherical import (SphericalKernel, phi_s, phi_s_radial, hc_forward,
-                        make_kernel, kernel_decay_constant)
+from .spherical import (SphericalKernel, phi_s, phi_s_radial, make_kernel,
+                        kernel_decay_constant)
 from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
                     enumerate_norm_n, build_amplifier, random_hecke_eigenvalues,
                     return_count_ratio, primes_up_to, optimal_bandwidth,

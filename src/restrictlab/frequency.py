@@ -68,7 +68,7 @@ class BumpPair:
         c[0] *= 0.5
         u = self.TABLE_STEP * np.arange(n)
         vals = dft_head(c, self.DFT_LENGTH, n).real / np.pi
-        self.eta = even_table(u, vals)
+        self.eta = even_table(self.TABLE_STEP, vals)
         self.tail_floor = float(np.abs(vals[u >= self.TABLE_MAX - 4.0]).max())
 
 

@@ -1,12 +1,19 @@
 """Uniformly sampled functions on an interval, the even function through a
-radial table, and the head of a long DFT that tabulates such a table."""
+radial table on uniform knots, and the head of a long DFT that tabulates
+such a table.
+
+The radial table's function is the not-a-knot cubic spline in B-spline form:
+its coefficients come from the mirrored table by the closed-form prefilter
+of cubic-spline interpolation on uniform knots (Unser, Aldroubi and Eden,
+"B-spline signal processing" I-II, IEEE Trans. Signal Process. 1993) plus a
+two-term end correction, and a point is evaluated in the knot interval found
+by index arithmetic, with no search."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, GridMismatchError
 
@@ -40,17 +47,60 @@ class SampledFunction:
                 f"({other.grid_min}, {other.grid_step}, {other.n})")
 
 
-def even_table(knots: np.ndarray, values: np.ndarray):
-    """The even function f with f(x) = values[i] at |x| = knots[i]: a cubic
-    spline through the table for |x| <= knots[-1], and 0 beyond the last knot."""
-    spline = CubicSpline(knots, values)
-    x_max = knots[-1]
+# pole of the cubic B-spline interpolation filter (1, 4, 1)/6; its inverse is
+# sqrt(3) z^|j|, truncated to |j| <= PREFILTER_HALF_WIDTH (|z|^40 ~ 1e-23)
+_Z = np.sqrt(3.0) - 2.0
+PREFILTER_HALF_WIDTH = 40
+_FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+
+
+def even_table(step: float, values: np.ndarray):
+    """The even function f with f(x) = values[i] at |x| = i*step: the
+    not-a-knot cubic spline through the table for |x| <= (n-1)*step, and 0
+    beyond the last knot.
+
+    The spline is sum_k c_k B(|x|/step - k), k = -1..n, in cubic B-splines
+    B.  The prefilter gives the c of the mirrored table.  Adding
+    A z^(k+1) + B z^(n-k), which interpolates zero, with A and B chosen so
+    that the fourth difference of c vanishes over c_-1..c_3 and over
+    c_n-4..c_n, makes the third derivative continuous at knots 1 and n-2:
+    the not-a-knot end conditions.  A point in knot interval
+    k = floor(|x|/step) is that interval's cubic, by Horner's rule.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if n < 4:
+        # at 3 values the two end conditions coincide
+        raise DomainError(f"a not-a-knot spline needs at least 4 values, got {n}")
+    w = PREFILTER_HALF_WIDTH
+    taps = np.sqrt(3.0) * _Z ** np.abs(np.arange(-w, w + 1))
+    c = np.convolve(np.pad(v, w, mode="reflect"), taps, "valid")
+    c = np.concatenate((c[1:2], c, c[-2:-1]))   # c_-1 .. c_n, mirrored
+    # z^(k+1) and z^(n-k) have fourth difference (1 - z)^4 at their own end
+    # and z^(n-3) (1 - z)^4 at the other; both are below rounding past w terms
+    g, p = (1.0 - _Z) ** 4, _Z ** (n - 3)
+    r0, r1 = _FOURTH_DIFFERENCE @ c[:5], _FOURTH_DIFFERENCE @ c[-5:]
+    a = (p * r1 - r0) / (g * (1.0 - p * p))
+    b = (p * r0 - r1) / (g * (1.0 - p * p))
+    decay = _Z ** np.arange(min(n + 2, w + 1))
+    c[:decay.size] += a * decay
+    c[-decay.size:] += b * decay[::-1]
+    # interval k's cubic in t = |x|/step - k, from c_(k-1..k+2); its value
+    # at t = 0 is the table's, by the interpolation condition
+    cm, c0, c1, c2 = c[:-3], c[1:-2], c[2:-1], c[3:]
+    coef = np.stack([v[:-1], 0.5 * (c1 - cm), 0.5 * (cm + c1) - c0,
+                     (c2 - cm + 3.0 * (c0 - c1)) / 6.0], axis=1)
+    x_max = step * (n - 1)
 
     def f(x) -> np.ndarray:
         x = np.abs(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         inside = x <= x_max
-        out[inside] = spline(x[inside])
+        u = x[inside] / step
+        k = np.minimum(u.astype(np.intp), n - 2)
+        t = u - k
+        ck = coef[k]
+        out[inside] = ((ck[:, 3] * t + ck[:, 2]) * t + ck[:, 1]) * t + ck[:, 0]
         return out
 
     return f

@@ -81,22 +81,6 @@ def phi_s(s: float, g: GroupElement) -> complex:
                               f" within {PHI_MAX_NODES} nodes")
 
 
-def hc_forward(f_eval, s: float, support_radius: float) -> float:
-    """Spherical transform of a radial function supported in r <= R:
-    2 pi int_0^R f(r) phi_s(r) sinh r dr (composite Simpson)."""
-    # imported here: scipy.integrate adds about 16 ms to start-up (2-core
-    # machine), and no experiment calls this, only the tests
-    from scipy.integrate import simpson
-    R = float(support_radius)
-    per_unit = max(8192, int(64.0 * (abs(s) + 1.0)))
-    n = max(256, int(per_unit * R))
-    n += n % 2
-    r = np.linspace(0.0, R, n + 1)
-    fv = np.asarray(f_eval(r), dtype=float)
-    pv = phi_s_radial(s, r)
-    return float(2.0 * np.pi * simpson(fv * pv * np.sinh(r), x=r))
-
-
 def _h_profile(u) -> np.ndarray:
     """The sinc^4 Paley-Wiener profile, transform supported in [-2 H_WIDTH, 2 H_WIDTH]."""
     return np.sinc(H_WIDTH * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
@@ -162,8 +146,8 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     if lam < 10:
         raise DomainError("lam must be >= 10")
     n_x, M = check_kernel_budget(lam, x_max)
-    if n_x < 2:
-        raise DomainError(f"x_max = {x_max} gives fewer than 2 radial nodes")
+    if n_x < 4:
+        raise DomainError(f"x_max = {x_max} gives fewer than 4 radial nodes")
 
     ds = SPECTRAL_STEP
     s_max = lam + SPECTRAL_TRUNCATION
@@ -176,7 +160,7 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     dt = 2.0 * np.pi / (L * ds)
     n_t = min(L, int(x_max / dt) + 8)
     Q = dft_head(coef, L, n_t).real
-    q = even_table(dt * np.arange(n_t), Q)
+    q = even_table(dt, Q)
 
     xs = np.linspace(0.0, x_max, n_x)
     vals = np.zeros(n_x)
@@ -209,7 +193,7 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     # exactly 0 beyond it instead of ringing over the zero tail
     n_knots = min(i_supp + 1, n_x)
     return SphericalKernel(lam, x_step, vals, resid / scale,
-                           even_table(x_step * np.arange(n_knots), vals[:n_knots]))
+                           even_table(x_step, vals[:n_knots]))
 
 
 def kernel_decay_constant(kernel: SphericalKernel) -> float:

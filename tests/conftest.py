@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 import restrictlab as rl
 from restrictlab.errors import DomainError, GridMismatchError
@@ -91,3 +93,33 @@ def l2_weighted_norm(w: rl.WeightFunction, phi) -> float:
     if phi.shape != w.values.shape:
         raise GridMismatchError("phi must be sampled on the weight's grid")
     return float(np.sqrt(w.grid_step * np.sum(np.abs(phi) ** 2 * w.values)))
+
+
+def cubic_spline_table(knots: np.ndarray, values: np.ndarray):
+    """The even function through a radial table as scipy's not-a-knot
+    CubicSpline (the oracle of sampling.even_table): the spline for
+    |x| <= knots[-1], and 0 beyond the last knot."""
+    spline = CubicSpline(knots, values)
+    x_max = knots[-1]
+
+    def f(x) -> np.ndarray:
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.zeros_like(x)
+        inside = x <= x_max
+        out[inside] = spline(x[inside])
+        return out
+
+    return f
+
+
+def hc_forward(f_eval, s: float, support_radius: float) -> float:
+    """Spherical transform of a radial function supported in r <= R:
+    2 pi int_0^R f(r) phi_s(r) sinh r dr (composite Simpson)."""
+    R = float(support_radius)
+    per_unit = max(8192, int(64.0 * (abs(s) + 1.0)))
+    n = max(256, int(per_unit * R))
+    n += n % 2
+    r = np.linspace(0.0, R, n + 1)
+    fv = np.asarray(f_eval(r), dtype=float)
+    pv = rl.phi_s_radial(s, r)
+    return float(2.0 * np.pi * simpson(fv * pv * np.sinh(r), x=r))

@@ -12,7 +12,7 @@ import numpy as np
 
 import restrictlab as rl
 
-from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight
+from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight, hc_forward
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, limit: float):
@@ -108,7 +108,7 @@ def test_criterion_04_spherical_correctness():
         k = cached_kernel(100.0)
         worst_rt = 0.0
         for s in (99.0, 100.0, 101.0):
-            fwd = rl.hc_forward(k.radial, s, support_radius=k.support_radius + 0.05)
+            fwd = hc_forward(k.radial, s, support_radius=k.support_radius + 0.05)
             worst_rt = max(worst_rt, abs(fwd - k.h0_squared(s)) / k.h0_squared(s))
     ok = (worst_resid <= 1e-4 and worst_weyl <= 1e-10 and worst_rt <= 1e-5
           and t.elapsed < limit)

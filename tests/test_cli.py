@@ -336,8 +336,11 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("dyadic", "lambda=Infinity"),
     ("kernel", "x_max=Infinity"),
     ("kernel", "x_max=inf"),
-    # a kernel table of one radial node
+    # kernel tables of one, two and three radial nodes: a not-a-knot spline
+    # needs four
     ("kernel", "x_max=1e-4"),
+    ("kernel", "x_max=0.000625"),
+    ("kernel", "x_max=0.00125"),
     # empty sweeps
     ("energy", "depths=[]"),
     ("energy", "s_values=[]"),

@@ -1,6 +1,6 @@
 """Import structure of the package: restrictlab modules import each other at
-module top only, `measures` does not depend on `frequency`, and only
-`sampling` imports scipy at module top."""
+module top only, `measures` does not depend on `frequency`, and no module
+imports scipy."""
 
 import ast
 from pathlib import Path
@@ -29,14 +29,14 @@ def test_measures_does_not_import_frequency():
     assert found == []
 
 
-def test_only_sampling_imports_scipy_at_module_top():
-    # scipy.interpolate costs most of `import restrictlab.cli`, so one module
-    # pays for it; hc_forward's function-local scipy.integrate import is allowed
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only; ast.walk also reaches function-local imports
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for node in _tree(path.name).body:
+        for node in ast.walk(_tree(path.name)):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
                      else [])
-            found += [path.name for name in names if name.split(".")[0] == "scipy"]
-    assert found == ["sampling.py"]
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []

@@ -1,18 +1,19 @@
 import tracemalloc
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 
 import restrictlab as rl
-from restrictlab import spherical
+from restrictlab import frequency, spherical
 from restrictlab.errors import DomainError
 from restrictlab.sampling import dft_head
 from restrictlab.sampling import even_table
 from restrictlab.spherical import (SPECTRAL_TRUNCATION, _h_profile, _phi_integrand_nodes,
                                    phi_s_radial)
 
-from conftest import cached_kernel
+from conftest import cached_kernel, cubic_spline_table, hc_forward
 
 
 def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
@@ -139,19 +140,19 @@ def test_phi_eigen_equation(s):
 # ---------------------------------------------------------------- transforms
 
 def test_hc_forward_zero_and_evenness():
-    assert rl.hc_forward(lambda r: np.zeros_like(r), 5.0, support_radius=1.0) == 0.0
+    assert hc_forward(lambda r: np.zeros_like(r), 5.0, support_radius=1.0) == 0.0
 
     def f(r):
         return np.exp(-40.0 * r ** 2) * (r < 0.5)
 
     for s in (3.0, 17.0):
-        assert abs(rl.hc_forward(f, s, support_radius=0.5)
-                   - rl.hc_forward(f, -s, support_radius=0.5)) <= 1e-9
+        assert abs(hc_forward(f, s, support_radius=0.5)
+                   - hc_forward(f, -s, support_radius=0.5)) <= 1e-9
 
 
 def test_hc_forward_requires_support():
     with pytest.raises(TypeError):
-        rl.hc_forward(lambda r: np.zeros_like(r), 5.0)
+        hc_forward(lambda r: np.zeros_like(r), 5.0)
 
 
 def test_hc_inverse_zero_and_truncation_required():
@@ -180,8 +181,8 @@ def test_kernel_table_matches_direct_inverse(kernel100):
 def test_kernel_roundtrip(kernel100):
     lam = kernel100.lam
     for s in (lam - 1.0, lam, lam + 1.0):
-        fwd = rl.hc_forward(kernel100.radial, s,
-                            support_radius=kernel100.support_radius + 0.05)
+        fwd = hc_forward(kernel100.radial, s,
+                         support_radius=kernel100.support_radius + 0.05)
         assert fwd == pytest.approx(kernel100.h0_squared(s), rel=1e-5)
 
 
@@ -209,7 +210,7 @@ def test_kernel_radial_ends_at_support(lam, x_max):
     # past its last knot k is exactly 0, where the whole table's spline rings
     kern = cached_kernel(lam, x_max)
     x = kern.x_step * np.arange(kern.values.size)
-    whole_table = even_table(x, kern.values)
+    whole_table = even_table(kern.x_step, kern.values)
     scale = np.abs(kern.values).max()
     inside = np.linspace(0.0, kern.support_radius, 20001)
     assert np.abs(kern.radial(inside) - whole_table(inside)).max() <= 1e-10 * scale
@@ -219,6 +220,61 @@ def test_kernel_radial_ends_at_support(lam, x_max):
     past = np.linspace(last_knot, x_max, 20001)[1:]
     assert np.all(kern.radial(past) == 0.0)
     assert np.any(whole_table(past) != 0.0)
+
+
+@lru_cache(maxsize=None)
+def _built_tables() -> dict:
+    """{name: (step, values)} of the tables behind BumpPair's eta and behind
+    Q and the radial profile of make_kernel at lam = 100 and 800."""
+    calls = []
+
+    def recorded(step, values):
+        calls.append((step, np.array(values)))
+        return even_table(step, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frequency, "even_table", recorded)
+        mp.setattr(spherical, "even_table", recorded)
+        rl.BumpPair()
+        tables = {"eta": calls[-1]}
+        for lam in (100, 800):
+            rl.make_kernel(float(lam), x_max=1.0)
+            tables[f"Q-{lam}"], tables[f"radial-{lam}"] = calls[-2:]
+    return tables
+
+
+def _smooth_table(n: int) -> tuple[float, np.ndarray]:
+    rng = np.random.default_rng(n)
+    step = rng.uniform(0.05, 0.5)
+    amp, freq, phase = rng.standard_normal(3), rng.uniform(0.0, 2.0, 3), rng.uniform(0.0, 3.0, 3)
+    x = step * np.arange(n)[:, None]
+    return step, (amp * np.cos(freq * x + phase)).sum(axis=1)
+
+
+@pytest.mark.parametrize("name", ["eta", "Q-100", "radial-100", "Q-800", "radial-800",
+                                  "smooth-4", "smooth-5", "smooth-8", "smooth-45"])
+def test_even_table_is_the_not_a_knot_spline(name):
+    # the prefilter spline against scipy's CubicSpline through the same knots,
+    # at the knots, the midpoints, inside the end intervals and at the last
+    # knot (both signs), and exactly 0 past the last knot
+    if name.startswith("smooth-"):
+        step, values = _smooth_table(int(name.split("-")[1]))
+    else:
+        step, values = _built_tables()[name]
+    knots = step * np.arange(values.size)
+    t = np.array([0.1, 0.37, 0.5, 0.9])
+    x = np.concatenate([knots, knots[:-1] + 0.5 * step, t * step, knots[-2] + t * step])
+    x = np.concatenate([x, -x])
+    table, oracle = even_table(step, values), cubic_spline_table(knots, values)
+    assert np.abs(table(x) - oracle(x)).max() <= 1e-13 * np.abs(values).max()
+    past = np.array([np.nextafter(knots[-1], np.inf), knots[-1] + 0.5 * step, 1e300, np.inf])
+    assert np.all(table(past) == 0.0) and np.all(table(-past) == 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_even_table_needs_four_values(n):
+    with pytest.raises(DomainError):
+        even_table(0.1, np.ones(n))
 
 
 def test_kernel_decay_constant_stability():
