@@ -222,8 +222,14 @@ def _scan_box(alg: QuatAlgebra, n: int, g0: GroupElement, radius: float):
 
 
 def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> GroupElement:
-    """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element."""
+    """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element.
+
+    A central gamma (scalar iota(gamma)) is fixed by conjugation, so it is
+    returned as the exact identity rather than rounded through the product.
+    """
     m = iota_matrix(alg, coords)
+    if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
+        return GroupElement.identity()
     return GroupElement(g0.inv().m @ (m / np.sqrt(float(n))) @ g0.m)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .frequency import band_project, smooth_step
 from .geometry import GroupElement, dist_to_diag
 from .hecke import Amplifier, QuatAlgebra, conjugated_element, enumerate_norm_n
@@ -44,6 +44,7 @@ def _window_values(window: TestWindow, f: SampledFunction) -> np.ndarray:
 
 
 ROW_CHUNK = 256   # rows whose in-band pairs are evaluated together
+BAND_BUDGET = 1 << 30   # band pairs of one eval_I_pair, full and half resolution together
 
 
 def _pair_dist(e1: np.ndarray, r2: np.ndarray, i2: np.ndarray) -> np.ndarray:
@@ -78,6 +79,23 @@ def _row_bands(m: np.ndarray, x: np.ndarray, h: float, supp: float):
     return lo, np.where(empty, lo - 1, hi)
 
 
+def _is_central(g: GroupElement) -> bool:
+    """g = +-e exactly: the bilinear sum's matrix is Toeplitz."""
+    a, b, c, d = g.m.ravel()
+    return b == 0 and c == 0 and a == d
+
+
+def _band(kernel: SphericalKernel, x: np.ndarray, h: float, g: GroupElement):
+    """(lo, counts): per row of the uniform grid x (step h), the first column
+    of g's kernel band from `_row_bands` and the number of its columns."""
+    supp = kernel.support_radius + 2 * kernel.x_step
+    # a huge shear overflows A or B in _row_bands; a row whose A or B
+    # overflows has an empty band
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo, hi = _row_bands(g.m, x, h, supp)
+    return lo, np.maximum(hi - lo + 1, 0)
+
+
 def _toeplitz_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
                   h: float) -> complex:
     """The bilinear sum at g = +-e on a uniform grid of step h.
@@ -107,19 +125,16 @@ def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     reproducible.  For g = +-e the matrix is Toeplitz and `_toeplitz_sum`
     takes over.
     """
-    a, b, c, d = g.m.ravel()
-    if b == 0 and c == 0 and a == d:
+    if _is_central(g):
         return _toeplitz_sum(kernel, u1, u2, h)
+    a, b, c, d = g.m.ravel()
     ex = np.exp(x)
-    supp = kernel.support_radius + 2 * kernel.x_step
-    # a huge shear overflows den here and A or B in _row_bands; a row whose A
-    # or B overflows has an empty band, so no pair reads those values
+    # a huge shear overflows z2 here and A or B in `_band`; a row whose A or
+    # B overflows has an empty band, so no pair reads those values
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        den = c * 1j * ex + d
-        z2 = (a * 1j * ex + b) / den
-        lo, hi = _row_bands(g.m, x, h, supp)
+        z2 = (a * 1j * ex + b) / (c * 1j * ex + d)
+    lo, counts = _band(kernel, x, h, g)
     r2, i2 = z2.real, z2.imag
-    counts = np.maximum(hi - lo + 1, 0)
     total = 0.0 + 0.0j
     for i0 in range(0, x.size, ROW_CHUNK):
         cnt = counts[i0:i0 + ROW_CHUNK]
@@ -139,13 +154,22 @@ def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
                 f1: SampledFunction, f2: SampledFunction,
                 g: GroupElement) -> IntegralReport:
     """Sesquilinear integral of b(x1) b(x2) conj(f1(x1)) f2(x2) k(a(-x1) g a(x2))
-    with a half-resolution re-evaluation as the error estimate."""
+    with a half-resolution re-evaluation as the error estimate.
+
+    Away from g = +-e, ResourceError when the two sums' kernel bands hold
+    more than BAND_BUDGET pairs, counted before any pair is evaluated.
+    """
     f1.require_same_grid(f2)
     h = f1.grid_step
     lam = kernel.lam
     if h > 1.0 / (8.0 * lam) + 1e-15:
         raise DomainError(f"grid step {h} under-resolves 1/lambda (need <= {1 / (8 * lam)})")
     x = f1.grid()
+    if not _is_central(g):
+        pairs = sum(int(_band(kernel, xx, hh, g)[1].sum())
+                    for xx, hh in ((x, h), (x[::2], 2 * h)))
+        if pairs > BAND_BUDGET:
+            raise ResourceError(f"{pairs} band pairs exceed budget {BAND_BUDGET}")
     u1 = _window_values(window, f1)
     u2 = _window_values(window, f2)
     value = _bilinear_sum(kernel, u1, u2, x, h, g)

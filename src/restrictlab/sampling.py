@@ -7,7 +7,7 @@ its coefficients come from the mirrored table by the closed-form prefilter
 of cubic-spline interpolation on uniform knots (Unser, Aldroubi and Eden,
 "B-spline signal processing" I-II, IEEE Trans. Signal Process. 1993) plus a
 two-term end correction, and a point is evaluated in the knot interval found
-by index arithmetic, with no search."""
+by index arithmetic, with no search and no mask."""
 
 from __future__ import annotations
 
@@ -65,7 +65,8 @@ def even_table(step: float, values: np.ndarray):
     that the fourth difference of c vanishes over c_-1..c_3 and over
     c_n-4..c_n, makes the third derivative continuous at knots 1 and n-2:
     the not-a-knot end conditions.  A point in knot interval
-    k = floor(|x|/step) is that interval's cubic, by Horner's rule.
+    k = floor(|x|/step) is that interval's cubic, by Horner's rule on
+    coefficients gathered at k.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -85,23 +86,22 @@ def even_table(step: float, values: np.ndarray):
     decay = _Z ** np.arange(min(n + 2, w + 1))
     c[:decay.size] += a * decay
     c[-decay.size:] += b * decay[::-1]
-    # interval k's cubic in t = |x|/step - k, from c_(k-1..k+2); its value
-    # at t = 0 is the table's, by the interpolation condition
+    # interval k's cubic a0 + a1 t + a2 t^2 + a3 t^3 in t = |x|/step - k,
+    # from c_(k-1..k+2); a0 is the table's value, by the interpolation condition
     cm, c0, c1, c2 = c[:-3], c[1:-2], c[2:-1], c[3:]
-    coef = np.stack([v[:-1], 0.5 * (c1 - cm), 0.5 * (cm + c1) - c0,
-                     (c2 - cm + 3.0 * (c0 - c1)) / 6.0], axis=1)
+    a0, a1, a2, a3 = np.stack([v[:-1], 0.5 * (c1 - cm), 0.5 * (cm + c1) - c0,
+                               (c2 - cm + 3.0 * (c0 - c1)) / 6.0])
     x_max = step * (n - 1)
 
     def f(x) -> np.ndarray:
         x = np.abs(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
         inside = x <= x_max
-        u = x[inside] / step
+        # every point reads an interval's cubic; a point past the last knot,
+        # infinite or NaN reads interval 0, so no cast sees it, and gets 0
+        u = np.where(inside, x, 0.0) / step
         k = np.minimum(u.astype(np.intp), n - 2)
         t = u - k
-        ck = coef[k]
-        out[inside] = ((ck[:, 3] * t + ck[:, 2]) * t + ck[:, 1]) * t + ck[:, 0]
-        return out
+        return np.where(inside, ((a3[k] * t + a2[k]) * t + a1[k]) * t + a0[k], 0.0)
 
     return f
 

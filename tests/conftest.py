@@ -11,6 +11,7 @@ from scipy.interpolate import CubicSpline
 import restrictlab as rl
 from restrictlab.errors import DomainError, GridMismatchError
 from restrictlab.measures import _grid_energy
+from restrictlab.sampling import _FOURTH_DIFFERENCE, _Z, PREFILTER_HALF_WIDTH
 
 ALPHA_CANTOR = np.log(2.0) / np.log(3.0)
 
@@ -107,6 +108,42 @@ def cubic_spline_table(knots: np.ndarray, values: np.ndarray):
         out = np.zeros_like(x)
         inside = x <= x_max
         out[inside] = spline(x[inside])
+        return out
+
+    return f
+
+
+def masked_even_table(step: float, values: np.ndarray):
+    """sampling.even_table with its earlier evaluator (the oracle of the
+    gathered one): the per-interval cubics as rows of one (n - 1, 4) array,
+    and only the points inside the last knot evaluated, through a mask."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    w = PREFILTER_HALF_WIDTH
+    taps = np.sqrt(3.0) * _Z ** np.abs(np.arange(-w, w + 1))
+    c = np.convolve(np.pad(v, w, mode="reflect"), taps, "valid")
+    c = np.concatenate((c[1:2], c, c[-2:-1]))
+    g, p = (1.0 - _Z) ** 4, _Z ** (n - 3)
+    r0, r1 = _FOURTH_DIFFERENCE @ c[:5], _FOURTH_DIFFERENCE @ c[-5:]
+    a = (p * r1 - r0) / (g * (1.0 - p * p))
+    b = (p * r0 - r1) / (g * (1.0 - p * p))
+    decay = _Z ** np.arange(min(n + 2, w + 1))
+    c[:decay.size] += a * decay
+    c[-decay.size:] += b * decay[::-1]
+    cm, c0, c1, c2 = c[:-3], c[1:-2], c[2:-1], c[3:]
+    coef = np.stack([v[:-1], 0.5 * (c1 - cm), 0.5 * (cm + c1) - c0,
+                     (c2 - cm + 3.0 * (c0 - c1)) / 6.0], axis=1)
+    x_max = step * (n - 1)
+
+    def f(x) -> np.ndarray:
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.zeros_like(x)
+        inside = x <= x_max
+        u = x[inside] / step
+        k = np.minimum(u.astype(np.intp), n - 2)
+        t = u - k
+        ck = coef[k]
+        out[inside] = ((ck[:, 3] * t + ck[:, 2]) * t + ck[:, 1]) * t + ck[:, 0]
         return out
 
     return f

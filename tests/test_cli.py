@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import restrictlab.cli as cli
-from restrictlab import frequency, measures, spherical
+from restrictlab import frequency, integrals, measures, spherical
 from restrictlab.errors import DomainError
 from restrictlab.frequency import BumpPair
 from restrictlab.geometry import GroupElement
@@ -227,6 +227,15 @@ def test_huge_sizes_exit_3(tmp_path, capsys, experiment, param):
     # instead of ending in a traceback or a hang
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_band_budget_exits_3_without_csv(tmp_path, capsys, monkeypatch):
+    # the shear's band pairs are counted before any pair is evaluated
+    monkeypatch.setattr(integrals, "BAND_BUDGET", 1 << 10)
+    argv = ["integrals", "-p", "lambda=100", "-p", "shear_t=0.3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kn_experiment(tmp_path, capsys):

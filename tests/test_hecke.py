@@ -310,6 +310,18 @@ def test_iota_multiplicative(algebra):
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
 
+@pytest.mark.parametrize("maximal", [False, True])
+def test_central_element_conjugates_to_exact_identity(maximal):
+    # (k, 0, 0, 0) is k times the unit in both orders, so iota is k I; its
+    # conjugate is e exactly, with no rounding left off the diagonal
+    alg = cached_algebra(maximal)
+    for k in (1, 2, 3, 4):
+        for y, theta in [(0.0, 0.0), (0.17, 0.387), (-0.9, 2.1), (1.3, -0.6)]:
+            g0 = rl.GroupElement.diag_flow(y) @ rl.GroupElement.rotation(theta)
+            h = conjugated_element(alg, (k, 0, 0, 0), k * k, g0)
+            assert np.array_equal(h.m, np.eye(2))
+
+
 def test_iota_rejects_nonpositive_norm(algebra):
     with pytest.raises(DomainError):
         iota(element(algebra, (1, 1, 0, 0)))   # nrd = -1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import restrictlab as rl
-from restrictlab import integrals
+from restrictlab import integrals, spherical
 from restrictlab.errors import DomainError
 from restrictlab.hecke import conjugated_element, enumerate_norm_n
 from restrictlab.integrals import _bilinear_sum, _window_values, modulated_gaussian
@@ -200,6 +200,23 @@ def test_closed_band_contains_dense_support(kernel100, name, grid):
     assert not (inside & ~band).any()
 
 
+def test_band_budget_refuses_lambda_16000_shear():
+    # counted from _row_bands alone on the lam = 16000 window grid (step
+    # 1/(8 lam) over [-3, 3]) at shear 0.3, with the kernel's support and
+    # radial step from its node count; no kernel is built
+    lam = 16000.0
+    h = 1.0 / (8.0 * lam)
+    x = h * np.arange(-384000, 384001)
+    n_x, _ = spherical.check_kernel_budget(lam, 1.0)
+    supp = spherical.SphericalKernel.support_radius + 2.0 / (n_x - 1)
+    g = rl.GroupElement.lower_shear(0.3)
+    pairs = 0
+    for xx, hh in ((x, h), (x[::2], 2 * h)):
+        lo, hi = integrals._row_bands(g.m, xx, hh, supp)
+        pairs += int(np.maximum(hi - lo + 1, 0).sum())
+    assert pairs > integrals.BAND_BUDGET == 1 << 30
+
+
 def test_identity_sum_takes_toeplitz_path(kernel100, monkeypatch):
     def no_bands(*args):
         raise AssertionError("_row_bands called")
@@ -384,11 +401,25 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
         calls.append(g.m.tobytes())
         return eval_I(kernel, window, phi, g)
 
+    bands = []
+    row_bands = integrals._row_bands
+
+    def recorded(m, x, h, supp):
+        bands.append((m.tobytes(), x.size))
+        return row_bands(m, x, h, supp)
+
     monkeypatch.setattr(integrals, "eval_I", counted)
+    monkeypatch.setattr(integrals, "_row_bands", recorded)
     total, rows, flags = integrals.amplified_rhs(alg, amp, kernel100, win, f, g0)
     assert len(calls) == len(set(calls)) >= 2
     assert len(rows) > len(calls)
     assert (total, rows, flags) == expected
+    # the central element is exactly e and takes the Toeplitz path; only the
+    # two others reach the band, on the full and on the half grid
+    central = np.eye(2).tobytes()
+    others = [m for m in calls if m != central]
+    assert central in calls and len(others) == 2
+    assert set(bands) == {(m, n) for m in others for n in (f.n, (f.n + 1) // 2)}
 
 
 def test_amplified_rhs_dominates_identity_term():

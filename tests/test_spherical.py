@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -13,7 +14,7 @@ from restrictlab.sampling import even_table
 from restrictlab.spherical import (SPECTRAL_TRUNCATION, _h_profile, _phi_integrand_nodes,
                                    phi_s_radial)
 
-from conftest import cached_kernel, cubic_spline_table, hc_forward
+from conftest import cached_kernel, cubic_spline_table, hc_forward, masked_even_table
 
 
 def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
@@ -269,6 +270,30 @@ def test_even_table_is_the_not_a_knot_spline(name):
     assert np.abs(table(x) - oracle(x)).max() <= 1e-13 * np.abs(values).max()
     past = np.array([np.nextafter(knots[-1], np.inf), knots[-1] + 0.5 * step, 1e300, np.inf])
     assert np.all(table(past) == 0.0) and np.all(table(-past) == 0.0)
+
+
+@pytest.mark.parametrize("name", ["eta", "Q-100", "radial-100"])
+def test_even_table_gathers_as_the_masked_evaluator(name):
+    # the gathered evaluator is the masked one, bit for bit, on and off the
+    # knots, at the last knot and just past it, at both zeros, and 0 with no
+    # warning at inf, nan and a huge x; radial-100 is kernel.radial itself
+    step, values = _built_tables()[name]
+    oracle = masked_even_table(step, values)
+    table = cached_kernel(100.0).radial if name == "radial-100" else even_table(step, values)
+    x_max = step * (values.size - 1)
+    knots = step * np.arange(values.size)
+    x = np.concatenate([np.linspace(-1.1 * x_max, 1.1 * x_max, 200001), knots, -knots,
+                        [x_max, np.nextafter(x_max, np.inf), 0.0, -0.0]])
+    assert np.array_equal(table(x), oracle(x))
+    far = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(table(far), np.zeros(far.size))
+        assert np.array_equal(oracle(far), np.zeros(far.size))
+    for point in (0.0, 0.5 * step, x_max, np.inf):
+        value = table(np.float64(point))
+        assert np.ndim(value) == 0 and np.array_equal(value, oracle(np.float64(point)))
+    assert table(np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
