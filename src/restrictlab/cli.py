@@ -175,13 +175,22 @@ def _weight_for(alpha: float, depth: int, lam: float, spw: int):
     return measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
 
 
-def _integral_setup(p: dict):
+def _integral_setup(p: dict, shears=()):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
-    measure's and the weight's budgets are all checked before the bump, the
-    weight or the kernel is built."""
-    lam = p["lambda"]
-    spherical.check_kernel_budget(lam, 1.0)
-    w = _weight_for(p["alpha"], p["depth"], lam, p["resolution_per_wavelength"])
+    measure's and the weight's budgets, and the band budget of each lower
+    shear t in `shears`, are all checked before the bump, the weight or the
+    kernel is built."""
+    lam, spw = p["lambda"], p["resolution_per_wavelength"]
+    n_x, _ = spherical.check_kernel_budget(lam, 1.0)
+    nu = measures.make_cantor_measure(p["alpha"], p["depth"])
+    h, n = measures.check_weight_budget(nu.atoms.size, lam, spw)
+    # the window grid of the weight's grid -2 + h * arange(n + 1), and the
+    # radial step of the kernel's n_x nodes on [0, 1]
+    _, x = integrals._window_grid(-2.0, h, n + 1)
+    for t in shears:
+        integrals.check_band_budget(geometry.GroupElement.lower_shear(t), x, h,
+                                    1.0 / (n_x - 1))
+    w = measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
     return spherical.make_kernel(lam, x_max=1.0), w
 
 
@@ -260,7 +269,7 @@ def _run_amplifier(cfg):
 def _run_integrals(cfg):
     p = cfg.params
     lam = p["lambda"]
-    kern, w = _integral_setup(p)
+    kern, w = _integral_setup(p, [p["shear_t"]])
     _, _, f, _ = integrals._phi_w_on_window_grid(
         w, lambda x: integrals.modulated_gaussian(x, lam), lam)
     g = geometry.GroupElement.lower_shear(p["shear_t"])
@@ -294,7 +303,7 @@ def _run_rapid_decay(cfg):
     # a shear too large for dist_to_diag is refused before anything is built
     t_star, shears = integrals.rapid_decay_shears(
         p["lambda"], beta, p["epsilon0"], p["t_factors"])
-    kern, w = _integral_setup(p)
+    kern, w = _integral_setup(p, [t for _, t, _ in shears])
     rows, contrast = integrals.rapid_decay_experiment(
         kern, integrals.TestWindow(), w, beta, shears)
     return rows, {

@@ -43,8 +43,8 @@ def _window_values(window: TestWindow, f: SampledFunction) -> np.ndarray:
     return window.b(f.grid()) * f.values
 
 
-ROW_CHUNK = 256   # rows whose in-band pairs are evaluated together
-BAND_BUDGET = 1 << 30   # band pairs of one eval_I_pair, full and half resolution together
+ROW_CHUNK = 64   # rows whose band rectangle is evaluated together
+BAND_BUDGET = 1 << 30   # band-rectangle cells of one eval_I_pair
 
 
 def _pair_dist(e1: np.ndarray, r2: np.ndarray, i2: np.ndarray) -> np.ndarray:
@@ -85,69 +85,90 @@ def _is_central(g: GroupElement) -> bool:
     return b == 0 and c == 0 and a == d
 
 
-def _band(kernel: SphericalKernel, x: np.ndarray, h: float, g: GroupElement):
-    """(lo, counts): per row of the uniform grid x (step h), the first column
-    of g's kernel band from `_row_bands` and the number of its columns."""
-    supp = kernel.support_radius + 2 * kernel.x_step
+def check_band_budget(g: GroupElement, x: np.ndarray, h: float, x_step: float):
+    """(first, start, widths): g's kernel band on the uniform grid x (step h),
+    for a kernel of radial step x_step, as chunks of ROW_CHUNK rows from the
+    even row `first`; row first + i starts at the even column start[i] at or
+    before its `_row_bands` interval, and chunk c's rows are widths[c] wide,
+    enough for all of its intervals.  None when no row has a band or g = +-e,
+    whose Toeplitz sum is not counted.  ResourceError past BAND_BUDGET cells.
+    """
+    if _is_central(g):
+        return None
+    supp = SphericalKernel.support_radius + 2 * x_step
     # a huge shear overflows A or B in _row_bands; a row whose A or B
     # overflows has an empty band
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lo, hi = _row_bands(g.m, x, h, supp)
-    return lo, np.maximum(hi - lo + 1, 0)
+    filled = np.flatnonzero(hi >= lo)
+    if filled.size == 0:
+        return None
+    first, end = filled[0] & ~1, filled[-1] + 1
+    start = lo[first:end] & ~1
+    chunks = np.arange(0, end - first, ROW_CHUNK)
+    widths = np.maximum.reduceat(hi[first:end] - start, chunks) + 1
+    cells = int(np.dot(np.diff(chunks, append=end - first), widths))
+    if cells > BAND_BUDGET:
+        raise ResourceError(f"{cells} band cells exceed budget {BAND_BUDGET}")
+    return first, start, widths
 
 
-def _toeplitz_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
-                  h: float) -> complex:
-    """The bilinear sum at g = +-e on a uniform grid of step h.
+def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
+                   h: float):
+    """(full, half): the bilinear sums at g = +-e on a uniform grid of step h
+    and on its even entries.
 
     d(a(x1) i, a(x2) i) = |x1 - x2| = h |i - j|, so the spline runs once per
     lag inside the support and each row sum is one entry of a direct 1-D
-    convolution of u2 with the symmetric lag profile.
+    convolution of u2 with the symmetric lag profile; the half grid's lags
+    are the even ones.
     """
     supp = kernel.support_radius + 2 * kernel.x_step
     lag = h * np.arange(min(int(supp / h), u2.size - 1) + 1)
     k = kernel.radial(lag)
-    m = lag.size - 1
-    rows = np.convolve(u2, np.concatenate([k[:0:-1], k]))[m:m + u2.size]
-    return np.sum(np.conj(u1) * rows) * h * h
+
+    def convolved(v1, v2, k, h):
+        m = k.size - 1
+        rows = np.convolve(v2, np.concatenate([k[:0:-1], k]))[m:m + v2.size]
+        return np.sum(np.conj(v1) * rows) * h * h
+
+    return convolved(u1, u2, k, h), convolved(u1[::2], u2[::2], k[::2], 2 * h)
 
 
-def _bilinear_sum(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
-                  x: np.ndarray, h: float, g: GroupElement) -> complex:
-    """h^2 sum over the grid of conj(u1(x1)) u2(x2) k(d(g a(x2) i, a(x1) i)).
+def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
+                   x: np.ndarray, h: float, g: GroupElement):
+    """(full, half): h^2 sum over the grid of conj(u1(x1)) u2(x2)
+    k(d(g a(x2) i, a(x1) i)), and the same sum on the grid's even entries.
 
-    Only the kernel band is visited: each row's pairs within the support
-    radius form one column interval, which `_row_bands` contains, and the
-    spline runs on every pair of that interval.  k is exactly 0 past its
-    table's last knot, the first node past the support, so the interval's
-    out-of-support pairs add nothing.  Rows are taken ROW_CHUNK at a time and
-    each chunk's pairs are summed in a fixed order, so results are
-    reproducible.  For g = +-e the matrix is Toeplitz and `_toeplitz_sum`
+    Each row chunk of `check_band_budget` is one dense rectangle of pairs.
+    k is exactly 0 past its table's last knot, the first node past the
+    support, so pairs outside the bands add nothing.  Chunks start on even
+    rows and rows on even columns, so the half sum takes the rectangles'
+    even entries.  Each chunk is summed in a fixed order, so results are
+    reproducible.  For g = +-e the matrix is Toeplitz and `_toeplitz_sums`
     takes over.
     """
     if _is_central(g):
-        return _toeplitz_sum(kernel, u1, u2, h)
+        return _toeplitz_sums(kernel, u1, u2, h)
+    bands = check_band_budget(g, x, h, kernel.x_step)
+    if bands is None:
+        return 0j, 0j
+    first, start, widths = bands
     a, b, c, d = g.m.ravel()
     ex = np.exp(x)
-    # a huge shear overflows z2 here and A or B in `_band`; a row whose A or
-    # B overflows has an empty band, so no pair reads those values
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z2 = (a * 1j * ex + b) / (c * 1j * ex + d)
-    lo, counts = _band(kernel, x, h, g)
-    r2, i2 = z2.real, z2.imag
-    total = 0.0 + 0.0j
-    for i0 in range(0, x.size, ROW_CHUNK):
-        cnt = counts[i0:i0 + ROW_CHUNK]
-        if not cnt.any():
-            continue
-        rows = np.repeat(np.arange(i0, i0 + cnt.size), cnt)
-        starts = np.cumsum(cnt) - cnt
-        cols = lo[rows] + np.arange(rows.size) - np.repeat(starts, cnt)
-        dist = _pair_dist(ex[rows], r2[cols], i2[cols])
-        filled = cnt > 0
-        row_sums = np.add.reduceat(kernel.radial(dist) * u2[cols], starts[filled])
-        total += np.sum(np.conj(u1[i0:i0 + cnt.size][filled]) * row_sums)
-    return total * h * h
+    # past the grid's end, z2 = i keeps the distance finite and u2 = 0
+    pad = (0, int(widths.max()))
+    z2 = np.pad((a * 1j * ex + b) / (c * 1j * ex + d), pad, constant_values=1j)
+    r2, i2, u2 = z2.real, z2.imag, np.pad(u2, pad)
+    full = half = 0j
+    for c0, width in zip(range(0, start.size, ROW_CHUNK), widths):
+        cols = start[c0:c0 + ROW_CHUNK, None] + np.arange(width)
+        rows = slice(first + c0, first + c0 + cols.shape[0])
+        dist = _pair_dist(ex[rows, None], r2[cols], i2[cols])
+        terms = kernel.radial(dist) * u2[cols]
+        full += np.conj(u1[rows]) @ terms.sum(axis=1)
+        half += np.conj(u1[rows][::2]) @ terms[::2, ::2].sum(axis=1)
+    return full * h * h, half * (2 * h) * (2 * h)
 
 
 def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
@@ -156,8 +177,8 @@ def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
     """Sesquilinear integral of b(x1) b(x2) conj(f1(x1)) f2(x2) k(a(-x1) g a(x2))
     with a half-resolution re-evaluation as the error estimate.
 
-    Away from g = +-e, ResourceError when the two sums' kernel bands hold
-    more than BAND_BUDGET pairs, counted before any pair is evaluated.
+    Away from g = +-e, ResourceError when the kernel band's rectangles hold
+    more than BAND_BUDGET cells, counted before any pair is evaluated.
     """
     f1.require_same_grid(f2)
     h = f1.grid_step
@@ -165,15 +186,9 @@ def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
     if h > 1.0 / (8.0 * lam) + 1e-15:
         raise DomainError(f"grid step {h} under-resolves 1/lambda (need <= {1 / (8 * lam)})")
     x = f1.grid()
-    if not _is_central(g):
-        pairs = sum(int(_band(kernel, xx, hh, g)[1].sum())
-                    for xx, hh in ((x, h), (x[::2], 2 * h)))
-        if pairs > BAND_BUDGET:
-            raise ResourceError(f"{pairs} band pairs exceed budget {BAND_BUDGET}")
     u1 = _window_values(window, f1)
     u2 = _window_values(window, f2)
-    value = _bilinear_sum(kernel, u1, u2, x, h, g)
-    value_half = _bilinear_sum(kernel, u1[::2], u2[::2], x[::2], 2 * h, g)
+    value, value_half = _bilinear_sums(kernel, u1, u2, x, h, g)
     err = abs(value - value_half)
     scale = max(abs(value), 1e-12 * (abs(value_half) + np.abs(u1).max() * np.abs(u2).max() + 1.0))
     return IntegralReport(value=complex(value), error_estimate=float(err),
@@ -236,19 +251,25 @@ def modulated_gaussian(grid: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(1j * lam * grid) * np.exp(-0.5 * grid ** 2)
 
 
-def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
-    """(grid, phi, phi*w, w) on w's grid extended by whole steps until it
-    covers the window's support [-SUPPORT, SUPPORT], with w zero-padded."""
-    h, edge = w.grid_step, TestWindow.SUPPORT
+def _window_grid(grid_min: float, h: float, size: int):
+    """(left, grid): the grid grid_min + h * arange(size) extended by whole
+    steps, `left` of them before it, until it covers the window's support
+    [-SUPPORT, SUPPORT]."""
+    edge = TestWindow.SUPPORT
     # whole steps past the edge, less a rounding slack, so an edge that falls
     # on a node ends the grid there
-    left = int(np.ceil((w.grid_min + edge) / h - 1e-6))
-    right = int(np.ceil((edge - w.grid_min) / h - 1e-6)) + 1 - w.values.size
-    wpad = np.pad(w.values, (left, right))
-    start = w.grid_min - left * h
-    grid = start + h * np.arange(wpad.size)
+    left = int(np.ceil((grid_min + edge) / h - 1e-6))
+    right = int(np.ceil((edge - grid_min) / h - 1e-6)) + 1 - size
+    return left, (grid_min - left * h) + h * np.arange(left + size + right)
+
+
+def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
+    """(grid, phi, phi*w, w) on the window grid of w's grid, with w
+    zero-padded."""
+    left, grid = _window_grid(w.grid_min, w.grid_step, w.values.size)
+    wpad = np.pad(w.values, (left, grid.size - left - w.values.size))
     phi = np.asarray(phi_fn(grid), dtype=complex)
-    return grid, phi, SampledFunction(start, h, phi * wpad), wpad
+    return grid, phi, SampledFunction(grid[0], w.grid_step, phi * wpad), wpad
 
 
 def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -236,6 +237,39 @@ def test_band_budget_exits_3_without_csv(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 3
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrals", "-p", "lambda=5000", "-p", "shear_t=0.3"],
+    # shears 0.25 t* and 0.5 t* are over budget, t*, 2 t* and 4 t* are not
+    ["rapid-decay", "-p", "lambda=4000"],
+], ids=["integrals", "rapid-decay"])
+def test_band_budget_refuses_before_building(tmp_path, capsys, monkeypatch, argv):
+    # each shear's cells are counted from the window grid and the kernel's
+    # node count, so nothing is built
+    for owner, name in ((frequency, "BumpPair"), (measures, "build_weight"),
+                        (spherical, "make_kernel")):
+        monkeypatch.setattr(owner, name, _refuse_to_build)
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_band_budget_counts_up_front_what_the_sum_counts(tmp_path, monkeypatch):
+    # the count before the set-up sees the same grid, step and kernel radial
+    # step as the sum's own count
+    seen = []
+    check = integrals.check_band_budget
+
+    def recorded(g, x, h, x_step):
+        seen.append((g.m.tobytes(), x, h, x_step))
+        return check(g, x, h, x_step)
+
+    monkeypatch.setattr(integrals, "check_band_budget", recorded)
+    argv = ["integrals", "-p", "lambda=100", "-p", "shear_t=0.3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    (m1, x1, h1, s1), (m2, x2, h2, s2) = seen
+    assert m1 == m2 and np.array_equal(x1, x2) and h1 == h2 and s1 == s2
 
 
 def test_kn_experiment(tmp_path, capsys):

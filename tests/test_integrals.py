@@ -6,9 +6,9 @@ import pytest
 
 import restrictlab as rl
 from restrictlab import integrals, spherical
-from restrictlab.errors import DomainError
+from restrictlab.errors import DomainError, ResourceError
 from restrictlab.hecke import conjugated_element, enumerate_norm_n
-from restrictlab.integrals import _bilinear_sum, _window_values, modulated_gaussian
+from restrictlab.integrals import _bilinear_sums, _window_values, modulated_gaussian
 
 from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight, sampled
 
@@ -123,13 +123,18 @@ def _oracle_element(name: str):
 
 
 def _oracle_inputs(grid: str):
-    """(u, x, h) at lam=100: the full window, or its slice x in [-1.25, 0.25],
-    where some bands run off the grid's end."""
+    """(u, x, h) at lam=100: the full window, its even entries ("half"), its
+    slice x in [-1.25, 0.25] ("small"), where some bands run off the grid's
+    ends, or that slice shifted by one node ("odd"), which starts at an odd
+    index and has an odd length."""
     _, _, _, f = _phi_w_sampled(100.0)
-    u, x = _window_values(rl.TestWindow(), f), f.grid()
-    if grid == "small":
-        u, x = u[1400:2601], x[1400:2601]
-    return u, x, f.grid_step
+    u, x, h = _window_values(rl.TestWindow(), f), f.grid(), f.grid_step
+    if grid == "half":
+        u, x, h = u[::2], x[::2], 2 * h
+    if grid in ("small", "odd"):
+        cut = slice(1400, 2601) if grid == "small" else slice(1401, 2602)
+        u, x = u[cut], x[cut]
+    return u, x, h
 
 
 def _assert_agree(banded, dense, scale):
@@ -137,23 +142,26 @@ def _assert_agree(banded, dense, scale):
     assert abs(banded - dense) <= 1e-12 * max(abs(dense), 1e-9 * scale)
 
 
-@pytest.mark.parametrize("grid", ["full", "small"])
+@pytest.mark.parametrize("grid", ["full", "small", "odd"])
 @pytest.mark.parametrize("name", ["e", "-e", "shear0.01", "shear0.5", "diag_rot",
                                   "norm12"])
 def test_banded_sum_matches_dense(kernel100, name, grid):
+    # one pass gives the sum on the grid and on its even entries
     u, x, h = _oracle_inputs(grid)
     g = _oracle_element(name)
-    banded = _bilinear_sum(kernel100, u, u, x, h, g)
+    full, half = _bilinear_sums(kernel100, u, u, x, h, g)
     dense = _dense_bilinear_sum(kernel100, u, u, x, h, g)
-    assert dense != 0
-    _assert_agree(banded, dense, h * h * np.abs(u).sum() ** 2)
+    dense_half = _dense_bilinear_sum(kernel100, u[::2], u[::2], x[::2], 2 * h, g)
+    assert dense != 0 and dense_half != 0
+    _assert_agree(full, dense, h * h * np.abs(u).sum() ** 2)
+    _assert_agree(half, dense_half, 4 * h * h * np.abs(u[::2]).sum() ** 2)
 
 
 def test_banded_sum_far_element_is_exactly_zero(kernel100):
     # a(8) moves every window point about 8 away: no row has an in-band pair
     u, x, h = _oracle_inputs("full")
     g = rl.GroupElement.diag_flow(8.0)
-    assert _bilinear_sum(kernel100, u, u, x, h, g) == 0
+    assert _bilinear_sums(kernel100, u, u, x, h, g) == (0, 0)
     assert _dense_bilinear_sum(kernel100, u, u, x, h, g) == 0
     supp = kernel100.support_radius + 2 * kernel100.x_step
     lo, hi = integrals._row_bands(g.m, x, h, supp)
@@ -171,16 +179,18 @@ def test_huge_shear_is_exactly_zero_without_warnings(kernel100, t):
     assert rep.value == 0 and rep.error_estimate == 0 and rep.converged
 
 
-@pytest.mark.parametrize("step", [1, 2], ids=["full", "half"])
-@pytest.mark.parametrize("name", ["shear0.01", "norm12", "e"])
-def test_banded_sum_matches_dense_sesquilinear(kernel100, name, step):
-    u1, x, h = _oracle_inputs("full")
+@pytest.mark.parametrize("grid", ["full", "half", "small", "odd"])
+@pytest.mark.parametrize("name", ["e", "-e", "shear0.01", "shear0.5", "diag_rot",
+                                  "norm12"])
+def test_banded_sum_matches_dense_sesquilinear(kernel100, name, grid):
+    u1, x, h = _oracle_inputs(grid)
     u2 = u1 * np.exp(-(x - 0.4) ** 2) * np.exp(-3j * x)
-    u1, u2, x, h = u1[::step], u2[::step], x[::step], h * step
     g = _oracle_element(name)
-    banded = _bilinear_sum(kernel100, u1, u2, x, h, g)
-    dense = _dense_bilinear_sum(kernel100, u1, u2, x, h, g)
-    _assert_agree(banded, dense, h * h * np.abs(u1).sum() * np.abs(u2).sum())
+    full, half = _bilinear_sums(kernel100, u1, u2, x, h, g)
+    for value, step in ((full, 1), (half, 2)):
+        v1, v2, hh = u1[::step], u2[::step], h * step
+        dense = _dense_bilinear_sum(kernel100, v1, v2, x[::step], hh, g)
+        _assert_agree(value, dense, hh * hh * np.abs(v1).sum() * np.abs(v2).sum())
 
 
 @pytest.mark.parametrize("grid", ["full", "small", "half"])
@@ -192,29 +202,49 @@ def test_closed_band_contains_dense_support(kernel100, name, grid):
         x, h = x[::2], 2 * h
     g = _oracle_element(name)
     supp = kernel100.support_radius + 2 * kernel100.x_step
-    inside = np.concatenate([dist <= supp for _, dist in _dense_dist(x, g)])
     lo, hi = integrals._row_bands(g.m, x, h, supp)
     cols = np.arange(x.size)
-    band = (cols >= lo[:, None]) & (cols <= hi[:, None])
-    assert inside.any()
-    assert not (inside & ~band).any()
+    inside_any = False
+    for i0, dist in _dense_dist(x, g):
+        rows = slice(i0, i0 + dist.shape[0])
+        band = (cols >= lo[rows, None]) & (cols <= hi[rows, None])
+        inside = dist <= supp
+        inside_any |= inside.any()
+        assert not (inside & ~band).any()
+        # so every pair the kernel does not send to exactly 0 is in the band
+        assert not ((kernel100.radial(dist) != 0) & ~band).any()
+    assert inside_any
 
 
-def test_band_budget_refuses_lambda_16000_shear():
-    # counted from _row_bands alone on the lam = 16000 window grid (step
-    # 1/(8 lam) over [-3, 3]) at shear 0.3, with the kernel's support and
-    # radial step from its node count; no kernel is built
+@pytest.mark.parametrize("lam", [10.0, 99.97, 100.03, 200.0, 777.7])
+def test_radial_is_exactly_zero_past_band_support(lam):
+    # the band rectangles' cells outside the bands lie past this radius, so
+    # they add exactly 0
+    kernel = cached_kernel(lam)
+    supp = kernel.support_radius + 2 * kernel.x_step
+    nodes = kernel.x_grid()
+    d = np.concatenate([np.linspace(supp, nodes[-1], 200001), nodes])
+    assert not kernel.radial(d[d >= supp]).any()
+
+
+def test_band_budget_refuses_lambda_16000_shear(monkeypatch):
+    # counted on the lam = 16000 window grid (step 1/(8 lam) over [-3, 3])
+    # at shear 0.3, with the kernel's radial step from its node count; no
+    # kernel is built
     lam = 16000.0
     h = 1.0 / (8.0 * lam)
     x = h * np.arange(-384000, 384001)
     n_x, _ = spherical.check_kernel_budget(lam, 1.0)
-    supp = spherical.SphericalKernel.support_radius + 2.0 / (n_x - 1)
     g = rl.GroupElement.lower_shear(0.3)
-    pairs = 0
-    for xx, hh in ((x, h), (x[::2], 2 * h)):
-        lo, hi = integrals._row_bands(g.m, xx, hh, supp)
-        pairs += int(np.maximum(hi - lo + 1, 0).sum())
-    assert pairs > integrals.BAND_BUDGET == 1 << 30
+    with pytest.raises(ResourceError, match="band cells"):
+        integrals.check_band_budget(g, x, h, 1.0 / (n_x - 1))
+    budget = integrals.BAND_BUDGET
+    assert budget == 1 << 30
+    monkeypatch.setattr(integrals, "BAND_BUDGET", 1 << 62)
+    first, start, widths = integrals.check_band_budget(g, x, h, 1.0 / (n_x - 1))
+    rows = np.diff(np.arange(0, start.size, integrals.ROW_CHUNK), append=start.size)
+    assert first % 2 == 0 and not (start % 2).any()
+    assert rows @ widths > 10 * budget
 
 
 def test_identity_sum_takes_toeplitz_path(kernel100, monkeypatch):
@@ -224,10 +254,10 @@ def test_identity_sum_takes_toeplitz_path(kernel100, monkeypatch):
     monkeypatch.setattr(integrals, "_row_bands", no_bands)
     u, x, h = _oracle_inputs("full")
     for name in ("e", "-e"):
-        assert _bilinear_sum(kernel100, u, u, x, h, _oracle_element(name)) != 0
+        assert 0 not in _bilinear_sums(kernel100, u, u, x, h, _oracle_element(name))
     # every other element still takes the banded path
     with pytest.raises(AssertionError, match="_row_bands"):
-        _bilinear_sum(kernel100, u, u, x, h, _oracle_element("shear0.01"))
+        _bilinear_sums(kernel100, u, u, x, h, _oracle_element("shear0.01"))
 
 
 # ---------------------------------------------------------------- eval_I
@@ -414,12 +444,12 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
     assert len(calls) == len(set(calls)) >= 2
     assert len(rows) > len(calls)
     assert (total, rows, flags) == expected
-    # the central element is exactly e and takes the Toeplitz path; only the
-    # two others reach the band, on the full and on the half grid
+    # the central element is exactly e and takes the Toeplitz path; each of
+    # the two others reaches the band once, on the full grid only
     central = np.eye(2).tobytes()
     others = [m for m in calls if m != central]
     assert central in calls and len(others) == 2
-    assert set(bands) == {(m, n) for m in others for n in (f.n, (f.n + 1) // 2)}
+    assert sorted(bands) == sorted((m, f.n) for m in others)
 
 
 def test_amplified_rhs_dominates_identity_term():
