@@ -35,18 +35,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def hilbert_symbol(a: int, b: int, p: int) -> int:
     """(a,b)_p for nonzero integers a, b: +1 when a x^2 + b y^2 = z^2 has a
     nonzero solution over Q_p, else -1.  p = 0 stands for the real place."""
@@ -77,6 +65,10 @@ def _prime_divisors(n: int) -> list[int]:
                 n //= d
         d += 1
     return out + [n] if n > 1 else out
+
+
+def is_squarefree(n: int) -> bool:
+    return n != 0 and math.prod(_prime_divisors(n)) == abs(n)
 
 
 def _mul_std(x, y, a: int, b: int):
@@ -161,7 +153,8 @@ class QuatAlgebra:
         return tuple(int(x) for x in (self._C @ v))
 
     def nrd_std_scaled(self, xs) -> int:
-        """den^2 * nrd from den-scaled standard coordinates."""
+        """The norm form: den^2 * nrd from den-scaled standard coordinates,
+        nrd itself from unscaled (Fraction) ones."""
         x0, x1, x2, x3 = xs
         return x0 * x0 - self.a * x1 * x1 - self.b * x2 * x2 + self.a * self.b * x3 * x3
 
@@ -172,10 +165,7 @@ class QuatAlgebra:
             return False
         cols = [tuple(self.basis[r][c] for r in range(4)) for c in range(4)]
         for x in cols:
-            if (2 * x[0]).denominator != 1:
-                return False
-            nr = x[0] ** 2 - self.a * x[1] ** 2 - self.b * x[2] ** 2 + self.a * self.b * x[3] ** 2
-            if nr.denominator != 1:
+            if (2 * x[0]).denominator != 1 or self.nrd_std_scaled(x).denominator != 1:
                 return False
         for x in cols:
             for y in cols:
@@ -204,7 +194,7 @@ def iota_matrix(alg: QuatAlgebra, coords) -> np.ndarray:
 
 def _entry_bound(n: int, g0: GroupElement, radius: float) -> float:
     kappa = g0.op_norm() * g0.inv().op_norm()
-    return np.sqrt(n) * kappa * np.exp(np.sqrt(2.0) * radius) * (1.0 + 1e-9)
+    return np.sqrt(n) * kappa * np.exp(0.5 * radius) * (1.0 + 1e-9)
 
 
 def _order_box(alg: QuatAlgebra, E: float) -> np.ndarray:
@@ -234,12 +224,15 @@ def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> Gr
 
 
 def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
-    """Sorted sign-canonical order coordinates v with |v_i| <= box[i] and
-    nrd(v) = n, swept exactly with the integer norm form one slice of the
-    first coordinate at a time.
+    """Order coordinates v with |v_i| <= box[i] and nrd(v) = n, one of each
+    pair +-v (the one lexicographically above its negative), in
+    lexicographic order; swept exactly with the integer norm form one slice
+    of the first coordinate at a time.
 
-    A tuple is canonical when it is lexicographically >= its negative, so
-    slices with v_0 < 0 only repeat the negatives of v_0 > 0 and are skipped.
+    The ij-indexed sweep with v_0 ascending is already lexicographic.
+    Slices with v_0 < 0 only repeat the negatives of v_0 > 0 and are
+    skipped; in the v_0 = 0 slice v and -v sit at mirrored ravel indices of
+    the symmetric box, so that slice keeps the indices above its centre.
     """
     target = n * alg._den ** 2
     C = alg._C
@@ -253,14 +246,16 @@ def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
                           " scan box exceed int64")
     g1, g2, g3 = (g.ravel() for g in np.meshgrid(
         *(np.arange(-b, b + 1, dtype=np.int64) for b in box[1:]), indexing="ij"))
-    out = set()
+    out = []
     for v0 in range(int(box[0]) + 1):
         xs = [C[i, 0] * v0 + C[i, 1] * g1 + C[i, 2] * g2 + C[i, 3] * g3
               for i in range(4)]
-        for i in np.nonzero(alg.nrd_std_scaled(xs) == target)[0]:
-            v = (v0, int(g1[i]), int(g2[i]), int(g3[i]))
-            out.add(max(v, tuple(-c for c in v)))
-    return sorted(out)
+        hits = np.nonzero(alg.nrd_std_scaled(xs) == target)[0]
+        if v0 == 0:
+            hits = hits[hits > g1.size // 2]
+        out += [(v0, *v) for v in zip(g1[hits].tolist(), g2[hits].tolist(),
+                                       g3[hits].tolist())]
+    return out
 
 
 def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
@@ -268,12 +263,15 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
     """All order elements of reduced norm n whose conjugated projection lies
     within `radius` of the identity, up to projective sign.
 
-    Completeness: the distance cap bounds the operator norm of the conjugated
-    matrix by e^(sqrt 2 radius), hence every entry of iota(gamma) by
-    sqrt(n) ||g0|| ||g0^-1|| e^(sqrt 2 radius); inverting the coordinate map
-    turns that into a finite scan box, swept exactly with the integer norm
-    form.  Returned coordinate tuples are sorted lexicographically.  A box of
-    more than COEFF_BUDGET points is refused before the scan.
+    Completeness: the projection to the plane is a Riemannian submersion
+    for gnorm, so the conjugate h has d(i, h.i) <= ||log h|| <= radius; with
+    singular values s >= 1/s, ||h||_F^2 = s^2 + s^-2 = 2 cosh d(i, h.i), so
+    s <= e^(radius/2) (diagonal flows attain it).  Every entry of iota(gamma)
+    is then at most sqrt(n) ||g0|| ||g0^-1|| e^(radius/2); inverting the
+    coordinate map turns that into a finite scan box, swept exactly with the
+    integer norm form.  Returned coordinate tuples are sorted
+    lexicographically.  A box of more than COEFF_BUDGET points is refused
+    before the scan.
     """
     if n < 1:
         raise DomainError("n must be >= 1")

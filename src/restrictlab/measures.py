@@ -116,6 +116,10 @@ def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
     for _ in range(depth):
         mid = np.concatenate([r * mid, r * mid + (1.0 - r)])
     mid = np.sort(mid)
+    if np.any(np.diff(mid) <= 0):
+        raise DomainError(f"Cantor atoms collide in floating point at alpha = {alpha},"
+                          f" depth = {depth}: cells are r^depth = {r ** depth:.3g} wide"
+                          f" with r = 2^(-1/alpha) = {r:.6g}; lower depth or raise alpha")
     w = np.full(mid.size, 2.0 ** (-depth))
     return FractalMeasure(mid, w, alpha)
 

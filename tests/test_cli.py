@@ -342,6 +342,14 @@ def test_measure_experiment_summary(tmp_path, capsys):
     assert summary["sup_ratio_overall"] > 0
 
 
+# stderr text pinned for some cases of test_invalid_params_exit_2 below
+INVALID_PARAM_MESSAGES = {
+    ("integrals", "alpha=0.1"): "Cantor atoms collide in floating point at alpha = 0.1,"
+                                " depth = 8: cells are r^depth = 8.27e-25 wide with"
+                                " r = 2^(-1/alpha) = 0.000976562",
+}
+
+
 @pytest.mark.parametrize("experiment, param", [
     ("restrict", 'degrees=["a"]'),
     ("hecke-returns", "kappas=[0]"),
@@ -408,10 +416,14 @@ def test_measure_experiment_summary(tmp_path, capsys):
     ("beta-scaling", "beta_exponents=[0.3,0.5,0.5]"),
     # the kernel's Paley-Wiener width is a constant, not a parameter
     ("kernel", "h_width=0.05"),
+    # r = 2^-10: at the default depth 8 the Cantor atoms collide in floats
+    ("integrals", "alpha=0.1"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert INVALID_PARAM_MESSAGES.get((experiment, param), "") in err
 
 
 def test_nonfinite_config_value_exits_2(tmp_path, capsys):

@@ -230,10 +230,23 @@ def test_log_matches_scipy_oracle():
 
 def test_log_distance_dominates_plane_displacement():
     # the norm is normalized as a Riemannian submersion onto the plane, so
-    # the projected displacement never exceeds the group-side surrogate
-    for g in random_elements(40, seed=14, scale=0.6):
+    # the projected displacement never exceeds the group-side surrogate;
+    # with ||g||_F^2 = s^2 + s^-2 = 2 cosh d(i, g.i) for the singular values
+    # s >= 1/s, that gives s <= e^(||log g|| / 2), which diagonal flows attain
+    k = rl.GroupElement.rotation(0.7)
+    flows = [rl.GroupElement.diag_flow(y) for y in (1e-9, 0.3, -1.1, 2.0)]
+    flows += [k @ a @ k.inv() for a in flows]
+    others = [rl.GroupElement.rotation(np.pi / 2),                  # trace 0
+              upper_unipotent(0.8), rl.GroupElement.lower_shear(-1.5),   # parabolic
+              rl.GroupElement.rotation(1e-8), upper_unipotent(1e-8),     # near e
+              rl.GroupElement(np.array([[1.0 + 1e-9, 2e-9], [-1e-9, 1.0]]))]
+    for g in flows + others + random_elements(40, seed=14, scale=0.6):
         d_plane = rl.dist_hyp(rl.act(g, 1j), 1j)
+        assert np.sum(g.m ** 2) == pytest.approx(2.0 * np.cosh(d_plane), rel=1e-10)
         assert d_plane <= rl.dist_to_identity(g) + 1e-9
+    for g in flows:
+        assert rl.dist_to_identity(g) == pytest.approx(
+            rl.dist_hyp(rl.act(g, 1j), 1j), rel=1e-9, abs=1e-12)
 
 
 def test_dist_to_identity_inverse_symmetry():

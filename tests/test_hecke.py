@@ -400,6 +400,37 @@ def test_scans_match_product_scan(maximal, cases):
             (classes[0], len(classes[0]), len(classes[0]) == len(classes[1]))
 
 
+# n_max per radius keeps every e^(sqrt 2 r) box below 10^7 points
+@pytest.mark.parametrize("maximal, n_max", [
+    (False, {0.5: 12, 1.0: 12, 2.0: 4}), (True, {0.5: 12, 1.0: 12, 2.0: 1})],
+    ids=["default", "maximal"])
+def test_enumerate_matches_wide_box(maximal, n_max):
+    """enumerate_norm_n against the same distance filter over the box of the
+    looser bound e^(sqrt 2 r), which _entry_bound does not size, at a g0
+    with ||g0|| ||g0^-1|| > 1; and _entry_bound against entries of g0 h g0^-1
+    for h at distance r."""
+    alg = cached_algebra(maximal)
+    g0 = rl.GroupElement.diag_flow(0.1) @ rl.GroupElement.rotation(0.5)
+    kappa = g0.op_norm() * g0.inv().op_norm()
+    assert kappa > 1.1
+    k = rl.GroupElement.rotation(np.pi / 4)
+    for radius, top in n_max.items():
+        # a(r) has the ball's largest entry, e^(r/2); conjugated by a(2),
+        # k a(r) k^-1 has an entry e^2 sinh(r/2) that needs the factor kappa
+        a = rl.GroupElement.diag_flow(radius)
+        for g, h in ((rl.GroupElement.identity(), a), (rl.GroupElement.diag_flow(2.0),
+                                                       k @ a @ k.inv())):
+            assert dist_to_identity(h) == pytest.approx(radius, rel=1e-12)
+            assert _entry_bound(1, g, radius) >= np.abs((g @ h @ g.inv()).m).max()
+        for n in range(1, top + 1):
+            box = _order_box(alg, np.sqrt(n) * kappa * np.exp(np.sqrt(2.0) * radius)
+                             * (1.0 + 1e-9))
+            assert np.prod(2 * box + 1) < 1e7
+            expected = [v for v in _scan_norm_form(alg, box, n)
+                        if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
+            assert rl.enumerate_norm_n(alg, n, g0, radius=radius) == expected, (radius, n)
+
+
 def test_enumerate_contains_identity(algebra):
     e = one(algebra).coords
     for radius in (0.0, 0.5, 1.0):
