@@ -167,14 +167,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, rows: list[dict]) -> None:
     tmp.replace(path)
 
 
-def _weight_for(alpha: float, depth: int, lam: float, spw: int):
-    """Cantor weight mollified at lam; the measure's and the weight's budgets
-    are checked before the bump is built."""
-    nu = measures.make_cantor_measure(alpha, depth)
-    measures.check_weight_budget(nu.atoms.size, lam, spw)
-    return measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
-
-
 def _integral_setup(p: dict, shears=()):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
     measure's and the weight's budgets, and the band budget of each lower
@@ -357,7 +349,9 @@ def _run_dyadic(cfg):
     modes.check_dyadic_budget(lam)
     for k in p["k_indices"]:
         modes.check_dyadic_scale(lam, k)
-    w = _weight_for(p["alpha"], 6, lam, 8)
+    # lam < 3,620 passed DYADIC_BUDGET: 64 atoms x <= 115,830 points need no pre-check
+    w = measures.build_weight(measures.make_cantor_measure(p["alpha"], 6), lam,
+                              frequency.BumpPair(), samples_per_wavelength=8)
     rows = []
     summaries = {}
     for k in p["k_indices"]:

@@ -20,8 +20,9 @@ from .measures import FractalMeasure, WeightFunction
 MAX_DEGREE = 1000
 TUBE_BUDGET = 1 << 26   # candidate tubes x nodes per tube of one sphere kn_norm
 SAMPLES_ACROSS = 17     # nodes across each half of a tube
-# nodes of one dyadic inner integral, (3 lam + 64) x 384; the default
-# lam = 128 uses 172,032
+COLLAR_ACROSS = 192     # nodes across each half of a dyadic collar
+# nodes of one dyadic inner integral, (3 lam + 64) x 2 COLLAR_ACROSS over the
+# full collar; the default lam = 128 uses 172,032
 DYADIC_BUDGET = 1 << 22
 
 
@@ -273,13 +274,14 @@ def _parametrix_amplitude(d: np.ndarray) -> np.ndarray:
 
 def check_dyadic_budget(lam: float) -> int:
     """Nodes along y1 of one dyadic inner integral at lam; ResourceError when
-    its grid of n_y1 x 384 nodes exceeds DYADIC_BUDGET, before anything is
-    built."""
-    n_y1 = max(256, int(3.0 * lam) + 64)
-    if n_y1 * 384 > DYADIC_BUDGET:
-        raise ResourceError(f"{n_y1} x 384 nodes of a dyadic inner integral exceed"
-                            f" budget {DYADIC_BUDGET}")
-    return n_y1
+    its grid of n_y1 x 2 COLLAR_ACROSS nodes exceeds DYADIC_BUDGET, before
+    anything is built."""
+    # in floats, so a lam too large for int(), or a nan, is refused as well
+    n_y1 = max(np.floor(3.0 * lam) + 64.0, 256.0)
+    if not n_y1 * 2 * COLLAR_ACROSS <= DYADIC_BUDGET:
+        raise ResourceError(f"{n_y1:.0f} x {2 * COLLAR_ACROSS} nodes of a dyadic inner"
+                            f" integral exceed budget {DYADIC_BUDGET}")
+    return int(n_y1)
 
 
 def check_dyadic_scale(lam: float, k_index: int) -> None:
@@ -292,7 +294,7 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     """Oscillatory y-integral over the dyadic collar Omega_k:
 
     int e^(i lam (d(l(s),y) - d(l(s'),y))) a a' beta_k^2(y2) cos(y2) dy,
-    on y1 within 2.5 of s and s' and 192 nodes across each half of the
+    on y1 within 2.5 of s and s' and COLLAR_ACROSS nodes across each half of the
     collar, plus a degeneracy flag when the transverse phase derivative drops
     below a tenth of its expected 2^k |s - s'| size on over 10% of the nodes.
     """
@@ -305,29 +307,26 @@ def dyadic_inner_integral(lam: float, k_index: int, s: float, sp: float):
     # d < 1, is exactly 0 there, so only the other rows are built
     c1 = np.cos(1.0)
     y1 = y1[(np.cos(y1 - s) > c1) & (np.cos(y1 - sp) > c1)]
-    band = two_k * (0.5 + 1.5 * (np.arange(192) + 0.5) / 192)
-    y2 = np.concatenate([-band[::-1], band])
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    d1 = _fermi_distance(s, Y1, Y2)
-    d2 = _fermi_distance(sp, Y1, Y2)
+    # the nodes are symmetric about y2 = 0 and every factor below is even in
+    # y2 (d through cos y2), so the y2 > 0 half carries exactly half the sum
+    y2 = two_k * (0.5 + 1.5 * (np.arange(COLLAR_ACROSS) + 0.5) / COLLAR_ACROSS)
+    d1 = _fermi_distance(s, y1[:, None], y2)
+    d2 = _fermi_distance(sp, y1[:, None], y2)
     amp = _parametrix_amplitude(d1) * _parametrix_amplitude(d2)
-    bk = lp_bump(np.abs(y2) / two_k) ** 2
+    bk = lp_bump(y2 / two_k) ** 2
     integrand = amp * np.exp(1j * lam * (d1 - d2)) * (bk * np.cos(y2))[None, :]
-    h2 = band[1] - band[0]
-    value = complex(integrand.sum() * h1 * h2)
-    # transverse phase-derivative screen on the amplitude's support
+    h2 = y2[1] - y2[0]
+    value = complex(2.0 * integrand.sum() * h1 * h2)
+    # transverse phase-derivative screen on the amplitude's support, where
+    # 1/2 < d < 1: d_y2 d(l(s), y) = sin y2 cos(y1 - s) / sin d, even in y2
     on_supp = amp > 1e-3
     expected = two_k * abs(s - sp)
-    if expected > 0 and on_supp.any():
-        dd = 1e-5
-        Y1, Y2 = Y1[on_supp], Y2[on_supp]
-        ph_p = (_fermi_distance(s, Y1, Y2 + dd) - _fermi_distance(sp, Y1, Y2 + dd))
-        ph_m = (_fermi_distance(s, Y1, Y2 - dd) - _fermi_distance(sp, Y1, Y2 - dd))
-        dphase = np.abs(ph_p - ph_m) / (2 * dd)
-        frac_degenerate = float((dphase < 0.1 * expected).mean())
-    else:
-        frac_degenerate = 0.0
-    return value, frac_degenerate > 0.10
+    if not (expected > 0 and on_supp.any()):
+        return value, False
+    i, j = np.nonzero(on_supp)
+    dphase = np.abs(np.sin(y2[j]) * (np.cos(y1[i] - s) / np.sin(d1[i, j])
+                                     - np.cos(y1[i] - sp) / np.sin(d2[i, j])))
+    return value, float((dphase < 0.1 * expected).mean()) > 0.10
 
 
 def dyadic_kernel_check(lam: float, k_index: int, w: WeightFunction):

@@ -220,6 +220,7 @@ def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     ("hecke-returns", "b=1000000000000000003"),
     ("hecke-returns", "b=-1000000000000000003"),
     ("dyadic", "lambda=20000"),
+    ("dyadic", "lambda=1e308"),
     ("integrals", "resolution_per_wavelength=1" + "0" * 400),
     ("integrals", "lambda=1e308"),
 ])

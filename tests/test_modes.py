@@ -426,13 +426,14 @@ def _dyadic_inner_integral_oracle(lam: float, k_index: int, s: float, sp: float)
     return value, frac_degenerate > 0.10
 
 
-@pytest.mark.parametrize("lam, k", [(128.0, -2), (128.0, -1), (64.0, -1)])
+@pytest.mark.parametrize("lam, k", [(128.0, -2), (128.0, -1), (64.0, -1), (512.0, -4)])
 def test_dyadic_inner_integral_matches_all_rows_oracle(lam, k):
-    # the (s, s') pairs of dyadic_kernel_check; the flags come from the same
-    # per-node arithmetic, so they must agree exactly
+    # the (s, s') pairs of dyadic_kernel_check and the stationary pair; every
+    # node's distance from the screen's threshold far exceeds the finite
+    # difference's error, so the flags must agree exactly
     two_k = 2.0 ** k
     seps = np.geomspace(0.5, 24.0, 10) / (two_k ** 2 * lam)
-    for s, sp in [(0.05, 0.05 + d) for d in seps if d <= 0.9]:
+    for s, sp in [(0.05, 0.05 + d) for d in seps if d <= 0.9] + [(0.3, 0.3)]:
         val, flagged = dyadic_inner_integral(lam, k, s, sp)
         ref, ref_flagged = _dyadic_inner_integral_oracle(lam, k, s, sp)
         assert flagged == ref_flagged
