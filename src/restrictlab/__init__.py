@@ -15,8 +15,7 @@ from .measures import (FractalMeasure, WeightFunction, make_cantor_measure,
                        frostman_weight_sweep, decade_sweep)
 from .frequency import (BumpPair, band_project, fourier_energy_identity,
                         gamma_factor, fourier_transform, rho_cutoff, smooth_step)
-from .geometry import (GroupElement, act, dist_hyp, dist_to_identity,
-                       dist_to_diag, log_psl2, gnorm)
+from .geometry import GroupElement, act, dist_hyp, dist_to_identity, dist_to_diag
 from .spherical import (SphericalKernel, phi_s, phi_s_radial, make_kernel,
                         kernel_decay_constant)
 from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,

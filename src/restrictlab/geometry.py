@@ -86,44 +86,36 @@ def dist_hyp(z: complex, w: complex) -> float:
     return 2.0 * np.arcsinh(abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag)))
 
 
-def log_psl2(g: GroupElement) -> np.ndarray:
-    """Real matrix logarithm along the principal branch (trace >= 0 rep).
+def _log_norm(m: np.ndarray) -> np.ndarray:
+    """||log g|| (dist_to_identity's norm) for g = +-m, elementwise over
+    unit-determinant m[..., 2, 2].
 
-    Closed form via the Cayley-Hamilton split g = p I + Y with tr Y = 0:
-    hyperbolic (p>1), parabolic (p=1) and elliptic (p<1) cases all have a
-    real logarithm after the projective sign choice.
+    With p = |tr m|/2, the principal log of the trace >= 0 sign is
+    X = scale (m - p I) (Cayley-Hamilton), scale = t/sinh t for p = cosh t > 1,
+    theta/sin theta for p = cos theta < 1 and 1 at p = 1, so 2 X1 =
+    scale (a - d).  The norm is even in the sign of m: no sign is chosen.
     """
-    m = g.m
-    p = 0.5 * (m[0, 0] + m[1, 1])
-    Y = m - p * np.eye(2)
-    if p > 1.0 + 1e-13:
-        t = np.arccosh(p)
-        scale = t / np.sinh(t)
-    elif p < 1.0 - 1e-13:
-        th = np.arccos(p)
-        scale = th / np.sin(th)
-    else:
-        scale = 1.0
-    return scale * Y
-
-
-def gnorm(X: np.ndarray) -> float:
-    """Norm on trace-free 2x2 matrices [[X1,X2],[X3,-X1]].
-
-    Normalized so the projection to the upper half-plane is a Riemannian
-    submersion: ||X||^2 = 4 X1^2 + (X2+X3)^2 + (X2-X3)^2/4.  Diagonal flow
-    a(y) then has ||log a(y)|| = |y| (matching its hyperbolic displacement)
-    and small rotations by matrix angle theta have norm theta.  This is
-    bi-Lipschitz to any other choice; only constants move.
-    """
-    X1, X2, X3 = X[0, 0], X[0, 1], X[1, 0]
-    return float(np.sqrt(4.0 * X1 * X1 + (X2 + X3) ** 2 + 0.25 * (X2 - X3) ** 2))
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    p = 0.5 * np.abs(a + d)
+    with np.errstate(invalid="ignore"):   # the branch np.where discards
+        t, th = np.arccosh(np.maximum(p, 1.0)), np.arccos(np.minimum(p, 1.0))
+        scale = np.where(p > 1.0 + 1e-13, t / np.sinh(t),
+                         np.where(p < 1.0 - 1e-13, th / np.sin(th), 1.0))
+    return scale * np.sqrt((a - d) ** 2 + (b + c) ** 2 + 0.25 * (b - c) ** 2)
 
 
 def dist_to_identity(g: GroupElement) -> float:
     """Left-invariant surrogate distance ||log g||; exact on one-parameter
-    subgroups, comparable to the true metric within fixed factors."""
-    return gnorm(log_psl2(g))
+    subgroups, comparable to the true metric within fixed factors.
+
+    The norm on trace-free X = [[X1,X2],[X3,-X1]] is
+    ||X||^2 = 4 X1^2 + (X2+X3)^2 + (X2-X3)^2/4, normalized so the projection
+    to the upper half-plane is a Riemannian submersion: diagonal flow a(y)
+    then has ||log a(y)|| = |y| (matching its hyperbolic displacement) and
+    small rotations by matrix angle theta have norm theta.  This is
+    bi-Lipschitz to any other choice; only constants move.
+    """
+    return float(_log_norm(g.m))
 
 
 def _golden_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
@@ -152,11 +144,11 @@ def dist_to_diag(g: GroupElement):
     A 64-cell bracket scan then golden-section refinement; the boundary flag
     is set when the minimizer sits at the bracket edge.
     """
-    def objective(y):
-        return dist_to_identity(GroupElement.diag_flow(-y) @ g)
+    def objective(y):   # a(-y) g scales g's rows by e^(-y/2) and e^(y/2)
+        return _log_norm(np.exp(0.5 * np.multiply.outer(y, [-1.0, 1.0]))[..., None] * g.m)
 
     ys = np.linspace(-10.0, 10.0, 65)
-    vals = np.array([objective(y) for y in ys])
+    vals = objective(ys)
     i = int(np.argmin(vals))
     lo = ys[max(0, i - 1)]
     hi = ys[min(64, i + 1)]

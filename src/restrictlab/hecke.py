@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .geometry import GroupElement, dist_to_diag, dist_to_identity
+from .geometry import GroupElement, _log_norm, dist_to_diag
 
 COEFF_BUDGET = 1 << 28   # coefficient-box points of one enumerate_norm_n
 SCAN_BUDGET = 1 << 26    # box points summed over one return_count_ratio grid
@@ -179,17 +179,19 @@ class QuatAlgebra:
 def iota_matrix(alg: QuatAlgebra, coords) -> np.ndarray:
     """Archimedean embedding [[xi, eta], [b eta_bar, xi_bar]] as floats of
     the element x = xi + eta * W (xi, eta in Q(sqrt a)) with order
-    coordinates `coords`.
+    coordinates `coords`, of shape (..., 4) for a (..., 2, 2) stack; each
+    row is exact integers divided once by den, as one call on it would be.
 
     This arrangement is the multiplicative one (W xi = xi_bar W forces the
     Galois conjugates onto the second row); det = xi xi_bar - b eta eta_bar
     = nrd(x) either way.
     """
-    x0, x1, x2, x3 = (c / alg._den for c in alg.std_scaled(coords))
+    x = (np.asarray(coords, dtype=object) @ alg._C.T / alg._den).astype(float)
+    x0, x1, x2, x3 = np.moveaxis(x, -1, 0)
     sa = np.sqrt(alg.a)
     xi, xib = x0 + x1 * sa, x0 - x1 * sa
     et, etb = x2 + x3 * sa, x2 - x3 * sa
-    return np.array([[xi, et], [alg.b * etb, xib]])
+    return np.moveaxis(np.array([[xi, et], [alg.b * etb, xib]]), (0, 1), (-2, -1))
 
 
 def _entry_bound(n: int, g0: GroupElement, radius: float) -> float:
@@ -211,16 +213,18 @@ def _scan_box(alg: QuatAlgebra, n: int, g0: GroupElement, radius: float):
     return bounds, int(np.prod(2 * bounds.astype(object) + 1))
 
 
-def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> GroupElement:
-    """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element.
-
-    A central gamma (scalar iota(gamma)) is fixed by conjugation, so it is
-    returned as the exact identity rather than rounded through the product.
-    """
+def _conjugates(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> np.ndarray:
+    """g0^(-1) iota(gamma)/sqrt(n) g0 for coordinates (..., 4); a central gamma
+    (scalar iota) is fixed by conjugation, so it gives exactly e, unrounded."""
     m = iota_matrix(alg, coords)
-    if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
-        return GroupElement.identity()
-    return GroupElement(g0.inv().m @ (m / np.sqrt(float(n))) @ g0.m)
+    central = (m[..., 0, 1] == 0) & (m[..., 1, 0] == 0) & (m[..., 0, 0] == m[..., 1, 1])
+    h = g0.inv().m @ (m / np.sqrt(float(n))) @ g0.m
+    return np.where(central[..., None, None], np.eye(2), h)
+
+
+def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> GroupElement:
+    """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element; e for central gamma."""
+    return GroupElement(_conjugates(alg, coords, n, g0))
 
 
 def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
@@ -264,14 +268,14 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
     within `radius` of the identity, up to projective sign.
 
     Completeness: the projection to the plane is a Riemannian submersion
-    for gnorm, so the conjugate h has d(i, h.i) <= ||log h|| <= radius; with
-    singular values s >= 1/s, ||h||_F^2 = s^2 + s^-2 = 2 cosh d(i, h.i), so
-    s <= e^(radius/2) (diagonal flows attain it).  Every entry of iota(gamma)
-    is then at most sqrt(n) ||g0|| ||g0^-1|| e^(radius/2); inverting the
-    coordinate map turns that into a finite scan box, swept exactly with the
-    integer norm form.  Returned coordinate tuples are sorted
-    lexicographically.  A box of more than COEFF_BUDGET points is refused
-    before the scan.
+    for ||log h||, so the conjugate h has d(i, h.i) <= ||log h|| <= radius;
+    with singular values s >= 1/s, ||h||_F^2 = s^2 + s^-2 = 2 cosh d(i, h.i),
+    so s <= e^(radius/2) (diagonal flows attain it).  Every entry of
+    iota(gamma) is then at most sqrt(n) ||g0|| ||g0^-1|| e^(radius/2);
+    inverting the coordinate map turns that into a finite scan box, swept
+    exactly with the integer norm form; its hits are conjugated as one
+    stack.  Returned coordinate tuples are sorted lexicographically.  A box
+    of more than COEFF_BUDGET points is refused before the scan.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -283,8 +287,9 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
     if volume > COEFF_BUDGET:
         raise ResourceError(f"coefficient box {2 * bounds + 1} has volume "
                             f"{volume} > budget {COEFF_BUDGET}")
-    return [v for v in _scan_norm_form(alg, bounds, n)
-            if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
+    hits = _scan_norm_form(alg, bounds, n)
+    keep = _log_norm(_conjugates(alg, np.reshape(hits, (-1, 4)), n, g0)) <= radius
+    return [v for v, k in zip(hits, keep) if k]
 
 
 def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list):
@@ -312,7 +317,7 @@ def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list):
             dists = np.array([dist_to_diag(conjugated_element(alg, v, n, g0))[0]
                               for v in elems])
             for kappa in kappa_list:
-                M = int(np.count_nonzero(dists <= kappa)) if dists.size else 0
+                M = int(np.count_nonzero(dists <= kappa))
                 denom = (n / kappa) ** RETURN_EPS * (n * np.sqrt(kappa) + 1.0)
                 rows.append((gi, n, float(kappa), M, M / denom))
                 best = max(best, M / denom)

@@ -6,7 +6,8 @@ from scipy.linalg import logm
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
-from restrictlab.geometry import log_psl2
+from restrictlab.geometry import _golden_min, _log_norm
+from restrictlab.hecke import conjugated_element
 
 
 def random_elements(n, seed=0, scale=0.8):
@@ -23,6 +24,51 @@ def random_elements(n, seed=0, scale=0.8):
 
 def upper_unipotent(x: float) -> rl.GroupElement:
     return rl.GroupElement(np.array([[1.0, x], [0.0, 1.0]]))
+
+
+def boundary_elements():
+    """Elements where the log's hyperbolic, parabolic and elliptic cases meet."""
+    return [rl.GroupElement.rotation(np.pi / 2),                        # trace 0
+            upper_unipotent(0.8), rl.GroupElement.lower_shear(-1.5),   # parabolic
+            rl.GroupElement.rotation(1e-8), upper_unipotent(1e-8),     # near e
+            rl.GroupElement(np.array([[1.0 + 1e-9, 2e-9], [-1e-9, 1.0]]))]
+
+
+def submersion_norm(X: np.ndarray) -> float:
+    """||X||^2 = 4 X1^2 + (X2+X3)^2 + (X2-X3)^2/4 on X = [[X1,X2],[X3,-X1]]."""
+    X1, X2, X3 = X[0, 0], X[0, 1], X[1, 0]
+    return float(np.sqrt(4.0 * X1 * X1 + (X2 + X3) ** 2 + 0.25 * (X2 - X3) ** 2))
+
+
+def log_psl2_oracle(g: rl.GroupElement) -> np.ndarray:
+    """Real log of g's trace >= 0 representative, case by case: the matrix
+    log that dist_to_identity took the norm of before its closed form."""
+    m = g.m
+    p = 0.5 * (m[0, 0] + m[1, 1])
+    if p > 1.0 + 1e-13:
+        t = np.arccosh(p)
+        scale = t / np.sinh(t)
+    elif p < 1.0 - 1e-13:
+        th = np.arccos(p)
+        scale = th / np.sin(th)
+    else:
+        scale = 1.0
+    return scale * (m - p * np.eye(2))
+
+
+def dist_to_diag_oracle(g: rl.GroupElement):
+    """dist_to_diag's scan and golden section with one GroupElement product
+    a(-y) g, its case-by-case log and its norm per objective call."""
+    def objective(y):
+        return submersion_norm(log_psl2_oracle(rl.GroupElement.diag_flow(-y) @ g))
+
+    ys = np.linspace(-10.0, 10.0, 65)
+    vals = np.array([objective(y) for y in ys])
+    i = int(np.argmin(vals))
+    y_star, d = _golden_min(objective, ys[max(0, i - 1)], ys[min(64, i + 1)])
+    if vals[i] < d:
+        y_star, d = ys[i], vals[i]
+    return float(d), float(y_star), bool(i == 0 or i == 64)
 
 
 def iwasawa_A(g: rl.GroupElement) -> float:
@@ -221,11 +267,15 @@ def test_dist_to_identity_basics():
 
 
 def test_log_matches_scipy_oracle():
-    for g in random_elements(40, seed=8):
-        X = log_psl2(g)
+    els = random_elements(40, seed=8) + boundary_elements()
+    for g in els:
         Y = logm(g.m)
-        assert np.abs(X - np.real(Y)).max() <= 1e-9
         assert np.abs(np.imag(Y)).max() <= 1e-9
+        assert abs(rl.dist_to_identity(g) - submersion_norm(np.real(Y))) <= 1e-9
+    # on a stack, and on its negatives, the closed form is the per-matrix one
+    stack = np.stack([g.m for g in els])
+    assert np.array_equal(_log_norm(stack), [_log_norm(g.m) for g in els])
+    assert np.array_equal(_log_norm(-stack), _log_norm(stack))
 
 
 def test_log_distance_dominates_plane_displacement():
@@ -236,11 +286,7 @@ def test_log_distance_dominates_plane_displacement():
     k = rl.GroupElement.rotation(0.7)
     flows = [rl.GroupElement.diag_flow(y) for y in (1e-9, 0.3, -1.1, 2.0)]
     flows += [k @ a @ k.inv() for a in flows]
-    others = [rl.GroupElement.rotation(np.pi / 2),                  # trace 0
-              upper_unipotent(0.8), rl.GroupElement.lower_shear(-1.5),   # parabolic
-              rl.GroupElement.rotation(1e-8), upper_unipotent(1e-8),     # near e
-              rl.GroupElement(np.array([[1.0 + 1e-9, 2e-9], [-1e-9, 1.0]]))]
-    for g in flows + others + random_elements(40, seed=14, scale=0.6):
+    for g in flows + boundary_elements() + random_elements(40, seed=14, scale=0.6):
         d_plane = rl.dist_hyp(rl.act(g, 1j), 1j)
         assert np.sum(g.m ** 2) == pytest.approx(2.0 * np.cosh(d_plane), rel=1e-10)
         assert d_plane <= rl.dist_to_identity(g) + 1e-9
@@ -283,3 +329,25 @@ def test_dist_to_diag_boundary_flag():
     # an element needing y beyond the bracket: flag it
     d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(12.0))
     assert flagged
+
+
+def test_dist_to_diag_matches_oracle():
+    # the row-scaled closed form against one GroupElement per objective call:
+    # random elements, two past the bracket edge, rapid-decay's default
+    # shears t* {0.25, ..., 4} and the survivors return_count_ratio measures
+    els = random_elements(100, seed=21, scale=1.5)
+    els += [rl.GroupElement.diag_flow(y) @ rl.GroupElement.rotation(0.3) for y in (-12.0, 12.0)]
+    _, shears = rl.integrals.rapid_decay_shears(100.0, 100.0 ** 0.5, 0.1,
+                                                [0.25, 0.5, 1.0, 2.0, 4.0])
+    els += [rl.GroupElement.lower_shear(t) for _, t, _ in shears]
+    alg = rl.QuatAlgebra()
+    survivors = [conjugated_element(alg, v, n, g0)
+                 for g0 in map(rl.GroupElement.rotation, (0.1, 0.55, 1.0))
+                 for n in range(1, 13) for v in rl.enumerate_norm_n(alg, n, g0)]
+    assert len(survivors) > 10
+    els += survivors
+    for g in els:
+        d, _, flagged = rl.dist_to_diag(g)
+        d_oracle, _, flagged_oracle = dist_to_diag_oracle(g)
+        assert abs(d - d_oracle) <= 1e-12
+        assert flagged == flagged_oracle

@@ -292,11 +292,17 @@ def test_iota_det_equals_nrd_symbolic():
 
 def test_iota_det_equals_nrd_numeric(algebra):
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        v = tuple(int(c) for c in rng.integers(-20, 21, 4))
-        x = element(algebra, v)
+    vs = rng.integers(-20, 21, (100, 4))
+    for v in vs:
+        x = element(algebra, tuple(int(c) for c in v))
         det = float(np.linalg.det(rl.iota_matrix(algebra, v)))
         assert det == pytest.approx(float(x.nrd()), rel=1e-9, abs=1e-9)
+    # a (k, 4) stack embeds row by row, bit for bit, in both orders
+    for alg in (algebra, cached_algebra(True)):
+        assert np.array_equal(rl.iota_matrix(alg, vs),
+                              np.stack([rl.iota_matrix(alg, tuple(v)) for v in vs]))
+    # coordinates past int64 stay exact integers until the one division
+    assert np.array_equal(rl.iota_matrix(algebra, (2 ** 70, 0, 0, 0)), 2.0 ** 70 * np.eye(2))
 
 
 def test_iota_multiplicative(algebra):
@@ -432,10 +438,13 @@ def test_enumerate_matches_wide_box(maximal, n_max):
 
 
 def test_enumerate_contains_identity(algebra):
+    # a central element conjugates to exactly e, so even radius 0 keeps it
     e = one(algebra).coords
+    g0 = rl.GroupElement.diag_flow(0.17) @ rl.GroupElement.rotation(0.387)
     for radius in (0.0, 0.5, 1.0):
-        elems = rl.enumerate_norm_n(algebra, 1, radius=radius)
-        assert e in elems or tuple(-c for c in e) in elems
+        for g in (None, g0):
+            elems = rl.enumerate_norm_n(algebra, 1, g, radius=radius)
+            assert e in elems or tuple(-c for c in e) in elems
 
 
 def test_enumerate_matches_brute_force(algebra):
