@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .measures import WeightFunction, _grid_energy
+from .measures import ETA_REACH, WeightFunction, _grid_energy
 from .sampling import SampledFunction, dft_head, even_table
 
 
@@ -55,7 +55,7 @@ class BumpPair:
     the spatial tail is below tail_floor and eta is 0.
     """
 
-    TABLE_MAX = 800.0
+    TABLE_MAX = ETA_REACH   # the weight's windows end where the table does
     TABLE_STEP = 1.0 / 128.0
     DFT_LENGTH = 1 << 20   # first alias at u = 8192, ten times TABLE_MAX
 

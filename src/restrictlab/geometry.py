@@ -5,6 +5,7 @@ subgroup A."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,11 @@ class GroupElement:
 
     def op_norm(self) -> float:
         return float(np.linalg.norm(self.m, 2))
+
+    @cached_property
+    def condition(self) -> float:
+        """kappa = ||g|| ||g^-1||, computed once per element."""
+        return self.op_norm() * self.inv().op_norm()
 
 
 def act(g: GroupElement, z: complex) -> complex:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import functools
 import math
 
 import numpy as np
@@ -138,6 +139,8 @@ class QuatAlgebra:
         self.basis = _fraction_matrix(basis if basis is not None
                                       else np.eye(4, dtype=int).tolist())
         self.basis_inv = _fraction_inverse(self.basis)
+        self._basis_inv_abs = np.abs(np.array([[float(v) for v in row]
+                                               for row in self.basis_inv]))
         if not self.verify_order():
             raise DomainError("order basis does not span an order")
         self._den = math.lcm(*(v.denominator for row in self.basis for v in row))
@@ -195,16 +198,14 @@ def iota_matrix(alg: QuatAlgebra, coords) -> np.ndarray:
 
 
 def _entry_bound(n: int, g0: GroupElement, radius: float) -> float:
-    kappa = g0.op_norm() * g0.inv().op_norm()
-    return np.sqrt(n) * kappa * np.exp(0.5 * radius) * (1.0 + 1e-9)
+    return np.sqrt(n) * g0.condition * np.exp(0.5 * radius) * (1.0 + 1e-9)
 
 
 def _order_box(alg: QuatAlgebra, E: float) -> np.ndarray:
     sa = np.sqrt(alg.a)
     xb = np.array([E, E / sa, E * (1 + 1 / abs(alg.b)) / 2.0,
                    E * (1 + 1 / abs(alg.b)) / (2.0 * sa)])
-    Binv_abs = np.abs(np.array([[float(v) for v in row] for row in alg.basis_inv]))
-    return np.ceil(Binv_abs @ xb + 1e-9).astype(np.int64)
+    return np.ceil(alg._basis_inv_abs @ xb + 1e-9).astype(np.int64)
 
 
 def _scan_box(alg: QuatAlgebra, n: int, g0: GroupElement, radius: float):
@@ -343,6 +344,13 @@ class Amplifier:
         return float(sum(v * eigenvalues[n] for n, v in self.coeffs.items()))
 
 
+@functools.lru_cache(maxsize=1)
+def _amplifier_primes(root: int) -> tuple[int, ...]:
+    """The primes p <= root; the draws of one amplifier length share one
+    sieve."""
+    return tuple(primes_up_to(root))
+
+
 def build_amplifier(N: int, eigenvalues: dict, q: int = 1) -> Amplifier:
     """Coefficients alpha_p = sgn lambda(p) when |lambda(p)| >= 1/2, else
     alpha_{p^2} = sgn lambda(p^2), over primes p <= sqrt(N) coprime to q.
@@ -353,7 +361,7 @@ def build_amplifier(N: int, eigenvalues: dict, q: int = 1) -> Amplifier:
     if N < 1:
         raise DomainError("N must be >= 1")
     coeffs = {}
-    for p in primes_up_to(int(math.isqrt(N))):
+    for p in _amplifier_primes(math.isqrt(N)):
         if math.gcd(p, q) != 1:
             continue
         lp = eigenvalues.get(p)
@@ -375,7 +383,7 @@ def random_hecke_eigenvalues(N: int, rng: np.random.Generator) -> dict:
     """Random eigenvalue assignment satisfying lambda(p)^2 - lambda(p^2) = 1,
     with lambda(p) uniform on [-2, 2]."""
     eigs = {}
-    for p in primes_up_to(int(math.isqrt(N))):
+    for p in _amplifier_primes(math.isqrt(N)):
         lp = float(rng.uniform(-2.0, 2.0))
         eigs[p] = lp
         eigs[p * p] = lp * lp - 1.0

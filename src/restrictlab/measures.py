@@ -11,9 +11,13 @@ from .errors import DomainError, ResourceError
 
 ATOM_BUDGET = 1 << 22
 GRID_BUDGET = 1 << 24
-# atoms x points of one pass per atom: the grid of one build_weight, or the
-# radii of one `restrictlab measure` run
+# atoms x points of one pass per atom: the window points of one build_weight,
+# or the radii of one `restrictlab measure` run
 WORK_BUDGET = 1 << 27
+WEIGHT_BLOCK = 1 << 16   # window points build_weight evaluates at once
+# |u| past which the mollifier eta(u) is exactly 0: BumpPair tabulates eta up
+# to here, so an atom changes the weight only within ETA_REACH / (4 C_ELL lam)
+ETA_REACH = 800.0
 # atom pairs of one exact energy sum
 PAIR_BUDGET = 1 << 24
 
@@ -198,13 +202,27 @@ def energy(m: FractalMeasure, s: float) -> float:
     return total
 
 
+def _window_points(lam: float, h: float, n: int) -> tuple[int, int]:
+    """(reach, width) of an atom's window on the grid -2 + h * arange(n + 1).
+
+    eta(4 C_ELL lam (s0 - t)) vanishes at every grid point more than
+    ETA_REACH / (4 C_ELL lam h) steps from s0, within half a step of
+    `reach`; a window of `width` = min(2 reach + 4, n + 1) points starting
+    reach + 1 steps below floor((s0 + 2) / h) holds all the others, with a
+    step to spare on each side.
+    """
+    reach = round(ETA_REACH / (4.0 * C_ELL * lam * h))
+    return reach, min(2 * reach + 4, n + 1)
+
+
 def check_weight_budget(atoms: int, lam: float,
                         samples_per_wavelength: int) -> tuple[float, int]:
     """(h, n) of the grid -2 + h * arange(n + 1) that a weight of `atoms` atoms
     at lam is sampled on.
 
-    Raises DomainError for an under-resolved grid and ResourceError past
-    GRID_BUDGET or WORK_BUDGET, before anything is built.
+    Raises DomainError for an under-resolved grid, and ResourceError past
+    GRID_BUDGET grid points or past WORK_BUDGET window points (atoms x the
+    points of one atom's window), before anything is built.
     """
     if lam < 1:
         raise DomainError("lam must be >= 1")
@@ -220,8 +238,9 @@ def check_weight_budget(atoms: int, lam: float,
     n = int(round(4.0 / h))
     if n + 1 > GRID_BUDGET:
         raise ResourceError(f"{n + 1} grid points exceed budget {GRID_BUDGET}")
-    if atoms * (n + 1) > WORK_BUDGET:
-        raise ResourceError(f"{atoms} atoms x {n + 1} grid points exceed"
+    width = _window_points(lam, h, n)[1]
+    if atoms * width > WORK_BUDGET:
+        raise ResourceError(f"{atoms} atoms x {width} window points exceed"
                             f" work budget {WORK_BUDGET}")
     return h, n
 
@@ -234,14 +253,30 @@ def build_weight(nu: FractalMeasure, lam: float, bump,
     is a BumpPair, rho = bump.rho is its plateau cutoff and K is bump.eta
     rescaled so its transform plateaus on |xi| <= 2 C_ELL and vanishes beyond
     4 C_ELL.
+
+    K is exactly 0 past ETA_REACH / (4 C_ELL lam) of its atom, where the atom
+    adds nu_i * 1; so the sum starts at sum_i nu_i and each atom adds
+    nu_i (sqrt(...) - 1) on its own window only.  Atoms are taken in blocks
+    of about WEIGHT_BLOCK window points, each added by one np.bincount.
     """
     h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength)
     t = -2.0 + h * np.arange(n + 1)
     scale = 4.0 * C_ELL
-    acc = np.zeros_like(t)
-    for s0, w0 in zip(nu.atoms, nu.weights):
-        kern = scale * bump.eta(scale * lam * (s0 - t))
-        acc += w0 * np.sqrt((lam * kern) ** 2 + 1.0)
+    reach, width = _window_points(lam, h, n)
+    # a window clipped at either end of the grid slides inside it; the points
+    # it gains lie past the reach, where the atom adds exactly 0
+    first = np.clip(np.floor((nu.atoms + 2.0) / h).astype(np.intp) - reach - 1,
+                    0, n + 1 - width)
+    acc = np.full(n + 1, nu.weights.sum())
+    block = max(1, WEIGHT_BLOCK // width)
+    for i in range(0, nu.atoms.size, block):
+        atoms, weights = nu.atoms[i:i + block, None], nu.weights[i:i + block, None]
+        # atoms are sorted, so the block's windows span first[i] .. idx.max()
+        idx = first[i:i + block, None] + np.arange(width)
+        kern = scale * bump.eta(scale * lam * (atoms - t[idx]))
+        extra = weights * (np.sqrt((lam * kern) ** 2 + 1.0) - 1.0)
+        span = np.bincount((idx - first[i]).ravel(), extra.ravel())
+        acc[first[i]:first[i] + span.size] += span
     vals = acc * bump.rho(t)
     vals[np.abs(t) > 2.0] = 0.0   # rho already vanishes there; make it exact
     return WeightFunction(-2.0, h, vals, nu.alpha)

@@ -106,16 +106,32 @@ def even_table(step: float, values: np.ndarray):
     return f
 
 
+def smooth_length(m: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c >= m (1 for m <= 1): an
+    FFT length that numpy's transforms take in mixed radix."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches m
+            best = min(best, p35 << max(-(-m // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
     """X_j = sum_m c_m exp(-2 pi i j m / L) for j < n: the first n terms of
     the length-L DFT of c, by Bluestein's chirp-z identity
     jm = (j^2 + m^2 - (j - m)^2) / 2, so cost and memory follow c.size + n,
     not L.  The chirp phase is taken from k^2 mod 2L in int64, exact for
-    k up to about 3e9."""
+    k up to about 3e9.  The convolution runs at the smallest 5-smooth length
+    >= c.size + n - 1, with no wrap-around."""
     M = c.size
     k = np.arange(max(M, n), dtype=np.int64)
     w = np.exp(-1j * np.pi * ((k * k) % (2 * L)) / L)
-    N = 1 << (M + n - 2).bit_length()   # power of two >= M + n - 1: no wrap-around
+    N = smooth_length(M + n - 1)
     b = np.zeros(N, dtype=complex)
     b[:n] = w[:n].conj()
     b[N - M + 1:] = w[M - 1:0:-1].conj()

@@ -28,6 +28,7 @@ H_WIDTH = 0.05   # Paley-Wiener width of the kernel profile h
 # offset past which h^2 stays under SPECTRAL_FLOOR: h(u) <= (2/(H_WIDTH u))^4,
 # so h^2 < floor once u > 2 floor^(-1/8) / H_WIDTH (about 1,265)
 SPECTRAL_TRUNCATION = 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / H_WIDTH
+CIRCLE_BLOCK = 1 << 16   # circle points _circle_mean evaluates at once
 
 
 def _phi_integrand_nodes(n: int) -> np.ndarray:
@@ -36,12 +37,33 @@ def _phi_integrand_nodes(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * np.pi / n
 
 
-def _circle_mean(x, n_theta: int, F) -> np.ndarray:
-    """Mean over n_theta circle nodes of u^(-1/2) F(ln u), u = cosh x -
-    sinh x cos 2 theta, for each x (the last axis runs over the circle)."""
-    x = np.asarray(x, dtype=float)[..., None]
-    u = np.cosh(x) - np.sinh(x) * np.cos(2.0 * _phi_integrand_nodes(n_theta))
-    return (u ** -0.5 * F(np.log(u))).mean(axis=-1)
+def _circle_mean(x, n_theta, F) -> np.ndarray:
+    """Mean over n_theta[i] circle nodes of u^(-1/2) F(ln u), u = cosh x_i -
+    sinh x_i cos 2 theta, for each x_i; n_theta is one count per x, or one
+    count for all.
+
+    The ragged set of circle points is evaluated in blocks of whole nodes
+    holding at most CIRCLE_BLOCK points (a node with more is a block of its
+    own), and each node's mean is one segment of np.add.reduceat.
+    """
+    x = np.asarray(x, dtype=float)
+    counts = np.broadcast_to(np.asarray(n_theta, dtype=np.intp), x.shape).ravel()
+    xf = x.ravel()
+    ends = np.cumsum(counts)
+    out = np.empty(xf.size)
+    i = 0
+    while i < xf.size:
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - counts[i] + CIRCLE_BLOCK,
+                                           side="right")))
+        n = counts[i:j]
+        starts = np.concatenate(([0], np.cumsum(n[:-1])))
+        node = np.repeat(np.arange(j - i), n)
+        # theta = (k + 0.5) pi / n on node k's own count, as _phi_integrand_nodes
+        th = (np.arange(starts[-1] + n[-1]) - starts[node] + 0.5) * np.pi / n[node]
+        u = np.cosh(xf[i:j])[node] - np.sinh(xf[i:j])[node] * np.cos(2.0 * th)
+        out[i:j] = np.add.reduceat(u ** -0.5 * F(np.log(u)), starts) / n
+        i = j
+    return out.reshape(x.shape)
 
 
 def phi_s_radial(s: float, x) -> np.ndarray:
@@ -83,7 +105,9 @@ def phi_s(s: float, g: GroupElement) -> complex:
 
 def _h_profile(u) -> np.ndarray:
     """The sinc^4 Paley-Wiener profile, transform supported in [-2 H_WIDTH, 2 H_WIDTH]."""
-    return np.sinc(H_WIDTH * np.asarray(u, dtype=float) / (2.0 * np.pi)) ** 4
+    h = np.sinc(H_WIDTH * np.asarray(u, dtype=float) / (2.0 * np.pi))
+    h = h * h   # two products: pow(h, 4) is far slower on negative h
+    return h * h
 
 
 def _h0_squared(lam: float, s) -> np.ndarray:
@@ -140,8 +164,10 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     Q on the t-grid is the first n_t terms of the length-L DFT of those
     coefficients, from one chirp-z convolution whose cost and memory depend
     on M + n_t and not on L.  Each radial value is then a circle average of
-    u^(-1/2) Q(ln u).  One node-doubling spot check per table guards the
-    circle rule.
+    u^(-1/2) Q(ln u), with about 1.3 (lam + T) x nodes at x.  The nodes up
+    to the support, 32 spot checks past it and 16 node-doubled checks
+    inside it, which guard the circle rule, are one ragged _circle_mean call
+    each.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
@@ -166,23 +192,20 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     vals = np.zeros(n_x)
     supp = SphericalKernel.support_radius + 2.0 * dt
 
-    def circle_average(xx: float, refine: int = 1) -> float:
-        return float(_circle_mean(xx, refine * max(64, int(1.3 * s_max * xx) + 64), q))
+    def circle_nodes(x: np.ndarray) -> np.ndarray:
+        return np.maximum(64, (1.3 * s_max * x).astype(np.intp) + 64)
 
     i_supp = int(np.searchsorted(xs, supp, side="right"))   # first node past supp
-    for i in range(i_supp):
-        vals[i] = circle_average(xs[i])
+    vals[:i_supp] = _circle_mean(xs[:i_supp], circle_nodes(xs[:i_supp]), q)
     # beyond the Paley-Wiener support the kernel vanishes; spot-verify on a
     # sparse set instead of densely tabulating noise
-    spot = xs[i_supp::max(1, (n_x - i_supp) // 32)] if i_supp < n_x else np.array([])
-    beyond = max((abs(circle_average(xx)) for xx in spot), default=0.0)
+    spot = xs[i_supp::max(1, (n_x - i_supp) // 32)]
+    beyond = float(np.abs(_circle_mean(spot, circle_nodes(spot), q)).max(initial=0.0))
 
     rng = np.random.default_rng(7)
     check_idx = rng.choice(max(i_supp, 1), size=min(16, max(i_supp, 1)), replace=False)
-    resid = 0.0
-    for i in check_idx:
-        v2 = circle_average(xs[i], refine=2)
-        resid = max(resid, abs(v2 - vals[i]))
+    refined = _circle_mean(xs[check_idx], 2 * circle_nodes(xs[check_idx]), q)
+    resid = float(np.abs(refined - vals[check_idx]).max())
     scale = float(np.abs(vals).max())
     resid = max(resid, beyond)
     if resid > 1e-6 * scale:

@@ -558,6 +558,18 @@ def test_return_ratio_finite(algebra):
     assert all(np.isfinite(r[4]) for r in rows)
 
 
+def test_return_ratio_takes_kappa_once_per_g0(algebra, monkeypatch):
+    # kappa = ||g0|| ||g0^-1|| is two SVD norms per g0, however many n the
+    # budget pre-count and the enumerations scan
+    norm = rl.GroupElement.op_norm
+    calls = []
+    monkeypatch.setattr(rl.GroupElement, "op_norm", lambda g: calls.append(g) or norm(g))
+    g0s = [rl.GroupElement.rotation(0.3), rl.GroupElement.diag_flow(0.2)]
+    rl.return_count_ratio(algebra, g0s, 6, [0.5, 1.0])
+    assert len(calls) == 2 * len(g0s)
+    assert g0s[1].condition == pytest.approx(np.exp(0.2))
+
+
 def test_returns_kappa_cap(algebra):
     with pytest.raises(DomainError):
         hecke_returns(algebra, rl.GroupElement.identity(), 2, 1.5)
@@ -603,6 +615,22 @@ def test_amplifier_lower_bound_random_draws():
         amp = rl.build_amplifier(400, eigs, q=1)
         assert abs(amp.eigenvalue_functional(eigs)) >= 0.5 * n_primes
         assert amp.moment_l1() == amp.moment_l2() == n_primes
+
+
+def test_amplifier_draws_share_one_sieve(monkeypatch):
+    # random_hecke_eigenvalues and build_amplifier at one length N sieve the
+    # primes <= sqrt(N) once between them, over all draws
+    sieve = rl.hecke.primes_up_to
+    calls = []
+    monkeypatch.setattr(rl.hecke, "primes_up_to", lambda n: calls.append(n) or sieve(n))
+    rl.hecke._amplifier_primes.cache_clear()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        eigs = rl.random_hecke_eigenvalues(401, rng)
+        assert rl.build_amplifier(401, eigs).support() == sorted(
+            p if abs(eigs[p]) >= 0.5 else p * p for p in sieve(20))
+    assert calls == [20]
+    rl.hecke._amplifier_primes.cache_clear()
 
 
 def test_amplifier_exclusive_prime_support():

@@ -281,6 +281,63 @@ def test_weight_budget_refuses_overflowing_grid():
         rl.measures.check_weight_budget(1, 1e308, 8)
 
 
+def full_grid_weight(nu: rl.FractalMeasure, lam: float, bump,
+                     samples_per_wavelength: int = 8) -> np.ndarray:
+    """The weight with every atom evaluated on the whole grid, one atom at a
+    time: the oracle of the windowed, blocked build_weight."""
+    h, n = rl.measures.check_weight_budget(nu.atoms.size, lam, samples_per_wavelength)
+    t = -2.0 + h * np.arange(n + 1)
+    scale = 4.0 * rl.measures.C_ELL
+    acc = np.zeros_like(t)
+    for s0, w0 in zip(nu.atoms, nu.weights):
+        kern = scale * bump.eta(scale * lam * (s0 - t))
+        acc += w0 * np.sqrt((lam * kern) ** 2 + 1.0)
+    vals = acc * bump.rho(t)
+    vals[np.abs(t) > 2.0] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("case", ["whole-grid", "clipped-low", "clipped-high", "single",
+                                  "empty", "depth8-100", "depth8-800", "blocks"])
+def test_build_weight_matches_full_grid_oracle(case, monkeypatch):
+    # at lam = 20 and 40 a window (1,604 points) is longer than the grid (641
+    # and 1,281 points), and the windows of the atoms at 0 and 1 start below
+    # -2 and end past 2; at lam = 60 the windows of the atoms near 1 end past
+    # 2 and slide back inside the grid (a window cannot slide up from -2:
+    # atoms lie in [0, 1], and a window that reaches -2 from 0 covers the
+    # grid); "blocks" takes 3 atoms per block
+    lam, nu = {
+        "whole-grid": (20.0, rl.make_cantor_measure(0.9, 8)),
+        "clipped-low": (40.0, rl.FractalMeasure(np.array([0.0, 0.01, 0.5, 1.0]),
+                                                np.full(4, 0.25), 0.9)),
+        "clipped-high": (60.0, rl.FractalMeasure(np.array([0.0, 0.99, 1.0]),
+                                                 np.array([0.5, 0.25, 0.25]), 0.9)),
+        "single": (100.0, rl.FractalMeasure(np.array([0.3]), np.array([1.0]), 0.5)),
+        "empty": (100.0, rl.FractalMeasure(np.array([]), np.array([]), 0.5)),
+        "depth8-100": (100.0, rl.make_cantor_measure(0.9, 8)),
+        "depth8-800": (800.0, rl.make_cantor_measure(0.9, 8)),
+        "blocks": (100.0, rl.make_cantor_measure(0.7, 5)),
+    }[case]
+    if case == "blocks":
+        monkeypatch.setattr(rl.measures, "WEIGHT_BLOCK", 3 * 1604)
+    bump = cached_bump()
+    w = rl.build_weight(nu, lam, bump)
+    oracle = full_grid_weight(nu, lam, bump)
+    assert np.abs(w.values - oracle).max() <= 16 * np.finfo(float).eps * max(oracle.max(), 1.0)
+    assert np.array_equal(w.values == 0.0, oracle == 0.0)
+
+
+def test_weight_budget_counts_window_points():
+    # 2^11 atoms at lam = 3200: 2^11 x 102,401 grid points exceeded the work
+    # budget, 2^11 x 1,604 window points do not
+    h, n = rl.measures.check_weight_budget(2 ** 11, 3200.0, 8)
+    assert n + 1 == 102401 and 2 ** 11 * (n + 1) > rl.measures.WORK_BUDGET
+    assert rl.measures._window_points(3200.0, h, n) == (800, 1604)
+    # at lam = 20 a window is the whole 641-point grid
+    h, n = rl.measures.check_weight_budget(1, 20.0, 8)
+    assert rl.measures._window_points(20.0, h, n)[1] == n + 1 == 641
+
+
 def test_build_weight_work_budget():
     # 2^22 atoms pass the atom budget and 3201 points the grid budget, but
     # their product is refused before the per-atom loop starts

@@ -9,10 +9,9 @@ import pytest
 import restrictlab as rl
 from restrictlab import frequency, spherical
 from restrictlab.errors import DomainError
-from restrictlab.sampling import dft_head
-from restrictlab.sampling import even_table
-from restrictlab.spherical import (SPECTRAL_TRUNCATION, _h_profile, _phi_integrand_nodes,
-                                   phi_s_radial)
+from restrictlab.sampling import dft_head, even_table, smooth_length
+from restrictlab.spherical import (SPECTRAL_TRUNCATION, _circle_mean, _h_profile,
+                                   _phi_integrand_nodes, phi_s_radial)
 
 from conftest import cached_kernel, cubic_spline_table, hc_forward, masked_even_table
 
@@ -42,6 +41,19 @@ def padded_dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
     if n > X.size:
         X = np.concatenate([X, X[-2:0:-1].conj()])
     return X[:n]
+
+
+def per_node_circle_mean(x, n_theta, F) -> np.ndarray:
+    """The circle rule one node at a time, each on its own (1, n) array: the
+    oracle of the blocked ragged _circle_mean."""
+    x = np.asarray(x, dtype=float)
+    counts = np.broadcast_to(n_theta, x.shape)
+
+    def one(xx: float, n: int) -> float:
+        u = np.cosh(xx) - np.sinh(xx) * np.cos(2.0 * _phi_integrand_nodes(n))
+        return float((u ** -0.5 * F(np.log(u))).mean())
+
+    return np.array([one(xx, int(n)) for xx, n in zip(x.ravel(), counts.ravel())]).reshape(x.shape)
 
 
 def demodulate_window(x: np.ndarray, vals: np.ndarray, s: float):
@@ -317,11 +329,60 @@ def test_kernel_h_profile_properties():
 
 
 @pytest.mark.parametrize("L, M, n", [(256, 40, 100), (256, 40, 200), (256, 40, 256),
-                                     (256, 1, 256), (256, 1, 1), (4096, 1500, 900)])
+                                     (256, 1, 256), (256, 1, 1), (4096, 1500, 900),
+                                     (256, 40, 141), (4096, 1500, 1876),
+                                     (256, 40, 142), (4096, 1500, 1877),
+                                     (256, 40, 152), (4096, 1500, 2594)])
 def test_dft_head_matches_fft(L, M, n):
-    # n <= L/2, the old mirror range n > L/2 + 1, n = L and a single coefficient
+    # n <= L/2, the old mirror range n > L/2 + 1, n = L and a single
+    # coefficient; then convolution lengths M + n - 1 that are 5-smooth (180,
+    # 3375), one past a 5-smooth number (181, 3376) and prime (191, 4093)
     c = np.random.default_rng(M + n).standard_normal(M)
     assert np.abs(dft_head(c, L, n) - np.fft.fft(c, L)[:n]).max() <= 1e-13 * np.abs(c).sum()
+
+
+def test_smooth_length_is_the_smallest_5_smooth_integer():
+    def is_smooth(k: int) -> bool:
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    smooth = [k for k in range(1, 5401) if is_smooth(k)]
+    for m in range(1, 5001):
+        assert smooth_length(m) == next(k for k in smooth if k >= m)
+    assert smooth_length(41601 + 98401 - 1) == 140625 == 3 ** 2 * 5 ** 6
+
+
+def test_ragged_circle_mean_matches_per_x_calls(monkeypatch):
+    # counts from 1 to 2,000 across blocks of at most 700 points, including
+    # nodes larger than a block, against one call per x and the per-node rule
+    q = cached_kernel(100.0).radial
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 0.3, 40)
+    counts = rng.integers(1, 2000, 40)
+    counts[:3] = (1, 700, 701)
+    monkeypatch.setattr(spherical, "CIRCLE_BLOCK", 700)
+    ragged = _circle_mean(x, counts, q)
+    per_x = np.array([_circle_mean(xx, n, q) for xx, n in zip(x, counts)])
+    oracle = per_node_circle_mean(x, counts, q)
+    scale = np.abs(oracle).max()
+    assert np.abs(ragged - per_x).max() <= 4 * np.finfo(float).eps * scale
+    assert np.abs(ragged - oracle).max() <= 4 * np.finfo(float).eps * scale
+    assert _circle_mean(np.zeros((2, 3)), 64, q).shape == (2, 3)
+    assert _circle_mean(np.array([]), np.array([], dtype=int), q).shape == (0,)
+
+
+@pytest.mark.parametrize("lam, x_max", [(10.0, 1.0), (100.0, 1.0), (100.0, 4.0), (400.0, 1.0)])
+def test_kernel_matches_per_node_circle_rule(monkeypatch, lam, x_max):
+    # the kernel from three blocked ragged calls against the same build with
+    # one circle rule per node, as its support, spot and refined checks were
+    kern = rl.make_kernel(lam, x_max=x_max)
+    monkeypatch.setattr(spherical, "_circle_mean", per_node_circle_mean)
+    oracle = rl.make_kernel(lam, x_max=x_max)
+    eps = np.finfo(float).eps
+    assert np.abs(kern.values - oracle.values).max() <= 4 * eps * np.abs(oracle.values).max()
+    assert kern.verify_residual == pytest.approx(oracle.verify_residual, abs=8 * eps)
 
 
 @pytest.mark.parametrize("lam, x_max", [(100.0, 1.0), (200.0, 1.0), (100.0, 4.0)])
