@@ -13,7 +13,7 @@ from .frequency import band_project, smooth_step
 from .geometry import GroupElement, dist_to_diag
 from .hecke import Amplifier, QuatAlgebra, conjugated_element, enumerate_norm_n
 from .measures import WeightFunction
-from .sampling import SampledFunction
+from .sampling import SampledFunction, convolve_valid
 from .spherical import SphericalKernel
 
 
@@ -91,7 +91,10 @@ def check_band_budget(g: GroupElement, x: np.ndarray, h: float, x_step: float):
     even row `first`; row first + i starts at the even column start[i] at or
     before its `_row_bands` interval, and chunk c's rows are widths[c] wide,
     enough for all of its intervals.  None when no row has a band or g = +-e,
-    whose Toeplitz sum is not counted.  ResourceError past BAND_BUDGET cells.
+    whose Toeplitz sum has no band: it is one FFT convolution of length
+    about 1.07 times the window grid, under 1.7 measures.GRID_BUDGET (see
+    `_toeplitz_sums`), so the weight's grid budget bounds it.
+    ResourceError past BAND_BUDGET cells.
     """
     if _is_central(g):
         return None
@@ -119,9 +122,16 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     and on its even entries.
 
     d(a(x1) i, a(x2) i) = |x1 - x2| = h |i - j|, so the spline runs once per
-    lag inside the support and each row sum is one entry of a direct 1-D
-    convolution of u2 with the symmetric lag profile; the half grid's lags
-    are the even ones.
+    lag inside the support and the row sums are the `convolve_valid` of the
+    symmetric lag profile (2m + 1 taps) with u2 zero-padded by m on each
+    side; the half grid's lags are the even ones.  On the window grid of n
+    points the transform length smooth_length(n + 2m) is about 1.07 n
+    (1.11 n at lam = 1, where the kernel's node step widens the support).
+    The window grid spans 1.5 times the weight's, whose points GRID_BUDGET
+    bounds, so the transform stays under 1.7 GRID_BUDGET, and below the
+    4 n of band_project on the same grid: the existing budgets bound it.
+    When u1 is u2 the sums are Hermitian forms of a real symmetric matrix,
+    real but for the FFT's rounding, and their real parts are returned.
     """
     supp = kernel.support_radius + 2 * kernel.x_step
     lag = h * np.arange(min(int(supp / h), u2.size - 1) + 1)
@@ -129,10 +139,14 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
 
     def convolved(v1, v2, k, h):
         m = k.size - 1
-        rows = np.convolve(v2, np.concatenate([k[:0:-1], k]))[m:m + v2.size]
+        rows = convolve_valid(np.concatenate([k[:0:-1], k]), np.pad(v2, m))
         return np.sum(np.conj(v1) * rows) * h * h
 
-    return convolved(u1, u2, k, h), convolved(u1[::2], u2[::2], k[::2], 2 * h)
+    full = convolved(u1, u2, k, h)
+    half = convolved(u1[::2], u2[::2], k[::2], 2 * h)
+    if u1 is u2:
+        return complex(full.real), complex(half.real)
+    return full, half
 
 
 def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
@@ -187,7 +201,7 @@ def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
         raise DomainError(f"grid step {h} under-resolves 1/lambda (need <= {1 / (8 * lam)})")
     x = f1.grid()
     u1 = _window_values(window, f1)
-    u2 = _window_values(window, f2)
+    u2 = u1 if f2 is f1 else _window_values(window, f2)
     value, value_half = _bilinear_sums(kernel, u1, u2, x, h, g)
     err = abs(value - value_half)
     scale = max(abs(value), 1e-12 * (abs(value_half) + np.abs(u1).max() * np.abs(u2).max() + 1.0))

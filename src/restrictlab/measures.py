@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceError
+from .sampling import smooth_length
 
 ATOM_BUDGET = 1 << 22
 GRID_BUDGET = 1 << 24
@@ -177,7 +178,7 @@ def _grid_energy(values: np.ndarray, h: float, s: float) -> complex:
     f = np.asarray(values, dtype=complex)
     n = f.size
     G = _riesz_cell_kernel(n, h, s)
-    L = 1 << int(np.ceil(np.log2(2 * n)))
+    L = smooth_length(2 * n - 1)   # corr's lags -(n-1) .. n-1 do not wrap
     F = np.fft.fft(f, L)
     corr = np.fft.ifft(F * np.conj(F))[:n]   # corr[k] = sum_i f[i+k] conj(f[i])
     total = G[0] * corr[0].real + 2.0 * np.dot(G[1:], corr[1:].real)

@@ -1,6 +1,6 @@
 """Uniformly sampled functions on an interval, the even function through a
-radial table on uniform knots, and the head of a long DFT that tabulates
-such a table.
+radial table on uniform knots, the FFT linear convolution, and the head of
+a long DFT that tabulates such a table.
 
 The radial table's function is the not-a-knot cubic spline in B-spline form:
 its coefficients come from the mirrored table by the closed-form prefilter
@@ -121,19 +121,29 @@ def smooth_length(m: int) -> int:
     return best
 
 
+def convolve_valid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)[a.size - 1 : b.size]: the entries of the linear convolution
+    of a and b where a lies wholly inside b (a.size <= b.size), numpy's
+    "valid" mode.  One circular FFT convolution at smooth_length(b.size)
+    gives them: its wrap-around falls only in the a.size - 1 entries
+    dropped."""
+    N = smooth_length(b.size)
+    X = np.fft.fft(a, N)
+    X *= np.fft.fft(b, N)
+    return np.fft.ifft(X)[a.size - 1:b.size]
+
+
 def dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
     """X_j = sum_m c_m exp(-2 pi i j m / L) for j < n: the first n terms of
     the length-L DFT of c, by Bluestein's chirp-z identity
     jm = (j^2 + m^2 - (j - m)^2) / 2, so cost and memory follow c.size + n,
-    not L.  The chirp phase is taken from k^2 mod 2L in int64, exact for
-    k up to about 3e9.  The convolution runs at the smallest 5-smooth length
-    >= c.size + n - 1, with no wrap-around."""
+    not L.  The chirp w_k = exp(-i pi k^2 / L) takes its phase from k^2 mod 2L
+    in int64, exact for k up to about 3e9.  X_j = w_j sum_m c_m w_m
+    conj(w_(j-m)) is one convolve_valid of c w against conj(w) at the lags
+    1 - c.size .. n - 1, at the smallest 5-smooth length >= c.size + n - 1."""
     M = c.size
-    k = np.arange(max(M, n), dtype=np.int64)
-    w = np.exp(-1j * np.pi * ((k * k) % (2 * L)) / L)
-    N = smooth_length(M + n - 1)
-    b = np.zeros(N, dtype=complex)
-    b[:n] = w[:n].conj()
-    b[N - M + 1:] = w[M - 1:0:-1].conj()
-    X = np.fft.ifft(np.fft.fft(c * w[:M], N) * np.fft.fft(b))
-    return w[:n] * X[:n]
+    k = np.arange(1 - M, n, dtype=np.int64)
+    w = np.exp(-1j * np.pi * ((k * k) % (2 * L)) / L)   # w at lags 1 - M .. n - 1
+    cw = c * w[M - 1::-1]
+    X = convolve_valid(cw, np.conjugate(w, out=w))
+    return X * w[M - 1:].conj()

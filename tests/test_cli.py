@@ -305,6 +305,15 @@ def test_kernel_table_ending_before_support(tmp_path, capsys):
          -12.9603484228], rel=1e-9)
 
 
+def test_integrals_default_writes_real_value(tmp_path, capsys):
+    # at its default g = e the integral is real, and the CSV says so exactly
+    assert cli.main(["integrals", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["value"][1] == 0.0
+    lines = (tmp_path / "integrals.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["value_im"] == "0" and float(row["value_re"]) != 0
+
+
 def test_restrict_experiment_small(tmp_path, capsys):
     rc = cli.main(["restrict", "-p", "degrees=[16,32,64]", "--out", str(tmp_path)])
     assert rc == 0

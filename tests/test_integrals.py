@@ -247,6 +247,53 @@ def test_band_budget_refuses_lambda_16000_shear(monkeypatch):
     assert rows @ widths > 10 * budget
 
 
+def _direct_toeplitz_sums(kernel, u1, u2, h):
+    """Oracle: the g = +-e sums by one direct np.convolve of u2 with the
+    symmetric lag profile, as `_toeplitz_sums` computed them before the FFT."""
+    supp = kernel.support_radius + 2 * kernel.x_step
+    lag = h * np.arange(min(int(supp / h), u2.size - 1) + 1)
+    k = kernel.radial(lag)
+
+    def convolved(v1, v2, k, h):
+        m = k.size - 1
+        rows = np.convolve(v2, np.concatenate([k[:0:-1], k]))[m:m + v2.size]
+        return np.sum(np.conj(v1) * rows) * h * h
+
+    return convolved(u1, u2, k, h), convolved(u1[::2], u2[::2], k[::2], 2 * h)
+
+
+@pytest.mark.parametrize("lam", [100.0, 800.0])
+def test_toeplitz_sums_match_direct_convolution(lam):
+    # the FFT convolution against the direct one, full and half sums, for a
+    # quadratic (u1 is u2) and a sesquilinear pair
+    kernel = cached_kernel(lam)
+    _, _, _, f = _phi_w_sampled(lam)
+    u, x, h = _window_values(rl.TestWindow(), f), f.grid(), f.grid_step
+    u2 = u * np.exp(-(x - 0.4) ** 2) * np.exp(-3j * x)
+    radial_max = np.abs(kernel.values).max()
+    for v2 in (u, u2):
+        sums = integrals._toeplitz_sums(kernel, u, v2, h)
+        oracle = _direct_toeplitz_sums(kernel, u, v2, h)
+        for value, direct, step in zip(sums, oracle, (1, 2)):
+            hh = h * step
+            scale = hh * hh * np.abs(u[::step]).sum() * np.abs(v2[::step]).sum() * radial_max
+            assert abs(value - direct) <= 1e-15 * scale
+            assert direct != 0
+
+
+def test_quadratic_sum_at_identity_is_exactly_real(kernel100):
+    # a Hermitian form of a real symmetric Toeplitz matrix: its rounding-level
+    # imaginary part is not reported
+    _, _, _, f = _phi_w_sampled(100.0)
+    u = _window_values(rl.TestWindow(), f)
+    for name in ("e", "-e"):
+        full, half = _bilinear_sums(kernel100, u, u, f.grid(), f.grid_step,
+                                    _oracle_element(name))
+        assert full.imag == 0.0 and half.imag == 0.0
+    rep = rl.eval_I(kernel100, rl.TestWindow(), f, rl.GroupElement.identity())
+    assert rep.value.imag == 0.0 and rep.value.real != 0
+
+
 def test_identity_sum_takes_toeplitz_path(kernel100, monkeypatch):
     def no_bands(*args):
         raise AssertionError("_row_bands called")

@@ -9,7 +9,7 @@ import pytest
 import restrictlab as rl
 from restrictlab import frequency, spherical
 from restrictlab.errors import DomainError
-from restrictlab.sampling import dft_head, even_table, smooth_length
+from restrictlab.sampling import convolve_valid, dft_head, even_table, smooth_length
 from restrictlab.spherical import (SPECTRAL_TRUNCATION, _circle_mean, _h_profile,
                                    _phi_integrand_nodes, phi_s_radial)
 
@@ -339,6 +339,21 @@ def test_dft_head_matches_fft(L, M, n):
     # 3375), one past a 5-smooth number (181, 3376) and prime (191, 4093)
     c = np.random.default_rng(M + n).standard_normal(M)
     assert np.abs(dft_head(c, L, n) - np.fft.fft(c, L)[:n]).max() <= 1e-13 * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 97), (40, 40), (97, 97), (40, 180),
+                                     (40, 181), (40, 191), (1500, 3375),
+                                     (1500, 3376), (1500, 4093)])
+def test_convolve_valid_matches_np_convolve(na, nb):
+    # a single tap, a.size == b.size, and b.size 5-smooth (180, 3375), one
+    # past a 5-smooth number (181, 3376) and prime (97, 191, 4093)
+    rng = np.random.default_rng(na + nb)
+    a = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+    b = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+    oracle = np.convolve(a, b, "valid")
+    got = convolve_valid(a, b)
+    assert got.shape == oracle.shape == (nb - na + 1,)
+    assert np.abs(got - oracle).max() <= 1e-13 * np.abs(a).sum() * np.abs(b).max()
 
 
 def test_smooth_length_is_the_smallest_5_smooth_integer():
