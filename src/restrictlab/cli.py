@@ -111,6 +111,8 @@ def load_config(path: str = None, experiment: str = None, overrides: dict = None
     if not isinstance(file_out, str):
         raise DomainError(f"'out' = {file_out!r} must be a string")
     seed = file_seed if seed is None else seed
+    if seed < 0:   # numpy's default_rng refuses it with a ValueError
+        raise DomainError(f"seed = {seed} must be >= 0")
     out = file_out if out is None else out
     params = dict(file_params)
     params.update(overrides or {})

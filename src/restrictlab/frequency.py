@@ -1,20 +1,17 @@
 """The compactly band-limited bump and its two uses: the exact transform
 eta_hat masks the bands around +-lambda in spectral band projections, and the
 profile eta, tabulated as the head of one DFT of eta_hat's samples, with the
-plateau cutoff rho (BumpPair) mollifies measures; plus the Fourier-side
-energy identity.
+plateau cutoff rho (BumpPair) mollifies measures.
 
 Fourier convention: fhat(xi) = int f(x) e^(-i x xi) dx, inverse carries 1/2pi.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
-from .measures import ETA_REACH, WeightFunction, _grid_energy
+from .measures import ETA_REACH
 from .sampling import SampledFunction, dft_head, even_table
 
 
@@ -98,51 +95,3 @@ def band_project(lam: float, beta: float, f: SampledFunction,
     if mode == "pass":
         return SampledFunction(f.grid_min, h, passed)
     return SampledFunction(f.grid_min, h, f.values - passed)
-
-
-def fourier_transform(f: SampledFunction, pad_factor: int = 4):
-    """Continuous-convention transform on the padded DFT grid.
-
-    Returns (xi, fhat) with xi ascending; fhat(xi) = h e^(-i x0 xi) DFT(f).
-    """
-    h = f.grid_step
-    L = 1 << int(np.ceil(np.log2(pad_factor * f.n)))
-    F = np.fft.fft(f.values, L)
-    xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
-    fhat = h * np.exp(-1j * f.grid_min * xi) * F
-    return np.fft.fftshift(xi), np.fft.fftshift(fhat)
-
-
-def gamma_factor(s: float) -> float:
-    """gamma(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2); gamma(1/2) = 1."""
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0,1), got {s}")
-    return float(np.pi ** (s - 0.5) * math.gamma((1.0 - s) / 2.0) / math.gamma(s / 2.0))
-
-
-def fourier_energy_identity(w: WeightFunction, phi, s: float):
-    """Both sides of the spectral energy identity, by independent quadratures.
-
-    lhs = (gamma(s)/(2 pi)^s) int |hat(phi w)(xi)|^2 |xi|^(s-1) dxi  (transform
-    route, with the singular frequency cell integrated exactly); rhs is the
-    direct double integral I_s(phi w).  The two should agree to the grid's
-    resolution.
-    """
-    if not 0 < s < 1:
-        raise DomainError(f"s must lie in (0,1), got {s}")
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != w.values.shape:
-        raise DomainError("phi must be sampled on the weight's grid")
-    f = SampledFunction(w.grid_min, w.grid_step, phi * w.values)
-    xi, fhat = fourier_transform(f, 16)
-    dxi = xi[1] - xi[0]
-    # exact cell weights for |xi|^(s-1): antiderivative sign(xi)|xi|^s / s
-    lo, hi = xi - dxi / 2, xi + dxi / 2
-
-    def anti(t):
-        return np.sign(t) * np.abs(t) ** s / s
-
-    cell = anti(hi) - anti(lo)
-    lhs = gamma_factor(s) / (2.0 * np.pi) ** s * float(np.dot(np.abs(fhat) ** 2, cell))
-    rhs = _grid_energy(phi * w.values, w.grid_step, s)
-    return lhs, rhs.real

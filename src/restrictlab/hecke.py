@@ -150,11 +150,6 @@ class QuatAlgebra:
             raise DomainError("order basis: its integer coordinate matrix exceeds int64")
         self._C = np.array(C, dtype=np.int64)
 
-    def std_scaled(self, coords) -> tuple:
-        """den * (standard coordinates), exact integers."""
-        v = np.asarray(coords, dtype=object)
-        return tuple(int(x) for x in (self._C @ v))
-
     def nrd_std_scaled(self, xs) -> int:
         """The norm form: den^2 * nrd from den-scaled standard coordinates,
         nrd itself from unscaled (Fraction) ones."""
@@ -388,16 +383,3 @@ def random_hecke_eigenvalues(N: int, rng: np.random.Generator) -> dict:
         eigs[p] = lp
         eigs[p * p] = lp * lp - 1.0
     return eigs
-
-
-def optimal_bandwidth(lam: float, alpha: float) -> float:
-    """beta = lam^(1/(1 + 12 (alpha - 1/2))), the band split balancing the
-    two restriction estimates."""
-    if not 0.5 < alpha <= 1:
-        raise DomainError("alpha must lie in (1/2, 1]")
-    return float(lam ** (1.0 / (1.0 + 12.0 * (alpha - 0.5))))
-
-
-def optimal_amplifier_length(lam: float, beta: float) -> float:
-    """N = lam^(1/6) beta^(-1/6), the amplifier length matching the bandwidth."""
-    return float(lam ** (1.0 / 6.0) * beta ** (-1.0 / 6.0))

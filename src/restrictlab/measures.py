@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sampling import smooth_length
 
 ATOM_BUDGET = 1 << 22
 GRID_BUDGET = 1 << 24
@@ -95,13 +94,6 @@ class WeightFunction:
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(self.values.size)
 
-    def cumulative(self):
-        """Cell-boundary grid and cumulative integral of the piecewise-constant weight."""
-        h = self.grid_step
-        bounds = np.concatenate([self.grid() - h / 2, [self.grid()[-1] + h / 2]])
-        cum = np.concatenate([[0.0], np.cumsum(self.values) * h])
-        return bounds, cum
-
 
 def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
     """Two-branch Cantor measure of dimension alpha at a finite refinement depth.
@@ -143,46 +135,6 @@ def frostman_ratio(m: FractalMeasure, r_grid) -> float:
         mass = m.interval_mass(m.atoms - r, m.atoms + r)
         best = max(best, float(mass.max()) / r ** m.alpha)
     return best
-
-
-def _riesz_cell_kernel(n_cells: int, h: float, s: float) -> np.ndarray:
-    """G[k] = exact integral of |x-y|^(-s) over a cell pair at offset k.
-
-    Cells have width h; G[k] = int (h - |u - k h|) |u|^(-s) du over the
-    triangular overlap.  Exact antiderivatives up to k=256, then a fourth-order
-    Taylor form that avoids catastrophic cancellation.
-    """
-    G = np.empty(n_cells)
-    G[0] = 2.0 * h ** (2.0 - s) / ((1.0 - s) * (2.0 - s))
-    k_exact = min(n_cells - 1, 256)
-    if k_exact >= 1:
-        k = np.arange(1, k_exact + 1, dtype=float)
-        A, B, C = (k - 1) * h, k * h, (k + 1) * h
-
-        def F1(u):
-            return u ** (1.0 - s) / (1.0 - s)
-
-        def F2(u):
-            return u ** (2.0 - s) / (2.0 - s)
-
-        G[1:k_exact + 1] = ((F2(B) - F2(A)) - A * (F1(B) - F1(A))
-                            + C * (F1(C) - F1(B)) - (F2(C) - F2(B)))
-    if n_cells - 1 > k_exact:
-        k = np.arange(k_exact + 1, n_cells, dtype=float)
-        G[k_exact + 1:] = h * h * (k * h) ** (-s) * (1.0 + s * (s + 1.0) / (12.0 * k * k))
-    return G
-
-
-def _grid_energy(values: np.ndarray, h: float, s: float) -> complex:
-    """Double integral of f(x) conj(f(y)) |x-y|^(-s) for piecewise-constant f."""
-    f = np.asarray(values, dtype=complex)
-    n = f.size
-    G = _riesz_cell_kernel(n, h, s)
-    L = smooth_length(2 * n - 1)   # corr's lags -(n-1) .. n-1 do not wrap
-    F = np.fft.fft(f, L)
-    corr = np.fft.ifft(F * np.conj(F))[:n]   # corr[k] = sum_i f[i+k] conj(f[i])
-    total = G[0] * corr[0].real + 2.0 * np.dot(G[1:], corr[1:].real)
-    return complex(total)
 
 
 def energy(m: FractalMeasure, s: float) -> float:
@@ -281,31 +233,3 @@ def build_weight(nu: FractalMeasure, lam: float, bump,
     vals = acc * bump.rho(t)
     vals[np.abs(t) > 2.0] = 0.0   # rho already vanishes there; make it exact
     return WeightFunction(-2.0, h, vals, nu.alpha)
-
-
-def frostman_weight_sweep(w: WeightFunction, r_values) -> np.ndarray:
-    """sup over centers a in [-2.3, 2.3] of (int_{a-r}^{a+r} w) / r^alpha,
-    for each radius r."""
-    r_values = np.asarray(r_values, dtype=float)
-    a_grid = np.linspace(-2.3, 2.3, 4001)
-    bounds, cum = w.cumulative()
-    out = np.empty(r_values.size)
-    for i, r in enumerate(r_values):
-        mass = np.interp(a_grid + r, bounds, cum) - np.interp(a_grid - r, bounds, cum)
-        out[i] = mass.max() / r ** w.frostman_alpha
-    return out
-
-
-def decade_sweep(w: WeightFunction, r_min: float) -> list[tuple[float, float, float]]:
-    """Per-decade suprema of the interval ratio over r in [r_min, 1].
-
-    Returns (r_lo, r_hi, sup) triples for log10-equal bins of 16 radii each.
-    """
-    n_dec = max(1, int(np.ceil(np.log10(1.0 / r_min))))
-    edges = np.logspace(np.log10(r_min), 0.0, n_dec + 1)
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rs = np.logspace(np.log10(lo), np.log10(hi), 16)
-        sup = float(frostman_weight_sweep(w, rs).max())
-        out.append((float(lo), float(hi), sup))
-    return out

@@ -109,7 +109,8 @@ def _highest_weight_log_c(l: int) -> float:
 
 
 class SphereMode:
-    """Spherical harmonic evaluator on the unit sphere; L^2 norm 1."""
+    """Spherical harmonic on the unit sphere, of L^2 norm 1, read through its
+    density |e|^2."""
 
     def __init__(self, kind: str, degree: int):
         if kind not in ("zonal", "highest_weight"):
@@ -123,16 +124,6 @@ class SphereMode:
         self.lam = float(np.sqrt(self.l * (self.l + 1.0)))
         if kind == "highest_weight":
             self._log_c = _highest_weight_log_c(self.l)
-
-    def value_angles(self, theta, phi) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        if self.kind == "zonal":
-            return (np.sqrt((2 * self.l + 1) / (4.0 * np.pi))
-                    * _legendre_values(self.l, np.cos(theta))).astype(complex)
-        st = np.clip(np.sin(theta), 0.0, 1.0)
-        mag = np.where(st > 0, np.exp(self._log_c + self.l * np.log(np.maximum(st, 1e-300))), 0.0)
-        return mag * np.exp(1j * self.l * phi)
 
     def density(self, z) -> np.ndarray:
         """|e|^2 at the height z = cos(theta); it does not depend on phi."""

@@ -1,6 +1,6 @@
-"""Spherical functions on the hyperbolic plane, the spherical (Harish-Chandra)
-transform, and the band-limited radial kernel (its Plancherel inverse) used
-by the geometric-integral experiments.
+"""The band-limited radial kernel on the hyperbolic plane (the inverse
+spherical, or Harish-Chandra, transform of a Paley-Wiener profile), tabulated
+by a circle rule and used by the geometric-integral experiments.
 
 Conventions: Haar measure on G extends the hyperbolic area by mass 1 on the
 rotation subgroup, so for radial f the forward transform is
@@ -16,11 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, ResourceError
-from .geometry import GroupElement, dist_to_identity
 from .sampling import dft_head, even_table
 
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
-PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
 TABLE_BUDGET = 1 << 21   # radial and spectral nodes of one kernel table
 SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel table
 SPECTRAL_STEP = 0.01   # step ds of the kernel's uniform s-grid
@@ -29,12 +27,6 @@ H_WIDTH = 0.05   # Paley-Wiener width of the kernel profile h
 # so h^2 < floor once u > 2 floor^(-1/8) / H_WIDTH (about 1,265)
 SPECTRAL_TRUNCATION = 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / H_WIDTH
 CIRCLE_BLOCK = 1 << 16   # circle points _circle_mean evaluates at once
-
-
-def _phi_integrand_nodes(n: int) -> np.ndarray:
-    # midpoint nodes on [0, pi); the integrand is pi-periodic and smooth,
-    # so the equal-weight rule converges spectrally
-    return (np.arange(n) + 0.5) * np.pi / n
 
 
 def _circle_mean(x, n_theta, F) -> np.ndarray:
@@ -58,49 +50,14 @@ def _circle_mean(x, n_theta, F) -> np.ndarray:
         n = counts[i:j]
         starts = np.concatenate(([0], np.cumsum(n[:-1])))
         node = np.repeat(np.arange(j - i), n)
-        # theta = (k + 0.5) pi / n on node k's own count, as _phi_integrand_nodes
+        # midpoint nodes theta = (k + 0.5) pi / n on [0, pi), n the node's own
+        # count; the integrand is pi-periodic and smooth, so the equal-weight
+        # rule converges spectrally
         th = (np.arange(starts[-1] + n[-1]) - starts[node] + 0.5) * np.pi / n[node]
         u = np.cosh(xf[i:j])[node] - np.sinh(xf[i:j])[node] * np.cos(2.0 * th)
         out[i:j] = np.add.reduceat(u ** -0.5 * F(np.log(u)), starts) / n
         i = j
     return out.reshape(x.shape)
-
-
-def phi_s_radial(s: float, x) -> np.ndarray:
-    """phi_s at the diagonal point a(x): the circle mean of
-    u(theta)^(-1/2) cos(s ln u)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_theta = max(64, int(16.0 * abs(s) * float(np.abs(x).max())) + 64)
-    return _circle_mean(x, n_theta, lambda v: np.cos(s * v))
-
-
-def phi_s(s: float, g: GroupElement) -> complex:
-    """Spherical function phi_s(g) = int_K e^((is+1/2) A(kg)) dk.
-
-    Adaptive doubling of the circle rule until successive refinements agree
-    to 1e-8 relative; raises NonConvergenceError at PHI_MAX_NODES nodes.
-    """
-    m = g.m
-    n = max(64, int(16.0 * abs(s) * dist_to_identity(g)) + 64)
-
-    def quad(n_nodes: int) -> complex:
-        th = _phi_integrand_nodes(n_nodes)
-        c, sn = np.cos(th), np.sin(th)
-        # bottom row of k_theta g
-        row_c = sn * m[0, 0] + c * m[1, 0]
-        row_d = sn * m[0, 1] + c * m[1, 1]
-        A = -np.log(row_c ** 2 + row_d ** 2)   # Iwasawa height A(k_theta g)
-        return complex(np.mean(np.exp((1j * s + 0.5) * A)))
-
-    prev = quad(n)
-    while n < PHI_MAX_NODES:
-        n *= 2
-        cur = quad(n)
-        if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise NonConvergenceError("phi_s quadrature did not converge below 1e-8"
-                              f" within {PHI_MAX_NODES} nodes")
 
 
 def _h_profile(u) -> np.ndarray:
@@ -135,9 +92,6 @@ class SphericalKernel:
     radial: Callable = field(repr=False)   # k at radial distance |x|; 0 past the support
 
     support_radius = 4.0 * H_WIDTH
-
-    def h0_squared(self, s) -> np.ndarray:
-        return _h0_squared(self.lam, s)
 
     def x_grid(self) -> np.ndarray:
         return self.x_step * np.arange(self.values.size)

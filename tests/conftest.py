@@ -1,6 +1,10 @@
 """Shared fixtures; heavy objects (bump tables, kernel tables, weights) are
-built once per session and reused across module and acceptance tests."""
+built once per session and reused across module and acceptance tests.  Also
+the oracles that more than one test module reads: the Fourier-side energy
+identity, the weight's interval sweeps, the spherical function phi_s and the
+amplifier's parameter choices."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -9,9 +13,9 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 import restrictlab as rl
-from restrictlab.errors import DomainError, GridMismatchError
-from restrictlab.measures import _grid_energy
-from restrictlab.sampling import _FOURTH_DIFFERENCE, _Z, PREFILTER_HALF_WIDTH
+from restrictlab.errors import DomainError, GridMismatchError, NonConvergenceError
+from restrictlab.sampling import _FOURTH_DIFFERENCE, _Z, PREFILTER_HALF_WIDTH, smooth_length
+from restrictlab.spherical import _circle_mean
 
 ALPHA_CANTOR = np.log(2.0) / np.log(3.0)
 
@@ -78,6 +82,94 @@ def sampled(fn, grid_min: float, grid_max: float, grid_step: float) -> rl.Sample
     return rl.SampledFunction(grid_min, grid_step, np.asarray(fn(x), dtype=complex))
 
 
+def _riesz_cell_kernel(n_cells: int, h: float, s: float) -> np.ndarray:
+    """G[k] = exact integral of |x-y|^(-s) over a cell pair at offset k.
+
+    Cells have width h; G[k] = int (h - |u - k h|) |u|^(-s) du over the
+    triangular overlap.  Exact antiderivatives up to k=256, then a fourth-order
+    Taylor form that avoids catastrophic cancellation.
+    """
+    G = np.empty(n_cells)
+    G[0] = 2.0 * h ** (2.0 - s) / ((1.0 - s) * (2.0 - s))
+    k_exact = min(n_cells - 1, 256)
+    if k_exact >= 1:
+        k = np.arange(1, k_exact + 1, dtype=float)
+        A, B, C = (k - 1) * h, k * h, (k + 1) * h
+
+        def F1(u):
+            return u ** (1.0 - s) / (1.0 - s)
+
+        def F2(u):
+            return u ** (2.0 - s) / (2.0 - s)
+
+        G[1:k_exact + 1] = ((F2(B) - F2(A)) - A * (F1(B) - F1(A))
+                            + C * (F1(C) - F1(B)) - (F2(C) - F2(B)))
+    if n_cells - 1 > k_exact:
+        k = np.arange(k_exact + 1, n_cells, dtype=float)
+        G[k_exact + 1:] = h * h * (k * h) ** (-s) * (1.0 + s * (s + 1.0) / (12.0 * k * k))
+    return G
+
+
+def _grid_energy(values: np.ndarray, h: float, s: float) -> complex:
+    """Double integral of f(x) conj(f(y)) |x-y|^(-s) for piecewise-constant f."""
+    f = np.asarray(values, dtype=complex)
+    n = f.size
+    G = _riesz_cell_kernel(n, h, s)
+    L = smooth_length(2 * n - 1)   # corr's lags -(n-1) .. n-1 do not wrap
+    F = np.fft.fft(f, L)
+    corr = np.fft.ifft(F * np.conj(F))[:n]   # corr[k] = sum_i f[i+k] conj(f[i])
+    total = G[0] * corr[0].real + 2.0 * np.dot(G[1:], corr[1:].real)
+    return complex(total)
+
+
+def fourier_transform(f: rl.SampledFunction, pad_factor: int = 4):
+    """Continuous-convention transform on the padded DFT grid.
+
+    Returns (xi, fhat) with xi ascending; fhat(xi) = h e^(-i x0 xi) DFT(f).
+    """
+    h = f.grid_step
+    L = 1 << int(np.ceil(np.log2(pad_factor * f.n)))
+    F = np.fft.fft(f.values, L)
+    xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
+    fhat = h * np.exp(-1j * f.grid_min * xi) * F
+    return np.fft.fftshift(xi), np.fft.fftshift(fhat)
+
+
+def gamma_factor(s: float) -> float:
+    """gamma(s) = pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2); gamma(1/2) = 1."""
+    if not 0 < s < 1:
+        raise DomainError(f"s must lie in (0,1), got {s}")
+    return float(np.pi ** (s - 0.5) * math.gamma((1.0 - s) / 2.0) / math.gamma(s / 2.0))
+
+
+def fourier_energy_identity(w: rl.WeightFunction, phi, s: float):
+    """Both sides of the spectral energy identity, by independent quadratures.
+
+    lhs = (gamma(s)/(2 pi)^s) int |hat(phi w)(xi)|^2 |xi|^(s-1) dxi  (transform
+    route, with the singular frequency cell integrated exactly); rhs is the
+    direct double integral I_s(phi w).  The two should agree to the grid's
+    resolution.
+    """
+    if not 0 < s < 1:
+        raise DomainError(f"s must lie in (0,1), got {s}")
+    phi = np.asarray(phi, dtype=complex)
+    if phi.shape != w.values.shape:
+        raise DomainError("phi must be sampled on the weight's grid")
+    f = rl.SampledFunction(w.grid_min, w.grid_step, phi * w.values)
+    xi, fhat = fourier_transform(f, 16)
+    dxi = xi[1] - xi[0]
+    # exact cell weights for |xi|^(s-1): antiderivative sign(xi)|xi|^s / s
+    lo, hi = xi - dxi / 2, xi + dxi / 2
+
+    def anti(t):
+        return np.sign(t) * np.abs(t) ** s / s
+
+    cell = anti(hi) - anti(lo)
+    lhs = gamma_factor(s) / (2.0 * np.pi) ** s * float(np.dot(np.abs(fhat) ** 2, cell))
+    rhs = _grid_energy(phi * w.values, w.grid_step, s)
+    return lhs, rhs.real
+
+
 def weighted_energy(w: rl.WeightFunction, phi, s: float) -> complex:
     """I_s(phi w): double integral of phi(x) conj(phi(y)) w(x) w(y) |x-y|^(-s)."""
     if not 0 < s < w.frostman_alpha:
@@ -94,6 +186,42 @@ def l2_weighted_norm(w: rl.WeightFunction, phi) -> float:
     if phi.shape != w.values.shape:
         raise GridMismatchError("phi must be sampled on the weight's grid")
     return float(np.sqrt(w.grid_step * np.sum(np.abs(phi) ** 2 * w.values)))
+
+
+def cumulative(w: rl.WeightFunction):
+    """Cell-boundary grid and cumulative integral of the piecewise-constant weight."""
+    h = w.grid_step
+    bounds = np.concatenate([w.grid() - h / 2, [w.grid()[-1] + h / 2]])
+    cum = np.concatenate([[0.0], np.cumsum(w.values) * h])
+    return bounds, cum
+
+
+def frostman_weight_sweep(w: rl.WeightFunction, r_values) -> np.ndarray:
+    """sup over centers a in [-2.3, 2.3] of (int_{a-r}^{a+r} w) / r^alpha,
+    for each radius r."""
+    r_values = np.asarray(r_values, dtype=float)
+    a_grid = np.linspace(-2.3, 2.3, 4001)
+    bounds, cum = cumulative(w)
+    out = np.empty(r_values.size)
+    for i, r in enumerate(r_values):
+        mass = np.interp(a_grid + r, bounds, cum) - np.interp(a_grid - r, bounds, cum)
+        out[i] = mass.max() / r ** w.frostman_alpha
+    return out
+
+
+def decade_sweep(w: rl.WeightFunction, r_min: float) -> list[tuple[float, float, float]]:
+    """Per-decade suprema of the interval ratio over r in [r_min, 1].
+
+    Returns (r_lo, r_hi, sup) triples for log10-equal bins of 16 radii each.
+    """
+    n_dec = max(1, int(np.ceil(np.log10(1.0 / r_min))))
+    edges = np.logspace(np.log10(r_min), 0.0, n_dec + 1)
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rs = np.logspace(np.log10(lo), np.log10(hi), 16)
+        sup = float(frostman_weight_sweep(w, rs).max())
+        out.append((float(lo), float(hi), sup))
+    return out
 
 
 def cubic_spline_table(knots: np.ndarray, values: np.ndarray):
@@ -158,5 +286,64 @@ def hc_forward(f_eval, s: float, support_radius: float) -> float:
     n += n % 2
     r = np.linspace(0.0, R, n + 1)
     fv = np.asarray(f_eval(r), dtype=float)
-    pv = rl.phi_s_radial(s, r)
+    pv = phi_s_radial(s, r)
     return float(2.0 * np.pi * simpson(fv * pv * np.sinh(r), x=r))
+
+
+PHI_MAX_NODES = 1 << 21   # circle nodes at which phi_s gives up doubling
+
+
+def _phi_integrand_nodes(n: int) -> np.ndarray:
+    # midpoint nodes on [0, pi); the integrand is pi-periodic and smooth,
+    # so the equal-weight rule converges spectrally
+    return (np.arange(n) + 0.5) * np.pi / n
+
+
+def phi_s_radial(s: float, x) -> np.ndarray:
+    """phi_s at the diagonal point a(x): the circle mean of
+    u(theta)^(-1/2) cos(s ln u)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n_theta = max(64, int(16.0 * abs(s) * float(np.abs(x).max())) + 64)
+    return _circle_mean(x, n_theta, lambda v: np.cos(s * v))
+
+
+def phi_s(s: float, g: rl.GroupElement) -> complex:
+    """Spherical function phi_s(g) = int_K e^((is+1/2) A(kg)) dk.
+
+    Adaptive doubling of the circle rule until successive refinements agree
+    to 1e-8 relative; raises NonConvergenceError at PHI_MAX_NODES nodes.
+    """
+    m = g.m
+    n = max(64, int(16.0 * abs(s) * rl.dist_to_identity(g)) + 64)
+
+    def quad(n_nodes: int) -> complex:
+        th = _phi_integrand_nodes(n_nodes)
+        c, sn = np.cos(th), np.sin(th)
+        # bottom row of k_theta g
+        row_c = sn * m[0, 0] + c * m[1, 0]
+        row_d = sn * m[0, 1] + c * m[1, 1]
+        A = -np.log(row_c ** 2 + row_d ** 2)   # Iwasawa height A(k_theta g)
+        return complex(np.mean(np.exp((1j * s + 0.5) * A)))
+
+    prev = quad(n)
+    while n < PHI_MAX_NODES:
+        n *= 2
+        cur = quad(n)
+        if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise NonConvergenceError("phi_s quadrature did not converge below 1e-8"
+                              f" within {PHI_MAX_NODES} nodes")
+
+
+def optimal_bandwidth(lam: float, alpha: float) -> float:
+    """beta = lam^(1/(1 + 12 (alpha - 1/2))), the band split balancing the
+    two restriction estimates."""
+    if not 0.5 < alpha <= 1:
+        raise DomainError("alpha must lie in (1/2, 1]")
+    return float(lam ** (1.0 / (1.0 + 12.0 * (alpha - 0.5))))
+
+
+def optimal_amplifier_length(lam: float, beta: float) -> float:
+    """N = lam^(1/6) beta^(-1/6), the amplifier length matching the bandwidth."""
+    return float(lam ** (1.0 / 6.0) * beta ** (-1.0 / 6.0))

@@ -2,8 +2,11 @@
 
 Each test prints a single [PASS]/[FAIL] line with the measured quantities
 (run pytest with -s to see them); assertions carry the same tolerances.
+Criteria 3 and 7-11 run the CLI's experiments and check the summary and the
+CSV rows that the run writes.
 """
 
+import csv
 import math
 import time
 from fractions import Fraction
@@ -11,13 +14,27 @@ from fractions import Fraction
 import numpy as np
 
 import restrictlab as rl
+from restrictlab import cli
+from restrictlab.spherical import _h0_squared
 
-from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight, hc_forward
+from conftest import (ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight,
+                      decade_sweep, fourier_energy_identity, gamma_factor, hc_forward,
+                      optimal_amplifier_length, optimal_bandwidth, phi_s, phi_s_radial)
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, limit: float):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {num}: {detail} ({elapsed:.1f}s / limit {limit:.0f}s)")
+
+
+def _cli(tmp_path, experiment: str, seed: int = 0, **params):
+    """(summary, CSV rows) of `restrictlab <experiment>` with params: the CLI's
+    config validation, runner and CSV writer, the rows as dicts of strings."""
+    cfg = cli.load_config(None, experiment, params, out=str(tmp_path), seed=seed)
+    summary = cli.run_experiment(cfg)["summary"]
+    with (tmp_path / f"{experiment.replace('-', '_')}.csv").open() as fh:
+        next(fh)   # the '#' config echo
+        return summary, list(csv.DictReader(fh))
 
 
 class _Timer:
@@ -35,7 +52,7 @@ def test_criterion_01_energy_identity():
     # prefactor equals 1
     limit = 10.0
     with _Timer() as t:
-        assert rl.gamma_factor(0.5) == 1.0
+        assert gamma_factor(0.5) == 1.0
         h = 1e-3
         n = int(round(4.0 / h)) + 1
         x = -2.0 + h * np.arange(n)
@@ -49,7 +66,7 @@ def test_criterion_01_energy_identity():
         ]
         worst = 0.0
         for w, phi, s in triples:
-            lhs, rhs = rl.fourier_energy_identity(w, phi, s)
+            lhs, rhs = fourier_energy_identity(w, phi, s)
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     ok = worst <= 1e-3 and t.elapsed < limit
     _report(1, ok, f"max relative identity gap {worst:.2e} (tol 1e-3)", t.elapsed, limit)
@@ -65,7 +82,7 @@ def test_criterion_02_frostman_scaling():
         sups = []
         for lam in (100.0, 400.0):
             w = cached_weight(ALPHA_CANTOR, 6, lam)
-            sups.extend(s for (_, _, s) in rl.decade_sweep(w, 1.0 / lam))
+            sups.extend(s for (_, _, s) in decade_sweep(w, 1.0 / lam))
         factor = max(sups) / min(sups)
     ok = factor < 2.0 and t.elapsed < limit
     _report(2, ok, f"decade-sup spread {factor:.3f} (tol < 2)", t.elapsed, limit)
@@ -73,10 +90,10 @@ def test_criterion_02_frostman_scaling():
     assert t.elapsed < limit
 
 
-def test_criterion_03_kernel_decay():
+def test_criterion_03_kernel_decay(tmp_path):
     limit = 120.0
     with _Timer() as t:
-        consts = {lam: rl.kernel_decay_constant(cached_kernel(lam))
+        consts = {lam: _cli(tmp_path, "kernel", x_max=1, **{"lambda": lam})[0]["decay_constant"]
                   for lam in (50.0, 100.0, 200.0)}
         factor = max(consts.values()) / min(consts.values())
     ok = factor < 2.0 and t.elapsed < limit
@@ -95,7 +112,7 @@ def test_criterion_04_spherical_correctness():
         for s in (10.0, 50.0):
             h = 5e-4
             r = np.arange(0.1, 2.0, h)
-            v = rl.phi_s_radial(s, r)
+            v = phi_s_radial(s, r)
             lap = ((v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
                    + (v[2:] - v[:-2]) / (2 * h) / np.tanh(r[1:-1]))
             worst_resid = max(worst_resid,
@@ -103,13 +120,14 @@ def test_criterion_04_spherical_correctness():
                                     / (0.25 + s * s)))
             for xx in (0.3, 1.2):
                 g = rl.GroupElement.diag_flow(xx)
-                worst_weyl = max(worst_weyl, abs(rl.phi_s(s, g) - rl.phi_s(-s, g)))
+                worst_weyl = max(worst_weyl, abs(phi_s(s, g) - phi_s(-s, g)))
         # transform roundtrip at the spectral center
         k = cached_kernel(100.0)
         worst_rt = 0.0
         for s in (99.0, 100.0, 101.0):
             fwd = hc_forward(k.radial, s, support_radius=k.support_radius + 0.05)
-            worst_rt = max(worst_rt, abs(fwd - k.h0_squared(s)) / k.h0_squared(s))
+            h0_sq = _h0_squared(k.lam, s)
+            worst_rt = max(worst_rt, abs(fwd - h0_sq) / h0_sq)
     ok = (worst_resid <= 1e-4 and worst_weyl <= 1e-10 and worst_rt <= 1e-5
           and t.elapsed < limit)
     _report(4, ok, f"eigen residual {worst_resid:.2e} (tol 1e-4), "
@@ -171,49 +189,55 @@ def test_criterion_06_amplifier():
     assert t.elapsed < limit
 
 
-def test_criterion_07_rapid_decay_contrast():
+def test_criterion_07_rapid_decay_contrast(tmp_path):
+    # the default lambda = 100 and the ladder's 200 and 400, all at depth 8:
+    # at alpha = 0.9 a Cantor cell r^8 = 2.1e-3 resolves 1/lam up to lam = 474
     limit = 600.0
-    lam = 100.0
     with _Timer() as t:
-        w = cached_weight(0.9, 8, lam)
-        t_star, shears = rl.integrals.rapid_decay_shears(
-            lam, lam ** 0.5, epsilon0=0.1, t_factors=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
-        rows, contrast = rl.rapid_decay_experiment(
-            cached_kernel(lam), rl.TestWindow(), w, beta=lam ** 0.5, shears=shears)
-        assert all(r["converged"] for r in rows[:2])
-    ok = contrast <= 1e-3 and t.elapsed < limit
-    _report(7, ok, f"far/near contrast {contrast:.2e} at t = 4 x {t_star:.3f} "
-            f"(tol 1e-3)", t.elapsed, limit)
-    assert contrast <= 1e-3
+        runs = {lam: _cli(tmp_path, "rapid-decay", **{"lambda": lam})
+                for lam in (100.0, 200.0, 400.0)}
+        for _, rows in runs.values():
+            assert all(r["converged"] == "True" for r in rows[:2])
+    summary = runs[100.0][0]
+    contrasts = {lam: s["contrast"] for lam, (s, _) in runs.items()}
+    ok = (all(s["contrast_ok"] for s, _ in runs.values())
+          and max(contrasts.values()) <= 1e-3 and t.elapsed < limit)
+    ladder = ", ".join(f"{c:.2e} at lam = {lam:g}" for lam, c in contrasts.items())
+    _report(7, ok, f"far/near contrast {summary['contrast']:.2e} at t = 4 x "
+            f"{summary['threshold_t']:.3f} (tol 1e-3); ladder {ladder}", t.elapsed, limit)
+    assert max(contrasts.values()) <= 1e-3
+    assert all(s["contrast_ok"] for s, _ in runs.values())
     assert t.elapsed < limit
 
 
-def test_criterion_08_beta_scaling_slope():
+def test_criterion_08_beta_scaling_slope(tmp_path):
+    # the default lambda = 100 and the ladder's 200 and 400, as criterion 7
     limit = 900.0
-    lam, alpha = 100.0, 0.9
+    alpha = 0.9
     with _Timer() as t:
-        w = cached_weight(alpha, 8, lam)
-        betas = [lam ** e for e in (0.3, 0.4, 0.5, 0.6)]
-        rows, slope, _ = rl.beta_scaling_experiment(
-            cached_kernel(lam), rl.TestWindow(), w, betas)
-        assert all(np.isfinite(r["normalized"]) for r in rows)
+        runs = {lam: _cli(tmp_path, "beta-scaling", **{"lambda": lam})
+                for lam in (100.0, 200.0, 400.0)}
+        normalized = [float(r["normalized"]) for _, rows in runs.values() for r in rows]
+        assert all(np.isfinite(normalized))
     target = -(alpha - 0.5) + 0.15
-    ok = slope <= target and t.elapsed < limit
-    _report(8, ok, f"fitted slope {slope:.3f} <= {target:.2f}", t.elapsed, limit)
-    assert slope <= target
+    slopes = {lam: s["slope"] for lam, (s, _) in runs.items()}
+    band = max(normalized) / min(normalized)
+    ok = (max(slopes.values()) <= target and all(s["slope_ok"] for s, _ in runs.values())
+          and band < 2.0 and t.elapsed < limit)
+    ladder = ", ".join(f"{v:.3f} at lam = {lam:g}" for lam, v in slopes.items())
+    _report(8, ok, f"fitted slope {slopes[100.0]:.3f} <= {target:.2f}; ladder {ladder};"
+            f" normalized {min(normalized):.3f}-{max(normalized):.3f}"
+            f" (band {band:.3f}, tol < 2)", t.elapsed, limit)
+    assert max(slopes.values()) <= target
+    assert all(s["slope_ok"] for s, _ in runs.values())
+    assert band < 2.0
     assert t.elapsed < limit
 
 
-def test_criterion_09_sharpness_exponent():
+def test_criterion_09_sharpness_exponent(tmp_path):
     limit = 300.0
     with _Timer() as t:
-        mu = rl.make_cantor_measure(0.7, 8)
-        ell = rl.SphereGeodesic.equator()
-        pairs = []
-        for l in (64, 128, 256, 512):
-            mode = rl.SphereMode("highest_weight", l)
-            pairs.append((mode.lam, rl.restriction_norm(mode, ell, mu)))
-        slope, _ = rl.fit_exponent(pairs)
+        slope = _cli(tmp_path, "restrict")[0]["fit_exponent"]
     ok = abs(slope - 0.25) <= 0.03 and t.elapsed < limit
     _report(9, ok, f"restriction growth exponent {slope:.4f} (0.25 +- 0.03)",
             t.elapsed, limit)
@@ -221,30 +245,31 @@ def test_criterion_09_sharpness_exponent():
     assert t.elapsed < limit
 
 
-def test_criterion_10_tube_norm_ratio():
+def test_criterion_10_tube_norm_ratio(tmp_path):
     limit = 1200.0
     with _Timer() as t:
-        degrees = (64, 128, 256, 512)
-        modes = [rl.SphereMode("highest_weight", l) for l in degrees]
-        spreads = {}
-        for alpha in (0.7, 0.9):
-            mu = rl.make_cantor_measure(alpha, 8)
-            rows, spread = rl.theorem_ratio_table(modes, mu, alpha)
-            spreads[alpha] = spread
+        spreads = {alpha: _cli(tmp_path, "theorem3", alpha=alpha,
+                               degrees=[64, 128, 256, 512])[0]["ratio_spread"]
+                   for alpha in (0.7, 0.9)}
     ok = all(s <= 4.0 for s in spreads.values()) and t.elapsed < limit
     _report(10, ok, f"ratio spreads {spreads} (tol <= 4)", t.elapsed, limit)
     assert all(s <= 4.0 for s in spreads.values())
     assert t.elapsed < limit
 
 
-def test_criterion_11_exponent_tables():
+def test_criterion_11_exponent_tables(tmp_path):
     limit = 1.0
     with _Timer() as t:
-        assert rl.delta_exponent(Fraction(1)) == Fraction(1, 28)
+        # n_alpha = 200 puts alpha on k/100; delta and marshall fill the rows
+        # of (1/2, 1], the 50 points 51/100 .. 1
+        summary, rows = _cli(tmp_path, "exponents", n_alpha=200)
+        assert summary["delta_at_1"] == "1/28"
         grid = [Fraction(1, 2) + Fraction(k, 100) for k in range(1, 51)]
-        for alpha in grid:
-            gap = rl.delta_exponent(alpha) - rl.marshall_exponent(alpha)
-            assert gap > 0 or (alpha == 1 and gap == 0)
+        assert [Fraction(r["alpha"]) for r in rows if r["delta"]] == grid
+        for r in rows:
+            if r["delta"]:
+                gap = Fraction(r["delta"]) - Fraction(r["marshall"])
+                assert gap > 0 or (Fraction(r["alpha"]) == 1 and gap == 0)
         eps = Fraction(1, 10 ** 12)
         c_half = (rl.gamma_exponent(Fraction(1, 2)) ==
                   rl.gamma_exponent(Fraction(1, 2) + eps) == Fraction(1, 4))
@@ -268,11 +293,11 @@ def test_criterion_12_hyperbolic_power_saving_not_desk_reproducible():
     from restrictlab.modes import delta_exponent
     for alpha in (0.6, 0.75, 0.9, 1.0):
         lam = 257.0
-        beta = rl.optimal_bandwidth(lam, alpha)
+        beta = optimal_bandwidth(lam, alpha)
         e1 = 0.25 - (alpha - 0.5) / 2.0 * np.log(beta) / np.log(lam)
         e2 = 5.0 / 24.0 + np.log(beta) / 24.0 / np.log(lam)
         assert abs(e1 - e2) <= 1e-12
         assert abs(e1 - (0.25 - float(delta_exponent(alpha)))) <= 1e-12
-        assert rl.optimal_amplifier_length(lam, beta) > 1.0
+        assert optimal_amplifier_length(lam, beta) > 1.0
     _report(12, True, "covered property-wise by criteria 5-8; exponent "
             "bookkeeping of the combination verified exactly", 0.0, 1.0)

@@ -81,7 +81,9 @@ def test_explicit_flags_win_over_config_file(tmp_path, capsys, monkeypatch):
     {"params": [1]},
     {"params": "alpha=0.5"},
     {"out": 3},
-], ids=["seed-str", "seed-bool", "seed-float", "params-list", "params-str", "out-int"])
+    {"seed": -3},
+], ids=["seed-str", "seed-bool", "seed-float", "params-list", "params-str", "out-int",
+        "seed-negative"])
 def test_load_config_rejects_bad_file_fields(tmp_path, capsys, content):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"experiment": "measure", **content}))
@@ -89,6 +91,13 @@ def test_load_config_rejects_bad_file_fields(tmp_path, capsys, content):
         cli.load_config(path=str(p))
     assert cli.main(["measure", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    # refused by the config, before the output directory is made
+    assert cli.main(["amplifier", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
@@ -555,13 +564,18 @@ def _fuzzed_run(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_fuzzed_run())
-def test_cli_fuzz_exit_codes_and_strict_json(tmp_path, capsys, run):
+@given(_fuzzed_run(), st.one_of(st.none(), _INTS))
+def test_cli_fuzz_exit_codes_and_strict_json(tmp_path, capsys, run, seed):
     experiment, params = run
     argv = [experiment, "--out", str(tmp_path)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
     for key, val in params.items():
         argv += ["-p", f"{key}={json.dumps(val)}"]
-    rc = cli.main(argv)
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:   # argparse refuses a seed that is not an integer
+        rc = e.code
     out = capsys.readouterr().out
     assert rc in (0, 2, 3, 4)
     if out:

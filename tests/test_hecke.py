@@ -15,7 +15,7 @@ from restrictlab.geometry import dist_to_diag, dist_to_identity
 from restrictlab.hecke import (_entry_bound, _mul_std, _order_box, _scan_norm_form,
                                conjugated_element, hilbert_symbol, is_squarefree)
 
-from conftest import cached_algebra
+from conftest import cached_algebra, optimal_amplifier_length, optimal_bandwidth
 
 coord = st.integers(min_value=-50, max_value=50)
 coords4 = st.tuples(coord, coord, coord, coord)
@@ -26,6 +26,13 @@ coords4 = st.tuples(coord, coord, coord, coord)
 
 def _conj_std(x):
     return (x[0], -x[1], -x[2], -x[3])
+
+
+def std_scaled(alg, coords) -> tuple:
+    """den * (standard coordinates) of the element with order coordinates
+    coords, exact integers."""
+    v = np.asarray(coords, dtype=object)
+    return tuple(int(x) for x in (alg._C @ v))
 
 
 def order_coords_from_std(alg, std, scale: int = 1) -> tuple:
@@ -46,7 +53,7 @@ class QuatElement:
     coords: tuple
 
     def std_scaled(self) -> tuple:
-        return self.algebra.std_scaled(self.coords)
+        return std_scaled(self.algebra, self.coords)
 
     def nrd(self) -> int:
         num = self.algebra.nrd_std_scaled(self.std_scaled())
@@ -140,7 +147,7 @@ def left_equivalent(alg, x: tuple, y: tuple, n: int) -> bool:
     u = y conj(x) / n; membership in the order is a divisibility check, and
     nrd(u) = 1 is automatic when nrd(x) = nrd(y) = n.
     """
-    p = _mul_std(alg.std_scaled(y), _conj_std(alg.std_scaled(x)), alg.a, alg.b)
+    p = _mul_std(std_scaled(alg, y), _conj_std(std_scaled(alg, x)), alg.a, alg.b)
     try:
         order_coords_from_std(alg, p, scale=n * alg._den ** 2)
         return True
@@ -652,12 +659,12 @@ def test_parameter_choice_balances_exponents():
     from restrictlab.modes import delta_exponent
     for alpha in (0.6, 0.75, 0.9, 1.0):
         lam = 137.0
-        beta = rl.optimal_bandwidth(lam, alpha)
+        beta = optimal_bandwidth(lam, alpha)
         e1 = 0.25 * np.log(lam) - (alpha - 0.5) / 2.0 * np.log(beta)
         e2 = 5.0 / 24.0 * np.log(lam) + np.log(beta) / 24.0
         assert e1 == pytest.approx(e2, abs=1e-12)
         assert e1 / np.log(lam) == pytest.approx(0.25 - delta_exponent(alpha), abs=1e-12)
-        assert rl.optimal_amplifier_length(lam, beta) == pytest.approx(
+        assert optimal_amplifier_length(lam, beta) == pytest.approx(
             lam ** (1 / 6) * beta ** (-1 / 6))
 
 

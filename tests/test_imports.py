@@ -1,9 +1,11 @@
 """Import structure of the package: restrictlab modules import each other at
-module top only, `measures` does not depend on `frequency`, and no module
+module top only, the couplings that were dropped stay dropped, and no module
 imports scipy."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "restrictlab"
 
@@ -22,10 +24,12 @@ def test_no_relative_import_inside_a_function():
     assert found == []
 
 
-def test_measures_does_not_import_frequency():
-    found = [node.lineno for node in ast.walk(_tree("measures.py"))
+@pytest.mark.parametrize("module,imported", [
+    ("measures", "frequency"), ("spherical", "geometry"), ("measures", "sampling")])
+def test_module_does_not_import(module, imported):
+    found = [node.lineno for node in ast.walk(_tree(f"{module}.py"))
              if isinstance(node, ast.ImportFrom) and node.level > 0
-             and (node.module or "").split(".")[0] == "frequency"]
+             and (node.module or "").split(".")[0] == imported]
     assert found == []
 
 

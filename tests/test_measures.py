@@ -4,8 +4,8 @@ import pytest
 import restrictlab as rl
 from restrictlab.errors import DomainError, GridMismatchError, ResourceError
 
-from conftest import (ALPHA_CANTOR, cached_bump, cached_weight, l2_weighted_norm,
-                      uniform_weight, weighted_energy)
+from conftest import (ALPHA_CANTOR, cached_bump, cached_weight, decade_sweep,
+                      l2_weighted_norm, uniform_weight, weighted_energy)
 
 
 def standard_test_functions(grid: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -263,7 +263,7 @@ def test_build_weight_mass_stable_in_lambda():
 
 def test_build_weight_frostman_sweep_single_lambda():
     w = cached_weight(ALPHA_CANTOR, 6, 100.0)
-    sups = [s for (_, _, s) in rl.decade_sweep(w, 1.0 / 100.0)]
+    sups = [s for (_, _, s) in decade_sweep(w, 1.0 / 100.0)]
     assert max(sups) / min(sups) < 2.0
 
 

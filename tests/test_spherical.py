@@ -6,14 +6,15 @@ import mpmath
 import numpy as np
 import pytest
 
+import conftest
 import restrictlab as rl
 from restrictlab import frequency, spherical
 from restrictlab.errors import DomainError
 from restrictlab.sampling import convolve_valid, dft_head, even_table, smooth_length
-from restrictlab.spherical import (SPECTRAL_TRUNCATION, _circle_mean, _h_profile,
-                                   _phi_integrand_nodes, phi_s_radial)
+from restrictlab.spherical import SPECTRAL_TRUNCATION, _circle_mean, _h0_squared, _h_profile
 
-from conftest import cached_kernel, cubic_spline_table, hc_forward, masked_even_table
+from conftest import (_phi_integrand_nodes, cached_kernel, cubic_spline_table, hc_forward,
+                      masked_even_table, phi_s, phi_s_radial)
 
 
 def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
@@ -100,7 +101,7 @@ def asymptotic_check(lam: float, x_range=(0.5, 2.0)):
 
 def test_phi_at_identity_is_one():
     for s in (0.0, 3.7, 50.0):
-        v = rl.phi_s(s, rl.GroupElement.identity())
+        v = phi_s(s, rl.GroupElement.identity())
         assert v.real == pytest.approx(1.0, abs=1e-12)
         assert abs(v.imag) <= 1e-12
 
@@ -108,23 +109,23 @@ def test_phi_at_identity_is_one():
 @pytest.mark.parametrize("s,x", [(10.0, 0.4), (50.0, 1.1)])
 def test_phi_weyl_symmetry_and_realness(s, x):
     g = rl.GroupElement.diag_flow(x)
-    vp = rl.phi_s(s, g)
-    vm = rl.phi_s(-s, g)
+    vp = phi_s(s, g)
+    vm = phi_s(-s, g)
     assert abs(vp - vm) <= 1e-10
     assert abs(vp.imag) <= 1e-10
 
 
 def test_phi_nonconvergence_error(monkeypatch):
     from restrictlab.errors import NonConvergenceError
-    monkeypatch.setattr(rl.spherical, "PHI_MAX_NODES", 256)
+    monkeypatch.setattr(conftest, "PHI_MAX_NODES", 256)
     with pytest.raises(NonConvergenceError):
-        rl.phi_s(200.0, rl.GroupElement.diag_flow(1.5))
+        phi_s(200.0, rl.GroupElement.diag_flow(1.5))
 
 
 def test_phi_legendre_oracle():
     # independent integral representation via mpmath's Legendre function
     s, x = 5.0, 0.3
-    mine = rl.phi_s(s, rl.GroupElement.diag_flow(x))
+    mine = phi_s(s, rl.GroupElement.diag_flow(x))
     ref = complex(mpmath.legenp(-0.5 + 1j * s, 0, mpmath.cosh(x)))
     assert abs(mine - ref) <= 1e-8
 
@@ -178,7 +179,7 @@ def test_kernel_positive_at_origin(kernel100):
     # k(e) = int h0^2 d(plancherel) > 0
     assert kernel100.values[0] > 0
     assert kernel100.values[0] == pytest.approx(
-        hc_inverse(kernel100.h0_squared, 0.0,
+        hc_inverse(lambda s: _h0_squared(kernel100.lam, s), 0.0,
                    truncation=kernel100.lam + SPECTRAL_TRUNCATION), rel=1e-6)
 
 
@@ -187,7 +188,7 @@ def test_kernel_table_matches_direct_inverse(kernel100):
     # against a direct per-point inverse transform
     T = kernel100.lam + SPECTRAL_TRUNCATION
     for x in (0.02, 0.05, 0.11):
-        direct = hc_inverse(kernel100.h0_squared, x, truncation=T)
+        direct = hc_inverse(lambda s: _h0_squared(kernel100.lam, s), x, truncation=T)
         assert kernel100.radial(x) == pytest.approx(direct, rel=1e-5, abs=1e-4)
 
 
@@ -196,7 +197,7 @@ def test_kernel_roundtrip(kernel100):
     for s in (lam - 1.0, lam, lam + 1.0):
         fwd = hc_forward(kernel100.radial, s,
                          support_radius=kernel100.support_radius + 0.05)
-        assert fwd == pytest.approx(kernel100.h0_squared(s), rel=1e-5)
+        assert fwd == pytest.approx(_h0_squared(lam, s), rel=1e-5)
 
 
 def test_kernel_table_shape(kernel100):
@@ -207,7 +208,7 @@ def test_kernel_table_shape(kernel100):
 
 def test_kernel_spectral_nonnegativity(kernel100):
     s = np.linspace(0, kernel100.lam * 2, 10001)
-    assert kernel100.h0_squared(s).min() >= 0.0
+    assert _h0_squared(kernel100.lam, s).min() >= 0.0
 
 
 def test_kernel_support_vanishing(kernel100):
