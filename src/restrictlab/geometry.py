@@ -33,6 +33,8 @@ class GroupElement:
         m = np.ascontiguousarray(self.m, dtype=float)
         if m.shape != (2, 2):
             raise DomainError("GroupElement needs a 2x2 matrix")
+        if not np.isfinite(m).all():
+            raise DomainError(f"GroupElement entries must be finite, got {m.tolist()}")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if det <= 0:
             raise DomainError(f"determinant must be positive, got {det}")

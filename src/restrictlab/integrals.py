@@ -47,29 +47,31 @@ ROW_CHUNK = 64   # rows whose band rectangle is evaluated together
 BAND_BUDGET = 1 << 30   # band-rectangle cells of one eval_I_pair
 
 
-def _pair_dist(e1: np.ndarray, r2: np.ndarray, i2: np.ndarray) -> np.ndarray:
-    """d(e1 i, r2 + i i2), elementwise."""
-    di = i2 - e1
-    return 2.0 * np.arcsinh(np.sqrt(r2 * r2 + di * di) / (2.0 * np.sqrt(e1 * i2)))
+def _reach(x_step: float) -> float:
+    """Radius past which a kernel of radial step x_step is exactly 0."""
+    return SphericalKernel.support_radius + 2 * x_step
+
+
+def _band_form(m: np.ndarray, x: np.ndarray):
+    """(t, A, B, C): t = e^x and, per row x1 of x, the Gram matrix [[A, C], [C, B]]
+    of a(-x1) g's columns, g = m of det 1: A = a^2/t1 + c^2 t1, B = b^2/t1 + d^2 t1,
+    C = ab/t1 + cd t1, AB - C^2 = 1.  So 2 cosh d(a(x1) i, g a(x2) i) = A t2 + B / t2
+    (= ||a(-x1) g a(x2)||_F^2) and sinh^2(d/2) = (sqrt(A) t2 - sqrt(B))^2 / (4 t2)
+    + C^2 / (2 (sqrt(AB) + 1)), two terms >= 0: d stays accurate near 0."""
+    (a, b), (c, d) = m
+    t = np.exp(x)
+    return t, a * a / t + c * c * t, b * b / t + d * d * t, a * b / t + c * d * t
 
 
 def _row_bands(m: np.ndarray, x: np.ndarray, h: float, supp: float):
     """Per row i of the uniform grid x (step h), a column interval [lo, hi]
     that contains every j with d(a(x_i) i, g a(x_j) i) <= supp (hi < lo when
-    there is none).
-
-    With det g = 1, 2 cosh d = ||a(-x1) g a(x2)||_F^2 = A t + B / t with
-    t = e^(x2), A = a^2 e^(-x1) + c^2 e^(x1) and B = b^2 e^(-x1) + d^2 e^(x1),
-    so the band is the root interval of A t^2 - C t + B <= 0, C = 2 cosh(supp),
-    widened by one column on each side against rounding.
-    """
-    (a, b), (c, d) = m
-    ex = np.exp(x)
-    A = a * a / ex + c * c * ex
-    B = b * b / ex + d * d * ex
-    C = 2.0 * np.cosh(supp)
-    disc = C * C - 4.0 * A * B
-    root = C + np.sqrt(np.maximum(disc, 0.0))
+    there is none): the root interval in t = e^(x_j) of A t^2 - K t + B <= 0,
+    K = 2 cosh(supp), widened by one column on each side against rounding."""
+    _, A, B, _ = _band_form(m, x)
+    K = 2.0 * np.cosh(supp)
+    disc = K * K - 4.0 * A * B
+    root = K + np.sqrt(np.maximum(disc, 0.0))
     # the stable roots t- = 2B / root and t+ = root / (2A), as grid columns
     lo = np.ceil((np.log(2.0 * B / root) - x[0]) / h) - 1
     hi = np.floor((np.log(root / (2.0 * A)) - x[0]) / h) + 1
@@ -91,18 +93,13 @@ def check_band_budget(g: GroupElement, x: np.ndarray, h: float, x_step: float):
     even row `first`; row first + i starts at the even column start[i] at or
     before its `_row_bands` interval, and chunk c's rows are widths[c] wide,
     enough for all of its intervals.  None when no row has a band or g = +-e,
-    whose Toeplitz sum has no band: it is one FFT convolution of length
-    about 1.07 times the window grid, under 1.7 measures.GRID_BUDGET (see
-    `_toeplitz_sums`), so the weight's grid budget bounds it.
-    ResourceError past BAND_BUDGET cells.
-    """
+    whose Toeplitz sum the weight's grid budget bounds (see `_toeplitz_sums`).
+    ResourceError past BAND_BUDGET cells."""
     if _is_central(g):
         return None
-    supp = SphericalKernel.support_radius + 2 * x_step
-    # a huge shear overflows A or B in _row_bands; a row whose A or B
-    # overflows has an empty band
+    # a huge shear overflows A or B: that row's band is empty
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lo, hi = _row_bands(g.m, x, h, supp)
+        lo, hi = _row_bands(g.m, x, h, _reach(x_step))
     filled = np.flatnonzero(hi >= lo)
     if filled.size == 0:
         return None
@@ -133,8 +130,7 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     When u1 is u2 the sums are Hermitian forms of a real symmetric matrix,
     real but for the FFT's rounding, and their real parts are returned.
     """
-    supp = kernel.support_radius + 2 * kernel.x_step
-    lag = h * np.arange(min(int(supp / h), u2.size - 1) + 1)
+    lag = h * np.arange(min(int(_reach(kernel.x_step) / h), u2.size - 1) + 1)
     k = kernel.radial(lag)
 
     def convolved(v1, v2, k, h):
@@ -154,13 +150,13 @@ def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     """(full, half): h^2 sum over the grid of conj(u1(x1)) u2(x2)
     k(d(g a(x2) i, a(x1) i)), and the same sum on the grid's even entries.
 
-    Each row chunk of `check_band_budget` is one dense rectangle of pairs.
-    k is exactly 0 past its table's last knot, the first node past the
-    support, so pairs outside the bands add nothing.  Chunks start on even
-    rows and rows on even columns, so the half sum takes the rectangles'
-    even entries.  Each chunk is summed in a fixed order, so results are
-    reproducible.  For g = +-e the matrix is Toeplitz and `_toeplitz_sums`
-    takes over.
+    Each row chunk of `check_band_budget` is one dense rectangle of pairs,
+    measured by `_band_form`.  k is exactly 0 past its table's last knot,
+    so pairs outside the bands add nothing.  Chunks start on even rows and
+    rows on even columns, so the half sum takes the rectangles' even
+    entries, each summed in a fixed order.  For g = +-e the matrix is
+    Toeplitz and `_toeplitz_sums` takes over; for a^2 = d^2 (a shear, a
+    rotation) it is symmetric, so for u1 is u2 the real parts are returned.
     """
     if _is_central(g):
         return _toeplitz_sums(kernel, u1, u2, h)
@@ -168,21 +164,23 @@ def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     if bands is None:
         return 0j, 0j
     first, start, widths = bands
-    a, b, c, d = g.m.ravel()
-    ex = np.exp(x)
-    # past the grid's end, z2 = i keeps the distance finite and u2 = 0
+    real = u1 is u2 and g.m[0, 0] ** 2 == g.m[1, 1] ** 2
+    t, A, B, C = _band_form(g.m, x)
+    p, q, e = np.sqrt(A) / 2, np.sqrt(B) / 2, C * C / (2 * (np.sqrt(A * B) + 1))
+    # past the grid's end, t = 1 keeps the distance finite and u2 = 0
     pad = (0, int(widths.max()))
-    z2 = np.pad((a * 1j * ex + b) / (c * 1j * ex + d), pad, constant_values=1j)
-    r2, i2, u2 = z2.real, z2.imag, np.pad(u2, pad)
+    t, u2 = np.pad(t, pad, constant_values=1.0), np.pad(u2, pad)
     full = half = 0j
     for c0, width in zip(range(0, start.size, ROW_CHUNK), widths):
         cols = start[c0:c0 + ROW_CHUNK, None] + np.arange(width)
         rows = slice(first + c0, first + c0 + cols.shape[0])
-        dist = _pair_dist(ex[rows, None], r2[cols], i2[cols])
-        terms = kernel.radial(dist) * u2[cols]
+        tc = t[cols]
+        s = np.square(p[rows, None] * tc - q[rows, None]) / tc + e[rows, None]
+        terms = kernel.radial(2.0 * np.arcsinh(np.sqrt(s))) * u2[cols]
         full += np.conj(u1[rows]) @ terms.sum(axis=1)
         half += np.conj(u1[rows][::2]) @ terms[::2, ::2].sum(axis=1)
-    return full * h * h, half * (2 * h) * (2 * h)
+    full, half = full * h * h, half * (2 * h) * (2 * h)
+    return (complex(full.real), complex(half.real)) if real else (full, half)
 
 
 def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
@@ -323,9 +321,10 @@ def rapid_decay_shears(lam: float, beta: float, epsilon0: float, t_factors):
     shears = []
     for fac in sorted(t_factors):
         t = fac * t_star
-        # a huge t overflows inside dist_to_diag; the check below refuses it
+        # a huge t overflows in dist_to_diag, t = inf makes no GroupElement: both are refused
         with np.errstate(over="ignore", invalid="ignore"):
-            d_A, _, flagged = dist_to_diag(GroupElement.lower_shear(t)) if t > 0 else (0.0, 0.0, False)
+            d_A, _, flagged = (dist_to_diag(GroupElement.lower_shear(t)) if 0 < abs(t) < np.inf
+                               else (abs(t), 0.0, False))
         if flagged or not np.isfinite(d_A):
             raise DomainError(f"shear t = {t} = {fac} t* is too large for the distance"
                               " to the diagonal subgroup")

@@ -249,6 +249,17 @@ def test_group_axioms():
         assert abs(np.linalg.det(g.m) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_group_element_refuses_nonfinite_entries(entry):
+    # an infinite shear has det = 1 - 0 * inf = NaN, which a det <= 0 check
+    # lets through; the entries are refused before the determinant, so no
+    # RuntimeWarning is raised either
+    with pytest.raises(DomainError, match="finite"):
+        rl.GroupElement.lower_shear(entry)
+    with pytest.raises(DomainError, match="finite"):
+        rl.GroupElement(np.array([[1.0, entry], [0.0, 1.0]]))
+
+
 def test_projective_sign_canonical():
     m = np.array([[1.2, 0.3], [0.1, (1 + 0.3 * 0.1) / 1.2]])
     g1 = rl.GroupElement(m)

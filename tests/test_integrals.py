@@ -157,6 +157,30 @@ def test_banded_sum_matches_dense(kernel100, name, grid):
     _assert_agree(half, dense_half, 4 * h * h * np.abs(u[::2]).sum() ** 2)
 
 
+@pytest.mark.parametrize("name", ["shear0.01", "shear0.5", "diag_rot", "norm12"])
+def test_band_form_matches_moebius_distance(name):
+    # the closed form against the complex Moebius image it replaced, on a
+    # 64 x 64 sample of cells, most within 0.75 of the diagonal: cosh d from
+    # (A t2 + B / t2) / 2, and sinh^2(d/2) from the sum of two squares that
+    # the banded sum evaluates, both within 1e-12 relative
+    _, x, _ = _oracle_inputs("full")
+    g = _oracle_element(name)
+    t, A, B, C = integrals._band_form(g.m, x)
+    assert np.allclose(A * B - C * C, 1.0, rtol=0, atol=1e-12 * (A * B).max())
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, x.size, 64)
+    cols = np.clip(rows[:, None] + rng.integers(-600, 601, (64, 64)), 0, x.size - 1)
+    cols[:, :8] = rng.integers(0, x.size, (64, 8))
+    p, q, e = np.sqrt(A) / 2, np.sqrt(B) / 2, C * C / (2 * (np.sqrt(A * B) + 1))
+    for i, row in zip(rows, cols):
+        for j in row:
+            d = rl.dist_hyp(1j * np.exp(x[i]), rl.act(g, 1j * np.exp(x[j])))
+            cosh = 0.5 * (A[i] * t[j] + B[i] / t[j])
+            assert abs(cosh - np.cosh(d)) <= 1e-12 * np.cosh(d)
+            sinh2 = (p[i] * t[j] - q[i]) ** 2 / t[j] + e[i]
+            assert abs(sinh2 - np.sinh(d / 2) ** 2) <= 1e-12 * np.sinh(d / 2) ** 2
+
+
 def test_banded_sum_far_element_is_exactly_zero(kernel100):
     # a(8) moves every window point about 8 away: no row has an in-band pair
     u, x, h = _oracle_inputs("full")
@@ -282,14 +306,15 @@ def test_toeplitz_sums_match_direct_convolution(lam):
 
 
 def test_quadratic_sum_at_identity_is_exactly_real(kernel100):
-    # a Hermitian form of a real symmetric Toeplitz matrix: its rounding-level
-    # imaginary part is not reported
+    # a Hermitian form of a real symmetric matrix, Toeplitz at +-e and banded
+    # at a shear or a rotation (a^2 = d^2): its rounding-level imaginary part
+    # is not reported
     _, _, _, f = _phi_w_sampled(100.0)
     u = _window_values(rl.TestWindow(), f)
-    for name in ("e", "-e"):
-        full, half = _bilinear_sums(kernel100, u, u, f.grid(), f.grid_step,
-                                    _oracle_element(name))
-        assert full.imag == 0.0 and half.imag == 0.0
+    for g in (*map(_oracle_element, ("e", "-e", "shear0.01", "shear0.5")),
+              rl.GroupElement.rotation(0.387)):
+        full, half = _bilinear_sums(kernel100, u, u, f.grid(), f.grid_step, g)
+        assert full.imag == 0.0 and half.imag == 0.0 and full.real != 0
     rep = rl.eval_I(kernel100, rl.TestWindow(), f, rl.GroupElement.identity())
     assert rep.value.imag == 0.0 and rep.value.real != 0
 
@@ -558,6 +583,15 @@ def test_rapid_decay_monotone_trend(kernel100):
     near = vals[1:3]
     far = vals[4:]
     assert np.median(far) <= np.median(near)
+
+
+def test_rapid_decay_shears_negative_factor_keeps_its_distance():
+    # conjugation by diag(1, -1) maps exp(tE) to exp(-tE) and fixes A, so a
+    # negative shear is as far from A as its mirror; t = 0 is on A
+    _, shears = integrals.rapid_decay_shears(100.0, 10.0, 0.1, (-1.0, 0.0, 1.0))
+    (_, t_neg, d_neg), (_, _, d_0), (_, t_pos, d_pos) = shears
+    assert t_neg == -t_pos and d_0 == 0.0
+    assert d_neg == d_pos > 0
 
 
 def test_integral_report_row(kernel100):
