@@ -176,7 +176,10 @@ def _integral_setup(p: dict, shears=()):
     kernel is built."""
     lam, spw = p["lambda"], p["resolution_per_wavelength"]
     n_x, _ = spherical.check_kernel_budget(lam, 1.0)
-    nu = measures.make_cantor_measure(p["alpha"], p["depth"])
+    # the smallest depth from 8 up whose Cantor cells 2^(-depth / alpha) are
+    # at most 1/lam wide
+    depth = max(8, math.ceil(p["alpha"] * math.log2(lam)))
+    nu = measures.make_cantor_measure(p["alpha"], depth)
     h, n = measures.check_weight_budget(nu.atoms.size, lam, spw)
     # the window grid of the weight's grid -2 + h * arange(n + 1), and the
     # radial step of the kernel's n_x nodes on [0, 1]
@@ -367,7 +370,6 @@ def _run_dyadic(cfg):
 _INTEGRAL_RUN = {
     "lambda": (float, 100.0, lambda v: v >= 10),
     "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
-    "depth": (int, 8, lambda v: v >= 0),
     "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}
 
 # experiment name -> (runner, parameter schema), in the CLI's order.  A runner

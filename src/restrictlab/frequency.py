@@ -49,7 +49,8 @@ class BumpPair:
     the head of one length-DFT_LENGTH DFT.  hat(eta) is smooth with compact
     support, so the rule is exact to rounding wherever its first alias, at
     u = DFT_LENGTH TABLE_STEP, lies far past the table.  Beyond the last knot
-    the spatial tail is below tail_floor and eta is 0.
+    eta is 0; the tail dropped there is below eta's largest value over the
+    table's last 4 units, about 4e-15.
     """
 
     TABLE_MAX = ETA_REACH   # the weight's windows end where the table does
@@ -63,10 +64,8 @@ class BumpPair:
         dxi = 2.0 * np.pi / (self.DFT_LENGTH * self.TABLE_STEP)
         c = dxi * eta_hat(dxi * np.arange(int(1.0 / dxi) + 1))
         c[0] *= 0.5
-        u = self.TABLE_STEP * np.arange(n)
         vals = dft_head(c, self.DFT_LENGTH, n).real / np.pi
         self.eta = even_table(self.TABLE_STEP, vals)
-        self.tail_floor = float(np.abs(vals[u >= self.TABLE_MAX - 4.0]).max())
 
 
 def band_project(lam: float, beta: float, f: SampledFunction,

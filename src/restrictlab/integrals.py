@@ -122,8 +122,9 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     lag inside the support and the row sums are the `convolve_valid` of the
     symmetric lag profile (2m + 1 taps) with u2 zero-padded by m on each
     side; the half grid's lags are the even ones.  On the window grid of n
-    points the transform length smooth_length(n + 2m) is about 1.07 n
-    (1.11 n at lam = 1, where the kernel's node step widens the support).
+    points the transform length smooth_length(n + 2m) is about 1.08 n
+    (1.12 n at lam = 10, the least make_kernel accepts, where the kernel's
+    node step widens the support).
     The window grid spans 1.5 times the weight's, whose points GRID_BUDGET
     bounds, so the transform stays under 1.7 GRID_BUDGET, and below the
     4 n of band_project on the same grid: the existing budgets bound it.

@@ -190,12 +190,13 @@ def test_criterion_06_amplifier():
 
 
 def test_criterion_07_rapid_decay_contrast(tmp_path):
-    # the default lambda = 100 and the ladder's 200 and 400, all at depth 8:
-    # at alpha = 0.9 a Cantor cell r^8 = 2.1e-3 resolves 1/lam up to lam = 474
+    # the default lambda = 100 and the ladder's 200, 400 and 800; at alpha =
+    # 0.9 the derived depth is 8 (cells r^8 = 2.1e-3 resolve 1/lam up to
+    # lam = 474), and 9 at lam = 800
     limit = 600.0
     with _Timer() as t:
         runs = {lam: _cli(tmp_path, "rapid-decay", **{"lambda": lam})
-                for lam in (100.0, 200.0, 400.0)}
+                for lam in (100.0, 200.0, 400.0, 800.0)}
         for _, rows in runs.values():
             assert all(r["converged"] == "True" for r in rows[:2])
     summary = runs[100.0][0]
@@ -211,26 +212,40 @@ def test_criterion_07_rapid_decay_contrast(tmp_path):
 
 
 def test_criterion_08_beta_scaling_slope(tmp_path):
-    # the default lambda = 100 and the ladder's 200 and 400, as criterion 7
+    # the default lambda = 100 and the ladder's 200 to 3200, at the derived
+    # depths 8, 8, 8, 9, 10 and 11; each rung runs again at 16 samples per
+    # wavelength, which must agree with 8 as closely as `converged` claims
     limit = 900.0
     alpha = 0.9
+    ladder = (100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0)
     with _Timer() as t:
-        runs = {lam: _cli(tmp_path, "beta-scaling", **{"lambda": lam})
-                for lam in (100.0, 200.0, 400.0)}
+        runs = {lam: _cli(tmp_path, "beta-scaling", **{"lambda": lam}) for lam in ladder}
+        fine = {lam: _cli(tmp_path, "beta-scaling", **{"lambda": lam,
+                                                       "resolution_per_wavelength": 16})[1]
+                for lam in ladder}
         normalized = [float(r["normalized"]) for _, rows in runs.values() for r in rows]
         assert all(np.isfinite(normalized))
     target = -(alpha - 0.5) + 0.15
     slopes = {lam: s["slope"] for lam, (s, _) in runs.items()}
     band = max(normalized) / min(normalized)
+    # |I_8 - I_16| against |I_8| and against the error that rung 8 reports
+    gaps = {lam: [(abs(float(r["abs_I"]) - float(q["abs_I"])), float(r["abs_I"]),
+                   float(r["error"])) for r, q in zip(runs[lam][1], fine[lam], strict=True)]
+            for lam in ladder}
+    agree = all(d <= 0.01 * v for rows in gaps.values() for d, v, _ in rows)
+    honesty = ", ".join(f"{max(d / e for d, _, e in rows):.2f} at lam = {lam:g}"
+                        for lam, rows in gaps.items())
     ok = (max(slopes.values()) <= target and all(s["slope_ok"] for s, _ in runs.values())
-          and band < 2.0 and t.elapsed < limit)
-    ladder = ", ".join(f"{v:.3f} at lam = {lam:g}" for lam, v in slopes.items())
-    _report(8, ok, f"fitted slope {slopes[100.0]:.3f} <= {target:.2f}; ladder {ladder};"
+          and band < 2.0 and agree and t.elapsed < limit)
+    rungs = ", ".join(f"{v:.3f} at lam = {lam:g}" for lam, v in slopes.items())
+    _report(8, ok, f"fitted slope {slopes[100.0]:.3f} <= {target:.2f}; ladder {rungs};"
             f" normalized {min(normalized):.3f}-{max(normalized):.3f}"
-            f" (band {band:.3f}, tol < 2)", t.elapsed, limit)
+            f" (band {band:.3f}, tol < 2); |I_8 - I_16| <= 0.01 |I_8| {agree};"
+            f" max |I_8 - I_16| / error_8 {honesty}", t.elapsed, limit)
     assert max(slopes.values()) <= target
     assert all(s["slope_ok"] for s, _ in runs.values())
     assert band < 2.0
+    assert agree
     assert t.elapsed < limit
 
 

@@ -178,7 +178,7 @@ def test_resource_exit_code(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["kernel", "-p", "lambda=1e5", "-p", "x_max=0.01"],
-    ["integrals", "-p", "depth=0", "-p", "lambda=1e5"],
+    ["integrals", "-p", "lambda=1e5"],
 ])
 def test_spectral_nodes_exit_3(tmp_path, capsys, argv):
     # few radial nodes but more than TABLE_BUDGET spectral nodes: refused
@@ -202,16 +202,18 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_weight_work_budget_exit_code(tmp_path, capsys, monkeypatch):
-    # 2^22 atoms x 3201 grid points: refused at once instead of looping, and
-    # before the bump table is built; likewise the other weight-building runs,
-    # and a 3.2M-node kernel table, before the bump or the weight is built
+    # 256 atoms x 819,204 window points on a 1.6M-point grid: refused at once
+    # instead of looping, and before the bump table is built; likewise the
+    # other weight-building runs, and a 3.2M-node kernel table, before the bump
+    # or the weight is built
     builds = _count_calls(monkeypatch, BumpPair, "__init__")
     weights = _count_calls(monkeypatch, measures, "build_weight")
-    assert cli.main(["integrals", "-p", "depth=22", "--out", str(tmp_path)]) == 3
+    fine = ["-p", "resolution_per_wavelength=4096"]
+    assert cli.main(["integrals", *fine, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().out == ""
-    for argv in (["beta-scaling", "-p", "depth=22"], ["rapid-decay", "-p", "depth=22"],
+    for argv in (["beta-scaling", *fine], ["rapid-decay", *fine],
                  ["dyadic", "-p", "lambda=1e7"], ["dyadic", "-p", "lambda=20000"],
-                 ["integrals", "-p", "lambda=200000", "-p", "depth=0"]):
+                 ["integrals", "-p", "lambda=200000"]):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 3
         assert capsys.readouterr().out == ""
     assert builds == [] and weights == []
@@ -369,6 +371,8 @@ INVALID_PARAM_MESSAGES = {
     ("integrals", "alpha=0.1"): "Cantor atoms collide in floating point at alpha = 0.1,"
                                 " depth = 8: cells are r^depth = 8.27e-25 wide with"
                                 " r = 2^(-1/alpha) = 0.000976562",
+    **{(run, "depth=8"): "unknown parameter(s) ['depth']"
+       for run in ("integrals", "beta-scaling", "rapid-decay")},
 }
 
 
@@ -440,6 +444,10 @@ INVALID_PARAM_MESSAGES = {
     ("kernel", "h_width=0.05"),
     # r = 2^-10: at the default depth 8 the Cantor atoms collide in floats
     ("integrals", "alpha=0.1"),
+    # the integral runs derive their depth from lambda and alpha
+    ("integrals", "depth=8"),
+    ("beta-scaling", "depth=8"),
+    ("rapid-decay", "depth=8"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2
@@ -639,6 +647,8 @@ def _fuzzed_integral_run(draw):
 @example(("integrals", {"resolution_per_wavelength": 10 ** 400}))
 @example(("rapid-decay", {"epsilon0": 1000.0}))
 @example(("rapid-decay", {"t_factors": [0, 1e308]}))
+# the derived depth 15, 2^15 atoms, passes every budget
+@example(("integrals", {"lambda": 19000.0, "alpha": 1.0}))
 def test_integral_runs_fuzz_refuse_before_building(tmp_path, capsys, monkeypatch, run):
     # every draw is refused (rc 2 or 3, empty stdout) or reaches the bump, the
     # weight or the kernel, which are stubbed so the fuzz stays cheap
@@ -655,3 +665,30 @@ def test_integral_runs_fuzz_refuse_before_building(tmp_path, capsys, monkeypatch
         return
     assert rc in (2, 3)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("alpha, lam, depth", [
+    (0.9, 100.0, 8), (0.9, 400.0, 8), (0.9, 800.0, 9), (0.9, 1600.0, 10),
+    (0.9, 3200.0, 11), (0.9, 12800.0, 13),
+    # r^d = 1/lam exactly: 2^-9 = 1/512, and 2^(-8/0.8) = 1/1024
+    (1.0, 512.0, 9), (0.8, 1024.0, 8),
+])
+def test_integral_runs_derive_depth(tmp_path, monkeypatch, alpha, lam, depth):
+    # the Cantor depth is the smallest d >= 8 whose cells r^d = 2^(-d/alpha)
+    # are at most 1/lam wide
+    smallest = 8
+    while 2.0 ** (-smallest / alpha) > 1.0 / lam:
+        smallest += 1
+    assert smallest == depth
+    seen = []
+
+    def spy(a, d):
+        seen.append((a, d))
+        raise _Built
+
+    monkeypatch.setattr(measures, "make_cantor_measure", spy)
+    for run in _INTEGRAL_RUNS:
+        with pytest.raises(_Built):
+            cli.main([run, "-p", f"lambda={lam}", "-p", f"alpha={alpha}",
+                      "--out", str(tmp_path)])
+    assert seen == [(alpha, depth)] * len(_INTEGRAL_RUNS)

@@ -52,12 +52,18 @@ _MP_KNOTS = np.array([0, 64, 401, 1280, 3973, 8192, 12877, 32896, 64003,
                       101888, 102272, 102400]) / 128.0
 
 
+def _tail_max(bump) -> float:
+    """max |eta| at the table's knots in [TABLE_MAX - 4, TABLE_MAX]."""
+    u = np.arange(bump.TABLE_MAX - 4.0, bump.TABLE_MAX + 1e-9, bump.TABLE_STEP)
+    return float(np.abs(bump.eta(u)).max())
+
+
 def test_eta_table_matches_mpmath(bump):
     ref = np.array([_eta_mp(u) for u in _MP_KNOTS])
     assert np.abs(bump.eta(_MP_KNOTS) - ref).max() <= 1e-15
-    # tail_floor bounds eta over the last 4 units, where the oracle is sampled
+    # the table's size over its last 4 units bounds the oracle sampled there
     tail = _MP_KNOTS >= bump.TABLE_MAX - 4.0
-    assert np.abs(ref[tail]).max() <= bump.tail_floor
+    assert np.abs(ref[tail]).max() <= _tail_max(bump)
 
 
 def test_eta_table_matches_legendre_quadrature(bump):
@@ -69,7 +75,7 @@ def test_eta_table_matches_legendre_quadrature(bump):
     oracle = _eta_legendre(u)
     assert np.abs(bump.eta(u) - oracle).max() <= 5e-14
     tail = u >= bump.TABLE_MAX - 4.0
-    assert abs(bump.tail_floor - np.abs(oracle[tail]).max()) <= 5e-14
+    assert abs(_tail_max(bump) - np.abs(oracle[tail]).max()) <= 5e-14
 
 
 def test_bump_table_knobs_are_class_constants(bump):
