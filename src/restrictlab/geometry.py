@@ -126,42 +126,38 @@ def dist_to_identity(g: GroupElement) -> float:
     return float(_log_norm(g.m))
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
+def _golden_min(f, a, b, tol: float = 1e-10):
+    """Golden-section minimum of f on [a, b], elementwise over arrays of
+    brackets (f maps an array of points to its values); each bracket steps
+    until it is narrower than tol, then stays put."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
+    s = np.array([a, b, c, d, f(c), f(d)])
+    while np.any(live := s[1] - s[0] >= tol):
+        a, b, c, d, fc, fd = s
+        left = fc < fd   # keep [a, d], else [c, b]; one new point either way
+        x = np.where(left, d - invphi * (d - a), c + invphi * (b - c))
+        fx = f(x)
+        s = np.where(live, np.where(left, [a, d, x, c, fx, fc], [c, b, d, x, fd, fx]), s)
+    x = 0.5 * (s[0] + s[1])
     return x, f(x)
 
 
-def dist_to_diag(g: GroupElement):
-    """inf over y in [-10, 10] of d(a(-y) g, e), with the minimizer.
+def dist_to_diag(m: np.ndarray):
+    """inf over y in [-10, 10] of d(a(-y) g, e), with the minimizer, as the
+    arrays (d, y, flagged) over unit-determinant g = +-m[..., 2, 2].
 
     A 64-cell bracket scan then golden-section refinement; the boundary flag
     is set when the minimizer sits at the bracket edge.
     """
     def objective(y):   # a(-y) g scales g's rows by e^(-y/2) and e^(y/2)
-        return _log_norm(np.exp(0.5 * np.multiply.outer(y, [-1.0, 1.0]))[..., None] * g.m)
+        return _log_norm(np.exp(0.5 * np.multiply.outer(y, [-1.0, 1.0]))[..., None] * m)
 
     ys = np.linspace(-10.0, 10.0, 65)
-    vals = objective(ys)
-    i = int(np.argmin(vals))
-    lo = ys[max(0, i - 1)]
-    hi = ys[min(64, i + 1)]
-    y_star, d = _golden_min(objective, lo, hi)
-    if vals[i] < d:   # a scan node (e.g. an exact zero on A) can beat golden
-        y_star, d = ys[i], vals[i]
-    flagged = bool(i == 0 or i == 64)
-    return float(d), float(y_star), flagged
+    vals = objective(ys.reshape((65,) + (1,) * (np.ndim(m) - 2)))
+    i = np.argmin(vals, axis=0)
+    y_star, d = _golden_min(objective, ys[np.maximum(0, i - 1)], ys[np.minimum(64, i + 1)])
+    vi = vals.min(axis=0)
+    node = vi < d   # a scan node (e.g. an exact zero on A) can beat golden
+    return np.where(node, vi, d), np.where(node, ys[i], y_star), (i == 0) | (i == 64)

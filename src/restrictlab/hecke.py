@@ -294,29 +294,29 @@ def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list):
 
     Finite by construction; the reported value is the measured analogue of
     the return-count bound's implied constant.  Each (g0, n) pair is
-    enumerated once and its diagonal distances reused across kappa.  A grid
-    whose scan boxes hold more than SCAN_BUDGET points in all is refused
-    before the first scan.
+    enumerated once; one dist_to_diag call takes the stacked conjugates of
+    every pair's survivors, and each distance is reused across kappa.  A
+    grid whose scan boxes hold more than SCAN_BUDGET points in all is
+    refused before the first scan.
     """
+    pairs = [(gi, n, g0) for gi, g0 in enumerate(g0_list) for n in range(1, n_max + 1)]
     points = 0
-    for g0 in g0_list:
-        for n in range(1, n_max + 1):
-            points += _scan_box(alg, n, g0, 1.0)[1]
-            if points > SCAN_BUDGET:
-                raise ResourceError(f"scan boxes up to n={n} hold more than"
-                                    f" {SCAN_BUDGET} points")
+    for _, n, g0 in pairs:
+        points += _scan_box(alg, n, g0, 1.0)[1]
+        if points > SCAN_BUDGET:
+            raise ResourceError(f"scan boxes up to n={n} hold more than"
+                                f" {SCAN_BUDGET} points")
+    stacks = [_conjugates(alg, np.reshape(enumerate_norm_n(alg, n, g0), (-1, 4)), n, g0)
+              for _, n, g0 in pairs]
+    dists = dist_to_diag(np.concatenate([np.empty((0, 2, 2)), *stacks]))[0]
     best = 0.0
     rows = []
-    for gi, g0 in enumerate(g0_list):
-        for n in range(1, n_max + 1):
-            elems = enumerate_norm_n(alg, n, g0, radius=1.0)
-            dists = np.array([dist_to_diag(conjugated_element(alg, v, n, g0))[0]
-                              for v in elems])
-            for kappa in kappa_list:
-                M = int(np.count_nonzero(dists <= kappa))
-                denom = (n / kappa) ** RETURN_EPS * (n * np.sqrt(kappa) + 1.0)
-                rows.append((gi, n, float(kappa), M, M / denom))
-                best = max(best, M / denom)
+    for (gi, n, _), d in zip(pairs, np.split(dists, np.cumsum([len(h) for h in stacks])[:-1])):
+        for kappa in kappa_list:
+            M = int(np.count_nonzero(d <= kappa))
+            denom = (n / kappa) ** RETURN_EPS * (n * np.sqrt(kappa) + 1.0)
+            rows.append((gi, n, float(kappa), M, M / denom))
+            best = max(best, M / denom)
     return best, rows
 
 

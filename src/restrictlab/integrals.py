@@ -319,18 +319,17 @@ def rapid_decay_shears(lam: float, beta: float, epsilon0: float, t_factors):
     for each factor in increasing order; DomainError for a distance that is
     not finite or that dist_to_diag flags (minimizer at its bracket edge)."""
     t_star = lam ** (-0.5 + epsilon0) * beta ** 0.5
-    shears = []
-    for fac in sorted(t_factors):
-        t = fac * t_star
-        # a huge t overflows in dist_to_diag, t = inf makes no GroupElement: both are refused
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_A, _, flagged = (dist_to_diag(GroupElement.lower_shear(t)) if 0 < abs(t) < np.inf
-                               else (abs(t), 0.0, False))
-        if flagged or not np.isfinite(d_A):
-            raise DomainError(f"shear t = {t} = {fac} t* is too large for the distance"
-                              " to the diagonal subgroup")
-        shears.append((fac, t, d_A))
-    return t_star, shears
+    facs = np.array(sorted(t_factors), dtype=float)
+    m = np.tile(np.eye(2), (facs.size, 1, 1))
+    # t may overflow to inf, and a huge t overflows in dist_to_diag; both are refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = m[:, 1, 0] = facs * t_star
+        d_A, _, flagged = dist_to_diag(m)
+    bad = np.flatnonzero(flagged | ~np.isfinite(d_A))
+    if bad.size:
+        raise DomainError(f"shear t = {ts[bad[0]]} = {facs[bad[0]]} t* is too large for the"
+                          " distance to the diagonal subgroup")
+    return t_star, list(zip(facs.tolist(), ts.tolist(), d_A.tolist()))
 
 
 def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,

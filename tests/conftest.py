@@ -347,3 +347,25 @@ def optimal_bandwidth(lam: float, alpha: float) -> float:
 def optimal_amplifier_length(lam: float, beta: float) -> float:
     """N = lam^(1/6) beta^(-1/6), the amplifier length matching the bandwidth."""
     return float(lam ** (1.0 / 6.0) * beta ** (-1.0 / 6.0))
+
+
+def golden_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
+    """Scalar golden-section minimum of f on [a, b], one bracket at a time:
+    the loop geometry._golden_min runs elementwise over arrays of brackets."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a < tol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)

@@ -6,8 +6,10 @@ from scipy.linalg import logm
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
-from restrictlab.geometry import _golden_min, _log_norm
+from restrictlab.geometry import _log_norm
 from restrictlab.hecke import conjugated_element
+
+from conftest import golden_min
 
 
 def random_elements(n, seed=0, scale=0.8):
@@ -65,7 +67,7 @@ def dist_to_diag_oracle(g: rl.GroupElement):
     ys = np.linspace(-10.0, 10.0, 65)
     vals = np.array([objective(y) for y in ys])
     i = int(np.argmin(vals))
-    y_star, d = _golden_min(objective, ys[max(0, i - 1)], ys[min(64, i + 1)])
+    y_star, d = golden_min(objective, ys[max(0, i - 1)], ys[min(64, i + 1)])
     if vals[i] < d:
         y_star, d = ys[i], vals[i]
     return float(d), float(y_star), bool(i == 0 or i == 64)
@@ -315,7 +317,7 @@ def test_dist_to_identity_inverse_symmetry():
 # ---------------------------------------------------------------- dist to diagonal
 
 def test_dist_to_diag_on_subgroup():
-    d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(3.0))
+    d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(3.0).m)
     assert d <= 1e-9
     assert y == pytest.approx(3.0, abs=1e-6)
     assert not flagged
@@ -323,29 +325,30 @@ def test_dist_to_diag_on_subgroup():
 
 def test_dist_to_diag_small_rotation_first_order():
     theta = 1e-3
-    d, _, _ = rl.dist_to_diag(rl.GroupElement.rotation(theta))
+    d, _, _ = rl.dist_to_diag(rl.GroupElement.rotation(theta).m)
     assert 0.9 <= d / theta <= 1.1
 
 
 def test_dist_to_diag_left_translation_invariance():
     # a(y0) absorbs into the infimum exactly
     g = rl.GroupElement.rotation(0.2) @ upper_unipotent(0.4)
-    base, _, _ = rl.dist_to_diag(g)
+    base, _, _ = rl.dist_to_diag(g.m)
     for y0 in (0.5, -1.2, 2.0):
-        moved, _, _ = rl.dist_to_diag(rl.GroupElement.diag_flow(y0) @ g)
+        moved, _, _ = rl.dist_to_diag((rl.GroupElement.diag_flow(y0) @ g).m)
         assert moved == pytest.approx(base, abs=1e-8)
 
 
 def test_dist_to_diag_boundary_flag():
     # an element needing y beyond the bracket: flag it
-    d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(12.0))
+    d, y, flagged = rl.dist_to_diag(rl.GroupElement.diag_flow(12.0).m)
     assert flagged
 
 
 def test_dist_to_diag_matches_oracle():
-    # the row-scaled closed form against one GroupElement per objective call:
-    # random elements, two past the bracket edge, rapid-decay's default
-    # shears t* {0.25, ..., 4} and the survivors return_count_ratio measures
+    # one stacked call against one GroupElement per objective call and the
+    # scalar golden section: random elements, two past the bracket edge,
+    # rapid-decay's default shears t* {0.25, ..., 4} and the survivors
+    # return_count_ratio measures
     els = random_elements(100, seed=21, scale=1.5)
     els += [rl.GroupElement.diag_flow(y) @ rl.GroupElement.rotation(0.3) for y in (-12.0, 12.0)]
     _, shears = rl.integrals.rapid_decay_shears(100.0, 100.0 ** 0.5, 0.1,
@@ -357,8 +360,40 @@ def test_dist_to_diag_matches_oracle():
                  for n in range(1, 13) for v in rl.enumerate_norm_n(alg, n, g0)]
     assert len(survivors) > 10
     els += survivors
-    for g in els:
-        d, _, flagged = rl.dist_to_diag(g)
+    d, _, flagged = rl.dist_to_diag(np.array([g.m for g in els]))
+    assert d.shape == flagged.shape == (len(els),)
+    for g, d_g, flagged_g in zip(els, d, flagged):
         d_oracle, _, flagged_oracle = dist_to_diag_oracle(g)
-        assert abs(d - d_oracle) <= 1e-12
-        assert flagged == flagged_oracle
+        assert abs(d_g - d_oracle) <= 1e-12
+        assert flagged_g == flagged_oracle
+
+
+@pytest.mark.parametrize("shape", [(), (0,)], ids=["one", "empty"])
+def test_dist_to_diag_stack_shapes(shape):
+    # one matrix gives 0-d results, an empty stack empty arrays
+    m = np.broadcast_to(rl.GroupElement.rotation(0.3).m, shape + (2, 2))
+    for out in rl.dist_to_diag(m):
+        assert np.shape(out) == shape
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["default", "maximal"])
+def test_return_count_ratio_rows_match_oracle(monkeypatch, maximal):
+    # every (g0, n, kappa) row counts the survivors the oracle puts within
+    # kappa of A, from one stacked dist_to_diag call and no GroupElement each
+    alg = rl.QuatAlgebra(basis=rl.MAXIMAL_ORDER_2_3 if maximal else None)
+    g0s = [rl.GroupElement.rotation(t) for t in (0.1, 0.55, 1.0)]
+    kappas = [1.0, 0.5, 0.25, 0.125]
+    calls = []
+    for name in ("dist_to_diag", "conjugated_element"):
+        fn = getattr(rl.hecke, name)
+        monkeypatch.setattr(rl.hecke, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    _, rows = rl.return_count_ratio(alg, g0s, 12, kappas)
+    assert calls == ["dist_to_diag"]
+    expected = []
+    for gi, g0 in enumerate(g0s):
+        for n in range(1, 13):
+            dists = [dist_to_diag_oracle(conjugated_element(alg, v, n, g0))[0]
+                     for v in rl.enumerate_norm_n(alg, n, g0)]
+            expected += [(gi, n, kappa, sum(d <= kappa for d in dists)) for kappa in kappas]
+    assert [row[:4] for row in rows] == expected

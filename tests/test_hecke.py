@@ -178,7 +178,7 @@ def coset_reps(alg, n: int, coeff_box: int = 12, stability_margin: int = 4):
 def _count_returns(alg, g0, n: int, kappa: float, elems) -> int:
     """Norm-n elements of `elems` whose conjugate by g0 lies within kappa of
     the diagonal subgroup."""
-    return sum(dist_to_diag(conjugated_element(alg, v, n, g0))[0] <= kappa for v in elems)
+    return sum(dist_to_diag(conjugated_element(alg, v, n, g0).m)[0] <= kappa for v in elems)
 
 
 def hecke_returns(alg, g0, n: int, kappa: float) -> int:
@@ -563,6 +563,10 @@ def test_return_ratio_finite(algebra):
         algebra, [rl.GroupElement.identity()], 8, [1.0, 0.5, 0.25])
     assert np.isfinite(best)
     assert all(np.isfinite(r[4]) for r in rows)
+
+
+def test_return_ratio_empty_grid(algebra):
+    assert rl.return_count_ratio(algebra, [], 4, [1.0, 0.5]) == (0.0, [])
 
 
 def test_return_ratio_takes_kappa_once_per_g0(algebra, monkeypatch):

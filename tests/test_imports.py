@@ -1,13 +1,16 @@
 """Import structure of the package: restrictlab modules import each other at
 module top only, the couplings that were dropped stay dropped, and no module
-imports scipy."""
+imports a package of the test extra."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "restrictlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "restrictlab"
+PYPROJECT = (ROOT / "pyproject.toml").read_text()
 
 
 def _tree(name: str) -> ast.Module:
@@ -33,8 +36,17 @@ def test_module_does_not_import(module, imported):
     assert found == []
 
 
-def test_no_module_imports_scipy():
-    # scipy is a test dependency only; ast.walk also reaches function-local imports
+def _requirements(key: str) -> set[str]:
+    """Distribution names in pyproject.toml's `key = [...]` list."""
+    listed = re.search(rf"^{key} = \[(.*?)\]", PYPROJECT, re.M | re.S).group(1)
+    return {re.match(r'\s*"([\w.-]+)', item).group(1)
+            for item in listed.split(",") if item.strip()}
+
+
+@pytest.mark.parametrize("package", sorted(_requirements("test") - _requirements("dependencies")))
+def test_no_module_imports_test_extra(package):
+    # the test extra is for the tests only; ast.walk also reaches
+    # function-local imports
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(_tree(path.name)):
@@ -42,5 +54,5 @@ def test_no_module_imports_scipy():
                      else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
                      else [])
             found += [f"{path.name}:{node.lineno}" for name in names
-                      if name.split(".")[0] == "scipy"]
+                      if name.split(".")[0] == package]
     assert found == []

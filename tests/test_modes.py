@@ -16,10 +16,9 @@ except ImportError:   # older scipy
 
 import restrictlab as rl
 from restrictlab.errors import DomainError
-from restrictlab.geometry import _golden_min
 from restrictlab.modes import _legendre_values, dyadic_inner_integral
 
-from conftest import cached_weight
+from conftest import cached_weight, golden_min
 
 
 # ---------------------------------------------------------------- exponents
@@ -302,18 +301,18 @@ def _sphere_tube_mass_oracle(mode, psi: float, delta: float, n_along: int) -> fl
     return float((vals * np.cos(u)[:, None]).sum() * du * dt)
 
 
-def _kn_norm_oracle(mode) -> dict:
-    """kn_norm's tilt search over the full-collar tube mass."""
+def _kn_norm_oracle(mode, tube_mass=_sphere_tube_mass_oracle) -> dict:
+    """kn_norm's tilt search and the scalar golden section over tube_mass,
+    by default the full-collar tube mass."""
     lam = mode.lam
     delta = lam ** -0.5
     step = delta / 4.0
     n_along = max(256, 4 * mode.l + 32)
     psis = np.arange(0.0, np.pi / 2 + step, step)
-    masses = np.array([_sphere_tube_mass_oracle(mode, p, delta, n_along) for p in psis])
+    masses = np.array([tube_mass(mode, p, delta, n_along) for p in psis])
     i = int(np.argmax(masses))
     lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]
-    psi_star, neg = _golden_min(
-        lambda p: -_sphere_tube_mass_oracle(mode, p, delta, n_along), lo, hi, tol=1e-6)
+    psi_star, neg = golden_min(lambda p: -tube_mass(mode, p, delta, n_along), lo, hi, tol=1e-6)
     return {"s_kn": float(-neg), "max_axis_tilt": float(psi_star)}
 
 
@@ -337,6 +336,17 @@ def test_kn_norm_matches_full_collar_oracle(kind, l):
     assert rep["s_kn"] == pytest.approx(ref["s_kn"], rel=1e-12)
     # the golden refinement's tolerance
     assert rep["max_axis_tilt"] == pytest.approx(ref["max_axis_tilt"], abs=1e-6)
+
+
+@pytest.mark.parametrize("kind, l", [("highest_weight", 64), ("highest_weight", 256),
+                                     ("highest_weight", 512), ("zonal", 64)])
+def test_kn_norm_equals_scalar_golden_section(kind, l):
+    # the elementwise golden section steps one bracket exactly as the scalar
+    # loop does; perfbench pins kn.csv's max_axis_tilt at degree 256
+    mode = rl.SphereMode(kind, l)
+    rep, ref = rl.kn_norm(mode), _kn_norm_oracle(mode, rl.modes._sphere_tube_mass)
+    assert rep["s_kn"] == ref["s_kn"]
+    assert rep["max_axis_tilt"] == ref["max_axis_tilt"]
 
 
 def test_kn_zonal_bounds():
