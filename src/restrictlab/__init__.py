@@ -13,7 +13,7 @@ from .sampling import SampledFunction
 from .measures import (FractalMeasure, WeightFunction, make_cantor_measure,
                        frostman_ratio, energy, build_weight)
 from .frequency import BumpPair, band_project, rho_cutoff, smooth_step
-from .geometry import GroupElement, act, dist_hyp, dist_to_identity, dist_to_diag
+from .geometry import GroupElement, act, dist_hyp, dist_to_diag
 from .spherical import SphericalKernel, make_kernel, kernel_decay_constant
 from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
                     enumerate_norm_n, build_amplifier, random_hecke_eigenvalues,

@@ -72,8 +72,10 @@ class GroupElement:
 
     @cached_property
     def condition(self) -> float:
-        """kappa = ||g|| ||g^-1||, computed once per element."""
-        return self.op_norm() * self.inv().op_norm()
+        """kappa = ||g|| ||g^-1||, computed once per element; at det 1 the
+        singular values are s and 1/s, so ||g^-1|| = ||g|| and kappa =
+        ||g||^2."""
+        return self.op_norm() ** 2
 
 
 def act(g: GroupElement, z: complex) -> complex:
@@ -95,8 +97,17 @@ def dist_hyp(z: complex, w: complex) -> float:
 
 
 def _log_norm(m: np.ndarray) -> np.ndarray:
-    """||log g|| (dist_to_identity's norm) for g = +-m, elementwise over
-    unit-determinant m[..., 2, 2].
+    """Left-invariant surrogate distance ||log g|| to the identity for
+    g = +-m, elementwise over unit-determinant m[..., 2, 2]; exact on
+    one-parameter subgroups, comparable to the true metric within fixed
+    factors.
+
+    The norm on trace-free X = [[X1,X2],[X3,-X1]] is
+    ||X||^2 = 4 X1^2 + (X2+X3)^2 + (X2-X3)^2/4, normalized so the projection
+    to the upper half-plane is a Riemannian submersion: diagonal flow a(y)
+    then has ||log a(y)|| = |y| (matching its hyperbolic displacement) and
+    small rotations by matrix angle theta have norm theta.  This is
+    bi-Lipschitz to any other choice; only constants move.
 
     With p = |tr m|/2, the principal log of the trace >= 0 sign is
     X = scale (m - p I) (Cayley-Hamilton), scale = t/sinh t for p = cosh t > 1,
@@ -110,20 +121,6 @@ def _log_norm(m: np.ndarray) -> np.ndarray:
         scale = np.where(p > 1.0 + 1e-13, t / np.sinh(t),
                          np.where(p < 1.0 - 1e-13, th / np.sin(th), 1.0))
     return scale * np.sqrt((a - d) ** 2 + (b + c) ** 2 + 0.25 * (b - c) ** 2)
-
-
-def dist_to_identity(g: GroupElement) -> float:
-    """Left-invariant surrogate distance ||log g||; exact on one-parameter
-    subgroups, comparable to the true metric within fixed factors.
-
-    The norm on trace-free X = [[X1,X2],[X3,-X1]] is
-    ||X||^2 = 4 X1^2 + (X2+X3)^2 + (X2-X3)^2/4, normalized so the projection
-    to the upper half-plane is a Riemannian submersion: diagonal flow a(y)
-    then has ||log a(y)|| = |y| (matching its hyperbolic displacement) and
-    small rotations by matrix angle theta have norm theta.  This is
-    bi-Lipschitz to any other choice; only constants move.
-    """
-    return float(_log_norm(g.m))
 
 
 def _golden_min(f, a, b, tol: float = 1e-10):

@@ -218,11 +218,6 @@ def _conjugates(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> np.ndarra
     return np.where(central[..., None, None], np.eye(2), h)
 
 
-def conjugated_element(alg: QuatAlgebra, coords, n: int, g0: GroupElement) -> GroupElement:
-    """g0^(-1) iota(gamma)/sqrt(n) g0 as a PSL(2,R) element; e for central gamma."""
-    return GroupElement(_conjugates(alg, coords, n, g0))
-
-
 def _scan_norm_form(alg: QuatAlgebra, box, n: int) -> list[tuple]:
     """Order coordinates v with |v_i| <= box[i] and nrd(v) = n, one of each
     pair +-v (the one lexicographically above its negative), in

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .frequency import band_project, smooth_step
 from .geometry import GroupElement, dist_to_diag
-from .hecke import Amplifier, QuatAlgebra, conjugated_element, enumerate_norm_n
+from .hecke import Amplifier, QuatAlgebra, _conjugates, enumerate_norm_n
 from .measures import WeightFunction
 from .sampling import SampledFunction, convolve_valid
 from .spherical import SphericalKernel
@@ -219,14 +219,17 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                   window: TestWindow, phi: SampledFunction, g0: GroupElement):
     """Geometric side of the amplified bound: sum over m, n of |alpha_m alpha_n|
     times the divisor-weighted sums of |I| over conjugated norm-(mn/d^2)
-    elements within distance 1 of the identity.
+    elements h with ||log h|| <= 1, enumerate_norm_n's radius.  The cut is
+    that radius, not where h's kernel band meets the window: an element
+    just past it can still have |I| > 0, and it is left out.
 
     Returns (total, rows, flags); rows carry one line per (m, n, d, gamma).
-    Each distinct conjugated element is integrated once per call: the rows
-    and flags of every (m, n, d, gamma) landing on it share one report.
+    Each distinct norm is enumerated and conjugated as one stack, and each
+    distinct conjugated element integrated, once per call: the rows and
+    flags of every (m, n, d, gamma) landing on it share one report.
     """
     support = amp.support()
-    elements = {}   # norm -> its enumerate_norm_n list
+    elements = {}   # norm -> (its enumerate_norm_n list, their conjugates)
     reports = {}   # conjugated element's matrix bytes -> its IntegralReport
     total = 0.0
     rows = []
@@ -241,10 +244,11 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                     continue
                 v = m * n // (d * d)
                 if v not in elements:
-                    elements[v] = enumerate_norm_n(alg, v, g0)
+                    found = enumerate_norm_n(alg, v, g0)
+                    elements[v] = (found, _conjugates(alg, np.reshape(found, (-1, 4)), v, g0))
                 weight = amn * d / np.sqrt(m * n)
-                for gamma in elements[v]:
-                    h = conjugated_element(alg, gamma, v, g0)
+                for gamma, hm in zip(*elements[v]):
+                    h = GroupElement(hm)
                     key = h.m.tobytes()
                     if key not in reports:
                         reports[key] = eval_I(kernel, window, phi, h)

@@ -110,9 +110,8 @@ def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
         raise ResourceError(f"2^{depth} atoms exceed budget {ATOM_BUDGET}")
     r = 2.0 ** (-1.0 / alpha)
     mid = np.array([0.5])
-    for _ in range(depth):
+    for _ in range(depth):   # r <= 1/2 puts the left copy below the right: increasing
         mid = np.concatenate([r * mid, r * mid + (1.0 - r)])
-    mid = np.sort(mid)
     if np.any(np.diff(mid) <= 0):
         raise DomainError(f"Cantor atoms collide in floating point at alpha = {alpha},"
                           f" depth = {depth}: cells are r^depth = {r ** depth:.3g} wide"

@@ -1,8 +1,9 @@
 """Shared fixtures; heavy objects (bump tables, kernel tables, weights) are
 built once per session and reused across module and acceptance tests.  Also
 the oracles that more than one test module reads: the Fourier-side energy
-identity, the weight's interval sweeps, the spherical function phi_s and the
-amplifier's parameter choices."""
+identity, the weight's interval sweeps, the spherical function phi_s, the
+amplifier's parameter choices and the one-element geometry (one conjugate,
+one log distance) that the stacked paths are checked against."""
 
 import math
 from functools import lru_cache
@@ -14,6 +15,8 @@ from scipy.interpolate import CubicSpline
 
 import restrictlab as rl
 from restrictlab.errors import DomainError, GridMismatchError, NonConvergenceError
+from restrictlab.geometry import _log_norm
+from restrictlab.hecke import _conjugates
 from restrictlab.sampling import _FOURTH_DIFFERENCE, _Z, PREFILTER_HALF_WIDTH, smooth_length
 from restrictlab.spherical import _circle_mean
 
@@ -42,6 +45,18 @@ def cached_algebra(maximal: bool = False) -> rl.QuatAlgebra:
     if maximal:
         return rl.QuatAlgebra(2, 3, basis=rl.MAXIMAL_ORDER_2_3, q=6)
     return rl.QuatAlgebra(2, 3, q=6)
+
+
+def conjugated_element(alg: rl.QuatAlgebra, coords, n: int,
+                       g0: rl.GroupElement) -> rl.GroupElement:
+    """g0^(-1) iota(gamma)/sqrt(n) g0 as one PSL(2,R) element, e for central
+    gamma: the one-row conjugation the stacked rows must equal bit for bit."""
+    return rl.GroupElement(_conjugates(alg, coords, n, g0))
+
+
+def dist_to_identity(g: rl.GroupElement) -> float:
+    """||log g|| of one element (the norm _log_norm takes elementwise)."""
+    return float(_log_norm(g.m))
 
 
 @pytest.fixture(scope="session")
@@ -314,7 +329,7 @@ def phi_s(s: float, g: rl.GroupElement) -> complex:
     to 1e-8 relative; raises NonConvergenceError at PHI_MAX_NODES nodes.
     """
     m = g.m
-    n = max(64, int(16.0 * abs(s) * rl.dist_to_identity(g)) + 64)
+    n = max(64, int(16.0 * abs(s) * dist_to_identity(g)) + 64)
 
     def quad(n_nodes: int) -> complex:
         th = _phi_integrand_nodes(n_nodes)

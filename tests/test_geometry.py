@@ -7,9 +7,8 @@ from scipy.linalg import logm
 import restrictlab as rl
 from restrictlab.errors import DomainError
 from restrictlab.geometry import _log_norm
-from restrictlab.hecke import conjugated_element
 
-from conftest import golden_min
+from conftest import conjugated_element, dist_to_identity, golden_min
 
 
 def random_elements(n, seed=0, scale=0.8):
@@ -44,7 +43,7 @@ def submersion_norm(X: np.ndarray) -> float:
 
 def log_psl2_oracle(g: rl.GroupElement) -> np.ndarray:
     """Real log of g's trace >= 0 representative, case by case: the matrix
-    log that dist_to_identity took the norm of before its closed form."""
+    log that _log_norm took the norm of before its closed form."""
     m = g.m
     p = 0.5 * (m[0, 0] + m[1, 1])
     if p > 1.0 + 1e-13:
@@ -272,10 +271,10 @@ def test_projective_sign_canonical():
 # ---------------------------------------------------------------- log distance
 
 def test_dist_to_identity_basics():
-    assert rl.dist_to_identity(rl.GroupElement.identity()) == 0.0
+    assert dist_to_identity(rl.GroupElement.identity()) == 0.0
     # log of the diagonal flow is diagonal; submersion norm gives |y|
     for y in (0.1, 0.5, -0.4):
-        assert rl.dist_to_identity(rl.GroupElement.diag_flow(y)) == pytest.approx(
+        assert dist_to_identity(rl.GroupElement.diag_flow(y)) == pytest.approx(
             abs(y), rel=1e-12)
 
 
@@ -284,7 +283,7 @@ def test_log_matches_scipy_oracle():
     for g in els:
         Y = logm(g.m)
         assert np.abs(np.imag(Y)).max() <= 1e-9
-        assert abs(rl.dist_to_identity(g) - submersion_norm(np.real(Y))) <= 1e-9
+        assert abs(dist_to_identity(g) - submersion_norm(np.real(Y))) <= 1e-9
     # on a stack, and on its negatives, the closed form is the per-matrix one
     stack = np.stack([g.m for g in els])
     assert np.array_equal(_log_norm(stack), [_log_norm(g.m) for g in els])
@@ -302,16 +301,16 @@ def test_log_distance_dominates_plane_displacement():
     for g in flows + boundary_elements() + random_elements(40, seed=14, scale=0.6):
         d_plane = rl.dist_hyp(rl.act(g, 1j), 1j)
         assert np.sum(g.m ** 2) == pytest.approx(2.0 * np.cosh(d_plane), rel=1e-10)
-        assert d_plane <= rl.dist_to_identity(g) + 1e-9
+        assert d_plane <= dist_to_identity(g) + 1e-9
     for g in flows:
-        assert rl.dist_to_identity(g) == pytest.approx(
+        assert dist_to_identity(g) == pytest.approx(
             rl.dist_hyp(rl.act(g, 1j), 1j), rel=1e-9, abs=1e-12)
 
 
 def test_dist_to_identity_inverse_symmetry():
     for g in random_elements(30, seed=9):
-        assert rl.dist_to_identity(g) == pytest.approx(
-            rl.dist_to_identity(g.inv()), abs=1e-10)
+        assert dist_to_identity(g) == pytest.approx(
+            dist_to_identity(g.inv()), abs=1e-10)
 
 
 # ---------------------------------------------------------------- dist to diagonal
@@ -379,15 +378,14 @@ def test_dist_to_diag_stack_shapes(shape):
 @pytest.mark.parametrize("maximal", [False, True], ids=["default", "maximal"])
 def test_return_count_ratio_rows_match_oracle(monkeypatch, maximal):
     # every (g0, n, kappa) row counts the survivors the oracle puts within
-    # kappa of A, from one stacked dist_to_diag call and no GroupElement each
+    # kappa of A, from one stacked dist_to_diag call
     alg = rl.QuatAlgebra(basis=rl.MAXIMAL_ORDER_2_3 if maximal else None)
     g0s = [rl.GroupElement.rotation(t) for t in (0.1, 0.55, 1.0)]
     kappas = [1.0, 0.5, 0.25, 0.125]
     calls = []
-    for name in ("dist_to_diag", "conjugated_element"):
-        fn = getattr(rl.hecke, name)
-        monkeypatch.setattr(rl.hecke, name,
-                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    fn = rl.hecke.dist_to_diag
+    monkeypatch.setattr(rl.hecke, "dist_to_diag",
+                        lambda *a: calls.append("dist_to_diag") or fn(*a))
     _, rows = rl.return_count_ratio(alg, g0s, 12, kappas)
     assert calls == ["dist_to_diag"]
     expected = []

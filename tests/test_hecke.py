@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import restrictlab as rl
 from restrictlab.errors import DomainError, ResourceError
-from restrictlab.geometry import dist_to_diag, dist_to_identity
+from restrictlab.geometry import dist_to_diag
 from restrictlab.hecke import (_entry_bound, _mul_std, _order_box, _scan_norm_form,
-                               conjugated_element, hilbert_symbol, is_squarefree)
+                               hilbert_symbol, is_squarefree)
 
-from conftest import cached_algebra, optimal_amplifier_length, optimal_bandwidth
+from conftest import (cached_algebra, conjugated_element, dist_to_identity,
+                      optimal_amplifier_length, optimal_bandwidth)
 
 coord = st.integers(min_value=-50, max_value=50)
 coords4 = st.tuples(coord, coord, coord, coord)
@@ -570,15 +571,17 @@ def test_return_ratio_empty_grid(algebra):
 
 
 def test_return_ratio_takes_kappa_once_per_g0(algebra, monkeypatch):
-    # kappa = ||g0|| ||g0^-1|| is two SVD norms per g0, however many n the
-    # budget pre-count and the enumerations scan
+    # kappa = ||g0|| ||g0^-1|| = ||g0||^2 at det 1 is one SVD norm per g0,
+    # however many n the budget pre-count and the enumerations scan
     norm = rl.GroupElement.op_norm
     calls = []
     monkeypatch.setattr(rl.GroupElement, "op_norm", lambda g: calls.append(g) or norm(g))
     g0s = [rl.GroupElement.rotation(0.3), rl.GroupElement.diag_flow(0.2)]
     rl.return_count_ratio(algebra, g0s, 6, [0.5, 1.0])
-    assert len(calls) == 2 * len(g0s)
+    assert len(calls) == len(g0s)
     assert g0s[1].condition == pytest.approx(np.exp(0.2))
+    for g in g0s + [rl.GroupElement.diag_flow(-1.3) @ rl.GroupElement.lower_shear(2.0)]:
+        assert g.condition == pytest.approx(norm(g) * norm(g.inv()), rel=1e-14)
 
 
 def test_returns_kappa_cap(algebra):

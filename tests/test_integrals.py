@@ -1,3 +1,4 @@
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -7,10 +8,11 @@ import pytest
 import restrictlab as rl
 from restrictlab import integrals, spherical
 from restrictlab.errors import DomainError, ResourceError
-from restrictlab.hecke import conjugated_element, enumerate_norm_n
+from restrictlab.hecke import enumerate_norm_n
 from restrictlab.integrals import _bilinear_sums, _window_values, modulated_gaussian
 
-from conftest import ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight, sampled
+from conftest import (ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight,
+                      conjugated_element, sampled)
 
 
 def _phi_w_sampled(lam: float, alpha: float = 0.9, depth: int = 8,
@@ -522,6 +524,36 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
     others = [m for m in calls if m != central]
     assert central in calls and len(others) == 2
     assert sorted(bands) == sorted((m, f.n) for m in others)
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["default", "maximal"])
+@pytest.mark.parametrize("N, eig_seed, y, theta", [(9, 1, 0.17, 0.387), (16, 5, 0.3, 1.1)],
+                         ids=["N9", "N16"])
+def test_amplified_rhs_conjugates_each_norm_once(kernel100, monkeypatch, maximal,
+                                                 N, eig_seed, y, theta):
+    # each distinct norm mn/d^2 is conjugated as one stack, and the rows
+    # built from the stacks equal the one-element oracle's exactly
+    alg = cached_algebra(maximal)
+    win = rl.TestWindow()
+    _, _, _, f = _phi_w_sampled(100.0)
+    g0 = rl.GroupElement.diag_flow(y) @ rl.GroupElement.rotation(theta)
+    amp = rl.build_amplifier(N, rl.random_hecke_eigenvalues(N, np.random.default_rng(eig_seed)))
+    expected = _amplified_rhs_every_row(alg, amp, kernel100, win, f, g0)
+
+    norms = []
+    conjugates = integrals._conjugates
+
+    def stacked(alg, coords, n, g0):
+        norms.append(n)
+        return conjugates(alg, coords, n, g0)
+
+    monkeypatch.setattr(integrals, "_conjugates", stacked)
+    assert integrals.amplified_rhs(alg, amp, kernel100, win, f, g0) == expected
+    support = amp.support()
+    assert sorted(norms) == sorted({m * n // (d * d) for m in support for n in support
+                                    for d in range(1, math.gcd(m, n) + 1)
+                                    if math.gcd(m, n) % d == 0})
+    assert expected[1]
 
 
 def test_amplified_rhs_dominates_identity_term():
