@@ -169,11 +169,12 @@ def _write_csv(path: Path, cfg: ExperimentConfig, rows: list[dict]) -> None:
     tmp.replace(path)
 
 
-def _integral_setup(p: dict, shears=()):
+def _integral_setup(p: dict, shears=(), projected=False):
     """(kernel on [0, 1], weight) of an integral run; the kernel's, the
-    measure's and the weight's budgets, and the band budget of each lower
-    shear t in `shears`, are all checked before the bump, the weight or the
-    kernel is built."""
+    measure's and the weight's budgets, the band budget of each lower shear
+    t in `shears`, and for a `projected` run the padding budget of its band
+    projection, are all checked before the bump, the weight or the kernel is
+    built."""
     lam, spw = p["lambda"], p["resolution_per_wavelength"]
     n_x, _ = spherical.check_kernel_budget(lam, 1.0)
     # the smallest depth from 8 up whose Cantor cells 2^(-depth / alpha) are
@@ -187,6 +188,8 @@ def _integral_setup(p: dict, shears=()):
     for t in shears:
         integrals.check_band_budget(geometry.GroupElement.lower_shear(t), x, h,
                                     1.0 / (n_x - 1))
+    if projected:
+        frequency.check_band_project_budget(x.size)
     w = measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
     return spherical.make_kernel(lam, x_max=1.0), w
 
@@ -285,7 +288,7 @@ def _run_integrals(cfg):
 def _run_beta_scaling(cfg):
     p = cfg.params
     lam = p["lambda"]
-    kern, w = _integral_setup(p)
+    kern, w = _integral_setup(p, projected=True)
     betas = [lam ** e for e in p["beta_exponents"]]
     rows, slope, norm_sq = integrals.beta_scaling_experiment(
         kern, integrals.TestWindow(), w, betas)
@@ -300,7 +303,7 @@ def _run_rapid_decay(cfg):
     # a shear too large for dist_to_diag is refused before anything is built
     t_star, shears = integrals.rapid_decay_shears(
         p["lambda"], beta, p["epsilon0"], p["t_factors"])
-    kern, w = _integral_setup(p, [t for _, t, _ in shears])
+    kern, w = _integral_setup(p, [t for _, t, _ in shears], projected=True)
     rows, contrast = integrals.rapid_decay_experiment(
         kern, integrals.TestWindow(), w, beta, shears)
     return rows, {

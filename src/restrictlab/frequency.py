@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .measures import ETA_REACH
 from .sampling import SampledFunction, dft_head, even_table
 
@@ -68,6 +68,19 @@ class BumpPair:
         self.eta = even_table(self.TABLE_STEP, vals)
 
 
+PAD_BUDGET = 1 << 22   # zero-padded FFT length of one band_project
+
+
+def check_band_project_budget(n: int) -> int:
+    """The zero-padded FFT length 2^ceil(log2(4 n)) of band_project on n
+    points; ResourceError past PAD_BUDGET, before anything is built."""
+    L = 1 << (4 * n - 1).bit_length()
+    if L > PAD_BUDGET:
+        raise ResourceError(f"band projection of {n} points pads to {L},"
+                            f" past budget {PAD_BUDGET}")
+    return L
+
+
 def band_project(lam: float, beta: float, f: SampledFunction,
                  mode: str = "pass") -> SampledFunction:
     """Spectral band projection: transform, multiply by the band mask
@@ -75,7 +88,9 @@ def band_project(lam: float, beta: float, f: SampledFunction,
 
     mode="pass" keeps the bands +-[lam-beta, lam+beta] (transform of the
     result is exactly supported there); mode="complement" returns f - pass,
-    whose spectrum vanishes on +-[lam-beta/2, lam+beta/2].
+    whose spectrum vanishes on +-[lam-beta/2, lam+beta/2].  The transform is
+    zero-padded to a power of two of at least 4 f.n points, refused past
+    PAD_BUDGET.
     """
     if mode not in ("pass", "complement"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -86,7 +101,7 @@ def band_project(lam: float, beta: float, f: SampledFunction,
     if h > shortest_period / 4.0 + 1e-15:
         raise DomainError(
             f"grid step {h} under-resolves frequency lam+beta (need <= {shortest_period / 4.0})")
-    L = 1 << int(np.ceil(np.log2(4 * f.n)))
+    L = check_band_project_budget(f.n)
     F = np.fft.fft(f.values, L)
     xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
     mask = eta_hat((xi - lam) / beta) + eta_hat((xi + lam) / beta)

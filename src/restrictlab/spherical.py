@@ -21,41 +21,61 @@ from .sampling import dft_head, even_table
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
 TABLE_BUDGET = 1 << 21   # radial and spectral nodes of one kernel table
 SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel table
-SPECTRAL_STEP = 0.01   # step ds of the kernel's uniform s-grid
+# step ds of the kernel's uniform s-grid.  The s-integrand H(s) s tanh(pi s)
+# cos(s t) is even and smooth, so the trapezoid rule's error at t is the
+# aliases Q(t +- 2 pi k / ds), and Q decays like e^(-|t|/2), since
+# s tanh(pi s) has poles at +-i/2.  The t-table is Q to within those aliases
+# for t well below pi / ds ~ 78.5, and the kernel's values read t at most
+# its support radius plus two t-steps, where the first alias, from
+# 2 pi / ds ~ 157, is below e^(-78) of Q's peak.  Only the spot checks past
+# the support read t up to x_max; past pi / ds the table there holds the
+# wrapped aliases, which can move their residual but not k.  Scaling ds by a
+# power of two scales the DFT length L inversely and leaves the t-step
+# 2 pi / (L ds) bit for bit.
+SPECTRAL_STEP = 0.04
 H_WIDTH = 0.05   # Paley-Wiener width of the kernel profile h
 # offset past which h^2 stays under SPECTRAL_FLOOR: h(u) <= (2/(H_WIDTH u))^4,
 # so h^2 < floor once u > 2 floor^(-1/8) / H_WIDTH (about 1,265)
 SPECTRAL_TRUNCATION = 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / H_WIDTH
 CIRCLE_BLOCK = 1 << 16   # circle points _circle_mean evaluates at once
+# radius past which cosh overflows, so the circle rule's u is not finite
+CIRCLE_MAX_RADIUS = float(np.arccosh(np.finfo(float).max))
 
 
 def _circle_mean(x, n_theta, F) -> np.ndarray:
-    """Mean over n_theta[i] circle nodes of u^(-1/2) F(ln u), u = cosh x_i -
-    sinh x_i cos 2 theta, for each x_i; n_theta is one count per x, or one
-    count for all.
+    """Mean over n_theta[i] midpoint circle nodes of u^(-1/2) F(ln u),
+    u = cosh x_i - sinh x_i cos 2 theta, for each x_i; n_theta is one count
+    per x, or one count for all.
 
-    The ragged set of circle points is evaluated in blocks of whole nodes
-    holding at most CIRCLE_BLOCK points (a node with more is a block of its
-    own), and each node's mean is one segment of np.add.reduceat.
+    The nodes theta_k = (k + 0.5) pi / n and theta_(n-1-k) = pi - theta_k
+    give the same u, so only the first ceil(n/2) nodes are evaluated: each
+    with weight 2 for its mirror pair, and weight 1 for the middle node of an
+    odd n.  The ragged set of evaluated circle points is taken in blocks of
+    whole nodes holding at most CIRCLE_BLOCK points (a node with more is a
+    block of its own), and each node's sum is one segment of np.add.reduceat.
     """
     x = np.asarray(x, dtype=float)
     counts = np.broadcast_to(np.asarray(n_theta, dtype=np.intp), x.shape).ravel()
+    halves = (counts + 1) // 2
     xf = x.ravel()
-    ends = np.cumsum(counts)
+    ends = np.cumsum(halves)
     out = np.empty(xf.size)
     i = 0
     while i < xf.size:
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - counts[i] + CIRCLE_BLOCK,
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - halves[i] + CIRCLE_BLOCK,
                                            side="right")))
-        n = counts[i:j]
-        starts = np.concatenate(([0], np.cumsum(n[:-1])))
-        node = np.repeat(np.arange(j - i), n)
-        # midpoint nodes theta = (k + 0.5) pi / n on [0, pi), n the node's own
-        # count; the integrand is pi-periodic and smooth, so the equal-weight
-        # rule converges spectrally
-        th = (np.arange(starts[-1] + n[-1]) - starts[node] + 0.5) * np.pi / n[node]
+        n, m = counts[i:j], halves[i:j]
+        starts = np.concatenate(([0], np.cumsum(m[:-1])))
+        node = np.repeat(np.arange(j - i), m)
+        # the integrand is pi-periodic and smooth, so the equal-weight
+        # midpoint rule on [0, pi) converges spectrally
+        th = (np.arange(starts[-1] + m[-1]) - starts[node] + 0.5) * np.pi / n[node]
         u = np.cosh(xf[i:j])[node] - np.sinh(xf[i:j])[node] * np.cos(2.0 * th)
-        out[i:j] = np.add.reduceat(u ** -0.5 * F(np.log(u)), starts) / n
+        f = u ** -0.5 * F(np.log(u))
+        # halving the unpaired middle node, then doubling the sum, weighs
+        # every other node twice; both scalings are exact
+        f[(starts + m - 1)[n % 2 == 1]] *= 0.5
+        out[i:j] = 2.0 * np.add.reduceat(f, starts) / n
         i = j
     return out.reshape(x.shape)
 
@@ -114,20 +134,25 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     """Tabulate the radial band kernel on [0, x_max].
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
-    ds / (2 pi) on a uniform s-grid of step ds = SPECTRAL_STEP with M nodes.
-    Q on the t-grid is the first n_t terms of the length-L DFT of those
-    coefficients, from one chirp-z convolution whose cost and memory depend
-    on M + n_t and not on L.  Each radial value is then a circle average of
-    u^(-1/2) Q(ln u), with about 1.3 (lam + T) x nodes at x.  The nodes up
-    to the support, 32 spot checks past it and 16 node-doubled checks
-    inside it, which guard the circle rule, are one ragged _circle_mean call
-    each.
+    ds / (2 pi) on the uniform s-grid of [0, lam + T] of step ds =
+    SPECTRAL_STEP, M = ceil((lam + T) / ds) + 1 nodes.  Q on the t-grid is
+    the first n_t terms of the length-L DFT of those coefficients, from one
+    chirp-z convolution whose cost and memory depend on M + n_t and not on
+    L.  Each radial value is then a circle average of u^(-1/2) Q(ln u) over
+    n = max(64, 1.3 (lam + T) x + 64) midpoint nodes at x, of which the
+    mirror pairs leave ceil(n/2) to evaluate.  The nodes up to the support,
+    32 spot checks past it and 16 node-doubled checks inside it, which guard
+    the circle rule, are one ragged _circle_mean call each.  x_max past
+    CIRCLE_MAX_RADIUS, where cosh overflows, is refused.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
     n_x, M = check_kernel_budget(lam, x_max)
     if n_x < 4:
         raise DomainError(f"x_max = {x_max} gives fewer than 4 radial nodes")
+    if x_max > CIRCLE_MAX_RADIUS:
+        raise DomainError(f"x_max = {x_max} is past {CIRCLE_MAX_RADIUS:.2f},"
+                          " where the circle rule's cosh overflows")
 
     ds = SPECTRAL_STEP
     s_max = lam + SPECTRAL_TRUNCATION
@@ -154,15 +179,15 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     # beyond the Paley-Wiener support the kernel vanishes; spot-verify on a
     # sparse set instead of densely tabulating noise
     spot = xs[i_supp::max(1, (n_x - i_supp) // 32)]
-    beyond = float(np.abs(_circle_mean(spot, circle_nodes(spot), q)).max(initial=0.0))
+    beyond = _circle_mean(spot, circle_nodes(spot), q)
 
     rng = np.random.default_rng(7)
     check_idx = rng.choice(max(i_supp, 1), size=min(16, max(i_supp, 1)), replace=False)
     refined = _circle_mean(xs[check_idx], 2 * circle_nodes(xs[check_idx]), q)
-    resid = float(np.abs(refined - vals[check_idx]).max())
+    # np.max keeps a NaN, which then fails the check below
+    resid = float(np.abs(np.concatenate([refined - vals[check_idx], beyond])).max())
     scale = float(np.abs(vals).max())
-    resid = max(resid, beyond)
-    if resid > 1e-6 * scale:
+    if not resid <= 1e-6 * scale:
         raise NonConvergenceError(
             f"kernel circle rule residual {resid:.2e} exceeds 1e-6 * {scale:.2e}")
     x_step = xs[1] - xs[0]

@@ -267,6 +267,44 @@ def test_band_budget_refuses_before_building(tmp_path, capsys, monkeypatch, argv
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("run", [["beta-scaling"], ["rapid-decay", "-p", "t_factors=[0]"]],
+                         ids=["beta-scaling", "rapid-decay"])
+def test_band_projection_padding_budget(tmp_path, capsys, monkeypatch, run):
+    # at lambda = 21846 the window grid's 1,048,609 points pad to 2^23, past
+    # PAD_BUDGET: refused before the bump, the weight or the kernel is built;
+    # lambda = 21845 pads to 2^22 and passes, and the unprojected integrals
+    # run is not held to the budget (rapid-decay runs at g = e alone, whose
+    # sum has no band budget)
+    for owner, name in ((frequency, "BumpPair"), (measures, "build_weight"),
+                        (spherical, "make_kernel")):
+        monkeypatch.setattr(owner, name, _refuse_to_build)
+    argv = [*run, "-p", "lambda=21846", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "pads to 8388608" in out.err
+    assert list(tmp_path.iterdir()) == []
+    for argv in ([*run, "-p", "lambda=21845"],
+                 ["integrals", "-p", "lambda=21846", "-p", "shear_t=0"]):
+        with pytest.raises(_Built):
+            cli.main(argv + ["--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("experiment", ["beta-scaling", "rapid-decay"])
+def test_padding_budget_counts_up_front_what_the_projection_pads(tmp_path, monkeypatch,
+                                                                 experiment):
+    # the set-up's count sees the window grid that band_project is given
+    seen = []
+    check = frequency.check_band_project_budget
+
+    def recorded(n):
+        seen.append(n)
+        return check(n)
+
+    monkeypatch.setattr(frequency, "check_band_project_budget", recorded)
+    assert cli.main([experiment, "-p", "lambda=100", "--out", str(tmp_path)]) == 0
+    assert seen[0] == 4801 and set(seen) == {4801}
+
+
 def test_band_budget_counts_up_front_what_the_sum_counts(tmp_path, monkeypatch):
     # the count before the set-up sees the same grid, step and kernel radial
     # step as the sum's own count
@@ -298,6 +336,19 @@ def test_amplifier_experiment(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["holds"] is True
     assert summary["n_primes"] == 8
+
+
+def test_kernel_past_cosh_overflow_exits_cleanly(tmp_path, capsys):
+    # past x = 710.48 cosh overflows and the spot checks' residual was NaN,
+    # which dropped out of the residual's max and exited 0 with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["kernel", "-p", "lambda=10", "-p", "x_max=1000",
+                       "--out", str(tmp_path)])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Warning" not in out.err and "Traceback" not in out.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_table_ending_before_support(tmp_path, capsys):

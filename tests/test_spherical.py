@@ -9,7 +9,7 @@ import pytest
 import conftest
 import restrictlab as rl
 from restrictlab import frequency, spherical
-from restrictlab.errors import DomainError
+from restrictlab.errors import DomainError, NonConvergenceError
 from restrictlab.sampling import convolve_valid, dft_head, even_table, smooth_length
 from restrictlab.spherical import SPECTRAL_TRUNCATION, _circle_mean, _h0_squared, _h_profile
 
@@ -45,14 +45,31 @@ def padded_dft_head(c: np.ndarray, L: int, n: int) -> np.ndarray:
 
 
 def per_node_circle_mean(x, n_theta, F) -> np.ndarray:
-    """The circle rule one node at a time, each on its own (1, n) array: the
-    oracle of the blocked ragged _circle_mean."""
+    """The full circle rule one node at a time, each on its own (1, n) array,
+    every midpoint node evaluated: the oracle of the mirror pairing."""
     x = np.asarray(x, dtype=float)
     counts = np.broadcast_to(n_theta, x.shape)
 
     def one(xx: float, n: int) -> float:
         u = np.cosh(xx) - np.sinh(xx) * np.cos(2.0 * _phi_integrand_nodes(n))
         return float((u ** -0.5 * F(np.log(u))).mean())
+
+    return np.array([one(xx, int(n)) for xx, n in zip(x.ravel(), counts.ravel())]).reshape(x.shape)
+
+
+def paired_per_node_circle_mean(x, n_theta, F) -> np.ndarray:
+    """The mirror-paired circle rule one node at a time: the first ceil(n/2)
+    midpoint nodes with weight 2, the middle node of an odd n with weight 1,
+    over n (the oracle of the blocked ragged _circle_mean)."""
+    x = np.asarray(x, dtype=float)
+    counts = np.broadcast_to(n_theta, x.shape)
+
+    def one(xx: float, n: int) -> float:
+        th = _phi_integrand_nodes(n)[:(n + 1) // 2]
+        w = np.full(th.size, 2.0)
+        w[-1] -= n % 2
+        u = np.cosh(xx) - np.sinh(xx) * np.cos(2.0 * th)
+        return float((w * u ** -0.5 * F(np.log(u))).sum() / n)
 
     return np.array([one(xx, int(n)) for xx, n in zip(x.ravel(), counts.ravel())]).reshape(x.shape)
 
@@ -116,7 +133,6 @@ def test_phi_weyl_symmetry_and_realness(s, x):
 
 
 def test_phi_nonconvergence_error(monkeypatch):
-    from restrictlab.errors import NonConvergenceError
     monkeypatch.setattr(conftest, "PHI_MAX_NODES", 256)
     with pytest.raises(NonConvergenceError):
         phi_s(200.0, rl.GroupElement.diag_flow(1.5))
@@ -372,7 +388,9 @@ def test_smooth_length_is_the_smallest_5_smooth_integer():
 
 def test_ragged_circle_mean_matches_per_x_calls(monkeypatch):
     # counts from 1 to 2,000 across blocks of at most 700 points, including
-    # nodes larger than a block, against one call per x and the per-node rule
+    # nodes larger than a block, against one call per x and the per-node
+    # paired rule; and against the full rule, which the pairing sums in
+    # another order (0.40 ulp measured)
     q = cached_kernel(100.0).radial
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, 0.3, 40)
@@ -381,24 +399,59 @@ def test_ragged_circle_mean_matches_per_x_calls(monkeypatch):
     monkeypatch.setattr(spherical, "CIRCLE_BLOCK", 700)
     ragged = _circle_mean(x, counts, q)
     per_x = np.array([_circle_mean(xx, n, q) for xx, n in zip(x, counts)])
-    oracle = per_node_circle_mean(x, counts, q)
+    oracle = paired_per_node_circle_mean(x, counts, q)
     scale = np.abs(oracle).max()
-    assert np.abs(ragged - per_x).max() <= 4 * np.finfo(float).eps * scale
-    assert np.abs(ragged - oracle).max() <= 4 * np.finfo(float).eps * scale
+    eps = np.finfo(float).eps
+    assert np.abs(ragged - per_x).max() <= 4 * eps * scale
+    assert np.abs(ragged - oracle).max() <= 4 * eps * scale
+    assert np.abs(ragged - per_node_circle_mean(x, counts, q)).max() <= 4 * eps * scale
     assert _circle_mean(np.zeros((2, 3)), 64, q).shape == (2, 3)
     assert _circle_mean(np.array([]), np.array([], dtype=int), q).shape == (0,)
+
+
+# ulps of max|k| by which the paired kernel may differ from the full rule's:
+# twice the 8.3 measured at lam = 400 (1.4 to 2.7 at the other cases); the
+# sequential sums' rounding grows with the node count, to 33.5 at lam = 1600
+FULL_RULE_ULPS = 16
 
 
 @pytest.mark.parametrize("lam, x_max", [(10.0, 1.0), (100.0, 1.0), (100.0, 4.0), (400.0, 1.0)])
 def test_kernel_matches_per_node_circle_rule(monkeypatch, lam, x_max):
     # the kernel from three blocked ragged calls against the same build with
-    # one circle rule per node, as its support, spot and refined checks were
+    # one paired circle rule per node, as its support, spot and refined
+    # checks were, and with the full rule per node
     kern = rl.make_kernel(lam, x_max=x_max)
-    monkeypatch.setattr(spherical, "_circle_mean", per_node_circle_mean)
+    monkeypatch.setattr(spherical, "_circle_mean", paired_per_node_circle_mean)
     oracle = rl.make_kernel(lam, x_max=x_max)
     eps = np.finfo(float).eps
     assert np.abs(kern.values - oracle.values).max() <= 4 * eps * np.abs(oracle.values).max()
     assert kern.verify_residual == pytest.approx(oracle.verify_residual, abs=8 * eps)
+    monkeypatch.setattr(spherical, "_circle_mean", per_node_circle_mean)
+    full = rl.make_kernel(lam, x_max=x_max)
+    bound = FULL_RULE_ULPS * eps * np.abs(full.values).max()
+    assert np.abs(kern.values - full.values).max() <= bound
+    assert kern.verify_residual == pytest.approx(full.verify_residual, abs=8 * eps)
+
+
+@pytest.mark.parametrize("x_max", [1.0, 4.0])
+@pytest.mark.parametrize("lam", [10.0, 100.0, 400.0, 1600.0])
+def test_kernel_matches_finer_spectral_step(monkeypatch, lam, x_max):
+    # the s-grid of step 0.04 against the same build at step 0.01: the
+    # trapezoid rule's first alias moves from t = 628 to 157, both far past
+    # the table, and Q's t-step stays the same bit for bit
+    steps = []
+
+    def recorded(step, values):
+        steps.append(step)
+        return even_table(step, values)
+
+    monkeypatch.setattr(spherical, "even_table", recorded)
+    kern = rl.make_kernel(lam, x_max=x_max)
+    monkeypatch.setattr(spherical, "SPECTRAL_STEP", 0.01)
+    oracle = rl.make_kernel(lam, x_max=x_max)
+    assert steps[0] == steps[2]
+    assert np.abs(kern.values - oracle.values).max() <= 1e-13 * np.abs(oracle.values).max()
+    assert kern.verify_residual == pytest.approx(oracle.verify_residual, abs=1e-12)
 
 
 @pytest.mark.parametrize("lam, x_max", [(100.0, 1.0), (200.0, 1.0), (100.0, 4.0)])
@@ -436,6 +489,17 @@ def test_kernel_memory_independent_of_padded_length():
 def test_kernel_domain_errors():
     with pytest.raises(DomainError):
         rl.make_kernel(5.0)
+
+
+def test_kernel_nan_spot_check_fails_the_residual_check(monkeypatch):
+    # a NaN circle mean past the support does not drop out of the residual's
+    # max: the build fails instead of returning a table
+    def nan_past_support(x, n_theta, F):
+        return np.where(np.asarray(x) > 0.3, np.nan, _circle_mean(x, n_theta, F))
+
+    monkeypatch.setattr(spherical, "_circle_mean", nan_past_support)
+    with pytest.raises(NonConvergenceError, match="residual nan"):
+        rl.make_kernel(10.0, x_max=1.0)
 
 
 def test_spectral_truncation_bound():
