@@ -4,8 +4,8 @@ Modules: measures (fractal measures, energies, smoothed weights), frequency
 (the band-limited bump, its transform and band projections), geometry (upper
 half-plane and PSL(2,R)), spherical (the radial band kernel),
 hecke (quaternion orders, enumeration, amplifier), integrals (the geometric
-bilinear integrals and their scaling experiments), modes (sphere
-eigenfunctions, tube norms and exponent tables), cli (experiment runner).
+bilinear integrals and their amplified sum), modes (sphere eigenfunctions,
+tube norms and the closed-form exponents), cli (experiment runner).
 """
 
 from .errors import DomainError, GridMismatchError, NonConvergenceError, ResourceError
@@ -19,11 +19,9 @@ from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
                     enumerate_norm_n, build_amplifier, random_hecke_eigenvalues,
                     return_count_ratio, primes_up_to)
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,
-                        amplified_rhs, beta_scaling_experiment,
-                        rapid_decay_experiment, modulated_gaussian)
+                        amplified_rhs, modulated_gaussian)
 from .modes import (SphereMode, SphereGeodesic, restriction_norm, kn_norm,
-                    theorem_ratio_table, dyadic_kernel_check, exponent_table,
-                    fit_exponent, gamma_exponent, delta_exponent,
-                    marshall_exponent, lp_bump)
+                    dyadic_kernel_check, fit_exponent, gamma_exponent,
+                    delta_exponent, marshall_exponent, lp_bump)
 
 __version__ = "0.1.0"

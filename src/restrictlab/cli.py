@@ -170,11 +170,12 @@ def _write_csv(path: Path, cfg: ExperimentConfig, rows: list[dict]) -> None:
 
 
 def _integral_setup(p: dict, shears=(), projected=False):
-    """(kernel on [0, 1], weight) of an integral run; the kernel's, the
-    measure's and the weight's budgets, the band budget of each lower shear
-    t in `shears`, and for a `projected` run the padding budget of its band
-    projection, are all checked before the bump, the weight or the kernel is
-    built."""
+    """(kernel on [0, 1], phi w, ||phi||^2_L2(w)) of an integral run, phi the
+    modulated Gaussian at lam and phi w sampled on the window grid; the
+    kernel's, the measure's and the weight's budgets, the band budget of each
+    lower shear t in `shears`, and for a `projected` run the padding budget
+    of its band projection, are all checked before the bump, the weight or
+    the kernel is built."""
     lam, spw = p["lambda"], p["resolution_per_wavelength"]
     n_x, _ = spherical.check_kernel_budget(lam, 1.0)
     # the smallest depth from 8 up whose Cantor cells 2^(-depth / alpha) are
@@ -191,7 +192,10 @@ def _integral_setup(p: dict, shears=(), projected=False):
     if projected:
         frequency.check_band_project_budget(x.size)
     w = measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
-    return spherical.make_kernel(lam, x_max=1.0), w
+    _, phi, fw, wpad = integrals._phi_w_on_window_grid(
+        w, lambda x: integrals.modulated_gaussian(x, lam), lam)
+    norm_sq = float(np.sum(np.abs(phi) ** 2 * wpad) * w.grid_step)
+    return spherical.make_kernel(lam, x_max=1.0), fw, norm_sq
 
 
 def _run_measure(cfg):
@@ -268,12 +272,9 @@ def _run_amplifier(cfg):
 
 def _run_integrals(cfg):
     p = cfg.params
-    lam = p["lambda"]
-    kern, w = _integral_setup(p, [p["shear_t"]])
-    _, _, f, _ = integrals._phi_w_on_window_grid(
-        w, lambda x: integrals.modulated_gaussian(x, lam), lam)
+    kern, fw, _ = _integral_setup(p, [p["shear_t"]])
     g = geometry.GroupElement.lower_shear(p["shear_t"])
-    rep = integrals.eval_I(kern, integrals.TestWindow(), f, g)
+    rep = integrals.eval_I(kern, integrals.TestWindow(), fw, g)
     row = {"value_re": rep.value.real, "value_im": rep.value.imag,
            "error": rep.error_estimate, "lambda": rep.lam,
            "resolution": rep.resolution, "converged": int(rep.converged),
@@ -287,25 +288,43 @@ def _run_integrals(cfg):
 
 def _run_beta_scaling(cfg):
     p = cfg.params
-    lam = p["lambda"]
-    kern, w = _integral_setup(p, projected=True)
-    betas = [lam ** e for e in p["beta_exponents"]]
-    rows, slope, norm_sq = integrals.beta_scaling_experiment(
-        kern, integrals.TestWindow(), w, betas)
-    return rows, {
-        "slope": slope, "target": -(p["alpha"] - 0.5) + 0.15,
-        "phi_norm_sq": norm_sq, "slope_ok": bool(slope <= -(p["alpha"] - 0.5) + 0.15)}
+    lam, alpha = p["lambda"], p["alpha"]
+    kern, fw, norm_sq = _integral_setup(p, projected=True)
+    rows = []
+    for beta in sorted(lam ** e for e in p["beta_exponents"]):
+        fperp = frequency.band_project(lam, beta, fw, "complement")
+        rep = integrals.eval_I(kern, integrals.TestWindow(), fperp,
+                               geometry.GroupElement.identity())
+        bound = lam ** 0.5 * beta ** (-(alpha - 0.5)) * norm_sq
+        rows.append({"beta": beta, "abs_I": abs(rep.value),
+                     "normalized": abs(rep.value) / bound if bound > 0 else 0.0,
+                     "error": rep.error_estimate, "converged": rep.converged})
+    lb = np.log([r["beta"] for r in rows])
+    lv = np.log([max(r["abs_I"], 1e-300) for r in rows])
+    slope = float(np.polyfit(lb, lv, 1)[0])
+    target = -(alpha - 0.5) + 0.15
+    return rows, {"slope": slope, "target": target, "phi_norm_sq": norm_sq,
+                  "slope_ok": bool(slope <= target)}
 
 
 def _run_rapid_decay(cfg):
     p = cfg.params
-    beta = p["lambda"] ** p["beta_exponent"]
+    lam = p["lambda"]
+    beta = lam ** p["beta_exponent"]
     # a shear too large for dist_to_diag is refused before anything is built
     t_star, shears = integrals.rapid_decay_shears(
-        p["lambda"], beta, p["epsilon0"], p["t_factors"])
-    kern, w = _integral_setup(p, [t for _, t, _ in shears], projected=True)
-    rows, contrast = integrals.rapid_decay_experiment(
-        kern, integrals.TestWindow(), w, beta, shears)
+        lam, beta, p["epsilon0"], p["t_factors"])
+    kern, fw, _ = _integral_setup(p, [t for _, t, _ in shears], projected=True)
+    fpass = frequency.band_project(lam, beta, fw, "pass")
+    rows = []
+    for fac, t, d_A in shears:
+        rep = integrals.eval_I(kern, integrals.TestWindow(), fpass,
+                               geometry.GroupElement.lower_shear(t))
+        rows.append({"t": t, "factor": fac, "dist_A": d_A, "abs_I": abs(rep.value),
+                     "error": rep.error_estimate, "converged": rep.converged})
+    # the factors are >= 0 and include 0, so rows[0] is t = 0
+    base = rows[0]["abs_I"]
+    contrast = rows[-1]["abs_I"] / base if base else float("nan")
     return rows, {
         "contrast": contrast, "threshold_t": t_star, "contrast_ok": bool(contrast <= 1e-3)}
 
@@ -335,9 +354,21 @@ def _run_kn(cfg):
 
 def _run_theorem3(cfg):
     p = cfg.params
-    mu = measures.make_cantor_measure(p["alpha"], p["depth"])
+    alpha = p["alpha"]
+    mu = measures.make_cantor_measure(alpha, p["depth"])
+    ell = modes.SphereGeodesic.equator()
     sphere_modes = [modes.SphereMode("highest_weight", int(l)) for l in p["degrees"]]
-    rows, spread = modes.theorem_ratio_table(sphere_modes, mu, p["alpha"])
+    rows = []
+    for mode in sphere_modes:
+        lhs = modes.restriction_norm(mode, ell, mu)
+        s_kn = modes.kn_norm(mode)["s_kn"]
+        bound = mode.lam ** 0.25 * s_kn ** (alpha - 0.5)
+        if alpha == 1.0:   # the bound's log(lam) loss at the endpoint
+            bound *= max(np.log(mode.lam), 1.0)
+        rows.append({"lambda": mode.lam, "lhs": lhs, "skn": s_kn,
+                     "bound": bound, "ratio": lhs / bound})
+    ratios = [r["ratio"] for r in rows]
+    spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
     return rows, {
         "ratio_spread": spread, "spread_ok": bool(spread <= 4.0)}
 
@@ -346,7 +377,13 @@ def _run_exponents(cfg):
     n = cfg.params["n_alpha"]
     if n > ALPHA_GRID_BUDGET:
         raise ResourceError(f"{n} alpha values exceed budget {ALPHA_GRID_BUDGET}")
-    rows = modes.exponent_table([Fraction(2 * k, n) for k in range(1, n + 1)])
+    rows = []
+    for k in range(1, n + 1):
+        alpha = Fraction(2 * k, n)
+        mid = Fraction(1, 2) < alpha <= 1
+        rows.append({"alpha": alpha, "gamma": modes.gamma_exponent(alpha),
+                     "delta": modes.delta_exponent(alpha) if mid else None,
+                     "marshall": modes.marshall_exponent(alpha) if mid else None})
     return rows, {
         "rows": len(rows), "delta_at_1": str(modes.delta_exponent(Fraction(1)))}
 
@@ -409,8 +446,7 @@ _EXPERIMENTS = {
     "integrals": (_run_integrals, {
         **_INTEGRAL_RUN, "alpha": (float, 0.9, _in_unit),
         "shear_t": (float, 0.0, None)}),
-    # beta = lam^e with lam >= 10, so [0.2, 0.8] is the library's
-    # lam^0.2 <= beta <= lam^0.8
+    # bands lam^0.2 <= beta = lam^e <= lam^0.8, and at least two for the slope
     "beta-scaling": (_run_beta_scaling, {
         **_INTEGRAL_RUN,
         "beta_exponents": ([float], [0.3, 0.4, 0.5, 0.6],

@@ -1,6 +1,6 @@
 """The geometric bilinear integral I(lam, phi, g) against the band kernel,
-its amplified sum over conjugated lattice elements, and the bandwidth-scaling
-and rapid-decay experiments."""
+its amplified sum over conjugated lattice elements, and the shears of the
+rapid-decay run."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .frequency import band_project, smooth_step
+from .frequency import smooth_step
 from .geometry import GroupElement, dist_to_diag
 from .hecke import Amplifier, QuatAlgebra, _conjugates, enumerate_norm_n
 from .measures import WeightFunction
@@ -289,35 +289,6 @@ def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
     return grid, phi, SampledFunction(grid[0], w.grid_step, phi * wpad), wpad
 
 
-def beta_scaling_experiment(kernel: SphericalKernel, window: TestWindow,
-                            w: WeightFunction, beta_list):
-    """I(lam, complement-projection of phi w, e) against beta, with phi the
-    modulated Gaussian at lam.
-
-    Rows: (beta, |I|, |I| / (lam^(1/2) beta^(-(alpha-1/2)) ||phi||^2_L2(w)));
-    also returns the fitted log-log slope.
-    """
-    lam = kernel.lam
-    alpha = w.frostman_alpha
-    _, phi, fw, wpad = _phi_w_on_window_grid(
-        w, lambda x: modulated_gaussian(x, lam), lam)
-    phi_norm_sq = float(np.sum(np.abs(phi) ** 2 * wpad) * w.grid_step)
-    rows = []
-    for beta in sorted(beta_list):
-        if not (lam ** 0.2 <= beta <= lam ** 0.8):
-            raise DomainError(f"beta={beta} outside [lam^0.2, lam^0.8]")
-        fperp = band_project(lam, beta, fw, "complement")
-        rep = eval_I(kernel, window, fperp, GroupElement.identity())
-        bound = lam ** 0.5 * beta ** (-(alpha - 0.5)) * phi_norm_sq
-        rows.append({"beta": beta, "abs_I": abs(rep.value),
-                     "normalized": abs(rep.value) / bound if bound > 0 else 0.0,
-                     "error": rep.error_estimate, "converged": rep.converged})
-    lb = np.log([r["beta"] for r in rows])
-    lv = np.log([max(r["abs_I"], 1e-300) for r in rows])
-    slope = float(np.polyfit(lb, lv, 1)[0]) if len(rows) >= 2 else float("nan")
-    return rows, slope, phi_norm_sq
-
-
 def rapid_decay_shears(lam: float, beta: float, epsilon0: float, t_factors):
     """t* = lam^(-1/2+eps0) beta^(1/2) and (factor, t = factor t*, d(exp(tE), A))
     for each factor in increasing order; DomainError for a distance that is
@@ -334,25 +305,3 @@ def rapid_decay_shears(lam: float, beta: float, epsilon0: float, t_factors):
         raise DomainError(f"shear t = {ts[bad[0]]} = {facs[bad[0]]} t* is too large for the"
                           " distance to the diagonal subgroup")
     return t_star, list(zip(facs.tolist(), ts.tolist(), d_A.tolist()))
-
-
-def rapid_decay_experiment(kernel: SphericalKernel, window: TestWindow,
-                           w: WeightFunction, beta: float, shears):
-    """I(lam, pass-projection of phi w, exp(t E)) at the shears of
-    rapid_decay_shears in the lower-shear direction, with phi the modulated
-    Gaussian at lam.
-
-    Rows: (t, d(g, A), |I|); returns (rows, contrast), the contrast being
-    |I|(largest t) / |I|(t=0).
-    """
-    lam = kernel.lam
-    _, _, fw, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
-    fpass = band_project(lam, beta, fw, "pass")
-    rows = []
-    for fac, t, d_A in shears:
-        rep = eval_I(kernel, window, fpass, GroupElement.lower_shear(t))
-        rows.append({"t": t, "factor": fac, "dist_A": d_A, "abs_I": abs(rep.value),
-                     "error": rep.error_estimate, "converged": rep.converged})
-    base = rows[0]["abs_I"] if rows and rows[0]["factor"] == 0.0 else None
-    contrast = rows[-1]["abs_I"] / base if base else float("nan")
-    return rows, contrast

@@ -1,7 +1,7 @@
 """Eigenfunctions of the round sphere, restriction norms against fractal
 measures, Kakeya-Nikodym tube norms with a rotation search, the dyadic
-oscillatory-kernel check in Fermi coordinates, and the closed-form exponent
-tables with log-log fitting."""
+oscillatory-kernel check in Fermi coordinates, and the closed-form exponents
+with log-log fitting."""
 
 from __future__ import annotations
 
@@ -27,46 +27,32 @@ DYADIC_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
-# exponent tables
+# exponents
 
 def gamma_exponent(alpha):
     """Piecewise restriction exponent: (1-alpha)/2 on (0,1/2], 1/4 on
-    (1/2,1], (2-alpha)/4 on (1,2]. Exact on Fraction inputs."""
-    half = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
-    one = 1 if isinstance(alpha, Fraction) else 1.0
+    (1/2,1], (2-alpha)/4 on (1,2]. Exact on Fraction inputs; a float alpha
+    gives a float except on (1/2,1], where the value is the Fraction 1/4."""
     if alpha <= 0 or alpha > 2:
         raise DomainError("alpha must lie in (0, 2]")
-    if alpha <= half:
-        return half - alpha / 2
-    if alpha <= one:
-        return half / 2
+    if alpha <= Fraction(1, 2):
+        return Fraction(1, 2) - alpha / 2
+    if alpha <= 1:
+        return Fraction(1, 4)
     return (2 - alpha) / 4
 
 
 def delta_exponent(alpha):
     """Power saving delta(alpha) = (alpha-1/2) / (24 (alpha-1/2) + 2) on (1/2, 1]."""
-    half = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
-    if not half < alpha <= 1:
+    if not Fraction(1, 2) < alpha <= 1:
         raise DomainError("alpha must lie in (1/2, 1]")
-    t = alpha - half
+    t = alpha - Fraction(1, 2)
     return t / (24 * t + 2)
 
 
 def marshall_exponent(alpha):
     """(alpha - 1/2)/14: the saving the unweighted geodesic bound already gives."""
-    half = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
-    return (alpha - half) / 14
-
-
-def exponent_table(alpha_grid) -> list[dict]:
-    rows = []
-    for alpha in alpha_grid:
-        half = Fraction(1, 2) if isinstance(alpha, Fraction) else 0.5
-        row = {"alpha": alpha, "gamma": gamma_exponent(alpha),
-               "delta": delta_exponent(alpha) if half < alpha <= 1 else None,
-               "marshall": marshall_exponent(alpha) if half < alpha <= 1 else None}
-        rows.append(row)
-    return rows
+    return (alpha - Fraction(1, 2)) / 14
 
 
 def fit_exponent(pairs):
@@ -209,30 +195,6 @@ def kn_norm(mode: SphereMode) -> dict:
                                 lo, hi, tol=1e-6)
     return {"lambda": lam, "half_width": delta, "s_kn": float(-neg),
             "search_resolution": float(step), "max_axis_tilt": float(psi_star)}
-
-
-def theorem_ratio_table(modes, mu: FractalMeasure, alpha: float):
-    """Restriction norm on the equator against the tube-norm bound
-    lam^(1/4) s_KN^(alpha-1/2).
-
-    Rows: {lambda, lhs, skn, bound, ratio}; at alpha = 1 the bound carries the
-    additional log(lam) factor.
-    """
-    if not 0.5 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (1/2, 1]")
-    ell = SphereGeodesic.equator()
-    rows = []
-    for mode in modes:
-        lhs = restriction_norm(mode, ell, mu)
-        s_kn = kn_norm(mode)["s_kn"]
-        bound = mode.lam ** 0.25 * s_kn ** (alpha - 0.5)
-        if alpha == 1.0:
-            bound *= max(np.log(mode.lam), 1.0)
-        rows.append({"lambda": mode.lam, "lhs": lhs, "skn": s_kn,
-                     "bound": bound, "ratio": lhs / bound})
-    ratios = [r["ratio"] for r in rows]
-    spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
-    return rows, spread
 
 
 # ---------------------------------------------------------------------------

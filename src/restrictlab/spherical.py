@@ -28,16 +28,20 @@ SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel 
 # for t well below pi / ds ~ 78.5, and the kernel's values read t at most
 # its support radius plus two t-steps, where the first alias, from
 # 2 pi / ds ~ 157, is below e^(-78) of Q's peak.  Only the spot checks past
-# the support read t up to x_max; past pi / ds the table there holds the
-# wrapped aliases, which can move their residual but not k.  Scaling ds by a
-# power of two scales the DFT length L inversely and leaves the t-step
-# 2 pi / (L ds) bit for bit.
+# the support read t beyond it, up to SPOT_RADIUS, far below pi / ds.
+# Scaling ds by a power of two scales the DFT length L inversely and leaves
+# the t-step 2 pi / (L ds) bit for bit.
 SPECTRAL_STEP = 0.04
 H_WIDTH = 0.05   # Paley-Wiener width of the kernel profile h
 # offset past which h^2 stays under SPECTRAL_FLOOR: h(u) <= (2/(H_WIDTH u))^4,
 # so h^2 < floor once u > 2 floor^(-1/8) / H_WIDTH (about 1,265)
 SPECTRAL_TRUNCATION = 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / H_WIDTH
-CIRCLE_BLOCK = 1 << 16   # circle points _circle_mean evaluates at once
+# circle points _circle_mean evaluates at once: about 3 MB of temporaries
+CIRCLE_BLOCK = 1 << 15
+# radius up to which make_kernel's spot checks past the support run: their
+# circle nodes grow like e^(x/2), and the table itself reads Q only on the
+# support
+SPOT_RADIUS = 3.0
 # radius past which cosh overflows, so the circle rule's u is not finite
 CIRCLE_MAX_RADIUS = float(np.arccosh(np.finfo(float).max))
 
@@ -141,9 +145,9 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     L.  Each radial value is then a circle average of u^(-1/2) Q(ln u) over
     n = max(64, 1.3 (lam + T) x + 64) midpoint nodes at x, of which the
     mirror pairs leave ceil(n/2) to evaluate.  The nodes up to the support,
-    32 spot checks past it and 16 node-doubled checks inside it, which guard
-    the circle rule, are one ragged _circle_mean call each.  x_max past
-    CIRCLE_MAX_RADIUS, where cosh overflows, is refused.
+    32 spot checks past it up to SPOT_RADIUS and 16 node-doubled checks
+    inside it, which guard the circle rule, are one ragged _circle_mean
+    call.  x_max past CIRCLE_MAX_RADIUS, where cosh overflows, is refused.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
@@ -175,15 +179,19 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
         return np.maximum(64, (1.3 * s_max * x).astype(np.intp) + 64)
 
     i_supp = int(np.searchsorted(xs, supp, side="right"))   # first node past supp
-    vals[:i_supp] = _circle_mean(xs[:i_supp], circle_nodes(xs[:i_supp]), q)
     # beyond the Paley-Wiener support the kernel vanishes; spot-verify on a
-    # sparse set instead of densely tabulating noise
-    spot = xs[i_supp::max(1, (n_x - i_supp) // 32)]
-    beyond = _circle_mean(spot, circle_nodes(spot), q)
-
+    # sparse set instead of densely tabulating noise.  Where u = 1 the phase
+    # s ln u moves 4 s sinh(x/2) per unit theta, 2 s x on the table but 1.4
+    # times that at x = 3, so a spot check's nodes count 2 sinh(x/2) for x
+    i_spot = int(np.searchsorted(xs, SPOT_RADIUS, side="right"))
+    spot = xs[i_supp:i_spot:max(1, (i_spot - i_supp) // 32)]
     rng = np.random.default_rng(7)
     check_idx = rng.choice(max(i_supp, 1), size=min(16, max(i_supp, 1)), replace=False)
-    refined = _circle_mean(xs[check_idx], 2 * circle_nodes(xs[check_idx]), q)
+    x_all = np.concatenate([xs[:i_supp], spot, xs[check_idx]])
+    n_all = np.concatenate([circle_nodes(xs[:i_supp]), circle_nodes(2.0 * np.sinh(spot / 2.0)),
+                            2 * circle_nodes(xs[check_idx])])
+    vals[:i_supp], beyond, refined = np.split(_circle_mean(x_all, n_all, q),
+                                              [i_supp, i_supp + spot.size])
     # np.max keeps a NaN, which then fails the check below
     resid = float(np.abs(np.concatenate([refined - vals[check_idx], beyond])).max())
     scale = float(np.abs(vals).max())

@@ -2,8 +2,10 @@
 built once per session and reused across module and acceptance tests.  Also
 the oracles that more than one test module reads: the Fourier-side energy
 identity, the weight's interval sweeps, the spherical function phi_s, the
-amplifier's parameter choices and the one-element geometry (one conjugate,
-one log distance) that the stacked paths are checked against."""
+amplifier's parameter choices, the one-element geometry (one conjugate,
+one log distance) that the stacked paths are checked against, and the
+library drivers of the beta-scaling, rapid-decay and Theorem-3 runs that the
+CLI runners replaced."""
 
 import math
 from functools import lru_cache
@@ -14,9 +16,11 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 import restrictlab as rl
+from restrictlab import cli
 from restrictlab.errors import DomainError, GridMismatchError, NonConvergenceError
 from restrictlab.geometry import _log_norm
 from restrictlab.hecke import _conjugates
+from restrictlab.integrals import _phi_w_on_window_grid, modulated_gaussian
 from restrictlab.sampling import _FOURTH_DIFFERENCE, _Z, PREFILTER_HALF_WIDTH, smooth_length
 from restrictlab.spherical import _circle_mean
 
@@ -57,6 +61,13 @@ def conjugated_element(alg: rl.QuatAlgebra, coords, n: int,
 def dist_to_identity(g: rl.GroupElement) -> float:
     """||log g|| of one element (the norm _log_norm takes elementwise)."""
     return float(_log_norm(g.m))
+
+
+def run_runner(experiment: str, params: dict):
+    """(rows, summary) of one CLI experiment's runner on the config that
+    load_config fills from params, without writing its CSV."""
+    cfg = cli.load_config(experiment=experiment, overrides=params)
+    return cli._EXPERIMENTS[experiment][0](cfg)
 
 
 @pytest.fixture(scope="session")
@@ -384,3 +395,80 @@ def golden_min(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def beta_scaling_experiment(kernel: rl.SphericalKernel, window: rl.TestWindow,
+                            w: rl.WeightFunction, beta_list):
+    """I(lam, complement-projection of phi w, e) against beta, with phi the
+    modulated Gaussian at lam (the library driver the beta-scaling runner
+    replaced).
+
+    Rows: (beta, |I|, |I| / (lam^(1/2) beta^(-(alpha-1/2)) ||phi||^2_L2(w)));
+    also returns the fitted log-log slope.
+    """
+    lam = kernel.lam
+    alpha = w.frostman_alpha
+    _, phi, fw, wpad = _phi_w_on_window_grid(
+        w, lambda x: modulated_gaussian(x, lam), lam)
+    phi_norm_sq = float(np.sum(np.abs(phi) ** 2 * wpad) * w.grid_step)
+    rows = []
+    for beta in sorted(beta_list):
+        if not (lam ** 0.2 <= beta <= lam ** 0.8):
+            raise DomainError(f"beta={beta} outside [lam^0.2, lam^0.8]")
+        fperp = rl.band_project(lam, beta, fw, "complement")
+        rep = rl.eval_I(kernel, window, fperp, rl.GroupElement.identity())
+        bound = lam ** 0.5 * beta ** (-(alpha - 0.5)) * phi_norm_sq
+        rows.append({"beta": beta, "abs_I": abs(rep.value),
+                     "normalized": abs(rep.value) / bound if bound > 0 else 0.0,
+                     "error": rep.error_estimate, "converged": rep.converged})
+    lb = np.log([r["beta"] for r in rows])
+    lv = np.log([max(r["abs_I"], 1e-300) for r in rows])
+    slope = float(np.polyfit(lb, lv, 1)[0]) if len(rows) >= 2 else float("nan")
+    return rows, slope, phi_norm_sq
+
+
+def rapid_decay_experiment(kernel: rl.SphericalKernel, window: rl.TestWindow,
+                           w: rl.WeightFunction, beta: float, shears):
+    """I(lam, pass-projection of phi w, exp(t E)) at the shears of
+    rapid_decay_shears in the lower-shear direction, with phi the modulated
+    Gaussian at lam (the library driver the rapid-decay runner replaced).
+
+    Rows: (t, d(g, A), |I|); returns (rows, contrast), the contrast being
+    |I|(largest t) / |I|(t=0).
+    """
+    lam = kernel.lam
+    _, _, fw, _ = _phi_w_on_window_grid(w, lambda x: modulated_gaussian(x, lam), lam)
+    fpass = rl.band_project(lam, beta, fw, "pass")
+    rows = []
+    for fac, t, d_A in shears:
+        rep = rl.eval_I(kernel, window, fpass, rl.GroupElement.lower_shear(t))
+        rows.append({"t": t, "factor": fac, "dist_A": d_A, "abs_I": abs(rep.value),
+                     "error": rep.error_estimate, "converged": rep.converged})
+    base = rows[0]["abs_I"] if rows and rows[0]["factor"] == 0.0 else None
+    contrast = rows[-1]["abs_I"] / base if base else float("nan")
+    return rows, contrast
+
+
+def theorem_ratio_table(modes, mu: rl.FractalMeasure, alpha: float):
+    """Restriction norm on the equator against the tube-norm bound
+    lam^(1/4) s_KN^(alpha-1/2) (the library driver the theorem3 runner
+    replaced).
+
+    Rows: {lambda, lhs, skn, bound, ratio}; at alpha = 1 the bound carries the
+    additional log(lam) factor.
+    """
+    if not 0.5 < alpha <= 1.0:
+        raise DomainError("alpha must lie in (1/2, 1]")
+    ell = rl.SphereGeodesic.equator()
+    rows = []
+    for mode in modes:
+        lhs = rl.restriction_norm(mode, ell, mu)
+        s_kn = rl.kn_norm(mode)["s_kn"]
+        bound = mode.lam ** 0.25 * s_kn ** (alpha - 0.5)
+        if alpha == 1.0:
+            bound *= max(np.log(mode.lam), 1.0)
+        rows.append({"lambda": mode.lam, "lhs": lhs, "skn": s_kn,
+                     "bound": bound, "ratio": lhs / bound})
+    ratios = [r["ratio"] for r in rows]
+    spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("inf")
+    return rows, spread

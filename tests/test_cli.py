@@ -12,6 +12,7 @@ from restrictlab.errors import DomainError
 from restrictlab.frequency import BumpPair
 from restrictlab.geometry import GroupElement
 from restrictlab.hecke import MAXIMAL_ORDER_2_3, QuatAlgebra
+from restrictlab.sampling import even_table
 
 from test_hecke import hecke_returns
 
@@ -129,11 +130,10 @@ def _reject_constant(name):
 
 def test_stdout_is_strict_json(tmp_path, capsys, monkeypatch):
     # a NaN contrast (|I| = 0 at t = 0) and an infinite value print as null
-    from restrictlab import integrals
     monkeypatch.setattr(integrals, "rapid_decay_shears",
                         lambda *args: (float("inf"), [(0.0, 0.0, 0.0)]))
-    monkeypatch.setattr(integrals, "rapid_decay_experiment",
-                        lambda *args: ([{"t": 0.0}], float("nan")))
+    monkeypatch.setattr(integrals, "eval_I",
+                        lambda *args: integrals.IntegralReport(0j, 0.0, 10.0, 1, True))
     rc = cli.main(["rapid-decay", "-p", "lambda=10", "-p", "t_factors=[0,4]",
                    "--out", str(tmp_path)])
     assert rc == 0
@@ -348,6 +348,39 @@ def test_kernel_past_cosh_overflow_exits_cleanly(tmp_path, capsys):
     assert rc == 2
     out = capsys.readouterr()
     assert out.out == "" and "Warning" not in out.err and "Traceback" not in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam, x_max", [(400.0, 8.0), (1600.0, 8.0), (10.0, 12.0),
+                                        (10.0, 250.0), (100.0, 64.0), (6400.0, 4.0)])
+def test_kernel_spot_checks_accept_correct_tables(tmp_path, capsys, lam, x_max):
+    # past the support k is 0; with the table's node count and no radius
+    # cap, the spot checks there read up to 2.9e+01 (lam = 1600, x_max = 8)
+    # and refused these tables with exit 4
+    rc = cli.main(["kernel", "-p", f"lambda={lam}", "-p", f"x_max={x_max}",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["verify_residual"] <= 1e-7
+
+
+def test_kernel_spot_checks_refuse_q_corrupted_past_the_support(tmp_path, capsys,
+                                                                 monkeypatch):
+    # Q off by 1e-3 of its peak on t in [1, 2], which the table's nodes up to
+    # the support never read: only the spot checks past it see k leave 0
+    tables = []
+
+    def corrupted(step, values):
+        if not tables:   # the first table is Q on its t-grid
+            t = step * np.arange(values.size)
+            values = values + np.where((t >= 1.0) & (t <= 2.0),
+                                       1e-3 * np.abs(values).max(), 0.0)
+        tables.append(step)
+        return even_table(step, values)
+
+    monkeypatch.setattr(spherical, "even_table", corrupted)
+    rc = cli.main(["kernel", "-p", "lambda=400", "-p", "x_max=8", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "residual" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

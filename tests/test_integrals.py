@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import restrictlab as rl
-from restrictlab import integrals, spherical
+from restrictlab import cli, integrals, spherical
 from restrictlab.errors import DomainError, ResourceError
 from restrictlab.hecke import enumerate_norm_n
 from restrictlab.integrals import _bilinear_sums, _window_values, modulated_gaussian
 
-from conftest import (ALPHA_CANTOR, cached_algebra, cached_kernel, cached_weight,
-                      conjugated_element, sampled)
+from conftest import (ALPHA_CANTOR, beta_scaling_experiment, cached_algebra,
+                      cached_kernel, cached_weight, conjugated_element,
+                      rapid_decay_experiment, run_runner, sampled)
 
 
 def _phi_w_sampled(lam: float, alpha: float = 0.9, depth: int = 8,
@@ -575,42 +576,58 @@ def test_amplified_rhs_dominates_identity_term():
 
 # ---------------------------------------------------------------- experiments
 
-def test_beta_scaling_smoke(kernel100):
-    win = rl.TestWindow()
-    w = cached_weight(0.9, 8, 100.0)
-    rows, slope, norm_sq = rl.beta_scaling_experiment(
-        kernel100, win, w, [100.0 ** 0.3, 100.0 ** 0.5])
+def _integral_run_inputs(lam: float, alpha: float = 0.9):
+    """(kernel, weight) as an integral run at lam builds them, at its
+    derived depth max(8, ceil(alpha log2 lam))."""
+    depth = max(8, math.ceil(alpha * math.log2(lam)))
+    return cached_kernel(lam), cached_weight(alpha, depth, lam)
+
+
+@pytest.mark.parametrize("lam", [100.0, 400.0])
+def test_beta_scaling_runner_matches_removed_driver(lam):
+    rows, summary = run_runner("beta-scaling", {"lambda": lam})
+    kern, w = _integral_run_inputs(lam)
+    exponents = cli.load_config(experiment="beta-scaling").params["beta_exponents"]
+    ref_rows, slope, norm_sq = beta_scaling_experiment(
+        kern, rl.TestWindow(), w, [lam ** e for e in exponents])
+    assert rows == ref_rows
+    assert summary["slope"] == slope and summary["phi_norm_sq"] == norm_sq
+    assert summary["slope_ok"] == (slope <= -(0.9 - 0.5) + 0.15)
+
+
+@pytest.mark.parametrize("lam", [100.0, 400.0])
+def test_rapid_decay_runner_matches_removed_driver(lam):
+    rows, summary = run_runner("rapid-decay", {"lambda": lam})
+    kern, w = _integral_run_inputs(lam)
+    p = cli.load_config(experiment="rapid-decay").params
+    beta = lam ** p["beta_exponent"]
+    t_star, shears = integrals.rapid_decay_shears(lam, beta, p["epsilon0"], p["t_factors"])
+    ref_rows, contrast = rapid_decay_experiment(kern, rl.TestWindow(), w, beta, shears)
+    assert rows == ref_rows
+    assert summary["contrast"] == contrast and summary["threshold_t"] == t_star
+
+
+def test_beta_scaling_smoke():
+    rows, summary = run_runner("beta-scaling", {"lambda": 100.0, "beta_exponents": [0.3, 0.5]})
     assert len(rows) == 2
     assert all(np.isfinite(r["normalized"]) for r in rows)
-    assert norm_sq > 0
-
-
-def test_beta_scaling_range_guard(kernel100):
-    win = rl.TestWindow()
-    w = cached_weight(0.9, 8, 100.0)
-    with pytest.raises(DomainError):
-        rl.beta_scaling_experiment(kernel100, win, w, [2.0])
+    assert summary["phi_norm_sq"] > 0
 
 
 def test_rapid_decay_t0_matches_eval(kernel100):
-    win = rl.TestWindow()
-    w = cached_weight(0.9, 8, 100.0)
-    _, shears = integrals.rapid_decay_shears(100.0, 10.0, 0.1, (0.0, 4.0))
-    rows, contrast = rl.rapid_decay_experiment(kernel100, win, w, 10.0, shears)
+    rows, summary = run_runner("rapid-decay", {"lambda": 100.0, "t_factors": [0.0, 4.0]})
     lam = 100.0
+    w = cached_weight(0.9, 8, lam)
     _, _, f, _ = integrals._phi_w_on_window_grid(
         w, lambda x: modulated_gaussian(x, lam), lam)
     fpass = rl.band_project(lam, 10.0, f, "pass")
-    direct = rl.eval_I(kernel100, win, fpass, rl.GroupElement.identity())
+    direct = rl.eval_I(kernel100, rl.TestWindow(), fpass, rl.GroupElement.identity())
     assert rows[0]["abs_I"] == pytest.approx(abs(direct.value), rel=1e-12)
-    assert contrast < 1.0
+    assert summary["contrast"] < 1.0
 
 
-def test_rapid_decay_monotone_trend(kernel100):
-    win = rl.TestWindow()
-    w = cached_weight(0.9, 8, 100.0)
-    _, shears = integrals.rapid_decay_shears(100.0, 10.0, 0.1, (0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
-    rows, contrast = rl.rapid_decay_experiment(kernel100, win, w, 10.0, shears)
+def test_rapid_decay_monotone_trend():
+    rows, _ = run_runner("rapid-decay", {"lambda": 100.0})
     vals = [r["abs_I"] for r in rows]
     near = vals[1:3]
     far = vals[4:]

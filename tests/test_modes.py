@@ -18,7 +18,7 @@ import restrictlab as rl
 from restrictlab.errors import DomainError
 from restrictlab.modes import _legendre_values, dyadic_inner_integral
 
-from conftest import cached_weight, golden_min
+from conftest import cached_weight, golden_min, run_runner, theorem_ratio_table
 
 
 # ---------------------------------------------------------------- exponents
@@ -355,36 +355,27 @@ def test_kn_zonal_bounds():
     assert mode.lam ** -0.5 / 10.0 <= rep["s_kn"] <= 1.0 + 1e-6
 
 
+def _theorem3_against_removed_table(alpha):
+    """The theorem3 runner's rows and spread at alpha, default degrees and
+    depth, asserted equal to those of the library table it replaced."""
+    rows, summary = run_runner("theorem3", {"alpha": alpha})
+    modes = [rl.SphereMode("highest_weight", l) for l in (64, 128, 256)]
+    ref_rows, spread = theorem_ratio_table(modes, rl.make_cantor_measure(alpha, 8), alpha)
+    assert rows == ref_rows and summary["ratio_spread"] == spread
+    return rows, spread
+
+
 def test_theorem_ratio_spread_small_family():
-    mu = rl.make_cantor_measure(0.7, 8)
-    modes = [rl.SphereMode("highest_weight", l)
-             for l in (64, 128, 256)]
-    rows, spread = rl.theorem_ratio_table(modes, mu, 0.7)
+    rows, spread = _theorem3_against_removed_table(0.7)
     assert spread <= 4.0
     assert all(np.isfinite(r["ratio"]) for r in rows)
 
 
-def test_theorem_ratio_zonal_finite():
-    mu = rl.make_cantor_measure(0.7, 8)
-    modes = [rl.SphereMode("zonal", l) for l in (32, 64)]
-    rows, spread = rl.theorem_ratio_table(modes, mu, 0.7)
-    assert np.isfinite(spread)
-
-
 def test_theorem_ratio_log_loss_at_alpha_one():
-    mu = rl.make_cantor_measure(1.0, 8)
-    modes = [rl.SphereMode("highest_weight", l)
-             for l in (64, 128)]
-    rows, spread = rl.theorem_ratio_table(modes, mu, 1.0)
+    rows, _ = _theorem3_against_removed_table(1.0)
     for r in rows:
         assert r["bound"] == pytest.approx(
             r["lambda"] ** 0.25 * r["skn"] ** 0.5 * np.log(r["lambda"]), rel=1e-12)
-
-
-def test_theorem_check_alpha_domain():
-    mu = rl.make_cantor_measure(0.7, 4)
-    with pytest.raises(DomainError):
-        rl.theorem_ratio_table([], mu, 0.4)
 
 
 # ---------------------------------------------------------------- dyadic

@@ -417,7 +417,7 @@ FULL_RULE_ULPS = 16
 
 @pytest.mark.parametrize("lam, x_max", [(10.0, 1.0), (100.0, 1.0), (100.0, 4.0), (400.0, 1.0)])
 def test_kernel_matches_per_node_circle_rule(monkeypatch, lam, x_max):
-    # the kernel from three blocked ragged calls against the same build with
+    # the kernel from one blocked ragged call against the same build with
     # one paired circle rule per node, as its support, spot and refined
     # checks were, and with the full rule per node
     kern = rl.make_kernel(lam, x_max=x_max)
