@@ -228,9 +228,10 @@ def _run_energy(cfg):
 def _run_kernel(cfg):
     p = cfg.params
     k = spherical.make_kernel(p["lambda"], p["x_max"])
-    x = k.x_grid()
+    n_x, _ = spherical.check_kernel_budget(p["lambda"], p["x_max"])
+    vals = np.pad(k.values, (0, n_x - k.values.size))   # k is 0 past the table
     rows = [{"x": float(xx), "k": float(vv)} for xx, vv in
-            zip(x[::16], k.values[::16])]
+            zip(k.x_step * np.arange(n_x)[::16], vals[::16])]
     return rows, {
         "k_at_0": float(k.values[0]), "decay_constant": spherical.kernel_decay_constant(k),
         "support_radius": k.support_radius, "verify_residual": k.verify_residual}

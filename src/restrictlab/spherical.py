@@ -42,8 +42,6 @@ CIRCLE_BLOCK = 1 << 15
 # circle nodes grow like e^(x/2), and the table itself reads Q only on the
 # support
 SPOT_RADIUS = 3.0
-# radius past which cosh overflows, so the circle rule's u is not finite
-CIRCLE_MAX_RADIUS = float(np.arccosh(np.finfo(float).max))
 
 
 def _circle_mean(x, n_theta, F) -> np.ndarray:
@@ -105,8 +103,8 @@ class SphericalKernel:
     supported in [-2 H_WIDTH, 2 H_WIDTH]) via h0(s) = h(s-lam) + h(-s-lam);
     k is the inverse spherical transform of h0^2, hence positive on the
     spectral side and compactly supported in radius <= 4 H_WIDTH.  `values`
-    holds k on the radial grid of [0, x_max]; `radial` is the spline through
-    those values up to the first node past the support, and exactly 0 beyond.
+    holds k on the radial nodes up to the first past the support, where k is
+    0; `radial` is the spline through them, and exactly 0 beyond.
     """
 
     lam: float
@@ -135,28 +133,25 @@ def check_kernel_budget(lam: float, x_max: float) -> tuple[int, int]:
 
 
 def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
-    """Tabulate the radial band kernel on [0, x_max].
+    """Tabulate the radial band kernel on [0, x_max] up to its support.
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
     ds / (2 pi) on the uniform s-grid of [0, lam + T] of step ds =
-    SPECTRAL_STEP, M = ceil((lam + T) / ds) + 1 nodes.  Q on the t-grid is
-    the first n_t terms of the length-L DFT of those coefficients, from one
-    chirp-z convolution whose cost and memory depend on M + n_t and not on
-    L.  Each radial value is then a circle average of u^(-1/2) Q(ln u) over
-    n = max(64, 1.3 (lam + T) x + 64) midpoint nodes at x, of which the
-    mirror pairs leave ceil(n/2) to evaluate.  The nodes up to the support,
-    32 spot checks past it up to SPOT_RADIUS and 16 node-doubled checks
-    inside it, which guard the circle rule, are one ragged _circle_mean
-    call.  x_max past CIRCLE_MAX_RADIUS, where cosh overflows, is refused.
+    SPECTRAL_STEP, M = ceil((lam + T) / ds) + 1 nodes.  Q on the t-grid of
+    [0, min(x_max, SPOT_RADIUS)] is the first n_t terms of the length-L DFT
+    of those coefficients, from one chirp-z convolution whose cost and
+    memory depend on M + n_t and not on L.  Each radial value is then a
+    circle average of u^(-1/2) Q(ln u) over n = max(64, 1.3 (lam + T) x + 64)
+    midpoint nodes at x, of which the mirror pairs leave ceil(n/2) to
+    evaluate.  The nodes up to the support, 32 spot checks past it up to
+    min(x_max, SPOT_RADIUS) and 16 node-doubled checks inside it, which guard
+    the circle rule, are one ragged _circle_mean call.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
     n_x, M = check_kernel_budget(lam, x_max)
     if n_x < 4:
         raise DomainError(f"x_max = {x_max} gives fewer than 4 radial nodes")
-    if x_max > CIRCLE_MAX_RADIUS:
-        raise DomainError(f"x_max = {x_max} is past {CIRCLE_MAX_RADIUS:.2f},"
-                          " where the circle rule's cosh overflows")
 
     ds = SPECTRAL_STEP
     s_max = lam + SPECTRAL_TRUNCATION
@@ -167,12 +162,11 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     dt_target = 1.0 / (2.0 * SAMPLES_PER_WAVELENGTH * lam)
     L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * dt_target))))
     dt = 2.0 * np.pi / (L * ds)
-    n_t = min(L, int(x_max / dt) + 8)
+    n_t = int(min(x_max, SPOT_RADIUS) / dt) + 8
     Q = dft_head(coef, L, n_t).real
     q = even_table(dt, Q)
 
     xs = np.linspace(0.0, x_max, n_x)
-    vals = np.zeros(n_x)
     supp = SphericalKernel.support_radius + 2.0 * dt
 
     def circle_nodes(x: np.ndarray) -> np.ndarray:
@@ -190,8 +184,8 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     x_all = np.concatenate([xs[:i_supp], spot, xs[check_idx]])
     n_all = np.concatenate([circle_nodes(xs[:i_supp]), circle_nodes(2.0 * np.sinh(spot / 2.0)),
                             2 * circle_nodes(xs[check_idx])])
-    vals[:i_supp], beyond, refined = np.split(_circle_mean(x_all, n_all, q),
-                                              [i_supp, i_supp + spot.size])
+    vals, beyond, refined = np.split(_circle_mean(x_all, n_all, q),
+                                     [i_supp, i_supp + spot.size])
     # np.max keeps a NaN, which then fails the check below
     resid = float(np.abs(np.concatenate([refined - vals[check_idx], beyond])).max())
     scale = float(np.abs(vals).max())
@@ -199,11 +193,10 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
         raise NonConvergenceError(
             f"kernel circle rule residual {resid:.2e} exceeds 1e-6 * {scale:.2e}")
     x_step = xs[1] - xs[0]
-    # the radial spline ends at the first zero node past the support, so k is
-    # exactly 0 beyond it instead of ringing over the zero tail
-    n_knots = min(i_supp + 1, n_x)
-    return SphericalKernel(lam, x_step, vals, resid / scale,
-                           even_table(x_step, vals[:n_knots]))
+    # the table ends at the first node past the support, where k is 0, so the
+    # spline through it is exactly 0 beyond
+    vals = np.pad(vals, (0, int(i_supp < n_x)))
+    return SphericalKernel(lam, x_step, vals, resid / scale, even_table(x_step, vals))
 
 
 def kernel_decay_constant(kernel: SphericalKernel) -> float:

@@ -339,16 +339,22 @@ def test_amplifier_experiment(tmp_path, capsys):
 
 
 def test_kernel_past_cosh_overflow_exits_cleanly(tmp_path, capsys):
-    # past x = 710.48 cosh overflows and the spot checks' residual was NaN,
-    # which dropped out of the residual's max and exited 0 with a warning
+    # cosh overflows past x = 710.48, but no circle node lies past
+    # SPOT_RADIUS: the run exits 0 with no warning, and every row past the
+    # support prints k = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(["kernel", "-p", "lambda=10", "-p", "x_max=1000",
                        "--out", str(tmp_path)])
-    assert rc == 2
+    assert rc == 0
     out = capsys.readouterr()
-    assert out.out == "" and "Warning" not in out.err and "Traceback" not in out.err
-    assert list(tmp_path.iterdir()) == []
+    assert json.loads(out.out)["summary"]["verify_residual"] <= 1e-6
+    assert "Warning" not in out.err and "Traceback" not in out.err
+    rows = [line.split(",") for line in
+            (tmp_path / "kernel.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 10001 and rows[-1][0] == "1000"
+    past = [k for x, k in rows if float(x) > spherical.SphericalKernel.support_radius]
+    assert len(past) == 9998 and set(past) == {"0"}
 
 
 @pytest.mark.parametrize("lam, x_max", [(400.0, 8.0), (1600.0, 8.0), (10.0, 12.0),
@@ -538,6 +544,18 @@ def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     out, err = capsys.readouterr()
     assert out == ""
     assert INVALID_PARAM_MESSAGES.get((experiment, param), "") in err
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (name, key) for name, (_, schema) in cli._EXPERIMENTS.items()
+    for key, (kind, _, _) in schema.items() if kind in ([int], [float])])
+def test_flat_list_params_refuse_empty_and_repeats(experiment, key):
+    # every flat list parameter is a sweep: an empty list has no rows, and a
+    # repeat would duplicate rows under one summary key
+    first = cli._EXPERIMENTS[experiment][1][key][1][0]
+    for value in ([], [first, first]):
+        with pytest.raises(DomainError):
+            cli.load_config(experiment=experiment, overrides={key: value})
 
 
 def test_nonfinite_config_value_exits_2(tmp_path, capsys):

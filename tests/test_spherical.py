@@ -228,28 +228,64 @@ def test_kernel_spectral_nonnegativity(kernel100):
 
 
 def test_kernel_support_vanishing(kernel100):
-    x = kernel100.x_grid()
-    beyond = x > kernel100.support_radius + 0.02
-    assert np.abs(kernel100.values[beyond]).max() <= 1e-6 * kernel100.values[0]
+    # past its support radius k is 0: the spline through the last nodes
+    # inside it is below the gate, and exactly 0 past the table's end
+    x = np.linspace(kernel100.support_radius, 1.0, 100001)
+    assert np.abs(kernel100.radial(x)).max() <= 1e-6 * kernel100.values[0]
+
+
+def _recorded_kernel(monkeypatch, lam: float, x_max: float):
+    """(kernel, Q's table function, Q's t-step) of a fresh make_kernel."""
+    tables = []
+
+    def recorded(step, values):
+        tables.append((even_table(step, values), step))
+        return tables[-1][0]
+
+    monkeypatch.setattr(spherical, "even_table", recorded)
+    kern = rl.make_kernel(lam, x_max=x_max)
+    return (kern, *tables[0])
 
 
 @pytest.mark.parametrize("lam, x_max", [(100.0, 1.0), (200.0, 1.0), (100.0, 4.0)])
-def test_kernel_radial_ends_at_support(lam, x_max):
-    # the radial spline ends at the first zero node past the support: on
-    # [0, support_radius] it matches the spline through the whole table, and
-    # past its last knot k is exactly 0, where the whole table's spline rings
-    kern = cached_kernel(lam, x_max)
-    x = kern.x_step * np.arange(kern.values.size)
-    whole_table = even_table(kern.x_step, kern.values)
-    scale = np.abs(kern.values).max()
-    inside = np.linspace(0.0, kern.support_radius, 20001)
-    assert np.abs(kern.radial(inside) - whole_table(inside)).max() <= 1e-10 * scale
-    last_knot = x[np.flatnonzero(kern.values)[-1] + 1]
+def test_kernel_radial_ends_at_support(monkeypatch, lam, x_max):
+    # the table ends at its first node past the support plus two t-steps of
+    # Q, where k = 0, and the spline through it is exactly 0 beyond
+    kern, _, dt = _recorded_kernel(monkeypatch, lam, x_max)
+    x = kern.x_grid()
+    assert kern.values[-1] == 0.0 and kern.values[-2] != 0.0
+    assert x[-2] <= kern.support_radius + 2 * dt < x[-1]
     # the bilinear sums read k up to support_radius + 2 x_step
-    assert kern.support_radius < last_knot <= kern.support_radius + 2 * kern.x_step
-    past = np.linspace(last_knot, x_max, 20001)[1:]
+    assert x[-1] <= kern.support_radius + 2 * kern.x_step
+    past = np.linspace(x[-1], x_max + 1.0, 20001)[1:]
     assert np.all(kern.radial(past) == 0.0)
-    assert np.any(whole_table(past) != 0.0)
+
+
+@pytest.mark.parametrize("x_max", [4.0, 8.0, 64.0])
+@pytest.mark.parametrize("lam", [100.0, 1600.0])
+def test_kernel_independent_of_x_max_past_spot_radius(lam, x_max):
+    # past SPOT_RADIUS x_max moves no circle node and no t of Q: the table,
+    # its spline and its residual are the x_max = 3 build's, bit for bit
+    ref = cached_kernel(lam, 3.0)
+    kern = rl.make_kernel(lam, x_max=x_max)
+    x = np.linspace(0.0, 0.25, 1001)
+    assert kern.x_step == ref.x_step
+    assert np.array_equal(kern.values, ref.values)
+    assert np.array_equal(kern.radial(x), ref.radial(x))
+    assert kern.verify_residual == ref.verify_residual
+
+
+@pytest.mark.parametrize("lam", [10.0, 100.0, 1600.0])
+def test_kernel_gate_holds_at_every_support_node(monkeypatch, lam):
+    # verify_residual compares n against 2n circle nodes at 16 random
+    # support nodes; the same comparison at every support node, where the
+    # worst lies near x = 0, stays within the 1e-6 gate
+    kern, q, _ = _recorded_kernel(monkeypatch, lam, 1.0)
+    xs = kern.x_grid()[:-1]
+    n = np.maximum(64, (1.3 * (lam + SPECTRAL_TRUNCATION) * xs).astype(np.intp) + 64)
+    assert np.array_equal(_circle_mean(xs, n, q), kern.values[:-1])
+    scale = np.abs(kern.values).max()
+    assert np.abs(_circle_mean(xs, 2 * n, q) - kern.values[:-1]).max() <= 1e-6 * scale
 
 
 @lru_cache(maxsize=None)
