@@ -177,18 +177,17 @@ def _integral_setup(p: dict, shears=(), projected=False):
     of its band projection, are all checked before the bump, the weight or
     the kernel is built."""
     lam, spw = p["lambda"], p["resolution_per_wavelength"]
-    n_x, _ = spherical.check_kernel_budget(lam, 1.0)
+    spherical.check_kernel_budget(lam, 1.0)
     # the smallest depth from 8 up whose Cantor cells 2^(-depth / alpha) are
     # at most 1/lam wide
     depth = max(8, math.ceil(p["alpha"] * math.log2(lam)))
     nu = measures.make_cantor_measure(p["alpha"], depth)
     h, n = measures.check_weight_budget(nu.atoms.size, lam, spw)
-    # the window grid of the weight's grid -2 + h * arange(n + 1), and the
-    # radial step of the kernel's n_x nodes on [0, 1]
+    # the window grid of the weight's grid -2 + h * arange(n + 1)
     _, x = integrals._window_grid(-2.0, h, n + 1)
     for t in shears:
         integrals.check_band_budget(geometry.GroupElement.lower_shear(t), x, h,
-                                    1.0 / (n_x - 1))
+                                    spherical._kernel_reach(lam))
     if projected:
         frequency.check_band_project_budget(x.size)
     w = measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
@@ -229,9 +228,9 @@ def _run_kernel(cfg):
     p = cfg.params
     k = spherical.make_kernel(p["lambda"], p["x_max"])
     n_x, _ = spherical.check_kernel_budget(p["lambda"], p["x_max"])
-    vals = np.pad(k.values, (0, n_x - k.values.size))   # k is 0 past the table
-    rows = [{"x": float(xx), "k": float(vv)} for xx, vv in
-            zip(k.x_step * np.arange(n_x)[::16], vals[::16])]
+    i = np.arange(0, n_x, 16)
+    vals = np.pad(k.values, (0, n_x))[i]   # k is 0 past the table
+    rows = [{"x": float(xx), "k": float(vv)} for xx, vv in zip(k.x_step * i, vals)]
     return rows, {
         "k_at_0": float(k.values[0]), "decay_constant": spherical.kernel_decay_constant(k),
         "support_radius": k.support_radius, "verify_residual": k.verify_residual}

@@ -47,11 +47,6 @@ ROW_CHUNK = 64   # rows whose band rectangle is evaluated together
 BAND_BUDGET = 1 << 30   # band-rectangle cells of one eval_I_pair
 
 
-def _reach(x_step: float) -> float:
-    """Radius past which a kernel of radial step x_step is exactly 0."""
-    return SphericalKernel.support_radius + 2 * x_step
-
-
 def _band_form(m: np.ndarray, x: np.ndarray):
     """(t, A, B, C): t = e^x and, per row x1 of x, the Gram matrix [[A, C], [C, B]]
     of a(-x1) g's columns, g = m of det 1: A = a^2/t1 + c^2 t1, B = b^2/t1 + d^2 t1,
@@ -87,19 +82,19 @@ def _is_central(g: GroupElement) -> bool:
     return b == 0 and c == 0 and a == d
 
 
-def check_band_budget(g: GroupElement, x: np.ndarray, h: float, x_step: float):
+def check_band_budget(g: GroupElement, x: np.ndarray, h: float, reach: float):
     """(first, start, widths): g's kernel band on the uniform grid x (step h),
-    for a kernel of radial step x_step, as chunks of ROW_CHUNK rows from the
-    even row `first`; row first + i starts at the even column start[i] at or
-    before its `_row_bands` interval, and chunk c's rows are widths[c] wide,
-    enough for all of its intervals.  None when no row has a band or g = +-e,
-    whose Toeplitz sum the weight's grid budget bounds (see `_toeplitz_sums`).
-    ResourceError past BAND_BUDGET cells."""
+    for a kernel exactly 0 past radius `reach`, as chunks of ROW_CHUNK rows
+    from the even row `first`; row first + i starts at the even column
+    start[i] at or before its `_row_bands` interval, and chunk c's rows are
+    widths[c] wide, enough for all of its intervals.  None when no row has a
+    band or g = +-e, whose Toeplitz sum the weight's grid budget bounds (see
+    `_toeplitz_sums`).  ResourceError past BAND_BUDGET cells."""
     if _is_central(g):
         return None
     # a huge shear overflows A or B: that row's band is empty
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lo, hi = _row_bands(g.m, x, h, _reach(x_step))
+        lo, hi = _row_bands(g.m, x, h, reach)
     filled = np.flatnonzero(hi >= lo)
     if filled.size == 0:
         return None
@@ -128,10 +123,8 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     The window grid spans 1.5 times the weight's, whose points GRID_BUDGET
     bounds, so the transform stays under 1.7 GRID_BUDGET, and below the
     4 n of band_project on the same grid: the existing budgets bound it.
-    When u1 is u2 the sums are Hermitian forms of a real symmetric matrix,
-    real but for the FFT's rounding, and their real parts are returned.
     """
-    lag = h * np.arange(min(int(_reach(kernel.x_step) / h), u2.size - 1) + 1)
+    lag = h * np.arange(min(int(kernel.reach / h), u2.size - 1) + 1)
     k = kernel.radial(lag)
 
     def convolved(v1, v2, k, h):
@@ -139,11 +132,7 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
         rows = convolve_valid(np.concatenate([k[:0:-1], k]), np.pad(v2, m))
         return np.sum(np.conj(v1) * rows) * h * h
 
-    full = convolved(u1, u2, k, h)
-    half = convolved(u1[::2], u2[::2], k[::2], 2 * h)
-    if u1 is u2:
-        return complex(full.real), complex(half.real)
-    return full, half
+    return convolved(u1, u2, k, h), convolved(u1[::2], u2[::2], k[::2], 2 * h)
 
 
 def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
@@ -152,35 +141,33 @@ def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     k(d(g a(x2) i, a(x1) i)), and the same sum on the grid's even entries.
 
     Each row chunk of `check_band_budget` is one dense rectangle of pairs,
-    measured by `_band_form`.  k is exactly 0 past its table's last knot,
-    so pairs outside the bands add nothing.  Chunks start on even rows and
-    rows on even columns, so the half sum takes the rectangles' even
-    entries, each summed in a fixed order.  For g = +-e the matrix is
-    Toeplitz and `_toeplitz_sums` takes over; for a^2 = d^2 (a shear, a
-    rotation) it is symmetric, so for u1 is u2 the real parts are returned.
+    measured by `_band_form`.  k is exactly 0 past its reach, so pairs
+    outside the bands add nothing.  Chunks start on even rows and rows on
+    even columns, so the half sum takes the rectangles' even entries, each
+    summed in a fixed order.  For g = +-e the matrix is Toeplitz and
+    `_toeplitz_sums` takes over; for a^2 = d^2 (+-e, a shear, a rotation) it
+    is real symmetric, so for u1 is u2 the real parts are returned.
     """
-    if _is_central(g):
-        return _toeplitz_sums(kernel, u1, u2, h)
-    bands = check_band_budget(g, x, h, kernel.x_step)
-    if bands is None:
-        return 0j, 0j
-    first, start, widths = bands
     real = u1 is u2 and g.m[0, 0] ** 2 == g.m[1, 1] ** 2
-    t, A, B, C = _band_form(g.m, x)
-    p, q, e = np.sqrt(A) / 2, np.sqrt(B) / 2, C * C / (2 * (np.sqrt(A * B) + 1))
-    # past the grid's end, t = 1 keeps the distance finite and u2 = 0
-    pad = (0, int(widths.max()))
-    t, u2 = np.pad(t, pad, constant_values=1.0), np.pad(u2, pad)
     full = half = 0j
-    for c0, width in zip(range(0, start.size, ROW_CHUNK), widths):
-        cols = start[c0:c0 + ROW_CHUNK, None] + np.arange(width)
-        rows = slice(first + c0, first + c0 + cols.shape[0])
-        tc = t[cols]
-        s = np.square(p[rows, None] * tc - q[rows, None]) / tc + e[rows, None]
-        terms = kernel.radial(2.0 * np.arcsinh(np.sqrt(s))) * u2[cols]
-        full += np.conj(u1[rows]) @ terms.sum(axis=1)
-        half += np.conj(u1[rows][::2]) @ terms[::2, ::2].sum(axis=1)
-    full, half = full * h * h, half * (2 * h) * (2 * h)
+    if _is_central(g):
+        full, half = _toeplitz_sums(kernel, u1, u2, h)
+    elif (bands := check_band_budget(g, x, h, kernel.reach)) is not None:
+        first, start, widths = bands
+        t, A, B, C = _band_form(g.m, x)
+        p, q, e = np.sqrt(A) / 2, np.sqrt(B) / 2, C * C / (2 * (np.sqrt(A * B) + 1))
+        # past the grid's end, t = 1 keeps the distance finite and u2 = 0
+        pad = (0, int(widths.max()))
+        t, u2 = np.pad(t, pad, constant_values=1.0), np.pad(u2, pad)
+        for c0, width in zip(range(0, start.size, ROW_CHUNK), widths):
+            cols = start[c0:c0 + ROW_CHUNK, None] + np.arange(width)
+            rows = slice(first + c0, first + c0 + cols.shape[0])
+            tc = t[cols]
+            s = np.square(p[rows, None] * tc - q[rows, None]) / tc + e[rows, None]
+            terms = kernel.radial(2.0 * np.arcsinh(np.sqrt(s))) * u2[cols]
+            full += np.conj(u1[rows]) @ terms.sum(axis=1)
+            half += np.conj(u1[rows][::2]) @ terms[::2, ::2].sum(axis=1)
+        full, half = full * h * h, half * (2 * h) * (2 * h)
     return (complex(full.real), complex(half.real)) if real else (full, half)
 
 

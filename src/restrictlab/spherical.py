@@ -108,22 +108,34 @@ class SphericalKernel:
     """
 
     lam: float
-    x_step: float
     values: np.ndarray = field(repr=False)
     verify_residual: float
-    radial: Callable = field(repr=False)   # k at radial distance |x|; 0 past the support
+    radial: Callable = field(repr=False)   # k at radial distance |x|; 0 past the reach
 
     support_radius = 4.0 * H_WIDTH
 
+    x_step = property(lambda self: _radial_step(self.lam))
+    reach = property(lambda self: _kernel_reach(self.lam))   # k is 0 past it
+
     def x_grid(self) -> np.ndarray:
         return self.x_step * np.arange(self.values.size)
+
+
+def _radial_step(lam: float) -> float:
+    """Step of the kernel table's radial nodes at lam, whatever its x_max."""
+    return 1.0 / (SAMPLES_PER_WAVELENGTH * lam)
+
+
+def _kernel_reach(lam: float) -> float:
+    """Radius past which the kernel at lam is exactly 0 (see make_kernel)."""
+    return SphericalKernel.support_radius + 2 * _radial_step(lam)
 
 
 def check_kernel_budget(lam: float, x_max: float) -> tuple[int, int]:
     """(radial nodes on [0, x_max], spectral nodes on [0, lam + T]) of the
     kernel table at lam; ResourceError past TABLE_BUDGET, radial nodes first,
     before anything is built."""
-    n_x = np.round(x_max * SAMPLES_PER_WAVELENGTH * lam) + 1   # inf past float range
+    n_x = np.floor(x_max * SAMPLES_PER_WAVELENGTH * lam) + 1   # inf past float range
     if n_x > TABLE_BUDGET:
         raise ResourceError(f"{n_x:.0f} radial nodes exceed budget {TABLE_BUDGET}")
     n_s = np.ceil((lam + SPECTRAL_TRUNCATION) / SPECTRAL_STEP) + 1
@@ -133,19 +145,20 @@ def check_kernel_budget(lam: float, x_max: float) -> tuple[int, int]:
 
 
 def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
-    """Tabulate the radial band kernel on [0, x_max] up to its support.
+    """Tabulate the radial band kernel up to its support; x_max bounds only
+    the radial budget and the spot checks.
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
     ds / (2 pi) on the uniform s-grid of [0, lam + T] of step ds =
-    SPECTRAL_STEP, M = ceil((lam + T) / ds) + 1 nodes.  Q on the t-grid of
-    [0, min(x_max, SPOT_RADIUS)] is the first n_t terms of the length-L DFT
-    of those coefficients, from one chirp-z convolution whose cost and
-    memory depend on M + n_t and not on L.  Each radial value is then a
-    circle average of u^(-1/2) Q(ln u) over n = max(64, 1.3 (lam + T) x + 64)
-    midpoint nodes at x, of which the mirror pairs leave ceil(n/2) to
-    evaluate.  The nodes up to the support, 32 spot checks past it up to
-    min(x_max, SPOT_RADIUS) and 16 node-doubled checks inside it, which guard
-    the circle rule, are one ragged _circle_mean call.
+    SPECTRAL_STEP, M = ceil((lam + T) / ds) + 1 nodes.  Q on the t-grid up
+    to max(support, x_spot = min(x_max, SPOT_RADIUS)) is the first n_t terms
+    of the length-L DFT of those coefficients, from one chirp-z convolution
+    whose cost and memory depend on M + n_t and not on L.  Each radial value
+    is then a circle average of u^(-1/2) Q(ln u) over n = max(64, 1.3 (lam +
+    T) x + 64) midpoint nodes at x, of which the mirror pairs leave ceil(n/2)
+    to evaluate.  The nodes up to the support, 32 spot checks past it up to
+    x_spot and 16 node-doubled checks inside it, which guard the circle
+    rule, are one ragged _circle_mean call.
     """
     if lam < 10:
         raise DomainError("lam must be >= 10")
@@ -153,21 +166,22 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     if n_x < 4:
         raise DomainError(f"x_max = {x_max} gives fewer than 4 radial nodes")
 
+    x_step = _radial_step(lam)
     ds = SPECTRAL_STEP
     s_max = lam + SPECTRAL_TRUNCATION
     s = np.arange(M) * ds
     coef = _h0_squared(lam, s) * s * np.tanh(np.pi * s) * (ds / (2.0 * np.pi))
     coef[0] *= 0.5
     coef[-1] *= 0.5
-    dt_target = 1.0 / (2.0 * SAMPLES_PER_WAVELENGTH * lam)
-    L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * dt_target))))
-    dt = 2.0 * np.pi / (L * ds)
-    n_t = int(min(x_max, SPOT_RADIUS) / dt) + 8
+    L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * x_step / 2))))
+    dt = 2.0 * np.pi / (L * ds)   # at most x_step / 2
+    supp = SphericalKernel.support_radius + 2.0 * dt
+    n_t = int(max(min(x_max, SPOT_RADIUS), supp) / dt) + 8
     Q = dft_head(coef, L, n_t).real
     q = even_table(dt, Q)
 
-    xs = np.linspace(0.0, x_max, n_x)
-    supp = SphericalKernel.support_radius + 2.0 * dt
+    # the budget's nodes, and at least those through the reach (see below)
+    xs = x_step * np.arange(max(n_x, int(_kernel_reach(lam) / x_step) + 2))
 
     def circle_nodes(x: np.ndarray) -> np.ndarray:
         return np.maximum(64, (1.3 * s_max * x).astype(np.intp) + 64)
@@ -177,10 +191,10 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     # sparse set instead of densely tabulating noise.  Where u = 1 the phase
     # s ln u moves 4 s sinh(x/2) per unit theta, 2 s x on the table but 1.4
     # times that at x = 3, so a spot check's nodes count 2 sinh(x/2) for x
-    i_spot = int(np.searchsorted(xs, SPOT_RADIUS, side="right"))
+    i_spot = int(np.searchsorted(xs[:n_x], SPOT_RADIUS, side="right"))
     spot = xs[i_supp:i_spot:max(1, (i_spot - i_supp) // 32)]
     rng = np.random.default_rng(7)
-    check_idx = rng.choice(max(i_supp, 1), size=min(16, max(i_supp, 1)), replace=False)
+    check_idx = rng.choice(i_supp, size=16, replace=False)
     x_all = np.concatenate([xs[:i_supp], spot, xs[check_idx]])
     n_all = np.concatenate([circle_nodes(xs[:i_supp]), circle_nodes(2.0 * np.sinh(spot / 2.0)),
                             2 * circle_nodes(xs[check_idx])])
@@ -192,11 +206,10 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     if not resid <= 1e-6 * scale:
         raise NonConvergenceError(
             f"kernel circle rule residual {resid:.2e} exceeds 1e-6 * {scale:.2e}")
-    x_step = xs[1] - xs[0]
-    # the table ends at the first node past the support, where k is 0, so the
-    # spline through it is exactly 0 beyond
-    vals = np.pad(vals, (0, int(i_supp < n_x)))
-    return SphericalKernel(lam, x_step, vals, resid / scale, even_table(x_step, vals))
+    # the table ends at the first node past supp, where k is 0, so the spline
+    # is exactly 0 beyond that node, at most supp + x_step <= the reach
+    vals = np.append(vals, 0.0)
+    return SphericalKernel(lam, vals, resid / scale, even_table(x_step, vals))
 
 
 def kernel_decay_constant(kernel: SphericalKernel) -> float:

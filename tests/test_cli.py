@@ -306,20 +306,21 @@ def test_padding_budget_counts_up_front_what_the_projection_pads(tmp_path, monke
 
 
 def test_band_budget_counts_up_front_what_the_sum_counts(tmp_path, monkeypatch):
-    # the count before the set-up sees the same grid, step and kernel radial
-    # step as the sum's own count
+    # the count before the set-up sees the same grid, step and kernel reach
+    # as the sum's own count
     seen = []
     check = integrals.check_band_budget
 
-    def recorded(g, x, h, x_step):
-        seen.append((g.m.tobytes(), x, h, x_step))
-        return check(g, x, h, x_step)
+    def recorded(g, x, h, reach):
+        seen.append((g.m.tobytes(), x, h, reach))
+        return check(g, x, h, reach)
 
     monkeypatch.setattr(integrals, "check_band_budget", recorded)
     argv = ["integrals", "-p", "lambda=100", "-p", "shear_t=0.3", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     (m1, x1, h1, s1), (m2, x2, h2, s2) = seen
-    assert m1 == m2 and np.array_equal(x1, x2) and h1 == h2 and s1 == s2
+    assert m1 == m2 and np.array_equal(x1, x2) and h1 == h2
+    assert s1 == s2 == spherical._kernel_reach(100.0)
 
 
 def test_kn_experiment(tmp_path, capsys):
@@ -391,8 +392,8 @@ def test_kernel_spot_checks_refuse_q_corrupted_past_the_support(tmp_path, capsys
 
 
 def test_kernel_table_ending_before_support(tmp_path, capsys):
-    # x_max = 0.1 ends inside the support radius 0.2, so the radial spline
-    # runs through every node; the rows are those of the full-table kernel
+    # x_max = 0.1 ends inside the support radius 0.2; the table still runs
+    # to the support, and the rows are its nodes up to x_max
     rc = cli.main(["kernel", "-p", "x_max=0.1", "--out", str(tmp_path)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["summary"]["support_radius"] == 0.2
@@ -503,8 +504,8 @@ INVALID_PARAM_MESSAGES = {
     ("dyadic", "lambda=Infinity"),
     ("kernel", "x_max=Infinity"),
     ("kernel", "x_max=inf"),
-    # kernel tables of one, two and three radial nodes: a not-a-knot spline
-    # needs four
+    # one, two and three radial nodes on [0, x_max]: a kernel run asks for
+    # at least four
     ("kernel", "x_max=1e-4"),
     ("kernel", "x_max=0.000625"),
     ("kernel", "x_max=0.00125"),

@@ -190,8 +190,7 @@ def test_banded_sum_far_element_is_exactly_zero(kernel100):
     g = rl.GroupElement.diag_flow(8.0)
     assert _bilinear_sums(kernel100, u, u, x, h, g) == (0, 0)
     assert _dense_bilinear_sum(kernel100, u, u, x, h, g) == 0
-    supp = kernel100.support_radius + 2 * kernel100.x_step
-    lo, hi = integrals._row_bands(g.m, x, h, supp)
+    lo, hi = integrals._row_bands(g.m, x, h, kernel100.reach)
     assert (hi < lo).all()
 
 
@@ -228,7 +227,7 @@ def test_closed_band_contains_dense_support(kernel100, name, grid):
     if grid == "half":
         x, h = x[::2], 2 * h
     g = _oracle_element(name)
-    supp = kernel100.support_radius + 2 * kernel100.x_step
+    supp = kernel100.reach
     lo, hi = integrals._row_bands(g.m, x, h, supp)
     cols = np.arange(x.size)
     inside_any = False
@@ -248,7 +247,7 @@ def test_radial_is_exactly_zero_past_band_support(lam):
     # the band rectangles' cells outside the bands lie past this radius, so
     # they add exactly 0; checked up to the kernel's x_max = 1, past its table
     kernel = cached_kernel(lam)
-    supp = kernel.support_radius + 2 * kernel.x_step
+    supp = kernel.reach
     nodes = kernel.x_grid()
     d = np.concatenate([np.linspace(supp, 1.0, 200001), nodes])
     assert not kernel.radial(d[d >= supp]).any()
@@ -256,19 +255,18 @@ def test_radial_is_exactly_zero_past_band_support(lam):
 
 def test_band_budget_refuses_lambda_16000_shear(monkeypatch):
     # counted on the lam = 16000 window grid (step 1/(8 lam) over [-3, 3])
-    # at shear 0.3, with the kernel's radial step from its node count; no
-    # kernel is built
+    # at shear 0.3, with the kernel's reach at lam; no kernel is built
     lam = 16000.0
     h = 1.0 / (8.0 * lam)
     x = h * np.arange(-384000, 384001)
-    n_x, _ = spherical.check_kernel_budget(lam, 1.0)
+    reach = spherical._kernel_reach(lam)
     g = rl.GroupElement.lower_shear(0.3)
     with pytest.raises(ResourceError, match="band cells"):
-        integrals.check_band_budget(g, x, h, 1.0 / (n_x - 1))
+        integrals.check_band_budget(g, x, h, reach)
     budget = integrals.BAND_BUDGET
     assert budget == 1 << 30
     monkeypatch.setattr(integrals, "BAND_BUDGET", 1 << 62)
-    first, start, widths = integrals.check_band_budget(g, x, h, 1.0 / (n_x - 1))
+    first, start, widths = integrals.check_band_budget(g, x, h, reach)
     rows = np.diff(np.arange(0, start.size, integrals.ROW_CHUNK), append=start.size)
     assert first % 2 == 0 and not (start % 2).any()
     assert rows @ widths > 10 * budget

@@ -255,8 +255,8 @@ def test_kernel_radial_ends_at_support(monkeypatch, lam, x_max):
     x = kern.x_grid()
     assert kern.values[-1] == 0.0 and kern.values[-2] != 0.0
     assert x[-2] <= kern.support_radius + 2 * dt < x[-1]
-    # the bilinear sums read k up to support_radius + 2 x_step
-    assert x[-1] <= kern.support_radius + 2 * kern.x_step
+    # the bilinear sums read k up to its reach
+    assert x[-1] <= kern.reach
     past = np.linspace(x[-1], x_max + 1.0, 20001)[1:]
     assert np.all(kern.radial(past) == 0.0)
 
@@ -273,6 +273,22 @@ def test_kernel_independent_of_x_max_past_spot_radius(lam, x_max):
     assert np.array_equal(kern.values, ref.values)
     assert np.array_equal(kern.radial(x), ref.radial(x))
     assert kern.verify_residual == ref.verify_residual
+
+
+@pytest.mark.parametrize("x_max", [0.1, 1.0, 8.0])
+@pytest.mark.parametrize("lam", [99.97, 100.0, 777.7])
+def test_kernel_table_independent_of_x_max(lam, x_max):
+    # the radial step is 1/(16 lam) and the table runs to the support
+    # whatever x_max, also where 16 lam x_max is no integer or x_max ends
+    # inside the support: builds differ only by the rounding of Q, whose
+    # chirp-z length follows x_max
+    ref = cached_kernel(lam, 3.0)
+    kern = rl.make_kernel(lam, x_max=x_max)
+    x = np.linspace(0.0, 0.25, 1001)
+    assert kern.x_step == ref.x_step == 1.0 / (16.0 * lam)
+    assert kern.values.size == ref.values.size
+    assert np.abs(kern.radial(x) - ref.radial(x)).max() <= 1e-13 * np.abs(ref.values).max()
+    assert not kern.radial(np.linspace(kern.reach, x_max + 1.0, 10001)).any()
 
 
 @pytest.mark.parametrize("lam", [10.0, 100.0, 1600.0])
