@@ -183,8 +183,8 @@ def _integral_setup(p: dict, shears=(), projected=False):
     depth = max(8, math.ceil(p["alpha"] * math.log2(lam)))
     nu = measures.make_cantor_measure(p["alpha"], depth)
     h, n = measures.check_weight_budget(nu.atoms.size, lam, spw)
-    # the window grid of the weight's grid -2 + h * arange(n + 1)
-    _, x = integrals._window_grid(-2.0, h, n + 1)
+    # the window grid of the weight's grid -WEIGHT_EDGE + h * arange(n + 1)
+    _, x = integrals._window_grid(-measures.WEIGHT_EDGE, h, n + 1)
     for t in shears:
         integrals.check_band_budget(geometry.GroupElement.lower_shear(t), x, h,
                                     spherical._kernel_reach(lam))
@@ -204,7 +204,7 @@ def _run_measure(cfg):
         raise ResourceError(f"{p['n_r']} radii x {m.atoms.size} atoms exceed budget"
                             f" {RADII_BUDGET} radii or {measures.WORK_BUDGET} atom-radius pairs")
     rs = np.geomspace(p["r_min"], p["r_max"], p["n_r"])
-    rows = [{"r": float(r), "sup_ratio": measures.frostman_ratio(m, [r])} for r in rs]
+    rows = [{"r": float(r), "sup_ratio": measures.frostman_ratio(m, r)} for r in rs]
     return rows, {
         "sup_ratio_overall": max(r["sup_ratio"] for r in rows), "atoms": int(m.atoms.size)}
 
@@ -228,7 +228,7 @@ def _run_kernel(cfg):
     p = cfg.params
     k = spherical.make_kernel(p["lambda"], p["x_max"])
     n_x, _ = spherical.check_kernel_budget(p["lambda"], p["x_max"])
-    i = np.arange(0, n_x, 16)
+    i = np.arange(0, n_x, spherical.SAMPLES_PER_WAVELENGTH)   # one row per wavelength
     vals = np.pad(k.values, (0, n_x))[i]   # k is 0 past the table
     rows = [{"x": float(xx), "k": float(vv)} for xx, vv in zip(k.x_step * i, vals)]
     return rows, {
@@ -396,7 +396,7 @@ def _run_dyadic(cfg):
         modes.check_dyadic_scale(lam, k)
     # lam < 3,620 passed DYADIC_BUDGET: 64 atoms x <= 115,830 points need no pre-check
     w = measures.build_weight(measures.make_cantor_measure(p["alpha"], 6), lam,
-                              frequency.BumpPair(), samples_per_wavelength=8)
+                              frequency.BumpPair())
     rows = []
     summaries = {}
     for k in p["k_indices"]:
@@ -408,9 +408,10 @@ def _run_dyadic(cfg):
 
 # the parameters the three integral runs share; integrals widens alpha to (0, 1]
 _INTEGRAL_RUN = {
-    "lambda": (float, 100.0, lambda v: v >= 10),
+    "lambda": (float, 100.0, lambda v: v >= spherical.MIN_LAMBDA),
     "alpha": (float, 0.9, lambda v: 0.5 < v <= 1),
-    "resolution_per_wavelength": (int, 8, lambda v: v >= 8)}
+    "resolution_per_wavelength": (int, measures.MIN_SAMPLES_PER_WAVELENGTH,
+                                  lambda v: v >= measures.MIN_SAMPLES_PER_WAVELENGTH)}
 
 # experiment name -> (runner, parameter schema), in the CLI's order.  A runner
 # returns (CSV rows, summary); the rows are dicts, and the first row's keys are
@@ -430,7 +431,7 @@ _EXPERIMENTS = {
         "depths": ([int], [6, 8], lambda v: _distinct(v) and min(v) >= 1),
         "s_values": ([float], [0.3, 0.55, 0.8], _distinct)}),
     "kernel": (_run_kernel, {
-        "lambda": (float, 100.0, lambda v: v >= 10),
+        "lambda": (float, 100.0, lambda v: v >= spherical.MIN_LAMBDA),
         "x_max": (float, 4.0, _positive)}),
     "hecke-returns": (_run_hecke_returns, {
         "a": (int, 2, _positive), "b": (int, 3, None),
@@ -466,7 +467,7 @@ _EXPERIMENTS = {
         "depth": (int, 8, lambda v: v >= 0)}),
     "kn": (_run_kn, {
         "kind": (str, "highest_weight", lambda v: v in ("zonal", "highest_weight")),
-        "degree": (int, 64, lambda v: 1 <= v <= 1000)}),
+        "degree": (int, 64, lambda v: 1 <= v <= modes.MAX_DEGREE)}),
     "theorem3": (_run_theorem3, {
         "alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
         "degrees": ([int], [64, 128, 256], _distinct),

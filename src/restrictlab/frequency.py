@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .measures import ETA_REACH
+from .measures import ETA_REACH, WEIGHT_EDGE
 from .sampling import SampledFunction, dft_head, even_table
 
 
@@ -29,8 +29,8 @@ def smooth_step(t) -> np.ndarray:
 
 
 def rho_cutoff(t) -> np.ndarray:
-    """Plateau cutoff: 1 on |t| <= 3/2, 0 on |t| >= 2, smooth in between."""
-    return smooth_step(2.0 * (2.0 - np.abs(np.asarray(t, dtype=float))))
+    """Plateau cutoff: 1 on |t| <= WEIGHT_EDGE - 1/2, 0 on |t| >= WEIGHT_EDGE."""
+    return smooth_step((WEIGHT_EDGE - np.abs(np.asarray(t, dtype=float))) / 0.5)
 
 
 def eta_hat(xi) -> np.ndarray:

@@ -265,8 +265,9 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
     iota(gamma) is then at most sqrt(n) ||g0|| ||g0^-1|| e^(radius/2);
     inverting the coordinate map turns that into a finite scan box, swept
     exactly with the integer norm form; its hits are conjugated as one
-    stack.  Returned coordinate tuples are sorted lexicographically.  A box
-    of more than COEFF_BUDGET points is refused before the scan.
+    stack.  Returns (coords, h) pairs in lexicographic order of coords, h
+    the conjugate the filter measured (e exactly for a central gamma).  A
+    box of more than COEFF_BUDGET points is refused before the scan.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -279,8 +280,8 @@ def enumerate_norm_n(alg: QuatAlgebra, n: int, g0: GroupElement = None,
         raise ResourceError(f"coefficient box {2 * bounds + 1} has volume "
                             f"{volume} > budget {COEFF_BUDGET}")
     hits = _scan_norm_form(alg, bounds, n)
-    keep = _log_norm(_conjugates(alg, np.reshape(hits, (-1, 4)), n, g0)) <= radius
-    return [v for v, k in zip(hits, keep) if k]
+    h = _conjugates(alg, np.reshape(hits, (-1, 4)), n, g0)
+    return [(v, hv) for v, hv, k in zip(hits, h, _log_norm(h) <= radius) if k]
 
 
 def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list):
@@ -289,24 +290,24 @@ def return_count_ratio(alg: QuatAlgebra, g0_list, n_max: int, kappa_list):
 
     Finite by construction; the reported value is the measured analogue of
     the return-count bound's implied constant.  Each (g0, n) pair is
-    enumerated once; one dist_to_diag call takes the stacked conjugates of
-    every pair's survivors, and each distance is reused across kappa.  A
-    grid whose scan boxes hold more than SCAN_BUDGET points in all is
-    refused before the first scan.
+    enumerated once; one dist_to_diag call takes the conjugates of every
+    pair's survivors, and each distance is reused across kappa.  A grid whose
+    scan boxes hold more than SCAN_BUDGET points in all is refused before
+    the first scan, counted one pair at a time, so n_max sizes no list.
     """
-    pairs = [(gi, n, g0) for gi, g0 in enumerate(g0_list) for n in range(1, n_max + 1)]
-    points = 0
-    for _, n, g0 in pairs:
-        points += _scan_box(alg, n, g0, 1.0)[1]
-        if points > SCAN_BUDGET:
-            raise ResourceError(f"scan boxes up to n={n} hold more than"
-                                f" {SCAN_BUDGET} points")
-    stacks = [_conjugates(alg, np.reshape(enumerate_norm_n(alg, n, g0), (-1, 4)), n, g0)
-              for _, n, g0 in pairs]
-    dists = dist_to_diag(np.concatenate([np.empty((0, 2, 2)), *stacks]))[0]
+    pairs, points = [], 0
+    for gi, g0 in enumerate(g0_list):
+        for n in range(1, n_max + 1):
+            points += _scan_box(alg, n, g0, 1.0)[1]
+            if points > SCAN_BUDGET:
+                raise ResourceError(f"scan boxes up to n={n} hold more than"
+                                    f" {SCAN_BUDGET} points")
+            pairs.append((gi, n, g0))
+    found = [enumerate_norm_n(alg, n, g0) for _, n, g0 in pairs]
+    dists = dist_to_diag(np.reshape([h for f in found for _, h in f], (-1, 2, 2)))[0]
     best = 0.0
     rows = []
-    for (gi, n, _), d in zip(pairs, np.split(dists, np.cumsum([len(h) for h in stacks])[:-1])):
+    for (gi, n, _), d in zip(pairs, np.split(dists, np.cumsum([len(f) for f in found])[:-1])):
         for kappa in kappa_list:
             M = int(np.count_nonzero(d <= kappa))
             denom = (n / kappa) ** RETURN_EPS * (n * np.sqrt(kappa) + 1.0)

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures
 from .errors import DomainError, ResourceError
 from .frequency import smooth_step
 from .geometry import GroupElement, dist_to_diag
-from .hecke import Amplifier, QuatAlgebra, _conjugates, enumerate_norm_n
-from .measures import WeightFunction
+from .hecke import Amplifier, QuatAlgebra, enumerate_norm_n
 from .sampling import SampledFunction, convolve_valid
 from .spherical import SphericalKernel
 
@@ -183,8 +183,9 @@ def eval_I_pair(kernel: SphericalKernel, window: TestWindow,
     f1.require_same_grid(f2)
     h = f1.grid_step
     lam = kernel.lam
-    if h > 1.0 / (8.0 * lam) + 1e-15:
-        raise DomainError(f"grid step {h} under-resolves 1/lambda (need <= {1 / (8 * lam)})")
+    step = 1.0 / (measures.MIN_SAMPLES_PER_WAVELENGTH * lam)
+    if h > step + 1e-15:
+        raise DomainError(f"grid step {h} under-resolves 1/lambda (need <= {step})")
     x = f1.grid()
     u1 = _window_values(window, f1)
     u2 = u1 if f2 is f1 else _window_values(window, f2)
@@ -211,12 +212,12 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
     just past it can still have |I| > 0, and it is left out.
 
     Returns (total, rows, flags); rows carry one line per (m, n, d, gamma).
-    Each distinct norm is enumerated and conjugated as one stack, and each
-    distinct conjugated element integrated, once per call: the rows and
-    flags of every (m, n, d, gamma) landing on it share one report.
+    Each distinct norm is enumerated, with its conjugates, and each distinct
+    conjugated element integrated, once per call: the rows and flags of
+    every (m, n, d, gamma) landing on it share one report.
     """
     support = amp.support()
-    elements = {}   # norm -> (its enumerate_norm_n list, their conjugates)
+    elements = {}   # norm -> its enumerate_norm_n (coords, conjugate) pairs
     reports = {}   # conjugated element's matrix bytes -> its IntegralReport
     total = 0.0
     rows = []
@@ -231,10 +232,9 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                     continue
                 v = m * n // (d * d)
                 if v not in elements:
-                    found = enumerate_norm_n(alg, v, g0)
-                    elements[v] = (found, _conjugates(alg, np.reshape(found, (-1, 4)), v, g0))
+                    elements[v] = enumerate_norm_n(alg, v, g0)
                 weight = amn * d / np.sqrt(m * n)
-                for gamma, hm in zip(*elements[v]):
+                for gamma, hm in elements[v]:
                     h = GroupElement(hm)
                     key = h.m.tobytes()
                     if key not in reports:
@@ -267,7 +267,7 @@ def _window_grid(grid_min: float, h: float, size: int):
     return left, (grid_min - left * h) + h * np.arange(left + size + right)
 
 
-def _phi_w_on_window_grid(w: WeightFunction, phi_fn, lam: float):
+def _phi_w_on_window_grid(w: measures.WeightFunction, phi_fn, lam: float):
     """(grid, phi, phi*w, w) on the window grid of w's grid, with w
     zero-padded."""
     left, grid = _window_grid(w.grid_min, w.grid_step, w.values.size)

@@ -20,6 +20,8 @@ WEIGHT_BLOCK = 1 << 16   # window points build_weight evaluates at once
 ETA_REACH = 800.0
 # atom pairs of one exact energy sum
 PAIR_BUDGET = 1 << 24
+MIN_SAMPLES_PER_WAVELENGTH = 8   # least and default weight samples per wavelength 1/lam
+WEIGHT_EDGE = 2.0   # the weight lives on [-WEIGHT_EDGE, WEIGHT_EDGE], exactly 0 past it
 
 # Bound on the speed of the distance phase along a geodesic.  It depends on
 # the metric, which no experiment here varies, so it is fixed at the value
@@ -69,7 +71,7 @@ class FractalMeasure:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Smoothed weight on a uniform grid covering [-2,2].
+    """Smoothed weight on a uniform grid covering [-WEIGHT_EDGE, WEIGHT_EDGE].
 
     Treated as piecewise constant on cells of width grid_step for all
     integral operations, so singular kernels integrate exactly per cell.
@@ -87,9 +89,9 @@ class WeightFunction:
         if vals.min() < -1e-12:
             raise DomainError("weight values must be nonnegative")
         object.__setattr__(self, "values", np.maximum(vals, 0.0))
-        outside = np.abs(self.grid()) > 2.0 + 1e-12
+        outside = np.abs(self.grid()) > WEIGHT_EDGE + 1e-12
         if np.any(self.values[outside] != 0.0):
-            raise DomainError("weight must vanish at grid points with |s| > 2")
+            raise DomainError(f"weight must vanish at grid points with |s| > {WEIGHT_EDGE:g}")
 
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(self.values.size)
@@ -120,20 +122,13 @@ def make_cantor_measure(alpha: float, depth: int) -> FractalMeasure:
     return FractalMeasure(mid, w, alpha)
 
 
-def frostman_ratio(m: FractalMeasure, r_grid) -> float:
-    """sup over atom centers x and radii r of mu([x-r, x+r]) / r^alpha."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size == 0:
-        raise DomainError("r_grid must be nonempty")
-    if np.any(r_grid <= 0) or np.any(r_grid > 1):
-        raise DomainError("radii must lie in (0, 1]")
+def frostman_ratio(m: FractalMeasure, r: float) -> float:
+    """sup over atom centers x of mu([x-r, x+r]) / r^alpha at one radius r."""
+    if not 0 < r <= 1:   # NaN fails it too
+        raise DomainError(f"radius {r} must lie in (0, 1]")
     if m.atoms.size == 0:
         raise DomainError("measure must be nonempty")
-    best = 0.0
-    for r in r_grid:
-        mass = m.interval_mass(m.atoms - r, m.atoms + r)
-        best = max(best, float(mass.max()) / r ** m.alpha)
-    return best
+    return float(m.interval_mass(m.atoms - r, m.atoms + r).max()) / r ** m.alpha
 
 
 def energy(m: FractalMeasure, s: float) -> float:
@@ -155,13 +150,13 @@ def energy(m: FractalMeasure, s: float) -> float:
 
 
 def _window_points(lam: float, h: float, n: int) -> tuple[int, int]:
-    """(reach, width) of an atom's window on the grid -2 + h * arange(n + 1).
+    """(reach, width) of an atom's window on the n + 1 points of the weight grid.
 
     eta(4 C_ELL lam (s0 - t)) vanishes at every grid point more than
     ETA_REACH / (4 C_ELL lam h) steps from s0, within half a step of
     `reach`; a window of `width` = min(2 reach + 4, n + 1) points starting
-    reach + 1 steps below floor((s0 + 2) / h) holds all the others, with a
-    step to spare on each side.
+    reach + 1 steps below floor((s0 + WEIGHT_EDGE) / h) holds all the
+    others, with a step to spare on each side.
     """
     reach = round(ETA_REACH / (4.0 * C_ELL * lam * h))
     return reach, min(2 * reach + 4, n + 1)
@@ -169,8 +164,8 @@ def _window_points(lam: float, h: float, n: int) -> tuple[int, int]:
 
 def check_weight_budget(atoms: int, lam: float,
                         samples_per_wavelength: int) -> tuple[float, int]:
-    """(h, n) of the grid -2 + h * arange(n + 1) that a weight of `atoms` atoms
-    at lam is sampled on.
+    """(h, n) of the grid -WEIGHT_EDGE + h * arange(n + 1) that a weight of
+    `atoms` atoms at lam is sampled on.
 
     Raises DomainError for an under-resolved grid, and ResourceError past
     GRID_BUDGET grid points or past WORK_BUDGET window points (atoms x the
@@ -178,8 +173,9 @@ def check_weight_budget(atoms: int, lam: float,
     """
     if lam < 1:
         raise DomainError("lam must be >= 1")
-    if samples_per_wavelength < 8:
-        raise DomainError("need at least 8 samples per wavelength 1/lam")
+    if samples_per_wavelength < MIN_SAMPLES_PER_WAVELENGTH:
+        raise DomainError(
+            f"need at least {MIN_SAMPLES_PER_WAVELENGTH} samples per wavelength 1/lam")
     if samples_per_wavelength > GRID_BUDGET:   # 4 lam spw + 1 points; lam spw may overflow
         raise ResourceError(f"{samples_per_wavelength} samples per wavelength exceed"
                             f" budget {GRID_BUDGET} grid points")
@@ -187,7 +183,7 @@ def check_weight_budget(atoms: int, lam: float,
         raise ResourceError(f"lam x samples per wavelength = {lam} x {samples_per_wavelength}"
                             f" exceeds budget {GRID_BUDGET} grid points")
     h = 1.0 / (samples_per_wavelength * lam)
-    n = int(round(4.0 / h))
+    n = int(round(2 * WEIGHT_EDGE / h))
     if n + 1 > GRID_BUDGET:
         raise ResourceError(f"{n + 1} grid points exceed budget {GRID_BUDGET}")
     width = _window_points(lam, h, n)[1]
@@ -198,8 +194,8 @@ def check_weight_budget(atoms: int, lam: float,
 
 
 def build_weight(nu: FractalMeasure, lam: float, bump,
-                 samples_per_wavelength: int = 8) -> WeightFunction:
-    """Mollify nu at scale 1/lam into a smooth weight on [-2,2].
+                 samples_per_wavelength: int = MIN_SAMPLES_PER_WAVELENGTH) -> WeightFunction:
+    """Mollify nu at scale 1/lam into a smooth weight on [-WEIGHT_EDGE, WEIGHT_EDGE].
 
     w(t) = rho(t) * sum_i nu_i sqrt(lam^2 K(lam (s_i - t))^2 + 1), where bump
     is a BumpPair, rho = bump.rho is its plateau cutoff and K is bump.eta
@@ -212,12 +208,12 @@ def build_weight(nu: FractalMeasure, lam: float, bump,
     of about WEIGHT_BLOCK window points, each added by one np.bincount.
     """
     h, n = check_weight_budget(nu.atoms.size, lam, samples_per_wavelength)
-    t = -2.0 + h * np.arange(n + 1)
+    t = -WEIGHT_EDGE + h * np.arange(n + 1)
     scale = 4.0 * C_ELL
     reach, width = _window_points(lam, h, n)
     # a window clipped at either end of the grid slides inside it; the points
     # it gains lie past the reach, where the atom adds exactly 0
-    first = np.clip(np.floor((nu.atoms + 2.0) / h).astype(np.intp) - reach - 1,
+    first = np.clip(np.floor((nu.atoms + WEIGHT_EDGE) / h).astype(np.intp) - reach - 1,
                     0, n + 1 - width)
     acc = np.full(n + 1, nu.weights.sum())
     block = max(1, WEIGHT_BLOCK // width)
@@ -230,5 +226,5 @@ def build_weight(nu: FractalMeasure, lam: float, bump,
         span = np.bincount((idx - first[i]).ravel(), extra.ravel())
         acc[first[i]:first[i] + span.size] += span
     vals = acc * bump.rho(t)
-    vals[np.abs(t) > 2.0] = 0.0   # rho already vanishes there; make it exact
-    return WeightFunction(-2.0, h, vals, nu.alpha)
+    vals[np.abs(t) > WEIGHT_EDGE] = 0.0   # rho already vanishes there; make it exact
+    return WeightFunction(-WEIGHT_EDGE, h, vals, nu.alpha)

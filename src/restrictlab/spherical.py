@@ -21,6 +21,7 @@ from .sampling import dft_head, even_table
 SPECTRAL_FLOOR = 1e-12   # truncate spectral integrands below this level
 TABLE_BUDGET = 1 << 21   # radial and spectral nodes of one kernel table
 SAMPLES_PER_WAVELENGTH = 16   # radial nodes per wavelength 1/lam of the kernel table
+MIN_LAMBDA = 10   # the least spectral center make_kernel tabulates
 # step ds of the kernel's uniform s-grid.  The s-integrand H(s) s tanh(pi s)
 # cos(s t) is even and smooth, so the trapezoid rule's error at t is the
 # aliases Q(t +- 2 pi k / ds), and Q decays like e^(-|t|/2), since
@@ -160,8 +161,8 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     x_spot and 16 node-doubled checks inside it, which guard the circle
     rule, are one ragged _circle_mean call.
     """
-    if lam < 10:
-        raise DomainError("lam must be >= 10")
+    if lam < MIN_LAMBDA:
+        raise DomainError(f"lam must be >= {MIN_LAMBDA}")
     n_x, M = check_kernel_budget(lam, x_max)
     if n_x < 4:
         raise DomainError(f"x_max = {x_max} gives fewer than 4 radial nodes")

@@ -147,7 +147,7 @@ def test_criterion_05_hecke_enumeration():
     with _Timer() as t:
         mismatch = []
         for n in range(1, 21):
-            fast = rl.enumerate_norm_n(alg, n, g0, radius=1.0)
+            fast = [v for v, _ in rl.enumerate_norm_n(alg, n, g0, radius=1.0)]
             if fast != brute_force_norm_n(alg, n, g0, radius=1.0):
                 mismatch.append(n)
         # the return counts of the `hecke-returns` experiment's code path

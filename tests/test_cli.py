@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import restrictlab.cli as cli
-from restrictlab import frequency, integrals, measures, spherical
+from restrictlab import frequency, integrals, measures, modes, spherical
 from restrictlab.errors import DomainError
 from restrictlab.frequency import BumpPair
 from restrictlab.geometry import GroupElement
@@ -328,6 +328,21 @@ def test_kn_experiment(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert 0.2 < summary["s_kn"] <= 1.0
+
+
+def test_schema_limits_read_their_owners(monkeypatch):
+    # kn's degree cap is modes.MAX_DEGREE; the kernel and integral runs' least
+    # lambda is spherical.MIN_LAMBDA, which dyadic, building no kernel, does
+    # not read
+    monkeypatch.setattr(modes, "MAX_DEGREE", 2000)
+    assert cli.load_config(experiment="kn", overrides={"degree": 1500}).params["degree"] == 1500
+    monkeypatch.setattr(spherical, "MIN_LAMBDA", 20)
+    for experiment in ("kernel", "integrals", "beta-scaling", "rapid-decay"):
+        with pytest.raises(DomainError, match="lambda"):
+            cli.load_config(experiment=experiment, overrides={"lambda": 15.0})
+    with pytest.raises(DomainError, match="lam must be >= 20"):
+        spherical.make_kernel(15.0)
+    assert cli.load_config(experiment="dyadic", overrides={"lambda": 15.0}).params["lambda"] == 15
 
 
 def test_amplifier_experiment(tmp_path, capsys):
@@ -685,8 +700,9 @@ def _fuzzed_run(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_fuzzed_run(), st.one_of(st.none(), _INTS))
 # a negative seed with parameters that all pass, which the draws rarely give:
-# each is refused with exit 2, before numpy's default_rng would raise; and a
-# seed past 64 bits on a valid run, which exits 0
+# each is refused with exit 2, before numpy's default_rng would raise; a
+# seed past 64 bits on a valid run, which exits 0; and an n_max whose grid
+# SCAN_BUDGET refuses at n = 177, exit 3, before any list of n_max pairs
 @example(("measure", {}), -1)
 @example(("energy", {}), -1)
 @example(("hecke-returns", {}), -1)
@@ -695,6 +711,7 @@ def _fuzzed_run(draw):
 @example(("exponents", {}), -1)
 @example(("restrict", {}), -1)
 @example(("amplifier", {"draws": 1}), 10 ** 30)
+@example(("hecke-returns", {"n_max": 10 ** 30}), None)
 def test_cli_fuzz_exit_codes_and_strict_json(tmp_path, capsys, run, seed):
     experiment, params = run
     argv = [experiment, "--out", str(tmp_path)]

@@ -356,7 +356,7 @@ def test_dist_to_diag_matches_oracle():
     alg = rl.QuatAlgebra()
     survivors = [conjugated_element(alg, v, n, g0)
                  for g0 in map(rl.GroupElement.rotation, (0.1, 0.55, 1.0))
-                 for n in range(1, 13) for v in rl.enumerate_norm_n(alg, n, g0)]
+                 for n in range(1, 13) for v, _ in rl.enumerate_norm_n(alg, n, g0)]
     assert len(survivors) > 10
     els += survivors
     d, _, flagged = rl.dist_to_diag(np.array([g.m for g in els]))
@@ -392,6 +392,6 @@ def test_return_count_ratio_rows_match_oracle(monkeypatch, maximal):
     for gi, g0 in enumerate(g0s):
         for n in range(1, 13):
             dists = [dist_to_diag_oracle(conjugated_element(alg, v, n, g0))[0]
-                     for v in rl.enumerate_norm_n(alg, n, g0)]
+                     for v, _ in rl.enumerate_norm_n(alg, n, g0)]
             expected += [(gi, n, kappa, sum(d <= kappa for d in dists)) for kappa in kappas]
     assert [row[:4] for row in rows] == expected

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import restrictlab as rl
 from restrictlab.errors import DomainError, ResourceError
-from restrictlab.geometry import dist_to_diag
-from restrictlab.hecke import (_entry_bound, _mul_std, _order_box, _scan_norm_form,
-                               hilbert_symbol, is_squarefree)
+from restrictlab.geometry import _log_norm, dist_to_diag
+from restrictlab.hecke import (_conjugates, _entry_bound, _mul_std, _order_box,
+                               _scan_norm_form, hilbert_symbol, is_squarefree)
 
 from conftest import (cached_algebra, conjugated_element, dist_to_identity,
                       optimal_amplifier_length, optimal_bandwidth)
@@ -176,6 +177,11 @@ def coset_reps(alg, n: int, coeff_box: int = 12, stability_margin: int = 4):
     return reps, len(reps), len(reps) == len(reps_big)
 
 
+def _coords(pairs) -> list[tuple]:
+    """The coordinate tuples of enumerate_norm_n's (coords, h) pairs."""
+    return [v for v, _ in pairs]
+
+
 def _count_returns(alg, g0, n: int, kappa: float, elems) -> int:
     """Norm-n elements of `elems` whose conjugate by g0 lies within kappa of
     the diagonal subgroup."""
@@ -188,7 +194,7 @@ def hecke_returns(alg, g0, n: int, kappa: float) -> int:
     (n, kappa) at a time."""
     if kappa > 1:
         raise DomainError("kappa must be <= 1")
-    return _count_returns(alg, g0, n, kappa, rl.enumerate_norm_n(alg, n, g0, radius=1.0))
+    return _count_returns(alg, g0, n, kappa, _coords(rl.enumerate_norm_n(alg, n, g0, radius=1.0)))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -401,7 +407,7 @@ def test_scans_match_product_scan(maximal, cases):
         expected = [v for v in product_scan(alg, box, n)
                     if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
         assert expected
-        assert rl.enumerate_norm_n(alg, n, g0, radius=radius) == expected, n
+        assert _coords(rl.enumerate_norm_n(alg, n, g0, radius=radius)) == expected, n
     for n in (2, 5):
         classes = []
         for box in (3, 4):
@@ -442,7 +448,8 @@ def test_enumerate_matches_wide_box(maximal, n_max):
             assert np.prod(2 * box + 1) < 1e7
             expected = [v for v in _scan_norm_form(alg, box, n)
                         if dist_to_identity(conjugated_element(alg, v, n, g0)) <= radius]
-            assert rl.enumerate_norm_n(alg, n, g0, radius=radius) == expected, (radius, n)
+            assert _coords(rl.enumerate_norm_n(alg, n, g0, radius=radius)) == expected, \
+                (radius, n)
 
 
 def test_enumerate_contains_identity(algebra):
@@ -451,22 +458,22 @@ def test_enumerate_contains_identity(algebra):
     g0 = rl.GroupElement.diag_flow(0.17) @ rl.GroupElement.rotation(0.387)
     for radius in (0.0, 0.5, 1.0):
         for g in (None, g0):
-            elems = rl.enumerate_norm_n(algebra, 1, g, radius=radius)
+            elems = _coords(rl.enumerate_norm_n(algebra, 1, g, radius=radius))
             assert e in elems or tuple(-c for c in e) in elems
 
 
 def test_enumerate_matches_brute_force(algebra):
     g0 = rl.GroupElement.identity()
     for n in range(1, 21):
-        fast = rl.enumerate_norm_n(algebra, n, g0, radius=1.0)
+        fast = _coords(rl.enumerate_norm_n(algebra, n, g0, radius=1.0))
         brute = brute_force_norm_n(algebra, n, g0, radius=1.0)
         assert fast == brute, f"mismatch at n={n}"
 
 
 def test_enumerate_radius_monotone(algebra):
     for n in (7, 17):
-        small = set(rl.enumerate_norm_n(algebra, n, radius=0.5))
-        large = set(rl.enumerate_norm_n(algebra, n, radius=1.0))
+        small = set(_coords(rl.enumerate_norm_n(algebra, n, radius=0.5)))
+        large = set(_coords(rl.enumerate_norm_n(algebra, n, radius=1.0)))
         assert small <= large
 
 
@@ -480,6 +487,25 @@ def test_enumerate_budget_error(algebra, monkeypatch):
 def test_enumerate_radius_cap(algebra):
     with pytest.raises(DomainError):
         rl.enumerate_norm_n(algebra, 2, radius=2.5)
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["default", "maximal"])
+def test_enumerate_pairs_carry_their_conjugates(maximal):
+    # each survivor's h is the one-row conjugate bit for bit, inside the
+    # radius; g0 runs over e, the benchmark's return-ratio rotations and a
+    # g0 with ||g0|| ||g0^-1|| > 1
+    alg = cached_algebra(maximal)
+    g0s = [rl.GroupElement.identity()]
+    g0s += [rl.GroupElement.rotation(t) for t in (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0, 1.15)]
+    g0s += [rl.GroupElement.diag_flow(0.17) @ rl.GroupElement.rotation(0.387)]
+    survivors = 0
+    for g0 in g0s:
+        for n in range(1, 25):
+            for v, h in rl.enumerate_norm_n(alg, n, g0):
+                assert h.tobytes() == _conjugates(alg, [v], n, g0)[0].tobytes(), (v, n)
+                assert _log_norm(h) <= 1.0
+                survivors += 1
+    assert survivors > 100
 
 
 # ---------------------------------------------------------------- cosets
@@ -568,6 +594,19 @@ def test_return_ratio_finite(algebra):
 
 def test_return_ratio_empty_grid(algebra):
     assert rl.return_count_ratio(algebra, [], 4, [1.0, 0.5]) == (0.0, [])
+
+
+def test_return_ratio_budget_before_grid_list(algebra):
+    # SCAN_BUDGET stops the walk at n = 177, before any list of all n_max
+    # pairs could be built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="n=177 hold more than"):
+            rl.return_count_ratio(algebra, [rl.GroupElement.identity()], 2_000_000, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_return_ratio_takes_kappa_once_per_g0(algebra, monkeypatch):

@@ -120,7 +120,7 @@ def _oracle_element(name: str):
         return g0
     if name == "norm12":
         alg = cached_algebra()
-        gamma = enumerate_norm_n(alg, 12, g0)[0]
+        gamma = enumerate_norm_n(alg, 12, g0)[0][0]
         return conjugated_element(alg, gamma, 12, g0)
     raise ValueError(name)
 
@@ -251,6 +251,21 @@ def test_radial_is_exactly_zero_past_band_support(lam):
     nodes = kernel.x_grid()
     d = np.concatenate([np.linspace(supp, 1.0, 200001), nodes])
     assert not kernel.radial(d[d >= supp]).any()
+
+
+def test_sampling_minimum_has_one_owner(kernel100, monkeypatch):
+    # raising measures' minimum to 16 refuses an 8-per-wavelength grid in the
+    # weight budget, in eval_I and in the integral runs' schema alike
+    _, _, _, f = _phi_w_sampled(100.0)
+    assert f.grid_step == pytest.approx(1.0 / 800.0, rel=1e-15)
+    rl.eval_I(kernel100, rl.TestWindow(), f, rl.GroupElement.identity())
+    monkeypatch.setattr(rl.measures, "MIN_SAMPLES_PER_WAVELENGTH", 16)
+    with pytest.raises(DomainError, match="at least 16 samples"):
+        rl.measures.check_weight_budget(256, 100.0, 8)
+    with pytest.raises(DomainError, match="under-resolves"):
+        rl.eval_I(kernel100, rl.TestWindow(), f, rl.GroupElement.identity())
+    with pytest.raises(DomainError, match="resolution_per_wavelength"):
+        cli.load_config(experiment="integrals", overrides={"resolution_per_wavelength": 8})
 
 
 def test_band_budget_refuses_lambda_16000_shear(monkeypatch):
@@ -476,7 +491,7 @@ def _amplified_rhs_every_row(alg, amp, kernel, window, phi, g0):
                     continue
                 v = m * n // (d * d)
                 weight = amn * d / np.sqrt(m * n)
-                for gamma in enumerate_norm_n(alg, v, g0):
+                for gamma, _ in enumerate_norm_n(alg, v, g0):
                     rep = rl.eval_I(kernel, window, phi,
                                     conjugated_element(alg, gamma, v, g0))
                     if not rep.converged:
@@ -530,8 +545,9 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
                          ids=["N9", "N16"])
 def test_amplified_rhs_conjugates_each_norm_once(kernel100, monkeypatch, maximal,
                                                  N, eig_seed, y, theta):
-    # each distinct norm mn/d^2 is conjugated as one stack, and the rows
-    # built from the stacks equal the one-element oracle's exactly
+    # each distinct norm mn/d^2 is enumerated once, its survivors'
+    # conjugates coming with it, and the rows built from them equal the
+    # one-element oracle's exactly
     alg = cached_algebra(maximal)
     win = rl.TestWindow()
     _, _, _, f = _phi_w_sampled(100.0)
@@ -540,13 +556,13 @@ def test_amplified_rhs_conjugates_each_norm_once(kernel100, monkeypatch, maximal
     expected = _amplified_rhs_every_row(alg, amp, kernel100, win, f, g0)
 
     norms = []
-    conjugates = integrals._conjugates
+    enumerate_norms = integrals.enumerate_norm_n
 
-    def stacked(alg, coords, n, g0):
+    def counted(alg, n, g0):
         norms.append(n)
-        return conjugates(alg, coords, n, g0)
+        return enumerate_norms(alg, n, g0)
 
-    monkeypatch.setattr(integrals, "_conjugates", stacked)
+    monkeypatch.setattr(integrals, "enumerate_norm_n", counted)
     assert integrals.amplified_rhs(alg, amp, kernel100, win, f, g0) == expected
     support = amp.support()
     assert sorted(norms) == sorted({m * n // (d * d) for m in support for n in support

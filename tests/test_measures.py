@@ -66,7 +66,7 @@ def test_cantor_alpha1_is_midpoint_lebesgue(depth):
     assert np.allclose(m.atoms, expect, atol=1e-14)
     # interval-count oracle: an interval of radius r centered on an atom holds
     # 1 + 2 floor(r n) atoms, so the ratio is at most 2 + 1/(r n)
-    ratio = rl.frostman_ratio(m, [0.1, 0.2, 0.3, 0.4, 0.5])
+    ratio = max(rl.frostman_ratio(m, r) for r in [0.1, 0.2, 0.3, 0.4, 0.5])
     assert ratio <= 2.0 + 1.0 / (0.1 * n) + 1e-12
     if depth == 6:
         assert ratio <= 2.0 + 2.0 / n + 1e-12
@@ -99,23 +99,22 @@ def test_duplicate_atoms_rejected():
 def test_frostman_single_atom_formula():
     m = rl.FractalMeasure(np.array([0.5]), np.array([1.0]), 0.7)
     # direct formula: mass 1 over r^alpha
-    assert rl.frostman_ratio(m, [0.5]) == pytest.approx(0.5 ** -0.7, rel=1e-12)
-    assert rl.frostman_ratio(m, [0.5]) == pytest.approx(1.6245, abs=1e-4)
+    assert rl.frostman_ratio(m, 0.5) == pytest.approx(0.5 ** -0.7, rel=1e-12)
+    assert rl.frostman_ratio(m, 0.5) == pytest.approx(1.6245, abs=1e-4)
 
 
-def test_frostman_empty_rgrid_rejected():
+def test_frostman_radius_outside_unit_rejected():
     m = rl.make_cantor_measure(0.7, 2)
-    with pytest.raises(DomainError):
-        rl.frostman_ratio(m, [])
+    for r in (float("nan"), 0.0, -0.5, 1.5, float("inf")):
+        with pytest.raises(DomainError):
+            rl.frostman_ratio(m, r)
 
 
 def test_frostman_depth_stability():
     # exhaustive scan over atoms at two depths: the measured constants agree
     # within a factor of 2 (exact self-similarity keeps them depth-stable)
-    c6 = rl.frostman_ratio(rl.make_cantor_measure(ALPHA_CANTOR, 6),
-                           np.geomspace(3.0 ** -6, 1.0, 64))
-    c8 = rl.frostman_ratio(rl.make_cantor_measure(ALPHA_CANTOR, 8),
-                           np.geomspace(3.0 ** -8, 1.0, 64))
+    c6, c8 = (max(rl.frostman_ratio(rl.make_cantor_measure(ALPHA_CANTOR, depth), r)
+                  for r in np.geomspace(3.0 ** -depth, 1.0, 64)) for depth in (6, 8))
     assert 0.5 <= c6 / c8 <= 2.0
 
 

@@ -1,7 +1,9 @@
 """The benchmark harness in perfbench/ reads the program by name: parameter
 names of `eval_I_pair`, the positional fields of `IntegralReport`,
 `TestWindow()`, `_phi_w_on_window_grid` and the experiment runners.  These
-tests run its self-test and one traced call, so a rename fails here first."""
+tests run its self-test, one traced call and every job recorded in
+reference.json, so a rename, a changed return value or a moved pinned value
+fails here first."""
 
 import json
 import subprocess
@@ -22,6 +24,25 @@ def test_perfbench_selftest_passes():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["failed"] == 0, report["problems"]
     assert report["checks"] > 0 and proc.returncode == 0
+
+
+def test_every_reference_job_matches_its_record(tmp_path, monkeypatch):
+    # in-process, one pass per recorded job; the amplified_rhs jobs share the
+    # amplified-sum workload's one set-up, as in a benchmark pass
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import workloads
+
+    references = workloads.load_reference()["jobs"]
+    state = child.setup("amplified-sum")
+    problems = []
+    for i, key in enumerate(sorted(references)):
+        job = {**json.loads(key), "name": f"job{i:03d}"}
+        _, summary = child.run_job(job, state if job["kind"] == "amplified_rhs" else {},
+                                   tmp_path)
+        problems += workloads.check_job(job, summary, references)
+    assert len(references) == 107
+    assert not problems
 
 
 def test_tracer_counts_eval_I_pairs(kernel100, monkeypatch):
