@@ -39,10 +39,10 @@ H_WIDTH = 0.05   # Paley-Wiener width of the kernel profile h
 SPECTRAL_TRUNCATION = 2.0 * SPECTRAL_FLOOR ** (-1.0 / 8.0) / H_WIDTH
 # circle points _circle_mean evaluates at once: about 3 MB of temporaries
 CIRCLE_BLOCK = 1 << 15
-# radius up to which make_kernel's spot checks past the support run: their
-# circle nodes grow like e^(x/2), and the table itself reads Q only on the
-# support
-SPOT_RADIUS = 3.0
+# radius up to which make_kernel tabulates Q and runs its spot checks past the
+# support, at the table's circle count: a fixed radius, so that x_max moves
+# no bit of the build.  The table itself reads Q only on the support
+SPOT_RADIUS = 1.0
 
 
 def _circle_mean(x, n_theta, F) -> np.ndarray:
@@ -132,40 +132,44 @@ def _kernel_reach(lam: float) -> float:
     return SphericalKernel.support_radius + 2 * _radial_step(lam)
 
 
+def _radial_nodes(lam: float, x: float) -> float:
+    """Radial nodes of the kernel table at lam on [0, x]; inf past float range."""
+    return np.floor(x * SAMPLES_PER_WAVELENGTH * lam) + 1
+
+
 def check_kernel_budget(lam: float, x_max: float) -> tuple[int, int]:
     """(radial nodes on [0, x_max], spectral nodes on [0, lam + T]) of the
-    kernel table at lam; ResourceError past TABLE_BUDGET, radial nodes first,
-    before anything is built."""
-    n_x = np.floor(x_max * SAMPLES_PER_WAVELENGTH * lam) + 1   # inf past float range
+    kernel table at lam; ResourceError past TABLE_BUDGET, first for the radial
+    nodes on [0, max(x_max, SPOT_RADIUS)], which bound those make_kernel
+    builds, before anything is built."""
+    n_x = _radial_nodes(lam, max(x_max, SPOT_RADIUS))
     if n_x > TABLE_BUDGET:
         raise ResourceError(f"{n_x:.0f} radial nodes exceed budget {TABLE_BUDGET}")
     n_s = np.ceil((lam + SPECTRAL_TRUNCATION) / SPECTRAL_STEP) + 1
     if n_s > TABLE_BUDGET:
         raise ResourceError(f"{n_s:.0f} spectral nodes exceed budget {TABLE_BUDGET}")
-    return int(n_x), int(n_s)
+    return int(_radial_nodes(lam, x_max)), int(n_s)
 
 
 def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     """Tabulate the radial band kernel up to its support; x_max bounds only
-    the radial budget and the spot checks.
+    the radial budget, and the build is the same bit for bit whatever x_max.
 
     The spectral integral is reduced to Q(t) = int H(s) cos(s t) s tanh(pi s)
     ds / (2 pi) on the uniform s-grid of [0, lam + T] of step ds =
     SPECTRAL_STEP, M = ceil((lam + T) / ds) + 1 nodes.  Q on the t-grid up
-    to max(support, x_spot = min(x_max, SPOT_RADIUS)) is the first n_t terms
-    of the length-L DFT of those coefficients, from one chirp-z convolution
-    whose cost and memory depend on M + n_t and not on L.  Each radial value
-    is then a circle average of u^(-1/2) Q(ln u) over n = max(64, 1.3 (lam +
-    T) x + 64) midpoint nodes at x, of which the mirror pairs leave ceil(n/2)
-    to evaluate.  The nodes up to the support, 32 spot checks past it up to
-    x_spot and 16 node-doubled checks inside it, which guard the circle
+    to SPOT_RADIUS is the first n_t terms of the length-L DFT of those
+    coefficients, from one chirp-z convolution whose cost and memory depend
+    on M + n_t and not on L.  Each radial value is then a circle average of
+    u^(-1/2) Q(ln u) over n = max(64, 1.3 (lam + T) x + 64) midpoint nodes
+    at x, of which the mirror pairs leave ceil(n/2) to evaluate.  The nodes
+    up to the support, 32 spot checks on the nodes past it up to
+    SPOT_RADIUS and 16 node-doubled checks inside it, which guard the circle
     rule, are one ragged _circle_mean call.
     """
     if lam < MIN_LAMBDA:
         raise DomainError(f"lam must be >= {MIN_LAMBDA}")
-    n_x, M = check_kernel_budget(lam, x_max)
-    if n_x < 4:
-        raise DomainError(f"x_max = {x_max} gives fewer than 4 radial nodes")
+    _, M = check_kernel_budget(lam, x_max)
 
     x_step = _radial_step(lam)
     ds = SPECTRAL_STEP
@@ -177,28 +181,19 @@ def make_kernel(lam: float, x_max: float = 4.0) -> SphericalKernel:
     L = 1 << int(np.ceil(np.log2(2.0 * np.pi / (ds * x_step / 2))))
     dt = 2.0 * np.pi / (L * ds)   # at most x_step / 2
     supp = SphericalKernel.support_radius + 2.0 * dt
-    n_t = int(max(min(x_max, SPOT_RADIUS), supp) / dt) + 8
-    Q = dft_head(coef, L, n_t).real
-    q = even_table(dt, Q)
+    q = even_table(dt, dft_head(coef, L, int(SPOT_RADIUS / dt) + 8).real)
 
-    # the budget's nodes, and at least those through the reach (see below)
-    xs = x_step * np.arange(max(n_x, int(_kernel_reach(lam) / x_step) + 2))
-
-    def circle_nodes(x: np.ndarray) -> np.ndarray:
-        return np.maximum(64, (1.3 * s_max * x).astype(np.intp) + 64)
-
+    # the nodes up to SPOT_RADIUS, which lies past the reach (see below)
+    xs = x_step * np.arange(int(_radial_nodes(lam, SPOT_RADIUS)))
     i_supp = int(np.searchsorted(xs, supp, side="right"))   # first node past supp
     # beyond the Paley-Wiener support the kernel vanishes; spot-verify on a
-    # sparse set instead of densely tabulating noise.  Where u = 1 the phase
-    # s ln u moves 4 s sinh(x/2) per unit theta, 2 s x on the table but 1.4
-    # times that at x = 3, so a spot check's nodes count 2 sinh(x/2) for x
-    i_spot = int(np.searchsorted(xs[:n_x], SPOT_RADIUS, side="right"))
-    spot = xs[i_supp:i_spot:max(1, (i_spot - i_supp) // 32)]
+    # sparse set instead of densely tabulating noise
+    spot = xs[i_supp::max(1, (xs.size - i_supp) // 32)]
     rng = np.random.default_rng(7)
     check_idx = rng.choice(i_supp, size=16, replace=False)
     x_all = np.concatenate([xs[:i_supp], spot, xs[check_idx]])
-    n_all = np.concatenate([circle_nodes(xs[:i_supp]), circle_nodes(2.0 * np.sinh(spot / 2.0)),
-                            2 * circle_nodes(xs[check_idx])])
+    n_all = np.maximum(64, (1.3 * s_max * x_all).astype(np.intp) + 64)
+    n_all[-16:] *= 2   # the node-doubled checks
     vals, beyond, refined = np.split(_circle_mean(x_all, n_all, q),
                                      [i_supp, i_supp + spot.size])
     # np.max keeps a NaN, which then fails the check below

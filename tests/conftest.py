@@ -5,7 +5,8 @@ identity, the weight's interval sweeps, the spherical function phi_s, the
 amplifier's parameter choices, the one-element geometry (one conjugate,
 one log distance) that the stacked paths are checked against, and the
 library drivers of the beta-scaling, rapid-decay and Theorem-3 runs that the
-CLI runners replaced."""
+CLI runners replaced; and the band kernel from the Selberg inversion, an
+oracle of make_kernel that shares none of its steps."""
 
 import math
 from functools import lru_cache
@@ -16,7 +17,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 import restrictlab as rl
-from restrictlab import cli
+from restrictlab import cli, spherical
 from restrictlab.errors import DomainError, GridMismatchError, NonConvergenceError
 from restrictlab.geometry import _log_norm
 from restrictlab.hecke import _conjugates
@@ -360,6 +361,64 @@ def phi_s(s: float, g: rl.GroupElement) -> complex:
         prev = cur
     raise NonConvergenceError("phi_s quadrature did not converge below 1e-8"
                               f" within {PHI_MAX_NODES} nodes")
+
+
+def _cubic_b_spline(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M4(x), M4'(x)) of the centred cubic B-spline, supported on |x| <= 2."""
+    a = np.abs(x)
+    inner, outer = a <= 1.0, np.clip(2.0 - a, 0.0, None)
+    m = np.where(inner, (4.0 - 6.0 * a * a + 3.0 * a ** 3) / 6.0, outer ** 3 / 6.0)
+    dm = np.sign(x) * np.where(inner, 1.5 * a * a - 2.0 * a, -0.5 * outer ** 2)
+    return m, dm
+
+
+def _gauss_pieces(knots: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, n a piece, on the pieces between
+    consecutive knots along the last axis: shape (..., knots - 1, n)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    lo = knots[..., :-1, None]
+    half = 0.5 * (knots[..., 1:, None] - lo)
+    return lo + half * (t + 1.0), half * w
+
+
+def _selberg_g_prime(lam: float, r: np.ndarray, n: int = 24) -> np.ndarray:
+    """g'(r) at r >= 0 of g = G0 * G0, G0(r) = 2 cos(lam r) b(r) and
+    b(r) = M4(r/H)/H with H = H_WIDTH: b is the Fourier preimage of the
+    sinc^4 profile h, so G0's is h0(s) = h(s - lam) + h(-s - lam) and g's is
+    h0^2, supported on |r| <= 4H.  g'(r) = int G0(s) G0'(r - s) ds, by
+    Gauss-Legendre on the pieces between the knots of b(s) and of b(r - s)."""
+    H = spherical.H_WIDTH
+    r = np.asarray(r, dtype=float)[:, None]
+    grid = H * np.arange(-2, 3)
+    knots = np.sort(np.clip(np.concatenate([np.broadcast_to(grid, (r.size, 5)), r + grid],
+                                           axis=1), r - 2.0 * H, 2.0 * H), axis=1)
+    s, w = _gauss_pieces(knots, n)
+    v = r[:, :, None] - s
+    b_s, _ = _cubic_b_spline(s / H)
+    b_v, db_v = _cubic_b_spline(v / H)
+    g0 = 2.0 * np.cos(lam * s) * b_s / H
+    g0_prime = 2.0 * (db_v * np.cos(lam * v) / H - lam * b_v * np.sin(lam * v)) / H
+    return (w * g0 * g0_prime).sum(axis=(1, 2))
+
+
+def selberg_kernel(lam: float, d, n: int = 24) -> np.ndarray:
+    """The band kernel k at radial distances d from the Selberg inversion of
+    g = G0 * G0 (Iwaniec, Spectral Methods of Automorphic Forms, 1.8):
+    k(d) = -(sqrt 2 / pi) int_0^Y g'(r) / sinh r dy with cosh r = cosh d + y^2
+    and Y^2 = cosh 4H - cosh d, split where r crosses a multiple of H, n
+    Gauss-Legendre nodes a piece; an oracle of make_kernel that shares no
+    step with its spherical transform, Q table or circle rule.  The sinh^2
+    forms keep r and the knots accurate near r = d = 0."""
+    H = spherical.H_WIDTH
+    sd2 = np.sinh(0.5 * np.asarray(d, dtype=float))[:, None] ** 2
+    # y at r = 0, H, ..., 4H, and 0 for the multiples of H below d
+    y_knots = np.sqrt(2.0 * np.clip(np.sinh(0.5 * H * np.arange(5)) ** 2 - sd2, 0.0, None))
+    y, w = _gauss_pieces(y_knots, n)
+    r = 2.0 * np.arcsinh(np.sqrt(sd2[:, :, None] + 0.5 * y * y))
+    # blocks of r keep the g' temporaries near 4 MB
+    gp = np.concatenate([_selberg_g_prime(lam, block, n)
+                         for block in np.array_split(r.ravel(), r.size // 2048 + 1)])
+    return -(np.sqrt(2.0) / np.pi) * (w * gp.reshape(r.shape) / np.sinh(r)).sum(axis=(1, 2))
 
 
 def optimal_bandwidth(lam: float, alpha: float) -> float:

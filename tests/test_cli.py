@@ -156,15 +156,17 @@ def test_exponents_experiment(tmp_path):
     assert row_one and row_one[0].split(",")[2] == "1/28"
 
 
-def test_determinism_byte_identical(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        rc = cli.main(["measure", "--out", str(out), "--seed", "3",
-                       "-p", "depth=4"])
-        assert rc == 0
-        outs.append((out / "measure.csv").read_bytes())
-    assert outs[0] == outs[1]
+def test_determinism_byte_identical(tmp_path, capsys):
+    # every experiment at its defaults, run twice in one process, writes the
+    # same CSV bytes and the same summary
+    for experiment in cli.EXPERIMENTS:
+        name = experiment.replace("-", "_") + ".csv"
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert cli.main([experiment, "--out", str(out)]) == 0
+            runs.append(((out / name).read_bytes(),
+                         json.loads(capsys.readouterr().out)["summary"]))
+        assert runs[0] == runs[1], experiment
 
 
 def test_validation_exit_code():
@@ -385,25 +387,47 @@ def test_kernel_spot_checks_accept_correct_tables(tmp_path, capsys, lam, x_max):
     assert json.loads(capsys.readouterr().out)["summary"]["verify_residual"] <= 1e-7
 
 
-def test_kernel_spot_checks_refuse_q_corrupted_past_the_support(tmp_path, capsys,
-                                                                 monkeypatch):
-    # Q off by 1e-3 of its peak on t in [1, 2], which the table's nodes up to
-    # the support never read: only the spot checks past it see k leave 0
+@pytest.mark.parametrize("x_max", [1.0, 8.0])
+@pytest.mark.parametrize("t_lo, t_hi, rc", [(1.0, 2.0, 0), (0.0, 0.05, 4), (0.1, 0.15, 4),
+                                            (0.5, 0.9, 4)])
+def test_kernel_q_corruption_has_one_outcome_whatever_x_max(tmp_path, capsys, monkeypatch,
+                                                            x_max, t_lo, t_hi, rc):
+    # Q off by 1e-3 of its peak on [t_lo, t_hi]: on [1, 2], past SPOT_RADIUS,
+    # no circle node reads it and the table builds; on the support or on the
+    # spot checks' range past it the run exits 4 and writes no CSV; and
+    # either outcome holds at every x_max
     tables = []
 
     def corrupted(step, values):
         if not tables:   # the first table is Q on its t-grid
             t = step * np.arange(values.size)
-            values = values + np.where((t >= 1.0) & (t <= 2.0),
+            values = values + np.where((t >= t_lo) & (t <= t_hi),
                                        1e-3 * np.abs(values).max(), 0.0)
         tables.append(step)
         return even_table(step, values)
 
     monkeypatch.setattr(spherical, "even_table", corrupted)
-    rc = cli.main(["kernel", "-p", "lambda=400", "-p", "x_max=8", "--out", str(tmp_path)])
-    assert rc == 4
-    assert "residual" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert cli.main(["kernel", "-p", "lambda=400", "-p", f"x_max={x_max}",
+                     "--out", str(tmp_path)]) == rc
+    if rc:
+        assert "residual" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert (tmp_path / "kernel.csv").exists()
+
+
+@pytest.mark.parametrize("x_max", ["1e-4", "0.000625", "0.00125"])
+def test_kernel_below_one_wavelength_prints_the_origin(tmp_path, capsys, x_max):
+    # one, two and three radial nodes on [0, x_max] at lam = 100: the build
+    # is the default run's, and the one row printed is x = 0 at its k(0)
+    assert cli.main(["kernel", "--out", str(tmp_path / "default")]) == 0
+    default = json.loads(capsys.readouterr().out)["summary"]
+    assert cli.main(["kernel", "-p", f"x_max={x_max}", "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["k_at_0"] == default["k_at_0"]
+    lines = (tmp_path / "kernel.csv").read_text().splitlines()
+    first = (tmp_path / "default" / "kernel.csv").read_text().splitlines()[2]
+    assert lines[1:] == ["x,k", first] and first.startswith("0,")
 
 
 def test_kernel_table_ending_before_support(tmp_path, capsys):
@@ -519,11 +543,9 @@ INVALID_PARAM_MESSAGES = {
     ("dyadic", "lambda=Infinity"),
     ("kernel", "x_max=Infinity"),
     ("kernel", "x_max=inf"),
-    # one, two and three radial nodes on [0, x_max]: a kernel run asks for
-    # at least four
-    ("kernel", "x_max=1e-4"),
-    ("kernel", "x_max=0.000625"),
-    ("kernel", "x_max=0.00125"),
+    # a radial range that is empty
+    ("kernel", "x_max=0"),
+    ("kernel", "x_max=-1e-4"),
     # empty sweeps
     ("energy", "depths=[]"),
     ("energy", "s_values=[]"),

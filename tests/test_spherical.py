@@ -9,12 +9,12 @@ import pytest
 import conftest
 import restrictlab as rl
 from restrictlab import frequency, spherical
-from restrictlab.errors import DomainError, NonConvergenceError
+from restrictlab.errors import DomainError, NonConvergenceError, ResourceError
 from restrictlab.sampling import convolve_valid, dft_head, even_table, smooth_length
 from restrictlab.spherical import SPECTRAL_TRUNCATION, _circle_mean, _h0_squared, _h_profile
 
 from conftest import (_phi_integrand_nodes, cached_kernel, cubic_spline_table, hc_forward,
-                      masked_even_table, phi_s, phi_s_radial)
+                      masked_even_table, phi_s, phi_s_radial, selberg_kernel)
 
 
 def hc_inverse(H_eval, x: float, truncation: float = None) -> float:
@@ -261,34 +261,35 @@ def test_kernel_radial_ends_at_support(monkeypatch, lam, x_max):
     assert np.all(kern.radial(past) == 0.0)
 
 
-@pytest.mark.parametrize("x_max", [4.0, 8.0, 64.0])
-@pytest.mark.parametrize("lam", [100.0, 1600.0])
-def test_kernel_independent_of_x_max_past_spot_radius(lam, x_max):
-    # past SPOT_RADIUS x_max moves no circle node and no t of Q: the table,
-    # its spline and its residual are the x_max = 3 build's, bit for bit
-    ref = cached_kernel(lam, 3.0)
+@pytest.mark.parametrize("x_max", [1e-4, 0.1, 1.0, 3.0, 4.0, 8.0, 64.0, 1000.0])
+@pytest.mark.parametrize("lam", [10.0, 99.97, 100.0, 777.7, 1600.0])
+def test_kernel_table_independent_of_x_max(lam, x_max):
+    # x_max sizes only the radial budget: within it, the table, its spline
+    # and its residual are the x_max = 1 build's bit for bit, also where
+    # 16 lam x_max is no integer or x_max ends inside the support
+    if 16.0 * lam * x_max > spherical.TABLE_BUDGET:
+        with pytest.raises(ResourceError, match="radial nodes"):
+            rl.make_kernel(lam, x_max=x_max)
+        return
+    ref = cached_kernel(lam, 1.0)
     kern = rl.make_kernel(lam, x_max=x_max)
     x = np.linspace(0.0, 0.25, 1001)
-    assert kern.x_step == ref.x_step
     assert np.array_equal(kern.values, ref.values)
     assert np.array_equal(kern.radial(x), ref.radial(x))
     assert kern.verify_residual == ref.verify_residual
 
 
-@pytest.mark.parametrize("x_max", [0.1, 1.0, 8.0])
-@pytest.mark.parametrize("lam", [99.97, 100.0, 777.7])
-def test_kernel_table_independent_of_x_max(lam, x_max):
-    # the radial step is 1/(16 lam) and the table runs to the support
-    # whatever x_max, also where 16 lam x_max is no integer or x_max ends
-    # inside the support: builds differ only by the rounding of Q, whose
-    # chirp-z length follows x_max
-    ref = cached_kernel(lam, 3.0)
-    kern = rl.make_kernel(lam, x_max=x_max)
-    x = np.linspace(0.0, 0.25, 1001)
-    assert kern.x_step == ref.x_step == 1.0 / (16.0 * lam)
-    assert kern.values.size == ref.values.size
-    assert np.abs(kern.radial(x) - ref.radial(x)).max() <= 1e-13 * np.abs(ref.values).max()
-    assert not kern.radial(np.linspace(kern.reach, x_max + 1.0, 10001)).any()
+@pytest.mark.parametrize("lam, bound", [(10.0, 4e-7), (100.0, 1e-8)])
+def test_kernel_matches_selberg_transform(lam, bound):
+    # the table from the spherical transform of h0^2 against the kernel from
+    # g = G0 * G0, the Fourier preimage of h0^2, by the Selberg inversion, at
+    # every node; the worst difference, at the first node 1/(16 lam), is the
+    # cubic spline error of Q, which no circle-node doubling sees
+    kern = cached_kernel(lam)
+    oracle = selberg_kernel(lam, kern.x_grid())
+    scale = np.abs(kern.values).max()
+    assert np.abs(kern.values - oracle).max() <= bound * scale
+    assert oracle[-1] == 0.0
 
 
 @pytest.mark.parametrize("lam", [10.0, 100.0, 1600.0])
