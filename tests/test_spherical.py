@@ -261,6 +261,23 @@ def test_kernel_radial_ends_at_support(monkeypatch, lam, x_max):
     assert np.all(kern.radial(past) == 0.0)
 
 
+@pytest.mark.parametrize("x_max", [4.0, 8.0, 64.0])
+@pytest.mark.parametrize("lam", [100.0, 1600.0])
+def test_kernel_independent_of_x_max_past_spot_radius(lam, x_max):
+    # past SPOT_RADIUS x_max moves no circle node and no t of Q: the table,
+    # its spline and its residual are the x_max = SPOT_RADIUS build's, bit
+    # for bit, and x_max sets only how many radial nodes a kernel run prints
+    ref = cached_kernel(lam, spherical.SPOT_RADIUS)
+    kern = rl.make_kernel(lam, x_max=x_max)
+    x = np.linspace(0.0, 0.25, 1001)
+    assert kern.x_step == ref.x_step
+    assert np.array_equal(kern.values, ref.values)
+    assert np.array_equal(kern.radial(x), ref.radial(x))
+    assert kern.verify_residual == ref.verify_residual
+    n_x, _ = spherical.check_kernel_budget(lam, x_max)
+    assert n_x - 1 == round(x_max / kern.x_step)
+
+
 @pytest.mark.parametrize("x_max", [1e-4, 0.1, 1.0, 3.0, 4.0, 8.0, 64.0, 1000.0])
 @pytest.mark.parametrize("lam", [10.0, 99.97, 100.0, 777.7, 1600.0])
 def test_kernel_table_independent_of_x_max(lam, x_max):
