@@ -20,7 +20,7 @@ from .hecke import (QuatAlgebra, Amplifier, MAXIMAL_ORDER_2_3, iota_matrix,
                     return_count_ratio, primes_up_to)
 from .integrals import (TestWindow, IntegralReport, eval_I, eval_I_pair,
                         amplified_rhs, modulated_gaussian)
-from .modes import (SphereMode, SphereGeodesic, restriction_norm, kn_norm,
+from .modes import (SphereMode, restriction_norm, kn_norm,
                     dyadic_kernel_check, fit_exponent, gamma_exponent,
                     delta_exponent, marshall_exponent, lp_bump)
 

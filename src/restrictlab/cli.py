@@ -332,13 +332,11 @@ def _run_rapid_decay(cfg):
 def _run_restrict(cfg):
     p = cfg.params
     mu = measures.make_cantor_measure(p["alpha"], p["depth"])
-    ell = modes.SphereGeodesic.equator() if p["kind"] == "highest_weight" \
-        else modes.SphereGeodesic.meridian()
     rows = []
     for l in p["degrees"]:
         mode = modes.SphereMode(p["kind"], int(l))
         rows.append({"degree": int(l), "lambda": mode.lam,
-                     "norm": modes.restriction_norm(mode, ell, mu)})
+                     "norm": modes.restriction_norm(mode, mu)})
     summary = {}
     if len(rows) >= 3:
         slope, resid = modes.fit_exponent([(r["lambda"], r["norm"]) for r in rows])
@@ -355,12 +353,12 @@ def _run_kn(cfg):
 def _run_theorem3(cfg):
     p = cfg.params
     alpha = p["alpha"]
-    mu = measures.make_cantor_measure(alpha, p["depth"])
-    ell = modes.SphereGeodesic.equator()
     sphere_modes = [modes.SphereMode("highest_weight", int(l)) for l in p["degrees"]]
     rows = []
     for mode in sphere_modes:
-        lhs = modes.restriction_norm(mode, ell, mu)
+        # |e| is constant on the equator, so this is ||e||_{L^2(mu)} for every
+        # probability measure mu there
+        lhs = float(np.sqrt(mode.density(0.0)))
         s_kn = modes.kn_norm(mode)["s_kn"]
         bound = mode.lam ** 0.25 * s_kn ** (alpha - 0.5)
         if alpha == 1.0:   # the bound's log(lam) loss at the endpoint
@@ -470,8 +468,7 @@ _EXPERIMENTS = {
         "degree": (int, 64, lambda v: 1 <= v <= modes.MAX_DEGREE)}),
     "theorem3": (_run_theorem3, {
         "alpha": (float, 0.7, lambda v: 0.5 < v <= 1),
-        "degrees": ([int], [64, 128, 256], _distinct),
-        "depth": (int, 8, lambda v: v >= 0)}),
+        "degrees": ([int], [64, 128, 256], _distinct)}),
     "exponents": (_run_exponents, {"n_alpha": (int, 100, lambda v: v >= 2)}),
     "dyadic": (_run_dyadic, {
         "lambda": (float, 128.0, lambda v: v >= 10),

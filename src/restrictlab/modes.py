@@ -5,7 +5,6 @@ with log-log fitting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import math
@@ -122,32 +121,15 @@ class SphereMode:
 
 
 # ---------------------------------------------------------------------------
-# geodesics, restriction norms, tube norms
+# restriction norms, tube norms
 
-@dataclass(frozen=True)
-class SphereGeodesic:
-    """Unit-speed great-circle arc s -> R (cos s, sin s, 0)."""
-
-    rotation: np.ndarray
-
-    @classmethod
-    def equator(cls) -> "SphereGeodesic":
-        return cls(np.eye(3))
-
-    @classmethod
-    def meridian(cls) -> "SphereGeodesic":
-        return cls(np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]))
-
-    def points(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        circ = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=-1)
-        return circ @ self.rotation.T
-
-
-def restriction_norm(mode, ell, mu: FractalMeasure) -> float:
-    """||e||_{L^2(mu)} with mu's atoms pushed to the geodesic by arclength."""
-    dens = mode.density(ell.points(mu.atoms)[..., 2])
-    return float(np.sqrt(np.sum(mu.weights * dens)))
+def restriction_norm(mode, mu: FractalMeasure) -> float:
+    """||e||_{L^2(mu)} with mu's atoms pushed by arclength onto the mode's own
+    geodesic: the equator s -> (cos s, sin s, 0), at height 0, for a
+    highest-weight mode, and the meridian s -> (cos s, 0, sin s), at height
+    sin s, for a zonal one."""
+    z = np.sin(mu.atoms) if mode.kind == "zonal" else np.zeros(np.shape(mu.atoms))
+    return float(np.sqrt(np.sum(mu.weights * mode.density(z))))
 
 
 def _sphere_tube_mass(mode, psi: float, delta: float, n_along: int) -> float:
@@ -181,13 +163,12 @@ def kn_norm(mode: SphereMode) -> dict:
     lam = mode.lam
     delta = lam ** -0.5
     step = delta / 4.0
-    n_candidates = int(np.ceil((np.pi / 2) / step)) + 1
-    n_along = max(256, 4 * mode.l + 32)
-    if n_candidates * n_along * 2 * SAMPLES_ACROSS > TUBE_BUDGET:
-        raise ResourceError(
-            f"tube search needs {n_candidates} candidates x "
-            f"{n_along * 2 * SAMPLES_ACROSS} nodes > budget {TUBE_BUDGET}")
     psis = np.arange(0.0, np.pi / 2 + step, step)
+    n_along = max(256, 4 * mode.l + 32)
+    if psis.size * n_along * 2 * SAMPLES_ACROSS > TUBE_BUDGET:
+        raise ResourceError(
+            f"tube search needs {psis.size} candidates x "
+            f"{n_along * 2 * SAMPLES_ACROSS} nodes > budget {TUBE_BUDGET}")
     masses = np.array([_sphere_tube_mass(mode, p, delta, n_along) for p in psis])
     i = int(np.argmax(masses))
     lo, hi = psis[max(0, i - 1)], psis[min(len(psis) - 1, i + 1)]

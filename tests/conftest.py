@@ -518,10 +518,9 @@ def theorem_ratio_table(modes, mu: rl.FractalMeasure, alpha: float):
     """
     if not 0.5 < alpha <= 1.0:
         raise DomainError("alpha must lie in (1/2, 1]")
-    ell = rl.SphereGeodesic.equator()
     rows = []
     for mode in modes:
-        lhs = rl.restriction_norm(mode, ell, mu)
+        lhs = rl.restriction_norm(mode, mu)
         s_kn = rl.kn_norm(mode)["s_kn"]
         bound = mode.lam ** 0.25 * s_kn ** (alpha - 0.5)
         if alpha == 1.0:

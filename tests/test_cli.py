@@ -502,7 +502,7 @@ INVALID_PARAM_MESSAGES = {
                                 " depth = 8: cells are r^depth = 8.27e-25 wide with"
                                 " r = 2^(-1/alpha) = 0.000976562",
     **{(run, "depth=8"): "unknown parameter(s) ['depth']"
-       for run in ("integrals", "beta-scaling", "rapid-decay")},
+       for run in ("integrals", "beta-scaling", "rapid-decay", "theorem3")},
 }
 
 
@@ -576,6 +576,8 @@ INVALID_PARAM_MESSAGES = {
     ("integrals", "depth=8"),
     ("beta-scaling", "depth=8"),
     ("rapid-decay", "depth=8"),
+    # theorem3's lhs, the equator value of |e|, is the same for every measure
+    ("theorem3", "depth=8"),
 ])
 def test_invalid_params_exit_2(tmp_path, capsys, experiment, param):
     assert cli.main([experiment, "-p", param, "--out", str(tmp_path)]) == 2

@@ -190,45 +190,79 @@ def _value_xyz(mode, xyz):
     return value_angles(mode, theta, phi)
 
 
-def restriction_norm_quadrature(mode, ell, n: int = 4096) -> float:
+def geodesic_points(kind: str, s) -> np.ndarray:
+    """The unit-speed great circle that a mode of this kind restricts to, at
+    arclength s: the equator (cos s, sin s, 0) for a highest-weight mode, the
+    meridian (cos s, 0, sin s) for a zonal one."""
+    s = np.asarray(s, dtype=float)
+    cs, sn, zero = np.cos(s), np.sin(s), np.zeros_like(s)
+    xyz = (cs, sn, zero) if kind == "highest_weight" else (cs, zero, sn)
+    return np.stack(xyz, axis=-1)
+
+
+def restriction_norm_quadrature(mode, n: int = 4096) -> float:
     """Dense uniform-measure reference value for the unit segment."""
     s = (np.arange(n) + 0.5) / n
-    vals = _value_xyz(mode, ell.points(s))
+    vals = _value_xyz(mode, geodesic_points(mode.kind, s))
     return float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
 def test_restriction_point_mass():
     mode = rl.SphereMode("zonal", 24)
-    ell = rl.SphereGeodesic.meridian()
     s0 = 0.37
     mu = rl.FractalMeasure(np.array([s0]), np.array([1.0]), 0.7)
-    expect = abs(_value_xyz(mode, ell.points(np.array([s0])))[0])
-    assert rl.restriction_norm(mode, ell, mu) == pytest.approx(expect, rel=1e-12)
+    expect = abs(_value_xyz(mode, geodesic_points("zonal", np.array([s0])))[0])
+    assert rl.restriction_norm(mode, mu) == pytest.approx(expect, rel=1e-12)
 
 
 def test_restriction_uniform_matches_quadrature():
     mode = rl.SphereMode("zonal", 24)
-    ell = rl.SphereGeodesic.meridian()
     mu = rl.make_cantor_measure(1.0, 12)
-    val = rl.restriction_norm(mode, ell, mu)
-    ref = restriction_norm_quadrature(mode, ell, n=8192)
+    val = rl.restriction_norm(mode, mu)
+    ref = restriction_norm_quadrature(mode, n=8192)
     assert val == pytest.approx(ref, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["zonal", "highest_weight"])
+def test_restriction_norm_reads_the_geodesic_height(kind):
+    # the density at the atoms' heights on the oracle geodesic, summed against
+    # the weights: equal to the last bit
+    mode = rl.SphereMode(kind, 64)
+    for depth in (0, 4, 8, 12):
+        for alpha in (0.6, 0.7, 1.0):
+            mu = rl.make_cantor_measure(alpha, depth)
+            z = geodesic_points(kind, mu.atoms)[..., 2]
+            expect = float(np.sqrt(np.sum(mu.weights * mode.density(z))))
+            assert rl.restriction_norm(mode, mu) == expect
 
 
 def test_restriction_highest_weight_equator_growth():
     # |Y_l^l| is constant on the equator, so any probability measure gives the
     # same value c_l; its growth exponent in lambda is 1/4
     mu = rl.make_cantor_measure(0.7, 8)
-    ell = rl.SphereGeodesic.equator()
     pairs = []
     for l in (64, 128, 256, 512):
         mode = rl.SphereMode("highest_weight", l)
-        val = rl.restriction_norm(mode, ell, mu)
-        const = abs(value_angles(mode, np.pi / 2, 0.0))
-        assert val == pytest.approx(const, rel=1e-10)
+        val = rl.restriction_norm(mode, mu)
+        on_equator = np.abs(_value_xyz(mode, geodesic_points(mode.kind, mu.atoms)))
+        assert val == pytest.approx(on_equator.min(), rel=1e-10)
+        assert val == pytest.approx(on_equator.max(), rel=1e-10)
         pairs.append((mode.lam, val))
     slope, _ = rl.fit_exponent(pairs)
     assert abs(slope - 0.25) <= 0.02
+
+
+def test_theorem3_lhs_is_the_restriction_norm_of_every_measure():
+    # theorem3 sums over no measure: its lhs, the equator value c_l, is
+    # ||e||_{L^2(mu)} for every probability measure mu on the equator
+    degrees = [64, 128, 256, 512]
+    rows, _ = run_runner("theorem3", {"degrees": degrees})
+    for l, row in zip(degrees, rows):
+        mode = rl.SphereMode("highest_weight", l)
+        for depth in range(13):
+            for alpha in (0.6, 0.9):
+                val = rl.restriction_norm(mode, rl.make_cantor_measure(alpha, depth))
+                assert abs(val - row["lhs"]) <= 5e-16 * row["lhs"]
 
 
 # ---------------------------------------------------------------- tube norms
@@ -356,12 +390,25 @@ def test_kn_zonal_bounds():
 
 
 def _theorem3_against_removed_table(alpha):
-    """The theorem3 runner's rows and spread at alpha, default degrees and
-    depth, asserted equal to those of the library table it replaced."""
+    """The theorem3 runner's rows and spread at alpha and the default degrees,
+    asserted equal to those of the library table it replaced: exactly at the
+    unit point mass, whose one-term sum is exact, and to 5e-16 at the depth-8
+    Cantor measure the runner once summed over, whose sum rounds by 1-2 ulp."""
     rows, summary = run_runner("theorem3", {"alpha": alpha})
     modes = [rl.SphereMode("highest_weight", l) for l in (64, 128, 256)]
-    ref_rows, spread = theorem_ratio_table(modes, rl.make_cantor_measure(alpha, 8), alpha)
+    point = rl.FractalMeasure(np.array([0.5]), np.array([1.0]), alpha)
+    ref_rows, spread = theorem_ratio_table(modes, point, alpha)
     assert rows == ref_rows and summary["ratio_spread"] == spread
+    cantor_rows, cantor_spread = theorem_ratio_table(
+        modes, rl.make_cantor_measure(alpha, 8), alpha)
+    for row, ref in zip(rows, cantor_rows, strict=True):
+        assert row.keys() == ref.keys()
+        for key in row:
+            if key in ("lhs", "ratio"):
+                assert abs(row[key] - ref[key]) <= 5e-16 * abs(ref[key])
+            else:
+                assert row[key] == ref[key]
+    assert abs(summary["ratio_spread"] - cantor_spread) <= 5e-16 * cantor_spread
     return rows, spread
 
 

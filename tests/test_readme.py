@@ -1,5 +1,5 @@
-"""README statements that restate the code: the resource budgets and the
-experiment list."""
+"""README statements that restate the code: the resource budgets, the
+constants of the "one owner" list and the experiment list."""
 
 import ast
 import importlib
@@ -31,6 +31,13 @@ def test_readme_lists_every_budget_with_its_value():
               re.findall(r"^- `(\w+\.\w+_BUDGET)` \(2\^(\d+)\)", README, re.M)}
     assert listed == _budget_constants()
     assert len(listed) == 15
+
+
+def test_readme_owner_constants_match_the_code():
+    listed = re.findall(r"^- `(\w+)\.(\w+)` \((\d+)\):", README, re.M)
+    assert len(listed) == 5
+    for module, name, value in listed:
+        assert getattr(importlib.import_module(f"restrictlab.{module}"), name) == int(value)
 
 
 def test_readme_lists_the_experiments_in_order():
