@@ -173,9 +173,9 @@ def _integral_setup(p: dict, shears=(), projected=False):
     """(kernel on [0, 1], phi w, ||phi||^2_L2(w)) of an integral run, phi the
     modulated Gaussian at lam and phi w sampled on the window grid; the
     kernel's, the measure's and the weight's budgets, the band budget of each
-    lower shear t in `shears`, and for a `projected` run the padding budget
-    of its band projection, are all checked before the bump, the weight or
-    the kernel is built."""
+    lower shear t in `shears` (the half band its quadratic eval_I reads),
+    and for a `projected` run the padding budget of its band projection, are
+    all checked before the bump, the weight or the kernel is built."""
     lam, spw = p["lambda"], p["resolution_per_wavelength"]
     spherical.check_kernel_budget(lam, 1.0)
     # the smallest depth from 8 up whose Cantor cells 2^(-depth / alpha) are
@@ -187,7 +187,7 @@ def _integral_setup(p: dict, shears=(), projected=False):
     _, x = integrals._window_grid(-measures.WEIGHT_EDGE, h, n + 1)
     for t in shears:
         integrals.check_band_budget(geometry.GroupElement.lower_shear(t), x, h,
-                                    spherical._kernel_reach(lam))
+                                    spherical._kernel_reach(lam), quadratic=True)
     if projected:
         frequency.check_band_project_budget(x.size)
     w = measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)

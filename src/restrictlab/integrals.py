@@ -4,7 +4,7 @@ rapid-decay run."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,14 +82,31 @@ def _is_central(g: GroupElement) -> bool:
     return b == 0 and c == 0 and a == d
 
 
-def check_band_budget(g: GroupElement, x: np.ndarray, h: float, reach: float):
-    """(first, start, widths): g's kernel band on the uniform grid x (step h),
-    for a kernel exactly 0 past radius `reach`, as chunks of ROW_CHUNK rows
-    from the even row `first`; row first + i starts at the even column
-    start[i] at or before its `_row_bands` interval, and chunk c's rows are
-    widths[c] wide, enough for all of its intervals.  None when no row has a
-    band or g = +-e, whose Toeplitz sum the weight's grid budget bounds (see
-    `_toeplitz_sums`).  ResourceError past BAND_BUDGET cells."""
+def _is_symmetric(g: GroupElement) -> bool:
+    """a^2 = d^2 (+-e, a lower shear, a rotation): 2 cosh d(a(x1) i, g a(x2) i)
+    = A(x1) e^x2 + B(x1) e^-x2 (`_band_form`) is then symmetric in x1 and x2,
+    so the band matrix is real symmetric."""
+    return g.m[0, 0] ** 2 == g.m[1, 1] ** 2
+
+
+def check_band_budget(g: GroupElement, x: np.ndarray, h: float, reach: float,
+                      quadratic: bool = False):
+    """(first, start, widths): the cells of g's kernel band on the uniform
+    grid x (step h) that the bilinear sum evaluates, for a kernel exactly 0
+    past radius `reach`, as chunks of ROW_CHUNK rows from the even row
+    `first`; row first + i reads the columns from start[i] on, and chunk c's
+    rows are widths[c] wide, enough for all of its `_row_bands` intervals.
+
+    Row i starts at the even column at or before its interval.  For a
+    `quadratic` sum (one function in both slots) of a symmetric g
+    (`_is_symmetric`) it starts no earlier than its diagonal column i: the
+    sum reads only the upper half band (see `_bilinear_sums`).  Even rows
+    thus start on even columns either way, which the half-resolution sum
+    needs; odd rows never enter it.
+
+    None when no row has a band or g = +-e, whose Toeplitz sum the weight's
+    grid budget bounds (see `_toeplitz_sums`).  ResourceError past
+    BAND_BUDGET cells, counted before any cell is evaluated."""
     if _is_central(g):
         return None
     # a huge shear overflows A or B: that row's band is empty
@@ -100,8 +117,11 @@ def check_band_budget(g: GroupElement, x: np.ndarray, h: float, reach: float):
         return None
     first, end = filled[0] & ~1, filled[-1] + 1
     start = lo[first:end] & ~1
+    if quadratic and _is_symmetric(g):
+        start = np.maximum(start, np.arange(first, end))
     chunks = np.arange(0, end - first, ROW_CHUNK)
-    widths = np.maximum.reduceat(hi[first:end] - start, chunks) + 1
+    # a half-band chunk whose bands all end before its diagonal reads nothing
+    widths = np.maximum(np.maximum.reduceat(hi[first:end] - start, chunks) + 1, 0)
     cells = int(np.dot(np.diff(chunks, append=end - first), widths))
     if cells > BAND_BUDGET:
         raise ResourceError(f"{cells} band cells exceed budget {BAND_BUDGET}")
@@ -142,24 +162,33 @@ def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
 
     Each row chunk of `check_band_budget` is one dense rectangle of pairs,
     measured by `_band_form`.  k is exactly 0 past its reach, so pairs
-    outside the bands add nothing.  Chunks start on even rows and rows on
-    even columns, so the half sum takes the rectangles' even entries, each
-    summed in a fixed order.  For g = +-e the matrix is Toeplitz and
-    `_toeplitz_sums` takes over; for a^2 = d^2 (+-e, a shear, a rotation) it
-    is real symmetric, so for u1 is u2 the real parts are returned.
+    outside the bands add nothing.  Chunks start on even rows and even rows
+    on even columns, so the half sum takes the rectangles' even entries,
+    each summed in a fixed order.  For g = +-e the matrix is Toeplitz and
+    `_toeplitz_sums` takes over.
+
+    For u1 is u2 and a symmetric g (`_is_symmetric`: a shear, a rotation)
+    the sum is a Hermitian form of a real symmetric matrix K, so it is real:
+    sum_i K_ii |u_i|^2 + 2 Re sum_(i<j).  Each row then reads only its cells
+    j >= i, and the sum is 2 Re(that upper part) minus the diagonal cells it
+    read, on the grid and on its even entries alike.  Sesquilinear sums read
+    the whole band.
     """
-    real = u1 is u2 and g.m[0, 0] ** 2 == g.m[1, 1] ** 2
+    real = u1 is u2 and _is_symmetric(g)
     full = half = 0j
     if _is_central(g):
         full, half = _toeplitz_sums(kernel, u1, u2, h)
-    elif (bands := check_band_budget(g, x, h, kernel.reach)) is not None:
+    elif (bands := check_band_budget(g, x, h, kernel.reach, u1 is u2)) is not None:
         first, start, widths = bands
         t, A, B, C = _band_form(g.m, x)
         p, q, e = np.sqrt(A) / 2, np.sqrt(B) / 2, C * C / (2 * (np.sqrt(A * B) + 1))
         # past the grid's end, t = 1 keeps the distance finite and u2 = 0
         pad = (0, int(widths.max()))
         t, u2 = np.pad(t, pad, constant_values=1.0), np.pad(u2, pad)
+        diag = diag_half = 0j
         for c0, width in zip(range(0, start.size, ROW_CHUNK), widths):
+            if width == 0:
+                continue
             cols = start[c0:c0 + ROW_CHUNK, None] + np.arange(width)
             rows = slice(first + c0, first + c0 + cols.shape[0])
             tc = t[cols]
@@ -167,6 +196,13 @@ def _bilinear_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
             terms = kernel.radial(2.0 * np.arcsinh(np.sqrt(s))) * u2[cols]
             full += np.conj(u1[rows]) @ terms.sum(axis=1)
             half += np.conj(u1[rows][::2]) @ terms[::2, ::2].sum(axis=1)
+            if real:
+                # the rows that start on their diagonal column read K_ii first
+                on = cols[:, 0] == np.arange(rows.start, rows.stop)
+                diag += np.conj(u1[rows][on]) @ terms[on, 0]
+                diag_half += np.conj(u1[rows][::2][on[::2]]) @ terms[::2][on[::2], 0]
+        if real:
+            full, half = 2 * full.real - diag.real, 2 * half.real - diag_half.real
         full, half = full * h * h, half * (2 * h) * (2 * h)
     return (complex(full.real), complex(half.real)) if real else (full, half)
 
@@ -203,6 +239,17 @@ def eval_I(kernel: SphericalKernel, window: TestWindow, phi: SampledFunction,
     return eval_I_pair(kernel, window, phi, phi, g)
 
 
+def _conjugate_coords(alg: QuatAlgebra, coords) -> tuple:
+    """Order coordinates of the quaternion conjugate tr(gamma) - gamma of the
+    order element with coordinates `coords`, as `enumerate_norm_n`'s +-
+    representative (the one lexicographically above its negative); exact in
+    rational arithmetic.  Its conjugated element is the inverse of gamma's,
+    since iota(gamma-bar) is the adjugate of iota(gamma)."""
+    trace = 2 * sum(b * v for b, v in zip(alg.basis[0], coords))
+    bar = tuple(int(trace * alg.basis_inv[r][0] - v) for r, v in enumerate(coords))
+    return max(bar, tuple(-v for v in bar))
+
+
 def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                   window: TestWindow, phi: SampledFunction, g0: GroupElement):
     """Geometric side of the amplified bound: sum over m, n of |alpha_m alpha_n|
@@ -214,10 +261,15 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
     Returns (total, rows, flags); rows carry one line per (m, n, d, gamma).
     Each distinct norm is enumerated, with its conjugates, and each distinct
     conjugated element integrated, once per call: the rows and flags of
-    every (m, n, d, gamma) landing on it share one report.
+    every (m, n, d, gamma) landing on it share one report.  The norm-n
+    elements are closed under gamma -> gamma-bar, whose conjugated element
+    is h^(-1), and K(h^(-1)) is K(h) transposed, so I(h^(-1)) = conj I(h)
+    with one function in both slots: of each such inverse pair only the
+    first is integrated, and its partner's report is the same report with
+    the value conjugated (a trace-0 gamma is its own partner).
     """
     support = amp.support()
-    elements = {}   # norm -> its enumerate_norm_n (coords, conjugate) pairs
+    elements = {}   # norm -> {coords: conjugate} of its enumerate_norm_n
     reports = {}   # conjugated element's matrix bytes -> its IntegralReport
     total = 0.0
     rows = []
@@ -232,13 +284,16 @@ def amplified_rhs(alg: QuatAlgebra, amp: Amplifier, kernel: SphericalKernel,
                     continue
                 v = m * n // (d * d)
                 if v not in elements:
-                    elements[v] = enumerate_norm_n(alg, v, g0)
+                    elements[v] = dict(enumerate_norm_n(alg, v, g0))
                 weight = amn * d / np.sqrt(m * n)
-                for gamma, hm in elements[v]:
+                for gamma, hm in elements[v].items():
                     h = GroupElement(hm)
                     key = h.m.tobytes()
                     if key not in reports:
-                        reports[key] = eval_I(kernel, window, phi, h)
+                        bar = elements[v].get(_conjugate_coords(alg, gamma))
+                        pair = None if bar is None else reports.get(GroupElement(bar).m.tobytes())
+                        reports[key] = (eval_I(kernel, window, phi, h) if pair is None else
+                                        replace(pair, value=pair.value.conjugate()))
                     rep = reports[key]
                     if not rep.converged:
                         flags.append((m, n, d, gamma, rep.error_estimate))

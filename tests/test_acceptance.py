@@ -190,13 +190,13 @@ def test_criterion_06_amplifier():
 
 
 def test_criterion_07_rapid_decay_contrast(tmp_path):
-    # the default lambda = 100 and the ladder's 200, 400 and 800; at alpha =
-    # 0.9 the derived depth is 8 (cells r^8 = 2.1e-3 resolve 1/lam up to
-    # lam = 474), and 9 at lam = 800
+    # the default lambda = 100 and the ladder's 200, 400, 800 and 1600; at
+    # alpha = 0.9 the derived depth is 8 (cells r^8 = 2.1e-3 resolve 1/lam up
+    # to lam = 474), 9 at lam = 800 and 10 at lam = 1600
     limit = 600.0
     with _Timer() as t:
         runs = {lam: _cli(tmp_path, "rapid-decay", **{"lambda": lam})
-                for lam in (100.0, 200.0, 400.0, 800.0)}
+                for lam in (100.0, 200.0, 400.0, 800.0, 1600.0)}
         for _, rows in runs.values():
             assert all(r["converged"] == "True" for r in rows[:2])
     summary = runs[100.0][0]

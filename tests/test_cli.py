@@ -254,9 +254,10 @@ def test_band_budget_exits_3_without_csv(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["integrals", "-p", "lambda=5000", "-p", "shear_t=0.3"],
+    # shear 0.3's half band passes up to lambda = 6115
+    ["integrals", "-p", "lambda=7000", "-p", "shear_t=0.3"],
     # shears 0.25 t* and 0.5 t* are over budget, t*, 2 t* and 4 t* are not
-    ["rapid-decay", "-p", "lambda=4000"],
+    ["rapid-decay", "-p", "lambda=5500"],
 ], ids=["integrals", "rapid-decay"])
 def test_band_budget_refuses_before_building(tmp_path, capsys, monkeypatch, argv):
     # each shear's cells are counted from the window grid and the kernel's
@@ -309,20 +310,21 @@ def test_padding_budget_counts_up_front_what_the_projection_pads(tmp_path, monke
 
 def test_band_budget_counts_up_front_what_the_sum_counts(tmp_path, monkeypatch):
     # the count before the set-up sees the same grid, step and kernel reach
-    # as the sum's own count
+    # as the sum's own count, and counts the half band the quadratic sum reads
     seen = []
     check = integrals.check_band_budget
 
-    def recorded(g, x, h, reach):
-        seen.append((g.m.tobytes(), x, h, reach))
-        return check(g, x, h, reach)
+    def recorded(g, x, h, reach, quadratic=False):
+        seen.append((g.m.tobytes(), x, h, reach, quadratic))
+        return check(g, x, h, reach, quadratic)
 
     monkeypatch.setattr(integrals, "check_band_budget", recorded)
     argv = ["integrals", "-p", "lambda=100", "-p", "shear_t=0.3", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    (m1, x1, h1, s1), (m2, x2, h2, s2) = seen
+    (m1, x1, h1, s1, q1), (m2, x2, h2, s2, q2) = seen
     assert m1 == m2 and np.array_equal(x1, x2) and h1 == h2
     assert s1 == s2 == spherical._kernel_reach(100.0)
+    assert q1 is q2 is True
 
 
 def test_kn_experiment(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import math
 import warnings
 from types import SimpleNamespace
@@ -118,6 +119,8 @@ def _oracle_element(name: str):
         return rl.GroupElement.lower_shear(float(name[5:]))
     if name == "diag_rot":
         return g0
+    if name.startswith("rot"):
+        return rl.GroupElement.rotation(float(name[3:]))
     if name == "norm12":
         alg = cached_algebra()
         gamma = enumerate_norm_n(alg, 12, g0)[0][0]
@@ -219,6 +222,116 @@ def test_banded_sum_matches_dense_sesquilinear(kernel100, name, grid):
         _assert_agree(value, dense, hh * hh * np.abs(v1).sum() * np.abs(v2).sum())
 
 
+def _full_band_sums(kernel, u1, u2, x, h, g):
+    """Oracle: the banded sums as they read the whole band before the
+    symmetric half band, every row chunk one full rectangle of
+    `check_band_budget`'s sesquilinear count; real parts at a^2 = d^2 for
+    u1 is u2."""
+    real = u1 is u2 and g.m[0, 0] ** 2 == g.m[1, 1] ** 2
+    full = half = 0j
+    bands = integrals.check_band_budget(g, x, h, kernel.reach)
+    if bands is not None:
+        first, start, widths = bands
+        t, A, B, C = integrals._band_form(g.m, x)
+        p, q, e = np.sqrt(A) / 2, np.sqrt(B) / 2, C * C / (2 * (np.sqrt(A * B) + 1))
+        pad = (0, int(widths.max()))
+        t, u2 = np.pad(t, pad, constant_values=1.0), np.pad(u2, pad)
+        for c0, width in zip(range(0, start.size, integrals.ROW_CHUNK), widths):
+            cols = start[c0:c0 + integrals.ROW_CHUNK, None] + np.arange(width)
+            rows = slice(first + c0, first + c0 + cols.shape[0])
+            tc = t[cols]
+            s = np.square(p[rows, None] * tc - q[rows, None]) / tc + e[rows, None]
+            terms = kernel.radial(2.0 * np.arcsinh(np.sqrt(s))) * u2[cols]
+            full += np.conj(u1[rows]) @ terms.sum(axis=1)
+            half += np.conj(u1[rows][::2]) @ terms[::2, ::2].sum(axis=1)
+        full, half = full * h * h, half * (2 * h) * (2 * h)
+    return (complex(full.real), complex(half.real)) if real else (full, half)
+
+
+@pytest.mark.parametrize("grid", ["full", "small", "odd"])
+@pytest.mark.parametrize("name", ["shear0.01", "shear0.5", "diag_rot", "rot0.4", "rot1.0"])
+def test_half_band_matches_full_band(kernel100, name, grid):
+    # the quadratic sum of a shear or a rotation reads only the cells on and
+    # above the diagonal; against the whole band it replaced, to 1e-12
+    # relative, on grids of even and odd length (the odd grid also starts at
+    # an odd index); diag_rot (a^2 != d^2) still reads the whole band, so
+    # there the two agree bit for bit
+    u, x, h = _oracle_inputs(grid)
+    g = _oracle_element(name)
+    sums = _bilinear_sums(kernel100, u, u, x, h, g)
+    oracle = _full_band_sums(kernel100, u, u, x, h, g)
+    if name == "diag_rot":
+        assert sums == oracle
+    for value, full, step in zip(sums, oracle, (1, 2)):
+        assert full != 0 and (value.imag == 0) == (name != "diag_rot")
+        _assert_agree(value, full, (h * step) ** 2 * np.abs(u[::step]).sum() ** 2)
+
+
+def test_half_band_cases_reach_past_the_diagonal(kernel100):
+    # the half-band cases above include rows whose band starts past their
+    # diagonal column, rows whose band ends before it, and (rotation 1.0) a
+    # chunk in which every band ends before its diagonal, so it reads no cell
+    u, x, h = _oracle_inputs("full")
+    i = np.arange(x.size)
+    for name, empty_chunk in (("rot0.4", False), ("rot1.0", True)):
+        g = _oracle_element(name)
+        lo, hi = integrals._row_bands(g.m, x, h, kernel100.reach)
+        filled = hi >= lo
+        assert (filled & (lo > i)).any() and (filled & (hi < i)).any()
+        _, _, widths = integrals.check_band_budget(g, x, h, kernel100.reach, True)
+        assert (widths == 0).any() == empty_chunk
+
+
+@pytest.mark.parametrize("name", ["shear0.3", "rot0.4", "diag_rot", "norm12"])
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_band_budget_counts_the_cells_the_sum_reads(kernel100, name, quadratic):
+    # check_band_budget's count is the number of cells the sum passes to the
+    # kernel spline: the half band for a quadratic sum of a shear or a
+    # rotation, the whole band otherwise
+    u, x, h = _oracle_inputs("full")
+    u2 = u if quadratic else u * np.exp(-3j * x)
+    g = _oracle_element(name)
+    first, start, widths = integrals.check_band_budget(g, x, h, kernel100.reach, quadratic)
+    rows = np.diff(np.arange(0, start.size, integrals.ROW_CHUNK), append=start.size)
+    read = []
+
+    def radial(d):
+        read.append(d.size)
+        return kernel100.radial(d)
+
+    counted = SimpleNamespace(reach=kernel100.reach, radial=radial)
+    _bilinear_sums(counted, u, u2, x, h, g)
+    assert sum(read) == rows @ widths > 0
+    full = integrals.check_band_budget(g, x, h, kernel100.reach)
+    half = quadratic and name in ("shear0.3", "rot0.4")
+    assert (rows @ widths < rows @ full[2]) == half
+
+
+@pytest.mark.parametrize("name", ["norm12", "random"])
+def test_inverse_integral_is_the_conjugate(kernel100, name):
+    # K(g^-1) is K(g) transposed and real, so with one function in both slots
+    # I(g^-1) = conj I(g): the sums on the grid and on its even entries each
+    # to 1e-12 relative, so the error estimate, their difference, to 1e-12
+    # of the value
+    _, _, _, f = _phi_w_sampled(100.0)
+    u, x, h = _window_values(rl.TestWindow(), f), f.grid(), f.grid_step
+    if name == "norm12":
+        g = _oracle_element("norm12")
+    else:
+        from scipy.linalg import expm
+        x1, x2, x3 = np.random.default_rng(4).uniform(-0.3, 0.3, 3)
+        g = rl.GroupElement(expm(np.array([[x1, x2], [x3, -x1]])))
+    assert g.m[0, 0] ** 2 != g.m[1, 1] ** 2
+    for value, inverse in zip(_bilinear_sums(kernel100, u, u, x, h, g),
+                              _bilinear_sums(kernel100, u, u, x, h, g.inv())):
+        assert value.imag != 0
+        assert abs(inverse - value.conjugate()) <= 1e-12 * abs(value)
+    rep = rl.eval_I(kernel100, rl.TestWindow(), f, g)
+    inv = rl.eval_I(kernel100, rl.TestWindow(), f, g.inv())
+    assert abs(inv.value - rep.value.conjugate()) <= 1e-12 * abs(rep.value)
+    assert abs(inv.error_estimate - rep.error_estimate) <= 1e-12 * abs(rep.value)
+
+
 @pytest.mark.parametrize("grid", ["full", "small", "half"])
 @pytest.mark.parametrize("name", ["e", "-e", "shear0.01", "shear0.5", "diag_rot",
                                   "norm12"])
@@ -280,11 +393,17 @@ def test_band_budget_refuses_lambda_16000_shear(monkeypatch):
         integrals.check_band_budget(g, x, h, reach)
     budget = integrals.BAND_BUDGET
     assert budget == 1 << 30
+    with pytest.raises(ResourceError, match="band cells"):
+        integrals.check_band_budget(g, x, h, reach, quadratic=True)
     monkeypatch.setattr(integrals, "BAND_BUDGET", 1 << 62)
     first, start, widths = integrals.check_band_budget(g, x, h, reach)
     rows = np.diff(np.arange(0, start.size, integrals.ROW_CHUNK), append=start.size)
     assert first % 2 == 0 and not (start % 2).any()
     assert rows @ widths > 10 * budget
+    # the quadratic sum's half band: even rows still start on even columns
+    first, start, widths = integrals.check_band_budget(g, x, h, reach, quadratic=True)
+    assert first % 2 == 0 and not (start[::2] % 2).any()
+    assert 5 * budget < rows @ widths < 7 * budget
 
 
 def _direct_toeplitz_sums(kernel, u1, u2, h):
@@ -504,6 +623,62 @@ def _amplified_rhs_every_row(alg, amp, kernel, window, phi, g0):
     return total, rows, flags
 
 
+def _assert_pairs_match_oracle(alg, g0, got, expected, evaluated):
+    """amplified_rhs's (total, rows, flags) against the one-eval-per-row
+    oracle.  A row whose element was integrated (its matrix bytes in
+    `evaluated`) equals the oracle's row exactly.  Any other row took its
+    inverse partner's report: its abs_I and error equal the partner row's
+    bit for bit, and agree with the oracle's to 1e-12 relative (the error,
+    a difference of two sums of about |I|, to 1e-12 of abs_I).  Returns the
+    number of paired rows."""
+    (total, rows, flags), (e_total, e_rows, e_flags) = got, expected
+    assert len(rows) == len(e_rows) and len(flags) == len(e_flags)
+    by_key = {(r["m"], r["n"], r["d"], r["gamma"]): r for r in rows}
+    paired = 0
+    for row, e_row in zip(rows, e_rows):
+        gamma = ast.literal_eval(row["gamma"])
+        v = row["m"] * row["n"] // row["d"] ** 2
+        if conjugated_element(alg, gamma, v, g0).m.tobytes() in evaluated:
+            assert row == e_row
+            continue
+        paired += 1
+        bar = integrals._conjugate_coords(alg, gamma)
+        assert bar != gamma
+        partner = by_key[(row["m"], row["n"], row["d"], str(bar))]
+        assert conjugated_element(alg, bar, v, g0).m.tobytes() in evaluated
+        assert (row["abs_I"], row["error"]) == (partner["abs_I"], partner["error"])
+        assert row["term"] == partner["term"]
+        assert [row[k] for k in ("m", "n", "d", "gamma")] == \
+            [e_row[k] for k in ("m", "n", "d", "gamma")]
+        for key in ("abs_I", "term"):
+            assert row[key] == pytest.approx(e_row[key], rel=1e-12, abs=0)
+        assert abs(row["error"] - e_row["error"]) <= 1e-12 * e_row["abs_I"]
+    assert total == pytest.approx(e_total, rel=1e-12, abs=0)
+    for flag, e_flag in zip(flags, e_flags):
+        assert flag[:4] == e_flag[:4]
+        assert flag[4] == pytest.approx(e_flag[4], rel=1e-12, abs=0)
+    return paired
+
+
+def _recorded_evaluations(monkeypatch):
+    """(calls, bands): the matrix bytes of every element amplified_rhs
+    integrates, and the (matrix bytes, grid size) of every band it reads."""
+    calls, bands = [], []
+    eval_I, row_bands = integrals.eval_I, integrals._row_bands
+
+    def counted(kernel, window, phi, g):
+        calls.append(g.m.tobytes())
+        return eval_I(kernel, window, phi, g)
+
+    def recorded(m, x, h, supp):
+        bands.append((m.tobytes(), x.size))
+        return row_bands(m, x, h, supp)
+
+    monkeypatch.setattr(integrals, "eval_I", counted)
+    monkeypatch.setattr(integrals, "_row_bands", recorded)
+    return calls, bands
+
+
 def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
     alg = cached_algebra()
     win = rl.TestWindow()
@@ -512,32 +687,19 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
     amp = rl.build_amplifier(9, rl.random_hecke_eigenvalues(9, np.random.default_rng(1)))
     expected = _amplified_rhs_every_row(alg, amp, kernel100, win, f, g0)
 
-    calls = []
-    eval_I = integrals.eval_I
-
-    def counted(kernel, window, phi, g):
-        calls.append(g.m.tobytes())
-        return eval_I(kernel, window, phi, g)
-
-    bands = []
-    row_bands = integrals._row_bands
-
-    def recorded(m, x, h, supp):
-        bands.append((m.tobytes(), x.size))
-        return row_bands(m, x, h, supp)
-
-    monkeypatch.setattr(integrals, "eval_I", counted)
-    monkeypatch.setattr(integrals, "_row_bands", recorded)
-    total, rows, flags = integrals.amplified_rhs(alg, amp, kernel100, win, f, g0)
+    calls, bands = _recorded_evaluations(monkeypatch)
+    got = integrals.amplified_rhs(alg, amp, kernel100, win, f, g0)
     assert len(calls) == len(set(calls)) >= 2
-    assert len(rows) > len(calls)
-    assert (total, rows, flags) == expected
-    # the central element is exactly e and takes the Toeplitz path; each of
-    # the two others reaches the band once, on the full grid only
+    assert len(got[1]) > len(calls)
+    # the two non-central elements, (3, 0, -1, -1) and (3, 0, 1, 1) of norm
+    # 12, are mutual inverses: the first is integrated, the second conjugated
+    assert _assert_pairs_match_oracle(alg, g0, got, expected, set(calls)) > 0
+    # the central element is exactly e and takes the Toeplitz path; the one
+    # other integrated element reaches the band once, on the full grid only
     central = np.eye(2).tobytes()
     others = [m for m in calls if m != central]
-    assert central in calls and len(others) == 2
-    assert sorted(bands) == sorted((m, f.n) for m in others)
+    assert central in calls and len(others) == 1
+    assert bands == [(others[0], f.n)]
 
 
 @pytest.mark.parametrize("maximal", [False, True], ids=["default", "maximal"])
@@ -546,8 +708,8 @@ def test_amplified_rhs_evaluates_each_element_once(kernel100, monkeypatch):
 def test_amplified_rhs_conjugates_each_norm_once(kernel100, monkeypatch, maximal,
                                                  N, eig_seed, y, theta):
     # each distinct norm mn/d^2 is enumerated once, its survivors'
-    # conjugates coming with it, and the rows built from them equal the
-    # one-element oracle's exactly
+    # conjugates coming with it; each inverse pair reaches the band once, and
+    # the rows built from them match the one-element oracle
     alg = cached_algebra(maximal)
     win = rl.TestWindow()
     _, _, _, f = _phi_w_sampled(100.0)
@@ -562,13 +724,43 @@ def test_amplified_rhs_conjugates_each_norm_once(kernel100, monkeypatch, maximal
         norms.append(n)
         return enumerate_norms(alg, n, g0)
 
+    calls, bands = _recorded_evaluations(monkeypatch)
     monkeypatch.setattr(integrals, "enumerate_norm_n", counted)
-    assert integrals.amplified_rhs(alg, amp, kernel100, win, f, g0) == expected
+    got = integrals.amplified_rhs(alg, amp, kernel100, win, f, g0)
+    paired = _assert_pairs_match_oracle(alg, g0, got, expected, set(calls))
+    assert len(calls) == len(set(calls))
+    assert sorted(bands) == sorted((m, f.n) for m in set(calls) - {np.eye(2).tobytes()})
     support = amp.support()
     assert sorted(norms) == sorted({m * n // (d * d) for m in support for n in support
                                     for d in range(1, math.gcd(m, n) + 1)
                                     if math.gcd(m, n) % d == 0})
     assert expected[1]
+    # N = 9 reaches norm 12, whose two non-central elements are inverses
+    assert (paired > 0) == (N == 9)
+
+
+@pytest.mark.parametrize("maximal", [False, True], ids=["default", "maximal"])
+def test_conjugate_coords_pair_inverses(maximal):
+    # tr(gamma) - gamma, reduced to enumerate_norm_n's +- representative, is
+    # an involution on each norm's survivors (closed under it at every
+    # radius) whose conjugated element is the inverse to rounding; a pure
+    # gamma (trace 0) and a central one (h = e) are their own partners, and
+    # no other is.  Radius 2 reaches pure elements, which ||log h|| >= pi/2
+    # keeps out of the amplified sum's radius 1
+    alg = cached_algebra(maximal)
+    g0 = rl.GroupElement.diag_flow(0.17) @ rl.GroupElement.rotation(0.387)
+    pure = 0
+    for n in (1, 2, 3, 5, 6, 12, 25):
+        elements = dict(enumerate_norm_n(alg, n, g0, radius=2.0))
+        for gamma, hm in elements.items():
+            bar = integrals._conjugate_coords(alg, gamma)
+            assert bar in elements and integrals._conjugate_coords(alg, bar) == gamma
+            trace = 2 * sum(b * v for b, v in zip(alg.basis[0], gamma))
+            assert (bar == gamma) == (trace == 0 or np.array_equal(hm, np.eye(2)))
+            pure += trace == 0
+            m = hm @ elements[bar]
+            assert min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max()) <= 1e-12
+    assert pure > 0
 
 
 def test_amplified_rhs_dominates_identity_term():
