@@ -169,13 +169,13 @@ def _write_csv(path: Path, cfg: ExperimentConfig, rows: list[dict]) -> None:
     tmp.replace(path)
 
 
-def _integral_setup(p: dict, shears=(), projected=False):
+def _integral_setup(p: dict, shears=()):
     """(kernel on [0, 1], phi w, ||phi||^2_L2(w)) of an integral run, phi the
     modulated Gaussian at lam and phi w sampled on the window grid; the
-    kernel's, the measure's and the weight's budgets, the band budget of each
-    lower shear t in `shears` (the half band its quadratic eval_I reads),
-    and for a `projected` run the padding budget of its band projection, are
-    all checked before the bump, the weight or the kernel is built."""
+    kernel's, the measure's and the weight's budgets and the band budget of
+    each lower shear t in `shears` (the half band its quadratic eval_I reads)
+    are all checked before the bump, the weight or the kernel is built.  The
+    weight's budget also bounds a band projection of phi w."""
     lam, spw = p["lambda"], p["resolution_per_wavelength"]
     spherical.check_kernel_budget(lam, 1.0)
     # the smallest depth from 8 up whose Cantor cells 2^(-depth / alpha) are
@@ -188,8 +188,6 @@ def _integral_setup(p: dict, shears=(), projected=False):
     for t in shears:
         integrals.check_band_budget(geometry.GroupElement.lower_shear(t), x, h,
                                     spherical._kernel_reach(lam), quadratic=True)
-    if projected:
-        frequency.check_band_project_budget(x.size)
     w = measures.build_weight(nu, lam, frequency.BumpPair(), samples_per_wavelength=spw)
     _, phi, fw, wpad = integrals._phi_w_on_window_grid(
         w, lambda x: integrals.modulated_gaussian(x, lam), lam)
@@ -289,7 +287,7 @@ def _run_integrals(cfg):
 def _run_beta_scaling(cfg):
     p = cfg.params
     lam, alpha = p["lambda"], p["alpha"]
-    kern, fw, norm_sq = _integral_setup(p, projected=True)
+    kern, fw, norm_sq = _integral_setup(p)
     rows = []
     for beta in sorted(lam ** e for e in p["beta_exponents"]):
         fperp = frequency.band_project(lam, beta, fw, "complement")
@@ -314,7 +312,7 @@ def _run_rapid_decay(cfg):
     # a shear too large for dist_to_diag is refused before anything is built
     t_star, shears = integrals.rapid_decay_shears(
         lam, beta, p["epsilon0"], p["t_factors"])
-    kern, fw, _ = _integral_setup(p, [t for _, t, _ in shears], projected=True)
+    kern, fw, _ = _integral_setup(p, [t for _, t, _ in shears])
     fpass = frequency.band_project(lam, beta, fw, "pass")
     rows = []
     for fac, t, d_A in shears:

@@ -1,7 +1,7 @@
 """The compactly band-limited bump and its two uses: the exact transform
-eta_hat masks the bands around +-lambda in spectral band projections, and the
-profile eta, tabulated as the head of one DFT of eta_hat's samples, with the
-plateau cutoff rho (BumpPair) mollifies measures.
+eta_hat masks spectral band projections, which transform only the bands
+around +-lambda; and the profile eta, the head of one DFT of eta_hat's
+samples, with the plateau cutoff rho (BumpPair) mollifies measures.
 
 Fourier convention: fhat(xi) = int f(x) e^(-i x xi) dx, inverse carries 1/2pi.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .measures import ETA_REACH, WEIGHT_EDGE
 from .sampling import SampledFunction, dft_head, even_table
 
@@ -68,19 +68,6 @@ class BumpPair:
         self.eta = even_table(self.TABLE_STEP, vals)
 
 
-PAD_BUDGET = 1 << 22   # zero-padded FFT length of one band_project
-
-
-def check_band_project_budget(n: int) -> int:
-    """The zero-padded FFT length 2^ceil(log2(4 n)) of band_project on n
-    points; ResourceError past PAD_BUDGET, before anything is built."""
-    L = 1 << (4 * n - 1).bit_length()
-    if L > PAD_BUDGET:
-        raise ResourceError(f"band projection of {n} points pads to {L},"
-                            f" past budget {PAD_BUDGET}")
-    return L
-
-
 def band_project(lam: float, beta: float, f: SampledFunction,
                  mode: str = "pass") -> SampledFunction:
     """Spectral band projection: transform, multiply by the band mask
@@ -88,9 +75,14 @@ def band_project(lam: float, beta: float, f: SampledFunction,
 
     mode="pass" keeps the bands +-[lam-beta, lam+beta] (transform of the
     result is exactly supported there); mode="complement" returns f - pass,
-    whose spectrum vanishes on +-[lam-beta/2, lam+beta/2].  The transform is
-    zero-padded to a power of two of at least 4 f.n points, refused past
-    PAD_BUDGET.
+    whose spectrum vanishes on +-[lam-beta/2, lam+beta/2].  The result is
+    ifft(fft(f, L) * mask)[:n] at the period L = n + ceil(ETA_REACH/(beta h))
+    past the reach of the mask's filter, computed only where the mask is not
+    0: the K DFT indices k0.. of the band around +lam are one dft_head of f
+    shifted by k0, taken back to the grid by one more; the band around -lam
+    is conj f's, conjugated.  h <= pi/(2(lam + beta)) and beta <= lam give
+    K <= n/4 + 256.  L is only a modulus, and the int64 phases (k0 j) mod L
+    are exact on any window grid (at most 1.5 GRID_BUDGET points).
     """
     if mode not in ("pass", "complement"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -101,11 +93,18 @@ def band_project(lam: float, beta: float, f: SampledFunction,
     if h > shortest_period / 4.0 + 1e-15:
         raise DomainError(
             f"grid step {h} under-resolves frequency lam+beta (need <= {shortest_period / 4.0})")
-    L = check_band_project_budget(f.n)
-    F = np.fft.fft(f.values, L)
-    xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
-    mask = eta_hat((xi - lam) / beta) + eta_hat((xi + lam) / beta)
-    passed = np.fft.ifft(F * mask)[:f.n]
+    L = f.n + int(np.ceil(ETA_REACH / (beta * h)))
+    dxi = 2.0 * np.pi / (L * h)
+    k0 = int(np.ceil((lam - beta) / dxi))
+    K = int(np.floor((lam + beta) / dxi)) - k0 + 1
+    shift = np.exp(2j * np.pi * ((k0 * np.arange(f.n, dtype=np.int64)) % L) / L)
+    mask = eta_hat((dxi * np.arange(k0, k0 + K) - lam) / beta) / L
+
+    def upper(g):   # g's band around +lam
+        F = dft_head(g * shift.conj(), L, K) * mask
+        return shift * dft_head(F.conj(), L, f.n).conj()
+
+    passed = upper(f.values) + upper(f.values.conj()).conj()
     if mode == "pass":
         return SampledFunction(f.grid_min, h, passed)
     return SampledFunction(f.grid_min, h, f.values - passed)

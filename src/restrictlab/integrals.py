@@ -141,8 +141,9 @@ def _toeplitz_sums(kernel: SphericalKernel, u1: np.ndarray, u2: np.ndarray,
     (1.12 n at lam = 10, the least make_kernel accepts, where the kernel's
     node step widens the support).
     The window grid spans 1.5 times the weight's, whose points GRID_BUDGET
-    bounds, so the transform stays under 1.7 GRID_BUDGET, and below the
-    4 n of band_project on the same grid: the existing budgets bound it.
+    bounds, so the transform stays under 1.7 GRID_BUDGET, as do those of
+    band_project on the same grid (n + K, K <= n/4 + 256): the existing
+    budgets bound it.
     """
     lag = h * np.arange(min(int(kernel.reach / h), u2.size - 1) + 1)
     k = kernel.radial(lag)

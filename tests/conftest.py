@@ -3,7 +3,8 @@ built once per session and reused across module and acceptance tests.  Also
 the oracles that more than one test module reads: the Fourier-side energy
 identity, the weight's interval sweeps, the spherical function phi_s, the
 amplifier's parameter choices, the one-element geometry (one conjugate,
-one log distance) that the stacked paths are checked against, and the
+one log distance) that the stacked paths are checked against, the
+zero-padded FFT band projection that band_project replaced, and the
 library drivers of the beta-scaling, rapid-decay and Theorem-3 runs that the
 CLI runners replaced; and the band kernel from the Selberg inversion, an
 oracle of make_kernel that shares none of its steps."""
@@ -17,11 +18,13 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 import restrictlab as rl
-from restrictlab import cli, spherical
+from restrictlab import cli, frequency, spherical
 from restrictlab.errors import DomainError, GridMismatchError, NonConvergenceError
+from restrictlab.frequency import eta_hat
 from restrictlab.geometry import _log_norm
 from restrictlab.hecke import _conjugates
 from restrictlab.integrals import _phi_w_on_window_grid, modulated_gaussian
+from restrictlab.measures import ETA_REACH
 from restrictlab.sampling import _FOURTH_DIFFERENCE, _Z, PREFILTER_HALF_WIDTH, smooth_length
 from restrictlab.spherical import _circle_mean
 
@@ -160,6 +163,56 @@ def fourier_transform(f: rl.SampledFunction, pad_factor: int = 4):
     xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
     fhat = h * np.exp(-1j * f.grid_min * xi) * F
     return np.fft.fftshift(xi), np.fft.fftshift(fhat)
+
+
+def fft_band_project(lam: float, beta: float, f: rl.SampledFunction, L: int) -> np.ndarray:
+    """The pass of band_project as one length-L FFT of f zero-padded: the
+    mask eta_hat((xi - lam)/beta) + eta_hat((xi + lam)/beta) on the whole
+    padded spectrum, then the inverse FFT's first n terms.  This is the code
+    band_project replaced, which took L = 2^ceil(log2 4n)."""
+    h = f.grid_step
+    F = np.fft.fft(f.values, L)
+    xi = 2.0 * np.pi * np.fft.fftfreq(L, h)
+    mask = eta_hat((xi - lam) / beta) + eta_hat((xi + lam) / beta)
+    return np.fft.ifft(F * mask)[:f.n]
+
+
+def record_band_transforms(monkeypatch) -> list:
+    """Make every band_project call append (f.n, f.grid_step, beta, heads)
+    to the returned list, heads the (c.size, L, n) of each dft_head call
+    made inside it."""
+    calls, inside = [], []
+    project, head = frequency.band_project, frequency.dft_head
+
+    def recorded_project(lam, beta, f, mode="pass"):
+        calls.append((f.n, f.grid_step, beta, []))
+        inside.append(True)
+        try:
+            return project(lam, beta, f, mode)
+        finally:
+            inside.pop()
+
+    def recorded_head(c, L, n):
+        if inside:
+            calls[-1][3].append((c.size, L, n))
+        return head(c, L, n)
+
+    monkeypatch.setattr(frequency, "band_project", recorded_project)
+    monkeypatch.setattr(frequency, "dft_head", recorded_head)
+    return calls
+
+
+def check_band_transforms(calls) -> None:
+    """Each recorded projection made two dft_heads per band, n points to K
+    and K back to n, at the period L = n + ceil(ETA_REACH / (beta h)), with
+    K <= n/4 + 256."""
+    assert calls
+    for n, h, beta, heads in calls:
+        L = n + math.ceil(ETA_REACH / (beta * h))
+        assert len(heads) == 4
+        for (m, L1, K), (K2, L2, n2) in (heads[:2], heads[2:]):
+            assert m == n2 == n and K2 == K and L1 == L2 == L
+            assert K <= n / 4 + 256
 
 
 def gamma_factor(s: float) -> float:

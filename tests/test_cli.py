@@ -14,6 +14,7 @@ from restrictlab.geometry import GroupElement
 from restrictlab.hecke import MAXIMAL_ORDER_2_3, QuatAlgebra
 from restrictlab.sampling import even_table
 
+from conftest import check_band_transforms, record_band_transforms
 from test_hecke import hecke_returns
 
 
@@ -272,40 +273,35 @@ def test_band_budget_refuses_before_building(tmp_path, capsys, monkeypatch, argv
 
 @pytest.mark.parametrize("run", [["beta-scaling"], ["rapid-decay", "-p", "t_factors=[0]"]],
                          ids=["beta-scaling", "rapid-decay"])
-def test_band_projection_padding_budget(tmp_path, capsys, monkeypatch, run):
-    # at lambda = 21846 the window grid's 1,048,609 points pad to 2^23, past
-    # PAD_BUDGET: refused before the bump, the weight or the kernel is built;
-    # lambda = 21845 pads to 2^22 and passes, and the unprojected integrals
-    # run is not held to the budget (rapid-decay runs at g = e alone, whose
-    # sum has no band budget)
+def test_projected_runs_pass_the_old_padding_ceiling(tmp_path, capsys, monkeypatch, run):
+    # at lambda = 21846 the window grid's 1,048,609 points once padded to
+    # 2^23, past a padding budget of 2^22; the projection's transforms are
+    # now O(n), which the weight's budget bounds, so the run passes every
+    # refusal and reaches the build, also at lambda = 25600
     for owner, name in ((frequency, "BumpPair"), (measures, "build_weight"),
                         (spherical, "make_kernel")):
         monkeypatch.setattr(owner, name, _refuse_to_build)
-    argv = [*run, "-p", "lambda=21846", "--out", str(tmp_path)]
-    assert cli.main(argv) == 3
-    out = capsys.readouterr()
-    assert out.out == "" and "pads to 8388608" in out.err
-    assert list(tmp_path.iterdir()) == []
-    for argv in ([*run, "-p", "lambda=21845"],
-                 ["integrals", "-p", "lambda=21846", "-p", "shear_t=0"]):
+    for lam in ("21846", "25600"):
         with pytest.raises(_Built):
-            cli.main(argv + ["--out", str(tmp_path)])
+            cli.main([*run, "-p", f"lambda={lam}", "--out", str(tmp_path)])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("experiment", ["beta-scaling", "rapid-decay"])
-def test_padding_budget_counts_up_front_what_the_projection_pads(tmp_path, monkeypatch,
-                                                                 experiment):
-    # the set-up's count sees the window grid that band_project is given
-    seen = []
-    check = frequency.check_band_project_budget
-
-    def recorded(n):
-        seen.append(n)
-        return check(n)
-
-    monkeypatch.setattr(frequency, "check_band_project_budget", recorded)
-    assert cli.main([experiment, "-p", "lambda=100", "--out", str(tmp_path)]) == 0
-    assert seen[0] == 4801 and set(seen) == {4801}
+@pytest.mark.parametrize("run", [
+    [["beta-scaling", "-p", "beta_exponents=[0.2,0.8]"]],
+    [["rapid-decay", "-p", "t_factors=[0]", "-p", f"beta_exponent={e}"] for e in (0.001, 0.999)]],
+    ids=["beta-scaling", "rapid-decay"])
+def test_band_projection_transform_sizes(tmp_path, monkeypatch, run):
+    # at the schema's extreme bands and its coarsest grid (the default 8
+    # samples per wavelength), each projection of phi w transforms n points
+    # to K <= n/4 + 256 per band and back
+    calls = record_band_transforms(monkeypatch)
+    for lam in (10, 100, 1600):
+        for argv in run:
+            assert cli.main([*argv, "-p", f"lambda={lam}", "--out", str(tmp_path)]) == 0
+    check_band_transforms(calls)
+    assert len(calls) == 6
 
 
 def test_band_budget_counts_up_front_what_the_sum_counts(tmp_path, monkeypatch):

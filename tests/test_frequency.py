@@ -1,14 +1,19 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 import restrictlab as rl
+from restrictlab import frequency
 from restrictlab.errors import DomainError
 from restrictlab.frequency import eta_hat
+from restrictlab.measures import ETA_REACH
 
-from conftest import (cached_weight, fourier_energy_identity, fourier_transform, gamma_factor,
-                      l2_weighted_norm, sampled, weighted_energy)
+from conftest import (cached_weight, check_band_transforms, fft_band_project,
+                      fourier_energy_identity, fourier_transform, gamma_factor, l2_weighted_norm,
+                      record_band_transforms, sampled, weighted_energy)
 
 
 # ---------------------------------------------------------------- bump pair
@@ -272,6 +277,57 @@ def test_band_project_matches_spatial_convolution(bump):
     conv = h * np.convolve(f.values, kern, mode="full")[m:m + f.n]
     err = np.abs(conv - p.values).max() / np.abs(p.values).max()
     assert err <= 1e-6
+
+
+def _band_test_signal(lam, h):
+    """A modulated Gaussian at lam with a side lobe, plus broadband noise
+    under a Gaussian, on [-3, 3] at step h."""
+    x = -3.0 + h * np.arange(int(round(6.0 / h)) + 1)
+    noise = np.random.default_rng(0).standard_normal(x.size)
+    envelope = np.exp(-x ** 2)
+    values = envelope * (np.exp(1j * lam * x) * (1.0 + 0.3 * np.cos(3.0 * x)) + 0.1 * noise)
+    return rl.SampledFunction(-3.0, h, values)
+
+
+_BETA_EXPONENTS = (0.0, 0.2, 0.3, 0.5, 0.8, 1.0)
+
+
+@pytest.mark.parametrize("grid,lam,beta_exp", [
+    *(("coarsest", lam, e) for lam in (100.0, 400.0, 1600.0) for e in _BETA_EXPONENTS),
+    *(("eight-per-wavelength", 100.0, e) for e in _BETA_EXPONENTS)])
+def test_band_project_matches_fft_oracles(grid, lam, beta_exp):
+    # the same-period FFT, band_project's own algorithm with the whole
+    # spectrum transformed, and the FFT padded to 2^ceil(log2 64 n), or to
+    # twice the same period where that is longer: at beta = 1 the filter's
+    # reach ETA_REACH passes 64 n h, and a 64 n reference aliases by 2e-12
+    # to 4e-12 of max|f|.  Errors are relative to max|f|.  The grids: the
+    # coarsest band_project accepts, and the integral runs' default; the
+    # latter only at lam = 100, where the same-period oracle at beta = 1 is
+    # a transform of 645k points
+    beta = lam ** beta_exp
+    h = np.pi / (2.0 * (lam + beta)) if grid == "coarsest" else 1.0 / (8.0 * lam)
+    f = _band_test_signal(lam, h)
+    scale = np.abs(f.values).max()
+    L = f.n + math.ceil(ETA_REACH / (beta * h))
+    same_period = fft_band_project(lam, beta, f, L)
+    padded = fft_band_project(lam, beta, f, 1 << (max(64 * f.n, 2 * L) - 1).bit_length())
+    passed = rl.band_project(lam, beta, f, "pass").values
+    complement = rl.band_project(lam, beta, f, "complement").values
+    for got in (passed, f.values - complement):
+        assert np.abs(got - same_period).max() <= 1e-13 * scale
+        assert np.abs(got - padded).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("lam", [10.0, 100.0, 1600.0])
+@pytest.mark.parametrize("beta_exp", [0.0, 1.0])
+def test_band_project_transforms_only_its_bands(monkeypatch, lam, beta_exp):
+    # at the coarsest grid step the resolution check allows, where K comes
+    # closest to its bound n/4 + 256
+    calls = record_band_transforms(monkeypatch)
+    beta = lam ** beta_exp
+    f = _band_test_signal(lam, np.pi / (2.0 * (lam + beta)))
+    frequency.band_project(lam, beta, f)
+    check_band_transforms(calls)
 
 
 def test_parseval_consistency():

@@ -1,6 +1,7 @@
 """Import structure of the package: restrictlab modules import each other at
-module top only, the couplings that were dropped stay dropped, and no module
-imports a package of the test extra."""
+module top only, the couplings that were dropped stay dropped, no module
+imports a package of the test extra, and numpy's FFT is reached from one
+module only."""
 
 import ast
 import re
@@ -55,4 +56,22 @@ def test_no_module_imports_test_extra(package):
                      else [])
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == package]
+    assert found == []
+
+
+def test_only_sampling_reaches_numpy_fft():
+    # every transform is one sampling.convolve_valid: no other module names
+    # np.fft or numpy.fft, nor imports from it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "sampling.py":
+            continue
+        for node in ast.walk(_tree(path.name)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+                     else [])
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                    or any(name.startswith("numpy.fft") for name in names)):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -30,7 +30,7 @@ def test_readme_lists_every_budget_with_its_value():
     listed = {name: 2 ** int(k) for name, k in
               re.findall(r"^- `(\w+\.\w+_BUDGET)` \(2\^(\d+)\)", README, re.M)}
     assert listed == _budget_constants()
-    assert len(listed) == 15
+    assert len(listed) == 14
 
 
 def test_readme_owner_constants_match_the_code():
